@@ -20,6 +20,7 @@ from .sensing import (
     force_sensitivity,
     force_sql,
     optimal_coupling,
+    sensitivity_sweep,
     squeezed_rotation,
 )
 from .units import NaturalParams, ParameterError, PhysicalParams, to_natural, to_physical

@@ -2,10 +2,11 @@ r"""Command-line interface.
 
 Subcommands: sensitivity, witness, table, trajectory, verify. Global flags:
 --config <path> (JSON parameters), --out <path>, --format csv|json,
---seed <u64>, --threads <n> (falls back to the SPINLEV_THREADS environment
-variable). Exit codes: 0 success, 1 verification failure, 2 usage or config
-error. All file writes are atomic (temp file + rename) and floats are
-serialized losslessly.
+--seed <u64> (read by verify only), --threads <n> (falls back to the
+SPINLEV_THREADS environment variable; validated, but without effect).
+Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+All file writes are atomic (temp file + rename) and floats are serialized
+losslessly.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import dynamics, pulses, sensing, verify, witness
 from .pulses import SequenceKind
-from .units import ParameterError, params_from_dict, to_natural
+from .units import REFERENCE_DEVICE, ParameterError, params_from_dict, to_natural
 
 FLOAT_FMT = "%.16e"
 
@@ -98,20 +98,9 @@ def _kind(name: str) -> SequenceKind:
         raise ConfigError(f"unknown sequence {name!r}") from exc
 
 
-_DEFAULT_PARAMS = {
-    "mass_kg": 1.5e-14,
-    "freq_hz": 100.0,
-    "gradient_t_per_m": 1.0,
-    "nbar": 1e6,
-    "q_factor": 1e6,
-    "cooling_rate_hz": 1e3,
-    "cooling_time_s": 1e-4,
-}
-
-
 def cmd_sensitivity(args) -> int:
     cfg = _load_config(args.config)
-    merged = dict(_DEFAULT_PARAMS)
+    merged = dict(REFERENCE_DEVICE)
     merged.update(cfg)
     if "temperature_k" in cfg and "nbar" not in cfg:
         merged.pop("nbar", None)
@@ -123,25 +112,21 @@ def cmd_sensitivity(args) -> int:
     nu_max = float(cfg.get("nu_max_hz", 1e5))
     n_points = int(cfg.get("n_points", 200))
     nbar_over_q = to_natural(params).nbar / params.quality_factor
-    nus = np.geomspace(nu_min, nu_max, n_points)
-
-    def point(item):
-        kind, nu_hz = item
+    nus = [float(nu) for nu in np.geomspace(nu_min, nu_max, n_points)]
+    rows = []
+    for kind in kinds:
         seq = pulses.make_sequence(_kind(kind), tau)
-        sp = sensing.force_sensitivity(params, seq, 2 * math.pi * float(nu_hz))
-        return {
+        points = sensing.sensitivity_sweep(params, seq, [2 * math.pi * nu for nu in nus])
+        rows += [{
             "sweep_name": "nu_hz",
-            "sweep_value": float(nu_hz),
+            "sweep_value": nu_hz,
             "eta_n_per_sqrt_hz": sp.eta,
             "projection_var": sp.budget.projection_var,
             "backaction_var": sp.budget.backaction_var,
             "thermal_var": sp.budget.thermal_var,
             "sequence": kind,
             "nbar_over_q": nbar_over_q,
-        }
-
-    items = [(kind, nu) for kind in kinds for nu in nus]
-    rows = _parallel_map(point, items, _threads(args))
+        } for nu_hz, sp in zip(nus, points)]
     header = ["sweep_name", "sweep_value", "eta_n_per_sqrt_hz", "projection_var",
               "backaction_var", "thermal_var", "sequence", "nbar_over_q"]
     _emit(rows, header, args.format, args.out)
@@ -250,7 +235,7 @@ def cmd_trajectory(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify.run_checks(seed=args.seed if args.seed is not None else verify.DEFAULT_SEED,
-                               threads=_threads(args))
+                               threads=args.threads)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         _atomic_write(args.out, text)
@@ -259,19 +244,13 @@ def cmd_verify(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def _parallel_map(fn, items, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON parameter file")
     p.add_argument("--out", help="output file path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     p.add_argument("--seed", type=int, help="Monte Carlo seed")
-    p.add_argument("--threads", type=int, help="worker threads (default SPINLEV_THREADS or 1)")
+    p.add_argument("--threads", type=int,
+                   help="accepted for compatibility, without effect (default SPINLEV_THREADS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,6 +277,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.threads = _threads(args)
         return args.fn(args)
     except (ConfigError, ParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

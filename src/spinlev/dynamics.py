@@ -19,6 +19,7 @@ force enters with f = -f_ext).
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -144,20 +145,25 @@ def trajectory(
 ):
     """Sample (t, q, p) of one branch over [0, tau] with exact per-segment evolution.
 
+    The branch state is stored at each segment start; a sample at t takes one
+    step from the start of the last segment that begins before t.
     Quadratures are q = sqrt2 Re(gamma), p = sqrt2 Im(gamma).
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     spin_sign = +1 if spin_branch == 0 else -1
-    ts = np.linspace(0.0, seq.total_time, n_samples)
-    out = []
     segs = pulses.segments(seq)
-    for t in ts:
-        theta, gamma = 0.0, complex(alpha)
-        for a, b, s in segs:
-            if a >= t:
-                break
-            theta, gamma = segment_step(theta, gamma, spin_sign * s * g, omega, min(b, t) - a)
+    starts = [(0.0, complex(alpha))]
+    for a, b, s in segs[:-1]:
+        starts.append(segment_step(*starts[-1], spin_sign * s * g, omega, b - a))
+    seg_starts = [a for a, _, _ in segs]
+    out = []
+    for t in np.linspace(0.0, seq.total_time, n_samples):
+        k = bisect.bisect_left(seg_starts, t)  # segments that begin before t
+        gamma = starts[0][1]
+        if k:
+            a, b, s = segs[k - 1]
+            _, gamma = segment_step(*starts[k - 1], spin_sign * s * g, omega, min(b, t) - a)
         out.append((float(t), math.sqrt(2) * gamma.real, math.sqrt(2) * gamma.imag))
     return out
 

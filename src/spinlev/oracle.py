@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -166,6 +166,7 @@ def evolve(
         values = np.asarray(values, dtype=float)
     evals_x, evecs_x = _x_eigensystem(n_max)
     nvec = np.arange(n_max + 1, dtype=float)
+    out = JointState(c)
     for a, b, s in pulses.segments(seq):
         if force is None:
             # constant Hamiltonian across the whole segment: exact one shot
@@ -183,9 +184,8 @@ def evolve(
                     v = half_free * c[spin]
                     v = evecs_x @ (np.exp(-1j * (sgn * s * g - f) * evals_x * h) * (evecs_x.T @ v))
                     c[spin] = half_free * v
-        out = JointState(c)
         out.check(cfg.tail_tolerance)
-    return JointState(c)
+    return out
 
 
 def closed_form_vector(state: EntangledState, n_max: int) -> np.ndarray:
@@ -233,23 +233,7 @@ def moments_from_state(state: JointState) -> witness.MomentRecord:
     syp = -2 * float(np.imag(np.vdot(c1, p @ c0)))
     szq = float(np.real(np.vdot(c0, q @ c0) - np.vdot(c1, q @ c1)))
     szp = float(np.real(np.vdot(c0, p @ c0) - np.vdot(c1, p @ c1)))
-    return witness.MomentRecord(
-        mean_sx=sx / 2,
-        mean_sy=sy / 2,
-        mean_sz=sz / 2,
-        mean_q=mq,
-        mean_p=mp,
-        var_sx=0.25 - sx * sx / 4,
-        var_sy=0.25 - sy * sy / 4,
-        var_sz=0.25 - sz * sz / 4,
-        var_q=mq2 - mq * mq,
-        var_p=mp2 - mp * mp,
-        cov_qp=mqp / 2 - mq * mp,
-        cov_syq=syq / 2 - (sy / 2) * mq,
-        cov_syp=syp / 2 - (sy / 2) * mp,
-        cov_szq=szq / 2 - (sz / 2) * mq,
-        cov_szp=szp / 2 - (sz / 2) * mp,
-    )
+    return _record_from_raw((sx, sy, mq, mp, mq2, mp2, mqp, syq, syp, szq, szp), sz)
 
 
 def _branch_raw_moments(alpha: complex, g: float, omega: float, t: float):
@@ -321,9 +305,7 @@ def witness_moments(
         seq = pulses.ramsey(t)
         amax = (abs(2 * g / omega) + 1) ** 2
         n_max = max(cfg.n_max, suggested_n_max(amax))
-        st = evolve(initial_state(0j, n_max), natural, seq, None, OracleConfig(
-            n_max=n_max, dt=cfg.dt, seed=cfg.seed,
-            n_trajectories=cfg.n_trajectories, tail_tolerance=cfg.tail_tolerance))
+        st = evolve(initial_state(0j, n_max), natural, seq, None, replace(cfg, n_max=n_max))
         rec = moments_from_state(st)
         return MomentEstimate(rec, witness.witness_value(rec, coefficients), 0.0)
 
@@ -346,24 +328,25 @@ def witness_moments(
     return MomentEstimate(rec, w_en, w_se)
 
 
-def _record_from_raw(m) -> witness.MomentRecord:
+def _record_from_raw(m, sz: float = 0.0) -> witness.MomentRecord:
+    """Centred moments from the raw 11-vector of _branch_raw_moments and <sigma_z>."""
     sx, sy, q, p, q2, p2, qps, syq, syp, szq, szp = m
     return witness.MomentRecord(
         mean_sx=sx / 2,
         mean_sy=sy / 2,
-        mean_sz=0.0,
+        mean_sz=sz / 2,
         mean_q=q,
         mean_p=p,
         var_sx=0.25 - sx * sx / 4,
         var_sy=0.25 - sy * sy / 4,
-        var_sz=0.25,
+        var_sz=0.25 - sz * sz / 4,
         var_q=q2 - q * q,
         var_p=p2 - p * p,
         cov_qp=qps / 2 - q * p,
         cov_syq=syq / 2 - (sy / 2) * q,
         cov_syp=syp / 2 - (sy / 2) * p,
-        cov_szq=szq / 2 - 0.0,
-        cov_szp=szp / 2 - 0.0,
+        cov_szq=szq / 2 - (sz / 2) * q,
+        cov_szp=szp / 2 - (sz / 2) * p,
     )
 
 

@@ -188,14 +188,19 @@ def phase_kernel(seq: PulseSequence, g: float, omega: float, s):
     return out
 
 
-def spectral_response(seq: PulseSequence, g: float, omega: float, nu: float) -> complex:
-    """int_0^tau K(s) e^{-i nu s} ds (the kernel transform without the 1/sqrt(2 pi))."""
+def _kernel_transform(pieces, omega: float, nu: float) -> complex:
+    """int_0^tau K(s) e^{-i nu s} ds from precomputed kernel pieces."""
     total = 0.0 + 0.0j
-    for a, b, k0, r in _kernel_pieces(seq, g, omega):
+    for a, b, k0, r in pieces:
         total += k0 * _int_exp(-1j * nu, a, b)
         total += (r * _int_exp(-1j * (omega + nu), a, b)
                   - r.conjugate() * _int_exp(1j * (omega - nu), a, b)) / 2j
     return total
+
+
+def spectral_response(seq: PulseSequence, g: float, omega: float, nu: float) -> complex:
+    """int_0^tau K(s) e^{-i nu s} ds (the kernel transform without the 1/sqrt(2 pi))."""
+    return _kernel_transform(_kernel_pieces(seq, g, omega), omega, nu)
 
 
 def response_kernel(seq: PulseSequence, g: float, omega: float, nu: float) -> complex:

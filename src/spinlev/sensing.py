@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from . import pulses
+from . import pulses, witness
 from .constants import HBAR, KB
 from .pulses import PulseSequence
 from .units import PhysicalParams, to_natural
@@ -84,10 +84,7 @@ def noise_to_signal(
 def thermal_dephasing(lam: float, nbar_over_q: float, omega: float, tau: float) -> float:
     """Bath contribution to Var(S_x) over one free-evolution window:
     (1/2) lam^2 (nbar/Q) [6 wt - 8 sin wt + sin 2wt]."""
-    if nbar_over_q < 0:
-        raise ValueError("nbar_over_q must be >= 0")
-    th = omega * tau
-    return 0.5 * lam * lam * nbar_over_q * (6 * th - 8 * math.sin(th) + math.sin(2 * th))
+    return witness.bath_deltas(lam, nbar_over_q, omega, tau).dvar_sx
 
 
 def thermal_phase_variance(seq: PulseSequence, g: float, omega: float, nbar_over_q: float) -> float:
@@ -121,17 +118,21 @@ class UnboundedCouplingError(ValueError):
     """Raised when Dn = 0 leaves the optimal coupling unbounded."""
 
 
-def optimal_coupling(kind, omega: float, tau: float, xi: float, n_spins: float = 1.0) -> float:
-    """Balance point of projection and backaction noise: g* = 1/sqrt(2 N_s (Dn/g^2) sqrt(xi))."""
-    seq = pulses.make_sequence(kind, tau)
+def _balance_coupling(seq: PulseSequence, omega: float, xi: float, n_spins: float) -> float:
+    """optimal_coupling of any pulse sequence; raises UnboundedCouplingError at Dn = 0."""
     a = pulses.residual_displacement(seq, 1.0, omega)[1]
     # Dn/g^2 at a refocusing point (e.g. Ramsey with omega tau = 2 pi n) is
     # zero up to rounding of sin; compare against the tau^2 leading scale
-    if a <= 1e-28 * tau * tau:
+    if a <= 1e-28 * seq.total_time * seq.total_time:
         raise UnboundedCouplingError(
             "sequence leaves zero residual displacement; optimal coupling is unbounded"
         )
     return 1.0 / math.sqrt(2.0 * n_spins * a * math.sqrt(xi))
+
+
+def optimal_coupling(kind, omega: float, tau: float, xi: float, n_spins: float = 1.0) -> float:
+    """Balance point of projection and backaction noise: g* = 1/sqrt(2 N_s (Dn/g^2) sqrt(xi))."""
+    return _balance_coupling(pulses.make_sequence(kind, tau), omega, xi, n_spins)
 
 
 def projection_limit_eta(mass: float, omega: float, gradient: float, t2_star: float, gamma_e: float) -> float:
@@ -151,6 +152,46 @@ def sql_gradient(mass: float, t_between: float, tau_precess: float, n_spins: flo
     return 1.0 / (gamma_e * tau_precess * math.sqrt(n_spins) * dx)
 
 
+def sensitivity_sweep(
+    params: PhysicalParams,
+    seq: PulseSequence,
+    nus,
+    *,
+    coupling: float | None = None,
+    include_thermal: bool = True,
+) -> list[SensitivityPoint]:
+    """Force sensitivity eta(nu) in N/sqrt(Hz) at each angular signal frequency nu.
+
+    eta = sqrt(NSR(nu) (tau + t_c)) * hbar / x0, with the coupling set to the
+    projection/backaction balance point unless given explicitly. Only the
+    kernel transform depends on nu; the coupling, backaction, thermal
+    variance and kernel pieces are computed once for the sequence.
+    """
+    nat = to_natural(params)
+    omega, tau = nat.omega, seq.total_time
+    xi = cooling_factor(params.cooling_rate, params.cooling_time)
+    g = _balance_coupling(seq, omega, xi, params.n_spins) if coupling is None else coupling
+    delta_n = pulses.residual_displacement(seq, g, omega)[1]
+    nbar_over_q = nat.nbar / params.quality_factor
+    v_th = thermal_phase_variance(seq, g, omega, nbar_over_q) if include_thermal else 0.0
+    pieces = pulses._kernel_pieces(seq, g, omega)
+    points = []
+    for nu in nus:
+        if not math.isfinite(nu):
+            raise ValueError(f"signal frequency nu must be finite, got {nu!r}")
+        phi_per_f = abs(pulses._kernel_transform(pieces, omega, nu))
+        budget = NoiseBudget(
+            projection_var=1.0 / (4 * params.n_spins),
+            backaction_var=params.n_spins * delta_n ** 2 * xi,
+            thermal_var=v_th,
+            signal_phase_per_force=phi_per_f,
+        )
+        nsr = noise_to_signal(phi_per_f, delta_n, xi, params.n_spins, v_th)
+        eta = math.sqrt(nsr * (tau + params.cooling_time)) * HBAR / nat.x0
+        points.append(SensitivityPoint(nu, eta, budget))
+    return points
+
+
 def force_sensitivity(
     params: PhysicalParams,
     seq: PulseSequence,
@@ -159,36 +200,9 @@ def force_sensitivity(
     coupling: float | None = None,
     include_thermal: bool = True,
 ) -> SensitivityPoint:
-    """Force sensitivity eta(nu) in N/sqrt(Hz) at angular signal frequency nu.
-
-    eta = sqrt(NSR(nu) (tau + t_c)) * hbar / x0, with the coupling set to the
-    projection/backaction balance point unless given explicitly.
-    """
-    nat = to_natural(params)
-    omega, tau = nat.omega, seq.total_time
-    xi = cooling_factor(params.cooling_rate, params.cooling_time)
-    if coupling is None:
-        a = pulses.residual_displacement(seq, 1.0, omega)[1]
-        if a == 0.0:
-            raise UnboundedCouplingError(
-                "sequence leaves zero residual displacement; optimal coupling is unbounded"
-            )
-        g = 1.0 / math.sqrt(2.0 * params.n_spins * a * math.sqrt(xi))
-    else:
-        g = coupling
-    delta_n = pulses.residual_displacement(seq, g, omega)[1]
-    phi_per_f = abs(pulses.spectral_response(seq, g, omega, nu))
-    nbar_over_q = nat.nbar / params.quality_factor
-    v_th = thermal_phase_variance(seq, g, omega, nbar_over_q) if include_thermal else 0.0
-    budget = NoiseBudget(
-        projection_var=1.0 / (4 * params.n_spins),
-        backaction_var=params.n_spins * delta_n ** 2 * xi,
-        thermal_var=v_th,
-        signal_phase_per_force=phi_per_f,
-    )
-    nsr = noise_to_signal(phi_per_f, delta_n, xi, params.n_spins, v_th)
-    eta = math.sqrt(nsr * (tau + params.cooling_time)) * HBAR / nat.x0
-    return SensitivityPoint(nu, eta, budget)
+    """Force sensitivity at one angular signal frequency; see sensitivity_sweep."""
+    return sensitivity_sweep(params, seq, [nu], coupling=coupling,
+                             include_thermal=include_thermal)[0]
 
 
 def squeezed_rotation(n_spins: float, zeta: float):

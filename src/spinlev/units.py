@@ -160,6 +160,13 @@ def coupling_ratio_scaling(p1: PhysicalParams, p2: PhysicalParams) -> float:
     return (n1.g / n1.omega) / (n2.g / n2.omega)
 
 
+# The reference device in the JSON schema below: 1.5e-14 kg at 100 Hz in a
+# 1 T/m gradient, nbar = Q = 1e6, cooled at 1e3 1/s for 1e-4 s.
+REFERENCE_DEVICE = {
+    "mass_kg": 1.5e-14, "freq_hz": 100.0, "gradient_t_per_m": 1.0, "nbar": 1e6,
+    "q_factor": 1e6, "cooling_rate_hz": 1e3, "cooling_time_s": 1e-4,
+}
+
 # JSON parameter schema consumed by the CLI.
 _JSON_KEYS = {
     "mass_kg": "mass",

@@ -4,21 +4,20 @@ closed forms, documented anchors).
 
 Each check yields {check_name, expected, observed, tolerance, pass}. The
 report is deterministic for a fixed seed: checks are pure, Monte Carlo uses
-counter-based per-trajectory seeding, and parallel execution preserves
-ordering, so the serialized report is byte-identical across thread counts.
+counter-based per-trajectory seeding, and the checks run in a fixed order,
+so the serialized report is byte-identical from run to run.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import dynamics, oracle, pulses, sensing, witness
 from .constants import GAMMA_E_DEFAULT
 from .pulses import SequenceKind
-from .units import NaturalParams, PhysicalParams, to_natural
+from .units import REFERENCE_DEVICE, NaturalParams, PhysicalParams, params_from_dict, to_natural
 
 DEFAULT_SEED = 20250826
 
@@ -159,13 +158,8 @@ def check_witness_max_nbar(seed):
                   {"values": vals, "spread": spread}, 0.05, spread <= 0.05)
 
 
-def _reference_params():
-    return PhysicalParams(mass=1.5e-14, trap_frequency=2 * math.pi * 100, gradient=1.0,
-                          nbar=1e6, quality_factor=1e6, cooling_rate=1e3, cooling_time=1e-4)
-
-
 def check_sensitivity_shape(seed):
-    p = _reference_params()
+    p = params_from_dict(REFERENCE_DEVICE)
     tau = 1e-4
     omega = p.trap_frequency
     flatness = {}
@@ -183,10 +177,10 @@ def check_sensitivity_shape(seed):
 
 
 def check_sensitivity_min_band(seed):
-    p = _reference_params()
+    p = params_from_dict(REFERENCE_DEVICE)
     seq = pulses.carr_purcell2(1e-4)
-    nus = np.geomspace(3e3, 3e4, 120)
-    best = min(sensing.force_sensitivity(p, seq, 2 * math.pi * float(nh)).eta for nh in nus)
+    nus = [2 * math.pi * float(nh) for nh in np.geomspace(3e3, 3e4, 120)]
+    best = min(sp.eta for sp in sensing.sensitivity_sweep(p, seq, nus))
     ok = best < 1e-22  # one order of magnitude above the 1e-23 target
     return _check("sensitivity_min_band", "CP minimum eta below 1e-22 N/rtHz in [3e3, 3e4] Hz",
                   best, 1e-22, ok)
@@ -274,12 +268,12 @@ ALL_CHECKS = (
 
 
 def run_checks(seed: int = DEFAULT_SEED, threads: int = 1) -> dict:
-    """Run the full suite; ordered results, deterministic for fixed seed."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda fn: fn(seed), ALL_CHECKS))
-    else:
-        results = [fn(seed) for fn in ALL_CHECKS]
+    """Run the full suite; ordered results, deterministic for fixed seed.
+
+    threads is accepted and has no effect: the checks are GIL-bound Python,
+    and a thread pool measured no faster than running them in order.
+    """
+    results = [fn(seed) for fn in ALL_CHECKS]
     return {
         "seed": seed,
         "checks": results,

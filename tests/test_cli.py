@@ -171,3 +171,23 @@ class TestThreadsFlag:
         args = cli.build_parser().parse_args(["table"])
         with pytest.raises(cli.ConfigError):
             cli._threads(args)
+
+
+class TestSensitivityNonFinite:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy geomspace on an infinite end
+    @pytest.mark.parametrize("key,value", [("nu_max_hz", math.inf), ("nu_min_hz", math.nan)])
+    def test_non_finite_frequency_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({key: value, "n_points": 4}))
+        code, _, err = run_cli(["sensitivity", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "finite" in err
+
+
+class TestThreadsWithoutEffect:
+    @pytest.mark.parametrize("sub", ["sensitivity", "witness", "table", "trajectory"])
+    def test_bad_env_exits_2(self, monkeypatch, capsys, sub):
+        monkeypatch.setenv("SPINLEV_THREADS", "many")
+        code, _, err = run_cli([sub], capsys)
+        assert code == 2
+        assert "SPINLEV_THREADS" in err

@@ -181,3 +181,31 @@ class TestMagnusPhases:
         values = [0.1] * 8
         with pytest.raises(ValueError):
             magnus_phases(seq, 1.0, 2 * math.pi, force=(edges, values))
+
+
+def _restepped_from_zero(seq, g, omega, spin_branch, n_samples, alpha):
+    """Trajectory samples re-stepped from t = 0 for every sample."""
+    sign = +1 if spin_branch == 0 else -1
+    out = []
+    for t in np.linspace(0.0, seq.total_time, n_samples):
+        theta, gamma = 0.0, complex(alpha)
+        for a, b, s in pulses.segments(seq):
+            if a >= t:
+                break
+            theta, gamma = dynamics.segment_step(theta, gamma, sign * s * g, omega, min(b, t) - a)
+        out.append((float(t), math.sqrt(2) * gamma.real, math.sqrt(2) * gamma.imag))
+    return out
+
+
+class TestTrajectoryExact:
+    @pytest.mark.parametrize("seq", [
+        ramsey(1.0), hahn_echo(1.0), carr_purcell2(1.0),
+        custom(1.0, [0.125, 0.25, 0.5, 0.625, 0.875]),
+    ], ids=lambda s: s.kind.value)
+    @pytest.mark.parametrize("n_samples", [9, 50, 333])
+    def test_matches_restepping_from_zero(self, seq, n_samples):
+        if n_samples == 9:  # every pulse edge is a sample
+            assert set(seq.pulse_times) <= set(np.linspace(0.0, 1.0, 9).tolist())
+        for branch in (0, 1):
+            got = trajectory(seq, 1.3, 2.0, branch, n_samples, alpha=0.2 - 0.1j)
+            assert got == _restepped_from_zero(seq, 1.3, 2.0, branch, n_samples, 0.2 - 0.1j)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinlev import pulses, sensing
-from spinlev.constants import GAMMA_E_DEFAULT
-from spinlev.pulses import SequenceKind, carr_purcell2, hahn_echo, ramsey
+from spinlev.constants import GAMMA_E_DEFAULT, HBAR
+from spinlev.pulses import SequenceKind, carr_purcell2, custom, hahn_echo, ramsey
 from spinlev.sensing import (
     UnboundedCouplingError,
     backaction_occupation,
@@ -19,13 +19,14 @@ from spinlev.sensing import (
     noise_to_signal,
     optimal_coupling,
     projection_limit_eta,
+    sensitivity_sweep,
     sql_gradient,
     squeezed_rotation,
     thermal_dephasing,
     thermal_limit_eta,
     thermal_phase_variance,
 )
-from spinlev.units import PhysicalParams
+from spinlev.units import REFERENCE_DEVICE, PhysicalParams, params_from_dict, to_natural
 
 KINDS = [SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2]
 
@@ -219,3 +220,70 @@ class TestSqueezedRotation:
     def test_validity_warning(self):
         with pytest.warns(UserWarning):
             squeezed_rotation(4, 10.0)
+
+
+def _pointwise_point(params, seq, nu, coupling=None, include_thermal=True):
+    """eta(nu) and its budget composed per point from the public functionals."""
+    nat = to_natural(params)
+    omega = nat.omega
+    xi = cooling_factor(params.cooling_rate, params.cooling_time)
+    if coupling is None:
+        a = pulses.residual_displacement(seq, 1.0, omega)[1]
+        g = 1.0 / math.sqrt(2.0 * params.n_spins * a * math.sqrt(xi))
+    else:
+        g = coupling
+    delta_n = pulses.residual_displacement(seq, g, omega)[1]
+    phi = abs(pulses.spectral_response(seq, g, omega, nu))
+    noq = nat.nbar / params.quality_factor
+    v_th = thermal_phase_variance(seq, g, omega, noq) if include_thermal else 0.0
+    nsr = noise_to_signal(phi, delta_n, xi, params.n_spins, v_th)
+    eta = math.sqrt(nsr * (seq.total_time + params.cooling_time)) * HBAR / nat.x0
+    return eta, (1.0 / (4 * params.n_spins), params.n_spins * delta_n ** 2 * xi, v_th, phi)
+
+
+class TestSensitivitySweep:
+    REF = params_from_dict(REFERENCE_DEVICE)
+    SEQS = [ramsey(1e-4), hahn_echo(1e-4), carr_purcell2(1e-4),
+            custom(1e-4, [1e-5, 3.5e-5, 6e-5, 8e-5])]
+    NUS = [0.0, -2 * math.pi * 50.0] + [2 * math.pi * float(f) for f in np.geomspace(1.0, 1e5, 25)]
+
+    def test_refocused_ramsey_is_unbounded(self):
+        # omega tau = 2 pi: Dn/g^2 vanishes up to rounding of sin
+        p = self.REF
+        xi = cooling_factor(p.cooling_rate, p.cooling_time)
+        with pytest.raises(UnboundedCouplingError):
+            optimal_coupling(SequenceKind.RAMSEY, p.trap_frequency, 0.01, xi)
+        with pytest.raises(UnboundedCouplingError):
+            force_sensitivity(p, ramsey(0.01), 2 * math.pi * 1e3)
+        with pytest.raises(UnboundedCouplingError):
+            sensitivity_sweep(p, ramsey(0.01), [2 * math.pi * 1e3])
+
+    @pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.kind.value)
+    def test_sweep_equals_pointwise(self, seq):
+        sweep = sensitivity_sweep(self.REF, seq, self.NUS)
+        assert sweep == [force_sensitivity(self.REF, seq, nu) for nu in self.NUS]
+        for nu, sp in zip(self.NUS, sweep):
+            eta, terms = _pointwise_point(self.REF, seq, nu)
+            b = sp.budget
+            assert sp.sweep_value == nu
+            assert sp.eta == eta
+            assert (b.projection_var, b.backaction_var, b.thermal_var,
+                    b.signal_phase_per_force) == terms
+
+    @pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.kind.value)
+    def test_sweep_with_explicit_coupling(self, seq):
+        p = self.REF.with_(n_spins=3, nbar=None, temperature=0.02)
+        sweep = sensitivity_sweep(p, seq, self.NUS, coupling=2.5e3, include_thermal=False)
+        for nu, sp in zip(self.NUS, sweep):
+            eta, terms = _pointwise_point(p, seq, nu, coupling=2.5e3, include_thermal=False)
+            assert sp.eta == eta
+            assert sp.budget.thermal_var == 0.0
+            assert sp.budget.signal_phase_per_force == terms[3]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nu_rejected(self, bad):
+        seq = carr_purcell2(1e-4)
+        with pytest.raises(ValueError, match="finite"):
+            sensitivity_sweep(self.REF, seq, [2 * math.pi * 10.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            force_sensitivity(self.REF, seq, bad)
