@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dynamics, pulses, sensing, verify, witness
 from .pulses import SequenceKind
-from .units import REFERENCE_DEVICE, ParameterError, params_from_dict, to_natural
+from .units import _JSON_KEYS, REFERENCE_DEVICE, ParameterError, params_from_dict, to_natural
 
 FLOAT_FMT = "%.16e"
 
@@ -66,7 +66,33 @@ def _emit(rows, header, fmt, out):
         sys.stdout.write(text)
 
 
-def _load_config(path):
+# Config keys each subcommand reads; any other key exits 2, so a typo cannot
+# silently fall back to a default. params_from_dict reads _JSON_KEYS plus
+# the frequency keys.
+_SENSITIVITY_KEYS = frozenset(_JSON_KEYS) | {
+    "freq_hz", "cooling_rate_hz", "larmor_hz",
+    "tau_s", "sequences", "nu_min_hz", "nu_max_hz", "n_points",
+}
+_WITNESS_KEYS = frozenset({
+    "mode", "sweep", "freq_hz", "grid", "lam", "g_over_omega", "larmor_hz",
+    "tau_s", "nbar", "nbar_over_q", "initial",
+})
+_GRID_KEYS = frozenset({"min", "max", "n"})
+_TABLE_KEYS = frozenset({"omega_tau"})
+_TRAJECTORY_KEYS = frozenset({"freq_hz", "g_over_omega", "tau_s", "n_samples", "sequences"})
+
+
+def _check_keys(cfg, allowed, where="config"):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(cfg) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                          f"this subcommand reads {', '.join(sorted(allowed)) or 'none'}")
+    return cfg
+
+
+def _load_config(path, allowed=frozenset()):
     if path is None:
         return {}
     try:
@@ -74,9 +100,7 @@ def _load_config(path):
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    return cfg
+    return _check_keys(cfg, allowed)
 
 
 def _threads(args) -> int:
@@ -99,7 +123,7 @@ def _kind(name: str) -> SequenceKind:
 
 
 def cmd_sensitivity(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _SENSITIVITY_KEYS)
     merged = dict(REFERENCE_DEVICE)
     merged.update(cfg)
     if "temperature_k" in cfg and "nbar" not in cfg:
@@ -110,6 +134,9 @@ def cmd_sensitivity(args) -> int:
                                   (SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2)])
     nu_min = float(cfg.get("nu_min_hz", 1.0))
     nu_max = float(cfg.get("nu_max_hz", 1e5))
+    if not (math.isfinite(nu_min) and math.isfinite(nu_max) and 0 < nu_min < nu_max):
+        raise ConfigError("nu_min_hz and nu_max_hz must be finite with 0 < nu_min_hz < nu_max_hz, "
+                          f"got {nu_min!r} and {nu_max!r}")
     n_points = int(cfg.get("n_points", 200))
     nbar_over_q = to_natural(params).nbar / params.quality_factor
     nus = [float(nu) for nu in np.geomspace(nu_min, nu_max, n_points)]
@@ -134,11 +161,11 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _WITNESS_KEYS)
     mode = cfg.get("mode", "pulseless")
     sweep = cfg.get("sweep", "t")
     omega = 2 * math.pi * float(cfg.get("freq_hz", 100.0))
-    grid_cfg = cfg.get("grid", {})
+    grid_cfg = _check_keys(cfg.get("grid", {}), _GRID_KEYS, "grid")
     lo = float(grid_cfg.get("min", 1e-4 if sweep == "t" else 0.0))
     hi = float(grid_cfg.get("max", 10.0 / omega * 2 * math.pi if sweep == "t" else 10.0))
     n = int(grid_cfg.get("n", 2000))
@@ -179,7 +206,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_table(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _TABLE_KEYS)
     omega = 1.0
     wt = float(cfg.get("omega_tau", 0.1))
     tau = wt / omega
@@ -214,7 +241,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _TRAJECTORY_KEYS)
     omega = 2 * math.pi * float(cfg.get("freq_hz", 100.0))
     g = float(cfg.get("g_over_omega", 1.0)) * omega
     tau = float(cfg.get("tau_s", 0.2 * math.pi / omega))
@@ -234,6 +261,7 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _load_config(args.config)  # verify reads no config key
     report = verify.run_checks(seed=args.seed if args.seed is not None else verify.DEFAULT_SEED,
                                threads=args.threads)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -236,16 +236,20 @@ def moments_from_state(state: JointState) -> witness.MomentRecord:
     return _record_from_raw((sx, sy, mq, mp, mq2, mp2, mqp, syq, syp, szq, szp), sz)
 
 
-def _branch_raw_moments(alpha: complex, g: float, omega: float, t: float):
+def _branch_raw_moments(alphas: np.ndarray, g: float, omega: float, t: float) -> np.ndarray:
     """Raw per-alpha moments of the pulseless entangled state, closed form.
 
-    Returns the 11-vector (sx, sy, q, p, q2, p2, qp_sym, syq, syp, szq, szp)
-    of raw (uncentered) expectation values of sigma-level operators.
+    Returns an (n, 11) array, one row (sx, sy, q, p, q2, p2, qp_sym, syq,
+    syp, szq, szp) of raw (uncentered) expectation values of sigma-level
+    operators per initial coherent amplitude in alphas.
     """
-    st = dynamics.pulseless_state(alpha, g, omega, t)
-    g0, g1 = st.branch0.alpha, st.branch1.alpha
-    phase = cmath.exp(1j * st.relative_phase)
-    ov = cmath.exp(-abs(g0) ** 2 / 2 - abs(g1) ** 2 / 2 + np.conj(g1) * g0)
+    g0 = g1 = np.asarray(alphas, dtype=complex)
+    th0 = th1 = 0.0
+    for a, b, s in pulses.segments(pulses.ramsey(t)):
+        th0, g0 = dynamics.segment_step(th0, g0, s * g, omega, b - a)
+        th1, g1 = dynamics.segment_step(th1, g1, -s * g, omega, b - a)
+    phase = np.exp(1j * (th0 - th1))
+    ov = np.exp(-np.abs(g0) ** 2 / 2 - np.abs(g1) ** 2 / 2 + np.conj(g1) * g0)
     z = phase * ov  # e^{i(theta0-theta1)} <g1|g0>
     r2 = math.sqrt(2)
 
@@ -258,7 +262,7 @@ def _branch_raw_moments(alpha: complex, g: float, omega: float, t: float):
     # cross matrix elements: <g1| a |g0> = g0 ov etc.
     qc = (g0 + np.conj(g1)) / r2
     pc = (g0 - np.conj(g1)) / (1j * r2)
-    return np.array(
+    return np.column_stack(
         [
             z.real,  # <sigma_x>
             -z.imag,  # <sigma_y>
@@ -312,10 +316,7 @@ def witness_moments(
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     n = cfg.n_trajectories
     draws = rng.normal(size=(n, 2)) * math.sqrt(nbar / 2.0)
-    alphas = draws[:, 0] + 1j * draws[:, 1]
-    raw = np.empty((n, 11))
-    for i, al in enumerate(alphas):
-        raw[i] = _branch_raw_moments(complex(al), g, omega, t)
+    raw = _branch_raw_moments(draws[:, 0] + 1j * draws[:, 1], g, omega, t)
 
     n_batches = 20 if n >= 200 else 2
     batches = np.array_split(np.arange(n), n_batches)
@@ -386,6 +387,43 @@ class BathStatistics:
         )
 
 
+def _force_weights(seq: PulseSequence, g: float, omega: float, n_steps: int) -> np.ndarray:
+    """Weights W (n_steps x 3) with (Phi, Q, P) = f @ W for a step-wise force path f.
+
+    One step of segment_step with coefficient c = b s_k g + f_k (branch
+    b = +/-1, s_k the sign at the step midpoint) maps gamma -> r gamma +
+    (c/omega)(r - 1), r = e^{-i omega dt}, and adds c^2 dt/omega +
+    (c/omega) Im(gamma_{k+1} - gamma_k) to theta. Writing gamma_b = b D + G,
+    with D the force-free + branch and G the response to f alone, gives
+
+        Phi = sum_k f_k [4 s_k g dt/omega + (2/omega) Im(D_{k+1} - D_k)]
+              + (2 g/omega) sum_k s_k Im(G_{k+1} - G_k) + 2 Im(conj(G_N) D_N),
+        Q + i P = sqrt2 G_N,   G_N = sum_j (f_j/omega)(r - 1) r^{N-1-j}.
+    """
+    tau = seq.total_time
+    dt = tau / n_steps
+    edges = np.linspace(0.0, tau, n_steps + 1)
+    mids = (edges[:-1] + edges[1:]) / 2
+    flips = np.searchsorted(np.asarray(seq.pulse_times, dtype=float), mids, side="right")
+    s = np.where(flips % 2 == 0, 1.0, -1.0)
+    r = cmath.exp(-1j * omega * dt)
+    rk = np.exp(-1j * omega * dt * np.arange(n_steps + 1))  # r^k
+    # D_k = (g/omega)(r - 1) sum_{j<k} s_j r^{k-1-j}
+    acc = np.concatenate(([0j], np.cumsum(s * np.conj(rk[:-1]))))
+    d = (g / omega) * (r - 1) * np.conj(r) * rk * acc
+    # dG_N/df_j, and T_j = sum_{k>j} s_k r^{k-1-j} from one reverse cumulative sum
+    e = (r - 1) / omega * rk[n_steps - 1::-1]
+    rev = np.concatenate((np.cumsum((s * rk[:-1])[::-1])[::-1], [0j]))
+    tail = np.conj(rk[1:]) * rev[1:]
+    w_phi = (4 * g * dt / omega * s
+             # d/df_j of sum_k s_k (G_{k+1} - G_k), G_{k+1} - G_k = (r - 1)(G_k + f_k/omega)
+             + (2 * g / omega) * ((r - 1) / omega * (s + (r - 1) * tail)).imag
+             # D_{k+1} - D_k = (r - 1)(D_k + s_k g/omega)
+             + (2 / omega) * ((r - 1) * (d[:-1] + s * g / omega)).imag
+             + 2 * (np.conj(e) * d[-1]).imag)
+    return np.column_stack([w_phi, math.sqrt(2) * e.real, math.sqrt(2) * e.imag])
+
+
 def thermal_trajectories(
     natural: NaturalParams,
     seq: PulseSequence,
@@ -395,88 +433,47 @@ def thermal_trajectories(
     """Monte Carlo of Brownian white-noise forces through exact branch dynamics.
 
     Each trajectory samples a piecewise-constant force with per-step variance
-    2 omega (nbar/Q) / dt and evolves both spin branches exactly. The
-    estimators are the force-linear functionals whose statistics give the
-    bath-induced moment shifts: the relative branch phase Phi and the common
-    displacement (Q, P); then d<q^2> = E[Q^2], d<p^2> = E[P^2],
-    d<qp+pq> = 2 E[QP], dVar(S_x) = E[Phi^2]/4, and the sigma_y cross shifts
-    are E[Phi Q], E[Phi P] (Phi here is the branch phase theta_+ - theta_-
-    plus the overlap phase, the negative of the kernel-integral phase).
+    2 omega (nbar/Q) / dt on a 4096-step grid, drawn from its own
+    counter-based Philox stream. The estimators are the force-linear
+    functionals whose statistics give the bath-induced moment shifts: the
+    relative branch phase Phi and the common displacement (Q, P); then
+    d<q^2> = E[Q^2], d<p^2> = E[P^2], d<qp+pq> = 2 E[QP],
+    dVar(S_x) = E[Phi^2]/4, and the sigma_y cross shifts are E[Phi Q],
+    E[Phi P] (Phi here is the branch phase theta_+ - theta_- plus the
+    overlap phase, the negative of the kernel-integral phase).
+
+    The exact step map of dynamics.segment_step is affine in the drive, and
+    the force enters both branches with the same sign, so the force-only
+    amplitude G is common to both and the f G* and |G|^2 terms cancel in Phi.
+    Phi, Q and P are therefore exactly linear in the sampled path
+    (the discretised filter function of the sequence), and each trajectory
+    costs one product with the weights of _force_weights. There is no offset
+    term: at f = 0 the branches are mirror images (gamma_- = -gamma_+,
+    theta_- = theta_+), so the force-free relative phase is zero for every
+    sign pattern, whether or not the pulses lie on the step grid.
     """
     if cfg.n_trajectories < 100:
         raise ValueError("n_trajectories must be >= 100")
     g, omega = natural.g, natural.omega
-    tau = seq.total_time
     n_steps = 4096
-    dt = tau / n_steps
+    dt = seq.total_time / n_steps
     if omega * nbar_over_q * dt > 0.1:
         raise ResolutionError("dt too coarse for white-noise fidelity")
     var_f = 2 * omega * nbar_over_q / dt
     sd_f = math.sqrt(var_f)
-
-    # precompute per-step segment data
-    edges = np.linspace(0.0, tau, n_steps + 1)
-    mids = (edges[:-1] + edges[1:]) / 2
-    signs = np.array([pulses.sign_profile(seq, t) for t in mids])
-    phase_step = np.exp(-1j * omega * dt)
+    weights = _force_weights(seq, g, omega, n_steps)
 
     n = cfg.n_trajectories
     samples = np.empty((n, 3))  # Phi, Q, P per trajectory
-    chunk = 256
+    chunk = 256  # bounds the force block at 8 MB
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        m = stop - start
-        rngs = [np.random.Generator(np.random.Philox(key=cfg.seed, counter=(i << 64)))
-                for i in range(start, stop)]
-        f = np.stack([r.normal(0.0, sd_f, size=n_steps) for r in rngs])
-        th_p = np.zeros(m)
-        th_m = np.zeros(m)
-        gam_p = np.zeros(m, dtype=complex)
-        gam_m = np.zeros(m, dtype=complex)
-        gam_0 = np.zeros(m, dtype=complex)  # force-free + branch for reference
-        for k in range(n_steps):
-            s = signs[k]
-            for which in ("p", "m", "0"):
-                if which == "p":
-                    cvec = s * g + f[:, k]
-                elif which == "m":
-                    cvec = -s * g + f[:, k]
-                else:
-                    cvec = np.full(m, s * g)
-                beta = cvec / omega
-                if which == "p":
-                    gam = gam_p
-                elif which == "m":
-                    gam = gam_m
-                else:
-                    gam = gam_0
-                phase1 = (beta * np.conj(gam)).imag
-                g2 = (gam + beta) * phase_step
-                phase2 = (-beta * np.conj(g2)).imag
-                dth = cvec * cvec * dt / omega + phase1 + phase2
-                gam_new = g2 - beta
-                if which == "p":
-                    th_p += dth
-                    gam_p = gam_new
-                elif which == "m":
-                    th_m += dth
-                    gam_m = gam_new
-                else:
-                    gam_0 = gam_new
-        phi = (th_p - th_m) + (np.conj(gam_m) * gam_p).imag
-        # subtract the deterministic (f = 0) relative phase
-        t0p, g0p = 0.0, 0j
-        t0m, g0m = 0.0, 0j
-        for a, b, sseg in pulses.segments(seq):
-            t0p, g0p = dynamics.segment_step(t0p, g0p, sseg * g, omega, b - a)
-            t0m, g0m = dynamics.segment_step(t0m, g0m, -sseg * g, omega, b - a)
-        phi0 = (t0p - t0m) + (np.conj(g0m) * g0p).imag
-        dgam = gam_p - np.asarray(gam_0)  # common force-driven displacement
-        qq = math.sqrt(2) * dgam.real
-        pp = math.sqrt(2) * dgam.imag
-        samples[start:stop, 0] = phi - phi0
-        samples[start:stop, 1] = qq
-        samples[start:stop, 2] = pp
+        f = np.stack([
+            np.random.Generator(np.random.Philox(key=cfg.seed, counter=(i << 64)))
+            .normal(0.0, sd_f, size=n_steps)
+            for i in range(start, stop)
+        ])
+        samples[start:stop] = f @ weights
 
     phi = samples[:, 0]
     qq = samples[:, 1]

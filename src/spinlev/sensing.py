@@ -100,26 +100,12 @@ def thermal_phase_variance(seq: PulseSequence, g: float, omega: float, nbar_over
     return 2 * omega * nbar_over_q * pulses.kernel_l2(seq, g, omega)
 
 
-def force_sql(kind, omega: float, tau: float, xi: float) -> float:
-    """Optimal-coupling noise-to-signal at unit force, sqrt(sqrt(xi) Dn/g^2) / |phi/(g f)|.
-
-    g-independent by construction; at small omega*tau proportional to the
-    leading-order scalings 6/(w t^2), 2/t, w for the three named sequences.
-    """
-    seq = pulses.make_sequence(kind, tau)
-    a = pulses.residual_displacement(seq, 1.0, omega)[1]  # Dn / g^2
-    phi_per_gf = abs(pulses.dc_phase(seq, 1.0, omega))  # |phi / (g f)|
-    if phi_per_gf == 0.0:
-        return math.inf
-    return math.sqrt(math.sqrt(xi) * a) / phi_per_gf
-
-
 class UnboundedCouplingError(ValueError):
     """Raised when Dn = 0 leaves the optimal coupling unbounded."""
 
 
-def _balance_coupling(seq: PulseSequence, omega: float, xi: float, n_spins: float) -> float:
-    """optimal_coupling of any pulse sequence; raises UnboundedCouplingError at Dn = 0."""
+def _backaction_per_g2(seq: PulseSequence, omega: float) -> float:
+    """Dn/g^2 of a pulse sequence; raises UnboundedCouplingError at Dn = 0."""
     a = pulses.residual_displacement(seq, 1.0, omega)[1]
     # Dn/g^2 at a refocusing point (e.g. Ramsey with omega tau = 2 pi n) is
     # zero up to rounding of sin; compare against the tau^2 leading scale
@@ -127,7 +113,27 @@ def _balance_coupling(seq: PulseSequence, omega: float, xi: float, n_spins: floa
         raise UnboundedCouplingError(
             "sequence leaves zero residual displacement; optimal coupling is unbounded"
         )
-    return 1.0 / math.sqrt(2.0 * n_spins * a * math.sqrt(xi))
+    return a
+
+
+def force_sql(kind, omega: float, tau: float, xi: float) -> float:
+    """Optimal-coupling noise-to-signal at unit force, sqrt(sqrt(xi) Dn/g^2) / |phi/(g f)|.
+
+    g-independent by construction; at small omega*tau proportional to the
+    leading-order scalings 6/(w t^2), 2/t, w for the three named sequences.
+    Raises UnboundedCouplingError where Dn = 0, like optimal_coupling.
+    """
+    seq = pulses.make_sequence(kind, tau)
+    a = _backaction_per_g2(seq, omega)
+    phi_per_gf = abs(pulses.dc_phase(seq, 1.0, omega))  # |phi / (g f)|
+    if phi_per_gf == 0.0:
+        return math.inf
+    return math.sqrt(math.sqrt(xi) * a) / phi_per_gf
+
+
+def _balance_coupling(seq: PulseSequence, omega: float, xi: float, n_spins: float) -> float:
+    """optimal_coupling of any pulse sequence; raises UnboundedCouplingError at Dn = 0."""
+    return 1.0 / math.sqrt(2.0 * n_spins * _backaction_per_g2(seq, omega) * math.sqrt(xi))
 
 
 def optimal_coupling(kind, omega: float, tau: float, xi: float, n_spins: float = 1.0) -> float:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -191,3 +192,71 @@ class TestThreadsWithoutEffect:
         code, _, err = run_cli([sub], capsys)
         assert code == 2
         assert "SPINLEV_THREADS" in err
+
+
+class TestSensitivityFrequencyRange:
+    @pytest.mark.parametrize("nu_min,nu_max", [(1.0, math.inf), (math.nan, 1e3), (-math.inf, 1e3),
+                                               (0.0, 1e3), (-5.0, 1e3), (1e3, 1e3), (1e3, 10.0)])
+    def test_bad_range_exits_2_without_warning(self, tmp_path, capsys, nu_min, nu_max):
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({"nu_min_hz": nu_min, "nu_max_hz": nu_max, "n_points": 4}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(["sensitivity", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "nu_min_hz" in err and "nu_max_hz" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestUnknownConfigKeys:
+    def test_witness_typo_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "w.json"
+        cfg.write_text(json.dumps({"nbar_over_Q": 1.0}))
+        code, out, err = run_cli(["witness", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "'nbar_over_Q'" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("sub,key", [
+        ("sensitivity", "nu_max"), ("sensitivity", "lam"),
+        ("witness", "mass_kg"), ("witness", "n_points"),
+        ("table", "tau_s"), ("trajectory", "gradient_t_per_m"), ("verify", "seed"),
+    ])
+    def test_key_not_read_exits_2(self, tmp_path, capsys, sub, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: 1.0}))
+        code, out, err = run_cli([sub, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert repr(key) in err
+        assert out == ""
+
+    def test_grid_typo_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "w.json"
+        cfg.write_text(json.dumps({"grid": {"min": 0.0, "max": 0.05, "nn": 10}}))
+        code, _, err = run_cli(["witness", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "'nn'" in err
+
+    def test_read_keys_accepted(self, tmp_path, capsys):
+        # every key the README lists for a subcommand is accepted by it
+        configs = {
+            "sensitivity": {"mass_kg": 1.5e-14, "freq_hz": 100.0, "gradient_t_per_m": 1.0,
+                            "gamma_e_rad_per_s_t": 1.76e11, "n_spins": 1, "q_factor": 1e6,
+                            "temperature_k": 1e-3, "t2_s": 3e-4, "t2star_s": 1e-6,
+                            "cooling_rate_hz": 1e3, "cooling_time_s": 1e-4, "larmor_hz": 0.0,
+                            "tau_s": 1e-4, "sequences": ["ramsey"], "nu_min_hz": 1.0,
+                            "nu_max_hz": 1e3, "n_points": 3},
+            "witness": {"mode": "pulseless", "sweep": "t", "freq_hz": 100.0,
+                        "grid": {"min": 1e-4, "max": 0.01, "n": 3}, "lam": 0.5,
+                        "g_over_omega": 1.0, "larmor_hz": 0.0, "tau_s": 1e-3, "nbar": 0.1,
+                        "nbar_over_q": 1e-3, "initial": "ground"},
+            "table": {"omega_tau": 0.3},
+            "trajectory": {"freq_hz": 100.0, "g_over_omega": 1.0, "tau_s": 1e-3,
+                           "n_samples": 3, "sequences": ["ramsey"]},
+        }
+        for sub, body in configs.items():
+            cfg = tmp_path / f"{sub}.json"
+            cfg.write_text(json.dumps(body))
+            code, _, err = run_cli([sub, "--config", str(cfg)], capsys)
+            assert code == 0, (sub, err)

@@ -1,5 +1,7 @@
 """Brute-force verification engine: Fock evolution, moments, Monte Carlo."""
 
+import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -202,3 +204,89 @@ class TestGaussianNoiseFactor:
             theta, factor = squeezed_rotation(n, zeta)
             orc = gaussian_noise_factor(n, zeta, theta)
             assert abs(orc - factor) / factor < 0.05
+
+
+def _stepping_reference(natural, seq, cfg, nbar_over_q):
+    """Three-branch stepping loop through dynamics.segment_step's per-step map,
+    the estimator thermal_trajectories replaced; same force paths."""
+    g, omega = natural.g, natural.omega
+    tau = seq.total_time
+    n_steps = 4096
+    dt = tau / n_steps
+    sd_f = math.sqrt(2 * omega * nbar_over_q / dt)
+    edges = np.linspace(0.0, tau, n_steps + 1)
+    mids = (edges[:-1] + edges[1:]) / 2
+    signs = np.array([pulses.sign_profile(seq, t) for t in mids])
+    phase_step = np.exp(-1j * omega * dt)
+    n = cfg.n_trajectories
+    f = np.stack([np.random.Generator(np.random.Philox(key=cfg.seed, counter=(i << 64)))
+                  .normal(0.0, sd_f, size=n_steps) for i in range(n)])
+    theta = {"p": np.zeros(n), "m": np.zeros(n), "0": np.zeros(n)}
+    gam = {"p": np.zeros(n, dtype=complex), "m": np.zeros(n, dtype=complex),
+           "0": np.zeros(n, dtype=complex)}
+    for k in range(n_steps):
+        s = signs[k]
+        for which, cvec in (("p", s * g + f[:, k]), ("m", -s * g + f[:, k]),
+                            ("0", np.full(n, s * g))):
+            beta = cvec / omega
+            phase1 = (beta * np.conj(gam[which])).imag
+            g2 = (gam[which] + beta) * phase_step
+            phase2 = (-beta * np.conj(g2)).imag
+            theta[which] = theta[which] + cvec * cvec * dt / omega + phase1 + phase2
+            gam[which] = g2 - beta
+    phi = (theta["p"] - theta["m"]) + (np.conj(gam["m"]) * gam["p"]).imag
+    t0p, g0p, t0m, g0m = 0.0, 0j, 0.0, 0j
+    for a, b, sseg in pulses.segments(seq):
+        t0p, g0p = dynamics.segment_step(t0p, g0p, sseg * g, omega, b - a)
+        t0m, g0m = dynamics.segment_step(t0m, g0m, -sseg * g, omega, b - a)
+    phi = phi - ((t0p - t0m) + (np.conj(g0m) * g0p).imag)
+    dgam = gam["p"] - gam["0"]
+    qq, pp = math.sqrt(2) * dgam.real, math.sqrt(2) * dgam.imag
+    per_traj = np.column_stack([phi * phi / 4, qq * qq, pp * pp, 2 * qq * pp, phi * qq, phi * pp])
+    mean = per_traj.mean(axis=0)
+    se = per_traj.std(axis=0, ddof=1) / math.sqrt(n)
+    return oracle.BathStatistics(*mean, *se)
+
+
+OFF_GRID = pulses.custom(3.0, [0.37, 1.1, 2.9])  # pulses between 4096-step grid points
+
+
+class TestLinearResponseEstimator:
+    SEQS = [ramsey(2.0), hahn_echo(2.0), carr_purcell2(2.0), OFF_GRID]
+
+    @pytest.mark.parametrize("noq", [1e-3, 0.2])
+    @pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.kind.value)
+    def test_matches_stepping_loop(self, seq, noq):
+        natural, cfg = nat(0.25, 1.0), OracleConfig(seed=20250826, n_trajectories=200)
+        got = dataclasses.astuple(thermal_trajectories(natural, seq, cfg, noq))
+        ref = dataclasses.astuple(_stepping_reference(natural, seq, cfg, noq))
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_force_free_phase_vanishes_off_grid(self):
+        # why the estimator has no offset term: at f = 0 the branches are mirror
+        # images, also when a pulse falls inside a step
+        st = dynamics.evolve_state(OFF_GRID, 0.25, 1.0)
+        assert st.branch1.alpha == -st.branch0.alpha and st.relative_phase == 0.0
+        ref = _stepping_reference(nat(0.25, 1.0), OFF_GRID, OracleConfig(n_trajectories=100), 0.0)
+        assert all(abs(v) < 1e-30 for v in dataclasses.astuple(ref))
+
+
+class TestVectorisedRawMoments:
+    def test_matches_per_alpha_evolve_state(self):
+        rng = np.random.default_rng(11)
+        alphas = rng.uniform(0.0, 5.0, 500) * np.exp(2j * math.pi * rng.uniform(size=500))
+        r2 = math.sqrt(2)
+        for g, omega, t in ((0.25, 1.0, math.pi), (1.3, 2.0, 0.7)):
+            raw = oracle._branch_raw_moments(alphas, g, omega, t)
+            assert raw.shape == (500, 11)
+            for row, al in zip(raw, alphas):
+                st = dynamics.evolve_state(ramsey(t), g, omega, complex(al))
+                g0, g1 = st.branch0.alpha, st.branch1.alpha
+                z = cmath.exp(1j * st.relative_phase) * st.overlap()
+                q0, p0, q1, p1 = r2 * g0.real, r2 * g0.imag, r2 * g1.real, r2 * g1.imag
+                qc, pc = (g0 + g1.conjugate()) / r2, (g0 - g1.conjugate()) / (1j * r2)
+                expect = [z.real, -z.imag, (q0 + q1) / 2, (p0 + p1) / 2,
+                          (q0 * q0 + q1 * q1 + 1) / 2, (p0 * p0 + p1 * p1 + 1) / 2,
+                          q0 * p0 + q1 * p1, -(z * qc).imag, -(z * pc).imag,
+                          (q0 - q1) / 2, (p0 - p1) / 2]
+                assert np.max(np.abs(row - expect)) <= 1e-12

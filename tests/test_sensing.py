@@ -287,3 +287,14 @@ class TestSensitivitySweep:
             sensitivity_sweep(self.REF, seq, [2 * math.pi * 10.0, bad])
         with pytest.raises(ValueError, match="finite"):
             force_sensitivity(self.REF, seq, bad)
+
+
+class TestForceSqlZero:
+    def test_refocused_ramsey_raises(self):
+        # omega tau = 2 pi: the same Dn/g^2 zero test as optimal_coupling, instead
+        # of a near-perfect SQL of 1.7e-14
+        omega, tau, xi = 2 * math.pi * 100, 0.01, 0.25
+        with pytest.raises(UnboundedCouplingError):
+            force_sql(SequenceKind.RAMSEY, omega, tau, xi)
+        with pytest.raises(UnboundedCouplingError):
+            optimal_coupling(SequenceKind.RAMSEY, omega, tau, xi)
