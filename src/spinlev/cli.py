@@ -115,6 +115,26 @@ def _threads(args) -> int:
     return 1
 
 
+def _count(value, key: str, minimum=None) -> int:
+    """An integral config count (JSON 3 or 3.0); anything else exits 2 naming the key."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and x == int(x) and (minimum is None or x >= minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
+    return int(x)
+
+
+def _finite(value, key: str, positive: bool = False) -> float:
+    """A finite float config value (and > 0 if positive); anything else exits 2 naming the key."""
+    x = float(value)
+    if not math.isfinite(x) or (positive and x <= 0):
+        raise ConfigError(f"{key} must be finite{' and > 0' if positive else ''}, got {value!r}")
+    return x
+
+
 def _kind(name: str) -> SequenceKind:
     try:
         return SequenceKind(name)
@@ -137,7 +157,7 @@ def cmd_sensitivity(args) -> int:
     if not (math.isfinite(nu_min) and math.isfinite(nu_max) and 0 < nu_min < nu_max):
         raise ConfigError("nu_min_hz and nu_max_hz must be finite with 0 < nu_min_hz < nu_max_hz, "
                           f"got {nu_min!r} and {nu_max!r}")
-    n_points = int(cfg.get("n_points", 200))
+    n_points = _count(cfg.get("n_points", 200), "n_points", minimum=1)
     nbar_over_q = to_natural(params).nbar / params.quality_factor
     nus = [float(nu) for nu in np.geomspace(nu_min, nu_max, n_points)]
     rows = []
@@ -164,11 +184,11 @@ def cmd_witness(args) -> int:
     cfg = _load_config(args.config, _WITNESS_KEYS)
     mode = cfg.get("mode", "pulseless")
     sweep = cfg.get("sweep", "t")
-    omega = 2 * math.pi * float(cfg.get("freq_hz", 100.0))
+    omega = 2 * math.pi * _finite(cfg.get("freq_hz", 100.0), "freq_hz", positive=True)
     grid_cfg = _check_keys(cfg.get("grid", {}), _GRID_KEYS, "grid")
-    lo = float(grid_cfg.get("min", 1e-4 if sweep == "t" else 0.0))
-    hi = float(grid_cfg.get("max", 10.0 / omega * 2 * math.pi if sweep == "t" else 10.0))
-    n = int(grid_cfg.get("n", 2000))
+    lo = _finite(grid_cfg.get("min", 1e-4 if sweep == "t" else 0.0), "grid.min")
+    hi = _finite(grid_cfg.get("max", 10.0 / omega * 2 * math.pi if sweep == "t" else 10.0), "grid.max")
+    n = _count(grid_cfg.get("n", 2000), "grid.n")
     grid = list(np.linspace(lo, hi, n))
     try:
         scan = witness.violation_scan(
@@ -242,10 +262,10 @@ def cmd_table(args) -> int:
 
 def cmd_trajectory(args) -> int:
     cfg = _load_config(args.config, _TRAJECTORY_KEYS)
-    omega = 2 * math.pi * float(cfg.get("freq_hz", 100.0))
+    omega = 2 * math.pi * _finite(cfg.get("freq_hz", 100.0), "freq_hz", positive=True)
     g = float(cfg.get("g_over_omega", 1.0)) * omega
     tau = float(cfg.get("tau_s", 0.2 * math.pi / omega))
-    n_samples = int(cfg.get("n_samples", 200))
+    n_samples = _count(cfg.get("n_samples", 200), "n_samples")
     kinds = cfg.get("sequences", [k.value for k in
                                   (SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2)])
     rows = []

@@ -2,9 +2,8 @@ r"""Brute-force verification engines.
 
 Three independent checks back the closed forms elsewhere in the package:
 
-* truncated-Fock time evolution of the full spin-oscillator Hamiltonian
-  (exact per-segment eigenpropagation when the force vanishes, Strang
-  splitting otherwise);
+* truncated-Fock time evolution of the full spin-oscillator Hamiltonian,
+  exact on every piece where the pulse sign and the force are constant;
 * Monte Carlo sampling of thermal ensembles (Glauber-P) and of Brownian
   white-noise forces, with counter-based per-trajectory seeding so results
   are bit-identical for a fixed seed regardless of scheduling;
@@ -20,7 +19,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import dynamics, pulses, witness
 from .dynamics import EntangledState
@@ -33,13 +31,12 @@ class CutoffError(RuntimeError):
 
 
 class ResolutionError(RuntimeError):
-    """Time step too coarse for the requested evolution or noise fidelity."""
+    """Norm drift in the Fock evolution, or a force grid too coarse for the noise fidelity."""
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     n_max: int = 64
-    dt: float = 0.0  # 0 -> auto: min(2 pi/omega, shortest segment)/64
     seed: int = 0
     n_trajectories: int = 1000
     tail_tolerance: float = 1e-8
@@ -51,15 +48,6 @@ class OracleConfig:
             raise ValueError("tail_tolerance must be in (0, 1e-6]")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
-
-    def step(self, omega: float, seq: PulseSequence) -> float:
-        shortest = min(b - a for a, b, _ in pulses.segments(seq))
-        limit = min(2 * math.pi / omega, shortest) / 64.0
-        if self.dt <= 0:
-            return limit
-        if self.dt > limit * (1 + 1e-12):
-            raise ResolutionError(f"dt = {self.dt:.3g} exceeds stability bound {limit:.3g}")
-        return self.dt
 
 
 @dataclass
@@ -77,7 +65,7 @@ class JointState:
 
     def check(self, tail_tolerance: float) -> None:
         # check the tail first: truncation loss also shows up as norm drift,
-        # and the actionable advice then is a larger n_max, not a smaller dt
+        # and the actionable advice then is a larger n_max
         tail = float(np.sum(np.abs(self.coeff[:, -4:]) ** 2))
         if tail >= tail_tolerance:
             raise CutoffError(
@@ -117,17 +105,11 @@ def initial_state(alpha: complex, n_max: int, spin: str = "plus_x") -> JointStat
     return JointState(c)
 
 
-@lru_cache(maxsize=64)
-def _x_eigensystem(n_max: int):
-    """Eigendecomposition of x = a + a^dag (tridiagonal, zero diagonal)."""
-    off = np.sqrt(np.arange(1, n_max + 1))
-    evals, evecs = eigh_tridiagonal(np.zeros(n_max + 1), off)
-    return evals, evecs
-
-
 @lru_cache(maxsize=256)
 def _sector_eigensystem(n_max: int, c_over_omega: float):
     """Eigendecomposition of n_hat + (c/omega) x (shared omega factored out)."""
+    from scipy.linalg import eigh_tridiagonal  # lazy: only the oracle needs scipy
+
     diag = np.arange(n_max + 1, dtype=float)
     off = c_over_omega * np.sqrt(np.arange(1, n_max + 1))
     evals, evecs = eigh_tridiagonal(diag, off)
@@ -149,6 +131,15 @@ def evolve(
 ) -> JointState:
     """Truncated-Fock evolution under H = g sigma_z x + omega n - f(t) x.
 
+    force is None or a piecewise-constant (times, values) series; the value
+    on each piece is read at the piece midpoint (clamped to the series).
+    Every pulse segment is split at the force knots strictly inside it, so
+    the Hamiltonian is constant on each piece and each spin sector is
+    propagated exactly, e^{-i (omega n + c x) dt}; force knots are honoured
+    exactly and there is no time step. The cost is one cached tridiagonal
+    eigendecomposition per distinct (n_max, c/omega) pair, and force=None is
+    the f = 0 case on whole segments.
+
     Pulses are handled in the toggling frame: the instantaneous pi flips are
     absorbed into the sign profile of the coupling, which keeps the spin-
     sector labels aligned with the closed-form branch states they are
@@ -157,33 +148,18 @@ def evolve(
     made here.
     """
     g, omega = natural.g, natural.omega
-    n_max = state.n_max
+    times, values = ([0.0], [0.0]) if force is None else force
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
     c = state.coeff.copy()
-    dt = cfg.step(omega, seq)
-    times, values = (None, None) if force is None else force
-    if force is not None:
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-    evals_x, evecs_x = _x_eigensystem(n_max)
-    nvec = np.arange(n_max + 1, dtype=float)
     out = JointState(c)
     for a, b, s in pulses.segments(seq):
-        if force is None:
-            # constant Hamiltonian across the whole segment: exact one shot
-            c[0] = _sector_propagate(c[0], s * g, omega, b - a)
-            c[1] = _sector_propagate(c[1], -s * g, omega, b - a)
-        else:
-            n_steps = max(1, int(math.ceil((b - a) / dt)))
-            h = (b - a) / n_steps
-            half_free = np.exp(-1j * omega * nvec * h / 2)
-            for k in range(n_steps):
-                tm = a + (k + 0.5) * h
-                idx = min(int(np.searchsorted(times, tm, side="right")) - 1, len(values) - 1)
-                f = float(values[max(idx, 0)])
-                for spin, sgn in ((0, +1), (1, -1)):
-                    v = half_free * c[spin]
-                    v = evecs_x @ (np.exp(-1j * (sgn * s * g - f) * evals_x * h) * (evecs_x.T @ v))
-                    c[spin] = half_free * v
+        edges = [a, *np.unique(times[(times > a) & (times < b)]), b]
+        for lo, hi in zip(edges, edges[1:]):
+            idx = min(int(np.searchsorted(times, (lo + hi) / 2, side="right")) - 1, len(values) - 1)
+            f = float(values[max(idx, 0)])
+            c[0] = _sector_propagate(c[0], s * g - f, omega, hi - lo)
+            c[1] = _sector_propagate(c[1], -s * g - f, omega, hi - lo)
         out.check(cfg.tail_tolerance)
     return out
 

@@ -327,14 +327,15 @@ _LEADING = {
 
 
 def leading_order_row(kind: SequenceKind, omega: float, tau: float) -> LeadingOrderRow:
-    """Leading-order row values; flags out-of-regime omega tau instead of erroring."""
+    """Leading-order row values; flags out-of-regime omega tau instead of erroring,
+    but raises ValueError where a scaling overflows (omega tau near 0 or huge)."""
     if kind not in _LEADING:
         raise ValueError("leading-order rows exist only for the named kinds")
-    phi, dn, sql, gstar = _LEADING[kind]
-    return LeadingOrderRow(
-        phi_per_gf=phi(omega, tau),
-        delta_n_per_g2=dn(omega, tau),
-        force_sql_scale=sql(omega, tau),
-        g_star_scale=gstar(omega, tau),
-        in_regime=omega * tau < 0.5,
-    )
+    try:
+        values = [scaling(omega, tau) for scaling in _LEADING[kind]]
+    except (ZeroDivisionError, OverflowError):
+        values = [math.inf]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"leading-order {kind.value} scalings are not finite at "
+                         f"omega_tau = {omega * tau!r}")
+    return LeadingOrderRow(*values, in_regime=omega * tau < 0.5)

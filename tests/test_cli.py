@@ -260,3 +260,68 @@ class TestUnknownConfigKeys:
             cfg.write_text(json.dumps(body))
             code, _, err = run_cli([sub, "--config", str(cfg)], capsys)
             assert code == 0, (sub, err)
+
+
+def run_config(tmp_path, capsys, sub, body):
+    """Run sub on a config file; return (exit code, stdout, stderr, RuntimeWarnings)."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(body))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli([sub, "--config", str(cfg)], capsys)
+    return code, out, err, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestConfigCounts:
+    @pytest.mark.parametrize("sub,body,key", [
+        ("sensitivity", {"n_points": math.inf}, "n_points"),
+        ("sensitivity", {"n_points": 0}, "n_points"),
+        ("sensitivity", {"n_points": -3}, "n_points"),
+        ("sensitivity", {"n_points": 2.5}, "n_points"),
+        ("witness", {"grid": {"n": math.inf}}, "grid.n"),
+        ("witness", {"grid": {"min": 0.0, "max": 0.01, "n": 2.5}}, "grid.n"),
+        ("trajectory", {"n_samples": math.inf}, "n_samples"),
+        ("trajectory", {"n_samples": math.nan}, "n_samples"),
+        ("trajectory", {"n_samples": 2.5}, "n_samples"),
+    ])
+    def test_bad_count_exits_2(self, tmp_path, capsys, sub, body, key):
+        code, out, err, caught = run_config(tmp_path, capsys, sub, body)
+        assert code == 2
+        assert key in err and "Traceback" not in err
+        assert out == "" and not caught
+
+    def test_integral_float_count_accepted(self, tmp_path, capsys):
+        code, out, err, _ = run_config(tmp_path, capsys, "trajectory",
+                                       {"n_samples": 3.0, "sequences": ["ramsey"]})
+        assert code == 0, err
+        assert len(out.splitlines()) == 1 + 2 * 3
+
+
+class TestConfigFrequencies:
+    @pytest.mark.parametrize("sub", ["witness", "trajectory"])
+    @pytest.mark.parametrize("freq", [0, -1.0, math.inf, math.nan])
+    def test_bad_freq_exits_2(self, tmp_path, capsys, sub, freq):
+        code, out, err, caught = run_config(tmp_path, capsys, sub, {"freq_hz": freq})
+        assert code == 2
+        assert "freq_hz" in err and "Traceback" not in err
+        assert out == "" and not caught
+
+    @pytest.mark.parametrize("key,value", [("min", -math.inf), ("min", math.nan),
+                                           ("max", math.inf), ("max", math.nan)])
+    def test_non_finite_grid_bound_exits_2_without_warning(self, tmp_path, capsys, key, value):
+        grid = {"min": 1e-4, "max": 0.01, "n": 5}
+        grid[key] = value
+        code, out, err, caught = run_config(tmp_path, capsys, "witness", {"grid": grid})
+        assert code == 2
+        assert f"grid.{key}" in err
+        assert "RuntimeWarning" not in err and not caught
+        assert out == ""
+
+
+class TestTableTinyOmegaTau:
+    @pytest.mark.parametrize("omega_tau", [1e-300, 1e-200])
+    def test_exits_2_naming_omega_tau(self, tmp_path, capsys, omega_tau):
+        code, out, err, _ = run_config(tmp_path, capsys, "table", {"omega_tau": omega_tau})
+        assert code == 2
+        assert "omega_tau" in err and "Traceback" not in err
+        assert out == ""

@@ -3,6 +3,8 @@
 import cmath
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,8 +60,25 @@ class TestStateConstruction:
             OracleConfig(n_max=2)
         with pytest.raises(ValueError):
             OracleConfig(tail_tolerance=1e-3)
-        with pytest.raises(ResolutionError):
-            OracleConfig(dt=1.0).step(1.0, ramsey(1.0))
+
+
+def _steps(tau, n, seed):
+    """Piecewise-constant force with n equal steps on [0, tau]."""
+    values = np.random.default_rng(seed).uniform(-0.3, 0.3, n)
+    return list(np.linspace(0.0, tau, n + 1)), list(values)
+
+
+OFF_GRID = pulses.custom(3.0, [0.37, 1.1, 2.9])  # pulses between 4096-step grid points
+
+# (sequence, g/omega, force): knots on and off the pulse edges, up to 256 steps
+FORCED_CASES = [
+    (hahn_echo(1.5), 0.5, ([0.0, 1.5], [0.3])),
+    (carr_purcell2(2.0), 0.8, ([0.0, 0.3, 0.77, 1.21, 1.9, 2.0],
+                               [0.2, -0.25, 0.1, 0.3, -0.15, -0.15])),
+    (ramsey(math.pi), 0.5, _steps(math.pi, 256, 1)),
+    (OFF_GRID, 1.0, _steps(3.0, 40, 2)),
+]
+FORCED_IDS = ["hahn_echo-constant", "carr_purcell2-knots", "ramsey-256_steps", "custom-40_steps"]
 
 
 class TestEvolution:
@@ -98,18 +117,23 @@ class TestEvolution:
             errs.append(1 - branch_fidelity(closed, st))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_forced_evolution_halved_dt(self):
-        # Strang-split stepping: halving dt moves the result by < 1e-9
-        g, omega, tau, f = 0.5, 1.0, 1.5, 0.3
-        force = ([0.0, tau], [f])
-        closed = dynamics.evolve_state(hahn_echo(tau), g, omega, 0, force=force)
-        fids = []
-        for dt in (tau / 512, tau / 1024):
-            st = evolve(initial_state(0, 48), nat(g, omega), hahn_echo(tau),
-                        force=force, cfg=OracleConfig(dt=dt))
-            fids.append(branch_fidelity(closed, st))
-        assert fids[0] > 1 - 1e-8
-        assert abs(fids[1] - fids[0]) < 1e-9
+    @pytest.mark.parametrize("seq,g,force", FORCED_CASES, ids=FORCED_IDS)
+    def test_forced_matches_evolve_state(self, seq, g, force):
+        # every piece between pulse edges and force knots is propagated exactly
+        omega = 1.0
+        f_max = max(abs(v) for v in force[1])
+        n_max = suggested_n_max((4 * (g + f_max) / omega) ** 2)
+        st = evolve(initial_state(0, n_max), nat(g, omega), seq, force=force)
+        closed = dynamics.evolve_state(seq, g, omega, 0, force=force)
+        assert 1 - branch_fidelity(closed, st) <= 1e-12
+
+    def test_zero_force_equals_force_free(self):
+        g, omega, tau = 0.8, 1.0, 2.0
+        for seq in (ramsey(tau), hahn_echo(tau), carr_purcell2(tau), OFF_GRID):
+            start = initial_state(0.3 - 0.2j, 48)
+            free = evolve(start, nat(g, omega), seq)
+            zero = evolve(start, nat(g, omega), seq, force=([0.0, seq.total_time], [0.0]))
+            assert np.array_equal(free.coeff, zero.coeff)
 
     def test_forced_evolution_matches_closed_form(self):
         g, omega, tau, f = 0.5, 1.0, 1.0, 0.25
@@ -248,9 +272,6 @@ def _stepping_reference(natural, seq, cfg, nbar_over_q):
     return oracle.BathStatistics(*mean, *se)
 
 
-OFF_GRID = pulses.custom(3.0, [0.37, 1.1, 2.9])  # pulses between 4096-step grid points
-
-
 class TestLinearResponseEstimator:
     SEQS = [ramsey(2.0), hahn_echo(2.0), carr_purcell2(2.0), OFF_GRID]
 
@@ -290,3 +311,12 @@ class TestVectorisedRawMoments:
                           q0 * p0 + q1 * p1, -(z * qc).imag, -(z * pc).imag,
                           (q0 - q1) / 2, (p0 - p1) / 2]
                 assert np.max(np.abs(row - expect)) <= 1e-12
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the oracle's eigensolver on first use, so the
+    # closed-form subcommands do not pay for it at import
+    code = "import sys, spinlev, spinlev.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

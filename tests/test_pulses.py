@@ -222,6 +222,13 @@ class TestLeadingOrderRow:
         assert ram.phi_per_gf == pytest.approx(omega * tau**3 / 6, rel=1e-15)
         assert ram.delta_n_per_g2 == pytest.approx(tau**2, rel=1e-15)
 
+    @pytest.mark.parametrize("kind", [SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO,
+                                      SequenceKind.CARR_PURCELL2])
+    @pytest.mark.parametrize("tau", [1e-300, 1e-200, 1e200])
+    def test_non_finite_scaling_raises(self, kind, tau):
+        with pytest.raises(ValueError, match="omega_tau"):
+            leading_order_row(kind, 1.0, tau)
+
     def test_out_of_regime_flag(self):
         assert leading_order_row(SequenceKind.RAMSEY, 1.0, 0.1).in_regime
         assert not leading_order_row(SequenceKind.RAMSEY, 1.0, 1.0).in_regime
