@@ -3,7 +3,8 @@ r"""Command-line interface.
 Subcommands: sensitivity, witness, table, trajectory, verify. Global flags:
 --config <path> (JSON parameters), --out <path>, --format csv|json,
 --seed <u64> (read by verify only), --threads <n> (falls back to the
-SPINLEV_THREADS environment variable; validated, but without effect).
+SPINLEV_THREADS environment variable; validated, but without effect and
+deprecated: giving either prints a note on stderr).
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 All file writes are atomic (temp file + rename) and floats are serialized
 losslessly.
@@ -190,17 +191,16 @@ def cmd_witness(args) -> int:
     hi = _finite(grid_cfg.get("max", 10.0 / omega * 2 * math.pi if sweep == "t" else 10.0), "grid.max")
     n = _count(grid_cfg.get("n", 2000), "grid.n")
     grid = list(np.linspace(lo, hi, n))
+    lam = _finite(cfg.get("lam", 0.5), "lam")
+    g = _finite(cfg.get("g_over_omega", 1.0), "g_over_omega") * omega
+    omega_l = 2 * math.pi * _finite(cfg.get("larmor_hz", 0.0), "larmor_hz")
+    tau = _finite(cfg.get("tau_s", 0.1 * math.pi / omega), "tau_s")
+    nbar = _finite(cfg.get("nbar", 0.0), "nbar")
+    nbar_over_q = _finite(cfg.get("nbar_over_q", 0.0), "nbar_over_q")
     try:
         scan = witness.violation_scan(
-            mode, sweep, grid,
-            lam=float(cfg.get("lam", 0.5)),
-            g=float(cfg.get("g_over_omega", 1.0)) * omega,
-            omega=omega,
-            omega_l=2 * math.pi * float(cfg.get("larmor_hz", 0.0)),
-            tau=float(cfg.get("tau_s", 0.1 * math.pi / omega)),
-            nbar=float(cfg.get("nbar", 0.0)),
-            nbar_over_q=float(cfg.get("nbar_over_q", 0.0)),
-            initial=cfg.get("initial", "ground"),
+            mode, sweep, grid, lam=lam, g=g, omega=omega, omega_l=omega_l, tau=tau,
+            nbar=nbar, nbar_over_q=nbar_over_q, initial=cfg.get("initial", "ground"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -263,8 +263,8 @@ def cmd_table(args) -> int:
 def cmd_trajectory(args) -> int:
     cfg = _load_config(args.config, _TRAJECTORY_KEYS)
     omega = 2 * math.pi * _finite(cfg.get("freq_hz", 100.0), "freq_hz", positive=True)
-    g = float(cfg.get("g_over_omega", 1.0)) * omega
-    tau = float(cfg.get("tau_s", 0.2 * math.pi / omega))
+    g = _finite(cfg.get("g_over_omega", 1.0), "g_over_omega") * omega
+    tau = _finite(cfg.get("tau_s", 0.2 * math.pi / omega), "tau_s")
     n_samples = _count(cfg.get("n_samples", 200), "n_samples")
     kinds = cfg.get("sequences", [k.value for k in
                                   (SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2)])
@@ -298,7 +298,7 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     p.add_argument("--seed", type=int, help="Monte Carlo seed")
     p.add_argument("--threads", type=int,
-                   help="accepted for compatibility, without effect (default SPINLEV_THREADS or 1)")
+                   help="deprecated, without effect (default SPINLEV_THREADS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,7 +325,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        threads_given = args.threads is not None or bool(os.environ.get("SPINLEV_THREADS"))
         args.threads = _threads(args)
+        if threads_given:
+            print("note: --threads and SPINLEV_THREADS have no effect and will be removed",
+                  file=sys.stderr)
         return args.fn(args)
     except (ConfigError, ParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -442,13 +442,14 @@ def thermal_trajectories(
     n = cfg.n_trajectories
     samples = np.empty((n, 3))  # Phi, Q, P per trajectory
     chunk = 256  # bounds the force block at 8 MB
+    forces = np.empty((min(chunk, n), n_steps))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        f = np.stack([
-            np.random.Generator(np.random.Philox(key=cfg.seed, counter=(i << 64)))
-            .normal(0.0, sd_f, size=n_steps)
-            for i in range(start, stop)
-        ])
+        f = forces[:stop - start]
+        for i, row in enumerate(f, start):
+            rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=(i << 64)))
+            rng.standard_normal(out=row)
+        f *= sd_f  # the same values as normal(0.0, sd_f): numpy draws it as 0.0 + sd_f * z
         samples[start:stop] = f @ weights
 
     phi = samples[:, 0]

@@ -12,6 +12,18 @@ All closed forms here describe free (pulseless) conditional evolution of an
 initially x-polarized spin and a thermal oscillator state with occupation
 nbar, parameterized by lam = 2 g / omega. The pulsed scheme maps onto the
 same formulas with lam replaced by the effective value omega g tau^2 / 4.
+
+Each closed form is written once, in a kernel that takes the elementary
+functions as a namespace `xp`: with numpy (the default) it broadcasts over
+arrays of lam, nbar and t, which is how violation_scan and
+max_nbar_for_violation evaluate a whole grid in one call; the public
+one-point functions (thermal_wb, thermal_wen, noiseless_moments,
+bath_deltas, bath_witness) evaluate the same expressions with `math`. The
+two agree to within 1e-13 relative (about 1e-15 is the largest difference
+seen), not bit for bit: numpy's exp differs from libm's in the last bit for
+a few percent of arguments. The `math` evaluation keeps the one-point
+values, and so the `verify` report, exactly as the libm closed forms give
+them.
 """
 
 from __future__ import annotations
@@ -29,6 +41,8 @@ class DegenerateMomentsError(ValueError):
 
 @dataclass(frozen=True)
 class WitnessCoefficients:
+    """Witness coefficients: floats, or equal-shape arrays inside the grid kernels."""
+
     a_y: float
     b_y: float
     a_z: float
@@ -36,7 +50,7 @@ class WitnessCoefficients:
 
     def __post_init__(self) -> None:
         for name in ("a_y", "b_y", "a_z", "b_z"):
-            if not math.isfinite(getattr(self, name)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
 
 
@@ -78,17 +92,26 @@ def make_result(w_b: float, w_en: float) -> WitnessResult:
     return WitnessResult(w_b, w_en, ratio, n)
 
 
+def _require_nonnegative(x, name: str) -> None:
+    if np.any(np.less(x, 0)):
+        raise ValueError(f"{name} must be >= 0")
+
+
 def noiseless_moments(lam: float, nbar: float, omega: float, omega_l: float, t: float) -> MomentRecord:
     """Exact moments of the conditionally displaced thermal state at time t."""
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
+    return _moments(lam, nbar, omega, omega_l, t, math)
+
+
+def _moments(lam, nbar, omega, omega_l, t, xp=np) -> MomentRecord:
+    """noiseless_moments, broadcasting over arrays of lam, nbar and t when xp is numpy."""
+    _require_nonnegative(nbar, "nbar")
     th = omega * t
-    u = 1.0 - math.cos(th)
-    s = math.sin(th)
+    u = 1.0 - xp.cos(th)
+    s = xp.sin(th)
     v = (2 * nbar + 1) / 2.0  # thermal quadrature variance
-    e = math.exp(-(2 * nbar + 1) * lam * lam * u)
-    cl = math.cos(omega_l * t)
-    sl = math.sin(omega_l * t)
+    e = xp.exp(-(2 * nbar + 1) * lam * lam * u)
+    cl = xp.cos(omega_l * t)
+    sl = xp.sin(omega_l * t)
     kappa = 0.5 * math.sqrt(2) * lam * v * e * cl
     return MomentRecord(
         mean_sx=e * cl / 2,
@@ -140,35 +163,56 @@ def optimize_coefficients(m: MomentRecord, initial_guess: Optional[WitnessCoeffi
     block M = [[Var q, Cov qp], [Cov qp, Var p]] for both spin components, so
     the stationarity system splits into two linear solves M x = -r.
     """
-    mat = np.array([[m.var_q, m.cov_qp], [m.cov_qp, m.var_p]])
+    c = _coefficients(m)
+    return WitnessCoefficients(float(c.a_y), float(c.b_y), float(c.a_z), float(c.b_z))
+
+
+def _coefficients(m: MomentRecord) -> WitnessCoefficients:
+    """optimize_coefficients for moments whose fields broadcast over a grid.
+
+    The 2x2 systems are stacked, one LAPACK solve per grid point and spin
+    component as in the one-point case, so each point's coefficients are
+    bit-identical to solving that point alone. Raises
+    DegenerateMomentsError if the block is singular at any point.
+    """
+    var_q, cov_qp, var_p, syq, syp, szq, szp = np.broadcast_arrays(
+        m.var_q, m.cov_qp, m.var_p, m.cov_syq, m.cov_syp, m.cov_szq, m.cov_szp)
+    mat = np.stack([np.stack([var_q, cov_qp], -1), np.stack([cov_qp, var_p], -1)], -2)
     evals, evecs = np.linalg.eigh(mat)
-    if evals[0] <= 1e-14 * max(1.0, evals[-1]):
-        null = evecs[:, 0]
+    singular = evals[..., 0] <= 1e-14 * np.maximum(1.0, evals[..., -1])
+    if np.any(singular):
+        null = evecs[singular][0][:, 0]
         raise DegenerateMomentsError(
             f"quadrature covariance is singular along direction ({null[0]:+.4f} q, {null[1]:+.4f} p)"
         )
-    ay, by = np.linalg.solve(mat, [-m.cov_syq, -m.cov_syp])
-    az, bz = np.linalg.solve(mat, [-m.cov_szq, -m.cov_szp])
-    return WitnessCoefficients(float(ay), float(by), float(az), float(bz))
+    y = np.linalg.solve(mat, np.stack([-syq, -syp], -1)[..., None])
+    z = np.linalg.solve(mat, np.stack([-szq, -szp], -1)[..., None])
+    return WitnessCoefficients(y[..., 0, 0], y[..., 1, 0], z[..., 0, 0], z[..., 1, 0])
 
 
 def thermal_wb(lam: float, nbar: float, omega: float, omega_l: float, t: float) -> float:
     """Separable bound with the optimal coefficients, in closed form."""
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
-    u = 1.0 - math.cos(omega * t)
-    e = math.exp(-(2 * nbar + 1) * lam * lam * u)
-    return 0.5 + e * math.cos(omega_l * t) * lam * lam * u / (2 * nbar + 1 + 2 * lam * lam * u)
+    return float(_thermal(lam, nbar, omega, omega_l, t, math)[0])
 
 
 def thermal_wen(lam: float, nbar: float, omega: float, t: float) -> float:
     """Witness value on the entangled state at the optimal coefficients."""
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
-    u = 1.0 - math.cos(omega * t)
-    n1 = 1 + 2 * nbar
-    e2 = math.exp(-2 * n1 * lam * lam * u)
-    return 0.5 + n1 / (4 * (n1 + 2 * lam * lam * u)) - (e2 / 4) * (1 + 2 * n1 * lam * lam * u)
+    return float(_thermal(lam, nbar, omega, 0.0, t, math)[1])
+
+
+def _thermal(lam, nbar, omega, omega_l, t, xp=np):
+    """(W_b, W_en) of the thermal state at the optimal coefficients.
+
+    Broadcasts over arrays of lam, nbar and t when xp is numpy.
+    """
+    _require_nonnegative(nbar, "nbar")
+    u = 1.0 - xp.cos(omega * t)
+    n1 = 2 * nbar + 1
+    e = xp.exp(-n1 * lam * lam * u)
+    e2 = xp.exp(-2 * n1 * lam * lam * u)
+    w_b = 0.5 + e * xp.cos(omega_l * t) * lam * lam * u / (n1 + 2 * lam * lam * u)
+    w_en = 0.5 + n1 / (4 * (n1 + 2 * lam * lam * u)) - (e2 / 4) * (1 + 2 * n1 * lam * lam * u)
+    return w_b, w_en
 
 
 def halfperiod_coefficients(lam: float, nbar: float) -> WitnessCoefficients:
@@ -202,18 +246,22 @@ class BathDeltas:
 
 
 def bath_deltas(lam: float, nbar_over_q: float, omega: float, t: float) -> BathDeltas:
-    if nbar_over_q < 0:
-        raise ValueError("nbar_over_q must be >= 0")
+    return _deltas(lam, nbar_over_q, omega, t, math)
+
+
+def _deltas(lam, nbar_over_q, omega, t, xp=np) -> BathDeltas:
+    """bath_deltas, broadcasting over arrays of lam and t when xp is numpy."""
+    _require_nonnegative(nbar_over_q, "nbar_over_q")
     th = omega * t
     k = nbar_over_q
     r2 = math.sqrt(2)
     return BathDeltas(
-        dvar_sx=0.5 * lam * lam * k * (6 * th - 8 * math.sin(th) + math.sin(2 * th)),
-        dq2=k * (2 * th - math.sin(2 * th)),
-        dp2=k * (2 * th + math.sin(2 * th)),
-        dqp=k * 4 * math.sin(th) ** 2,
-        dsyq=-8 * r2 * lam * k * math.sin(th / 2) ** 4,
-        dsyp=4 * r2 * lam * k * (th / 2 - math.sin(th) + math.sin(2 * th) / 4),
+        dvar_sx=0.5 * lam * lam * k * (6 * th - 8 * xp.sin(th) + xp.sin(2 * th)),
+        dq2=k * (2 * th - xp.sin(2 * th)),
+        dp2=k * (2 * th + xp.sin(2 * th)),
+        dqp=k * 4 * xp.sin(th) ** 2,
+        dsyq=-8 * r2 * lam * k * xp.sin(th / 2) ** 4,
+        dsyp=4 * r2 * lam * k * (th / 2 - xp.sin(th) + xp.sin(2 * th) / 4),
     )
 
 
@@ -232,12 +280,19 @@ def bath_witness(
     protocol uses the nbar = 0 optimum, the thermal start uses the thermal
     optimum. The bath then shifts the evaluated moments but not the bound.
     """
+    w_b, w_en = _bath(lam, nbar, nbar_over_q, omega, omega_l, t, initial, math)
+    return make_result(float(w_b), float(w_en))
+
+
+def _bath(lam, nbar, nbar_over_q, omega, omega_l, t, initial, xp=np):
+    """(W_b, W_en) of bath_witness, broadcasting over arrays of lam, nbar and t
+    when xp is numpy."""
     if initial not in ("ground", "thermal"):
         raise ValueError("initial must be 'ground' or 'thermal'")
     nbar_state = 0.0 if initial == "ground" else nbar
-    m = noiseless_moments(lam, nbar_state, omega, omega_l, t)
-    c = optimize_coefficients(m)
-    d = bath_deltas(lam, nbar_over_q, omega, t)
+    m = _moments(lam, nbar_state, omega, omega_l, t, xp)
+    c = _coefficients(m)
+    d = _deltas(lam, nbar_over_q, omega, t, xp)
     w_en = witness_value(m, c) + (
         d.dvar_sx
         + (c.a_y ** 2 + c.a_z ** 2) * d.dq2
@@ -246,7 +301,7 @@ def bath_witness(
         + c.a_y * d.dsyq
         + c.b_y * d.dsyp
     )
-    return make_result(separable_bound(c), w_en)
+    return separable_bound(c), w_en
 
 
 @dataclass(frozen=True)
@@ -291,35 +346,38 @@ def violation_scan(
     lam of the echo sequence: sweeping t means sweeping the sequence length
     tau (so the effective lam grows as omega g tau^2 / 4 along the grid),
     while sweeping nbar uses the fixed tau argument.
+
+    The whole grid is one call of the numpy kernel, so each point agrees
+    with the one-point functions (thermal_wb, thermal_wen, bath_witness)
+    to within 1e-13 relative rather than bit for bit. Every ScanPoint
+    field is a Python float.
     """
     if mode not in ("pulseless", "pulsed"):
         raise ValueError("mode must be 'pulseless' or 'pulsed'")
     if sweep not in ("t", "nbar"):
         raise ValueError("sweep must be 't' or 'nbar'")
-    grid = list(grid)
+    grid = [float(x) for x in grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be nonempty and sorted increasing")
 
-    points = []
-    for x in grid:
-        if mode == "pulsed":
-            tau_x = x if sweep == "t" else tau
-            lam_eff = pulsed_effective_lambda(g, omega, tau_x)
-            t = math.pi / omega
-        else:
-            lam_eff = lam
-            t = x if sweep == "t" else t_fixed_pulseless(omega)
-        nb = nbar if sweep == "t" else x
-        if nbar_over_q > 0:
-            res = bath_witness(lam_eff, nb, nbar_over_q, omega, omega_l, t, initial)
-            w_b, w_en = res.w_b, res.w_en
-        else:
-            w_b = thermal_wb(lam_eff, nb, omega, omega_l, t)
-            w_en = thermal_wen(lam_eff, nb, omega, t)
-        ratio = (w_b - w_en) / w_b
-        points.append(
-            ScanPoint(x, w_b, w_en, ratio, math.log10(ratio) if ratio > 0 else float("-inf"))
-        )
+    x = np.array(grid)
+    if mode == "pulsed":
+        lam_eff = pulsed_effective_lambda(g, omega, x if sweep == "t" else tau)
+        t = math.pi / omega
+    else:
+        lam_eff = lam
+        t = x if sweep == "t" else t_fixed_pulseless(omega)
+    nb = nbar if sweep == "t" else x
+    if nbar_over_q > 0:
+        w_b, w_en = _bath(lam_eff, nb, nbar_over_q, omega, omega_l, t, initial)
+    else:
+        w_b, w_en = _thermal(lam_eff, nb, omega, omega_l, t)
+    w_b, w_en = np.broadcast_arrays(w_b, w_en, x)[:2]  # a ground-start nbar sweep is one point
+    ratio = (w_b - w_en) / w_b
+    points = [
+        ScanPoint(xv, b, e, r, math.log10(r) if r > 0 else float("-inf"))
+        for xv, b, e, r in zip(grid, w_b.tolist(), w_en.tolist(), ratio.tolist())
+    ]
 
     # asymptote = sign change on the grid: the first nonpositive point after
     # a positive one; an identically nonpositive scan has no landmark
@@ -354,17 +412,14 @@ def max_nbar_for_violation(
     n_grid: int = 2000,
 ) -> float:
     """Largest nbar for which a pulsed-scheme tau exists with violation
-    ratio >= threshold; found by bisection on nbar over a log tau grid."""
+    ratio >= threshold; found by bisection on nbar over a log tau grid,
+    each step one numpy kernel call over the whole grid."""
     taus = np.sqrt(4 * np.geomspace(lam_range[0], lam_range[1], n_grid) / (omega * g))
+    lam_eff = pulsed_effective_lambda(g, omega, taus)
 
     def peak_ratio(nb: float) -> float:
-        best = -math.inf
-        for tau in taus:
-            lam_eff = pulsed_effective_lambda(g, omega, float(tau))
-            w_b = thermal_wb(lam_eff, nb, omega, 0.0, math.pi / omega)
-            w_en = thermal_wen(lam_eff, nb, omega, math.pi / omega)
-            best = max(best, (w_b - w_en) / w_b)
-        return best
+        w_b, w_en = _thermal(lam_eff, nb, omega, 0.0, math.pi / omega)
+        return np.max((w_b - w_en) / w_b)
 
     lo, hi = 0.0, 1.0
     while peak_ratio(hi) >= threshold:

@@ -325,3 +325,46 @@ class TestTableTinyOmegaTau:
         assert code == 2
         assert "omega_tau" in err and "Traceback" not in err
         assert out == ""
+
+
+class TestConfigNonFinite:
+    @pytest.mark.parametrize("sub,key", [
+        ("witness", "lam"), ("witness", "g_over_omega"), ("witness", "larmor_hz"),
+        ("witness", "nbar_over_q"), ("witness", "nbar"), ("witness", "tau_s"),
+        ("trajectory", "g_over_omega"), ("trajectory", "tau_s"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, sub, key, value):
+        code, out, err, caught = run_config(tmp_path, capsys, sub, {key: value})
+        assert code == 2
+        assert key in err and "Traceback" not in err
+        assert out == "" and not caught
+
+
+class TestThreadsDeprecation:
+    NOTE = "note: --threads and SPINLEV_THREADS have no effect and will be removed\n"
+
+    @pytest.mark.parametrize("flag,env", [(["--threads", "3"], None), ([], "2")])
+    def test_note_on_stderr_output_unchanged(self, tmp_path, capsys, monkeypatch, flag, env):
+        monkeypatch.delenv("SPINLEV_THREADS", raising=False)
+        code, plain, err = run_cli(["table", "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        if env is not None:
+            monkeypatch.setenv("SPINLEV_THREADS", env)
+        code, out, err = run_cli(["table", "--format", "json", *flag], capsys)
+        assert code == 0
+        assert out == plain
+        assert err == self.NOTE
+
+    def test_verify_report_bytes_unchanged(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SPINLEV_THREADS", raising=False)
+        monkeypatch.setattr(verify, "ALL_CHECKS", (verify.check_witness_identity,
+                                                   verify.check_si_anchors))
+        reports = []
+        for flag in ([], ["--threads", "4"]):
+            path = tmp_path / f"v{len(reports)}.json"
+            code, out, err = run_cli(["verify", "--out", str(path), *flag], capsys)
+            assert code == 0 and out == ""
+            assert err == (self.NOTE if flag else "")
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]

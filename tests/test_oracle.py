@@ -217,6 +217,25 @@ class TestThermalTrajectories:
         with pytest.raises(ResolutionError):
             thermal_trajectories(nat(0.25, 1.0), ramsey(1.0), cfg, 1e6)
 
+    # Recorded from the per-trajectory normal(0, sd_f) draws stacked chunk by
+    # chunk. A change to the Philox streams, their order or the chunking moves
+    # these at O(1); the tolerance leaves room only for BLAS summation order.
+    @pytest.mark.parametrize("seq,n,noq,expected", [
+        (ramsey(math.pi), 200, 0.5, (
+            1.0924055466435556, 3.0204803172910375, 3.251119964593572, 0.2836425138322257,
+            -2.5866320811779286, 2.0973486362250493, 0.1139464914094275, 0.3254542989011228,
+            0.297648558878171, 0.3765644630521697, 0.3432154697533869, 0.26135038767144)),
+        (hahn_echo(2.0), 700, 1e-3, (  # three chunks, the last one short
+            0.00020974374205516593, 0.004727184485549375, 0.0035767630489141377,
+            0.0032903537100748867, 0.0019409027440489494, 0.00038613155272367066,
+            1.2274915346594338e-05, 0.0002684931871800916, 0.0001819529509974048,
+            0.0003347697227661008, 0.0001135783863045791, 6.927348128341241e-05)),
+    ])
+    def test_fixed_seed_statistics_pinned(self, seq, n, noq, expected):
+        cfg = OracleConfig(seed=20250826, n_trajectories=n)
+        stats = thermal_trajectories(nat(0.25, 1.0), seq, cfg, noq)
+        assert dataclasses.astuple(stats) == pytest.approx(expected, rel=1e-12, abs=0)
+
 
 class TestGaussianNoiseFactor:
     def test_matches_closed_form_at_moderate_kappa(self):

@@ -1,10 +1,11 @@
 """Entanglement witness: bounds, closed forms, optimization, bath corrections."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spinlev import witness
 from spinlev.witness import (
@@ -222,3 +223,181 @@ class TestViolationScan:
 
     def test_t_fixed_pulseless(self):
         assert t_fixed_pulseless(2.0) == pytest.approx(math.pi / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Scalar references: the one-point closed forms and the per-point loops of
+# violation_scan and max_nbar_for_violation as written before the grid
+# kernels, in Python floats and libm.
+
+
+def ref_thermal_wb(lam, nbar, omega, omega_l, t):
+    if nbar < 0:
+        raise ValueError("nbar must be >= 0")
+    u = 1.0 - math.cos(omega * t)
+    e = math.exp(-(2 * nbar + 1) * lam * lam * u)
+    return 0.5 + e * math.cos(omega_l * t) * lam * lam * u / (2 * nbar + 1 + 2 * lam * lam * u)
+
+
+def ref_thermal_wen(lam, nbar, omega, t):
+    if nbar < 0:
+        raise ValueError("nbar must be >= 0")
+    u = 1.0 - math.cos(omega * t)
+    n1 = 1 + 2 * nbar
+    e2 = math.exp(-2 * n1 * lam * lam * u)
+    return 0.5 + n1 / (4 * (n1 + 2 * lam * lam * u)) - (e2 / 4) * (1 + 2 * n1 * lam * lam * u)
+
+
+def ref_bath_witness(lam, nbar, nbar_over_q, omega, omega_l, t, initial="ground"):
+    """(W_b, W_en) with the bath: moments, per-point coefficient solves, deltas."""
+    nb = 0.0 if initial == "ground" else nbar
+    th = omega * t
+    u = 1.0 - math.cos(th)
+    s = math.sin(th)
+    v = (2 * nb + 1) / 2.0
+    e = math.exp(-(2 * nb + 1) * lam * lam * u)
+    cl = math.cos(omega_l * t)
+    sl = math.sin(omega_l * t)
+    kappa = 0.5 * math.sqrt(2) * lam * v * e * cl
+    var_q = v + lam * lam * u * u / 2
+    var_p = v + lam * lam * s * s / 2
+    cov_qp = lam * lam * u * s / 2
+    cov_syq, cov_syp = kappa * s, -kappa * u
+    cov_szq, cov_szp = -math.sqrt(2) * lam * u / 4, -math.sqrt(2) * lam * s / 4
+    mat = np.array([[var_q, cov_qp], [cov_qp, var_p]])
+    ay, by = (float(x) for x in np.linalg.solve(mat, [-cov_syq, -cov_syp]))
+    az, bz = (float(x) for x in np.linalg.solve(mat, [-cov_szq, -cov_szp]))
+
+    def block(var_s, cov_sq, cov_sp, a, b):
+        return (var_s + a * a * var_q + b * b * var_p + 2 * a * b * cov_qp
+                + 2 * a * cov_sq + 2 * b * cov_sp)
+
+    w = (0.25 - (e * cl) ** 2 / 4
+         + block(0.25 - (e * sl) ** 2 / 4, cov_syq, cov_syp, ay, by)
+         + block(0.25, cov_szq, cov_szp, az, bz))
+    k, r2 = nbar_over_q, math.sqrt(2)
+    dvar_sx = 0.5 * lam * lam * k * (6 * th - 8 * math.sin(th) + math.sin(2 * th))
+    dq2 = k * (2 * th - math.sin(2 * th))
+    dp2 = k * (2 * th + math.sin(2 * th))
+    dqp = k * 4 * math.sin(th) ** 2
+    dsyq = -8 * r2 * lam * k * math.sin(th / 2) ** 4
+    dsyp = 4 * r2 * lam * k * (th / 2 - math.sin(th) + math.sin(2 * th) / 4)
+    w_en = w + (dvar_sx + (ay ** 2 + az ** 2) * dq2 + (by ** 2 + bz ** 2) * dp2
+                + (ay * by + az * bz) * dqp + ay * dsyq + by * dsyp)
+    return 0.5 + abs(ay * bz - az * by), w_en
+
+
+def ref_scan_point(mode, sweep, x, *, lam, g, omega, omega_l, tau, nbar, nbar_over_q, initial):
+    """(W_b, W_en) at one grid value, as the per-point violation_scan loop computed it."""
+    if mode == "pulsed":
+        lam_eff = omega * g * (x if sweep == "t" else tau) ** 2 / 4.0
+        t = math.pi / omega
+    else:
+        lam_eff = lam
+        t = x if sweep == "t" else math.pi / omega
+    nb = nbar if sweep == "t" else x
+    if nbar_over_q > 0:
+        return ref_bath_witness(lam_eff, nb, nbar_over_q, omega, omega_l, t, initial)
+    return ref_thermal_wb(lam_eff, nb, omega, omega_l, t), ref_thermal_wen(lam_eff, nb, omega, t)
+
+
+def ref_max_nbar(g, omega, threshold=1e-3, lam_range=(1e-3, 4.0), n_grid=2000):
+    taus = np.sqrt(4 * np.geomspace(lam_range[0], lam_range[1], n_grid) / (omega * g))
+
+    def peak_ratio(nb):
+        best = -math.inf
+        for tau in taus:
+            lam_eff = omega * g * float(tau) * float(tau) / 4.0
+            w_b = ref_thermal_wb(lam_eff, nb, omega, 0.0, math.pi / omega)
+            w_en = ref_thermal_wen(lam_eff, nb, omega, math.pi / omega)
+            best = max(best, (w_b - w_en) / w_b)
+        return best
+
+    lo, hi = 0.0, 1.0
+    while peak_ratio(hi) >= threshold:
+        lo, hi = hi, hi * 2
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if peak_ratio(mid) >= threshold:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+GRID_TOL = 1e-13  # numpy's exp differs from libm's in the last bit
+
+
+class TestGridKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(lam=st.floats(0.0, 3.0), nbar=st.floats(0.0, 10.0), noq=st.floats(1e-4, 0.1),
+           omega=st.sampled_from([1.0, 2 * math.pi * 100]), wl=st.floats(0.0, 3.0),
+           wt=st.floats(0.0, 30.0), initial=st.sampled_from(["ground", "thermal"]))
+    def test_one_point_views_equal_reference(self, lam, nbar, noq, omega, wl, wt, initial):
+        # evaluated with math, the public one-point functions keep every bit
+        t = wt / omega
+        omega_l = wl * omega
+        assert thermal_wb(lam, nbar, omega, omega_l, t) == ref_thermal_wb(lam, nbar, omega, omega_l, t)
+        assert thermal_wen(lam, nbar, omega, t) == ref_thermal_wen(lam, nbar, omega, t)
+        r = bath_witness(lam, nbar, noq, omega, omega_l, t, initial)
+        assert (r.w_b, r.w_en) == ref_bath_witness(lam, nbar, noq, omega, omega_l, t, initial)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mode=st.sampled_from(["pulseless", "pulsed"]), sweep=st.sampled_from(["t", "nbar"]),
+           noq=st.sampled_from([0.0, 1e-4, 3e-3, 0.05]),
+           initial=st.sampled_from(["ground", "thermal"]),
+           lam=st.floats(0.0, 2.0), g_over_omega=st.floats(0.0, 3.0),
+           omega=st.sampled_from([1.0, 2 * math.pi * 100]), wl=st.floats(0.0, 3.0),
+           w_tau=st.floats(0.01, 4.0), nbar=st.floats(0.0, 5.0),
+           lo=st.floats(0.0, 10.0), span=st.floats(1e-3, 20.0), n=st.integers(1, 40))
+    def test_scan_matches_per_point_reference(self, mode, sweep, noq, initial, lam, g_over_omega,
+                                              omega, wl, w_tau, nbar, lo, span, n):
+        scale = 1 / omega if sweep == "t" else 1.0  # t grids in units of 1/omega
+        grid = [float(x) for x in np.linspace(lo * scale, (lo + span) * scale, n)]
+        assume(all(b > a for a, b in zip(grid, grid[1:])))
+        kw = dict(lam=lam, g=g_over_omega * omega, omega=omega, omega_l=wl * omega,
+                  tau=w_tau / omega, nbar=nbar, nbar_over_q=noq, initial=initial)
+        res = violation_scan(mode, sweep, grid, **kw)
+        assert [p.sweep_value for p in res.points] == grid
+        for p in res.points:
+            w_b, w_en = ref_scan_point(mode, sweep, p.sweep_value, **kw)
+            assert p.w_b == pytest.approx(w_b, rel=GRID_TOL, abs=0)
+            assert p.w_en == pytest.approx(w_en, rel=GRID_TOL, abs=0)
+            # absolute near the zero crossing, relative where |w_ratio| > 1
+            assert p.w_ratio == pytest.approx((w_b - w_en) / w_b, rel=GRID_TOL, abs=GRID_TOL)
+            assert p.log10_w_ratio == (math.log10(p.w_ratio) if p.w_ratio > 0 else -math.inf)
+
+    @pytest.mark.parametrize("mode,sweep,noq", [
+        ("pulseless", "t", 0.0), ("pulsed", "t", 1e-3), ("pulseless", "nbar", 1e-3),
+        ("pulsed", "nbar", 0.0),
+    ])
+    def test_scan_points_are_python_floats(self, mode, sweep, noq):
+        grid = np.linspace(0.1, 2.0, 7)  # numpy floats in, Python floats out
+        res = violation_scan(mode, sweep, grid, lam=0.5, g=1.0, omega=1.0, tau=0.5,
+                             nbar_over_q=noq, initial="thermal")
+        for p in res.points:
+            for v in (p.sweep_value, p.w_b, p.w_en, p.w_ratio, p.log10_w_ratio):
+                assert type(v) is float
+
+    @pytest.mark.parametrize("omega", [1.0, 2 * math.pi * 100, 2 * math.pi * 1e4])
+    def test_max_nbar_matches_reference_bisection(self, omega):
+        # the full g/omega grid on a 250-point tau grid, one default 2000-point call
+        for r in np.geomspace(0.05, 5, 15):
+            got = witness.max_nbar_for_violation(r * omega, omega, n_grid=250)
+            assert got == pytest.approx(ref_max_nbar(r * omega, omega, n_grid=250), rel=GRID_TOL)
+        got = witness.max_nbar_for_violation(omega, omega)
+        assert got == pytest.approx(ref_max_nbar(omega, omega), rel=GRID_TOL)
+
+    def test_max_nbar_unbounded_violation_raises(self):
+        with pytest.raises(ValueError, match="unphysically large"):
+            witness.max_nbar_for_violation(1.0, 1.0, threshold=-1.0)
+
+    def test_degenerate_grid_point_raises(self):
+        grid = witness._moments(0.5, 1.0, 1.0, 0.0, np.array([0.5, 1.0, 2.0]))
+        ok = witness._coefficients(grid)
+        assert np.shape(ok.a_y) == (3,)
+        singular = dataclasses.replace(grid, var_q=np.array([0.6, 0.0, 0.7]),
+                                       var_p=np.array([0.6, 0.0, 0.7]),
+                                       cov_qp=np.array([0.0, 0.0, 0.0]))
+        with pytest.raises(DegenerateMomentsError):
+            witness._coefficients(singular)
