@@ -136,6 +136,15 @@ def _finite(value, key: str, positive: bool = False) -> float:
     return x
 
 
+def _scaled(value, scale: float, key: str, positive: bool = False) -> float:
+    """_finite(value) * scale, which must be finite too: a finite value that
+    overflows once scaled to natural units exits 2 naming the key."""
+    x = _finite(value, key, positive) * scale
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} = {value!r} overflows to {x!r} once scaled by {scale!r}")
+    return x
+
+
 def _kind(name: str) -> SequenceKind:
     try:
         return SequenceKind(name)
@@ -185,16 +194,20 @@ def cmd_witness(args) -> int:
     cfg = _load_config(args.config, _WITNESS_KEYS)
     mode = cfg.get("mode", "pulseless")
     sweep = cfg.get("sweep", "t")
-    omega = 2 * math.pi * _finite(cfg.get("freq_hz", 100.0), "freq_hz", positive=True)
+    omega = _scaled(cfg.get("freq_hz", 100.0), 2 * math.pi, "freq_hz", positive=True)
     grid_cfg = _check_keys(cfg.get("grid", {}), _GRID_KEYS, "grid")
     lo = _finite(grid_cfg.get("min", 1e-4 if sweep == "t" else 0.0), "grid.min")
     hi = _finite(grid_cfg.get("max", 10.0 / omega * 2 * math.pi if sweep == "t" else 10.0), "grid.max")
+    if sweep == "t":  # the kernels read the times as phases omega t
+        _scaled(lo, omega, "grid.min")
+        _scaled(hi, omega, "grid.max")
     n = _count(grid_cfg.get("n", 2000), "grid.n")
     grid = list(np.linspace(lo, hi, n))
     lam = _finite(cfg.get("lam", 0.5), "lam")
-    g = _finite(cfg.get("g_over_omega", 1.0), "g_over_omega") * omega
-    omega_l = 2 * math.pi * _finite(cfg.get("larmor_hz", 0.0), "larmor_hz")
+    g = _scaled(cfg.get("g_over_omega", 1.0), omega, "g_over_omega")
+    omega_l = _scaled(cfg.get("larmor_hz", 0.0), 2 * math.pi, "larmor_hz")
     tau = _finite(cfg.get("tau_s", 0.1 * math.pi / omega), "tau_s")
+    _scaled(tau, omega, "tau_s")
     nbar = _finite(cfg.get("nbar", 0.0), "nbar")
     nbar_over_q = _finite(cfg.get("nbar_over_q", 0.0), "nbar_over_q")
     try:
@@ -262,9 +275,10 @@ def cmd_table(args) -> int:
 
 def cmd_trajectory(args) -> int:
     cfg = _load_config(args.config, _TRAJECTORY_KEYS)
-    omega = 2 * math.pi * _finite(cfg.get("freq_hz", 100.0), "freq_hz", positive=True)
-    g = _finite(cfg.get("g_over_omega", 1.0), "g_over_omega") * omega
+    omega = _scaled(cfg.get("freq_hz", 100.0), 2 * math.pi, "freq_hz", positive=True)
+    g = _scaled(cfg.get("g_over_omega", 1.0), omega, "g_over_omega")
     tau = _finite(cfg.get("tau_s", 0.2 * math.pi / omega), "tau_s")
+    _scaled(tau, omega, "tau_s")
     n_samples = _count(cfg.get("n_samples", 200), "n_samples")
     kinds = cfg.get("sequences", [k.value for k in
                                   (SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2)])

@@ -6,7 +6,10 @@ Three independent checks back the closed forms elsewhere in the package:
   exact on every piece where the pulse sign and the force are constant;
 * Monte Carlo sampling of thermal ensembles (Glauber-P) and of Brownian
   white-noise forces, with counter-based per-trajectory seeding so results
-  are bit-identical for a fixed seed regardless of scheduling;
+  are bit-identical for a fixed seed regardless of scheduling; the bath
+  estimators are linear in the force path, so a batch of sequences and bath
+  strengths shares one draw of each path (thermal_trajectories_batch), and
+  their exact expectations need no sampling at all (bath_covariance);
 * Gaussian covariance propagation of the one-axis-twisted collective spin.
 """
 
@@ -16,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -400,12 +403,40 @@ def _force_weights(seq: PulseSequence, g: float, omega: float, n_steps: int) -> 
     return np.column_stack([w_phi, math.sqrt(2) * e.real, math.sqrt(2) * e.imag])
 
 
+_N_STEPS = 4096  # force grid of the bath Monte Carlo and of bath_covariance
+
+
+def _scaled_weights(natural: NaturalParams, seq: PulseSequence, nbar_over_q: float) -> np.ndarray:
+    """sd_f * W on the force grid, so (Phi, Q, P) = z @ (sd_f W) for unit normals z.
+
+    Raises ValueError unless nbar_over_q is finite and >= 0, and
+    ResolutionError when a step is too coarse for white-noise fidelity.
+    """
+    if not (math.isfinite(nbar_over_q) and nbar_over_q >= 0):
+        raise ValueError(f"nbar_over_q must be finite and >= 0, got {nbar_over_q!r}")
+    omega = natural.omega
+    dt = seq.total_time / _N_STEPS
+    if omega * nbar_over_q * dt > 0.1:
+        raise ResolutionError("dt too coarse for white-noise fidelity")
+    sd_f = math.sqrt(2 * omega * nbar_over_q / dt)
+    return sd_f * _force_weights(seq, natural.g, omega, _N_STEPS)
+
+
 def thermal_trajectories(
     natural: NaturalParams,
     seq: PulseSequence,
     cfg: OracleConfig,
     nbar_over_q: float,
 ) -> BathStatistics:
+    """The Brownian-force Monte Carlo of one sequence: a batch of one case."""
+    return thermal_trajectories_batch(natural, [(seq, nbar_over_q)], cfg)[0]
+
+
+def thermal_trajectories_batch(
+    natural: NaturalParams,
+    cases: Sequence[tuple[PulseSequence, float]],
+    cfg: OracleConfig,
+) -> list[BathStatistics]:
     """Monte Carlo of Brownian white-noise forces through exact branch dynamics.
 
     Each trajectory samples a piecewise-constant force with per-step variance
@@ -427,45 +458,60 @@ def thermal_trajectories(
     term: at f = 0 the branches are mirror images (gamma_- = -gamma_+,
     theta_- = theta_+), so the force-free relative phase is zero for every
     sign pattern, whether or not the pulses lie on the step grid.
+
+    cases is a sequence of (seq, nbar_over_q) pairs. A case differs from
+    another only by its force scale sd_f and its weights, so every case sees
+    the same unit-normal paths z: each block of z is drawn once and
+    multiplied by the stacked 4096 x 3k matrix of sd_f W. Every case is
+    validated before the first draw, and its statistics equal those of a
+    batch of one up to the rounding of the matrix product.
     """
     if cfg.n_trajectories < 100:
         raise ValueError("n_trajectories must be >= 100")
-    g, omega = natural.g, natural.omega
-    n_steps = 4096
-    dt = seq.total_time / n_steps
-    if omega * nbar_over_q * dt > 0.1:
-        raise ResolutionError("dt too coarse for white-noise fidelity")
-    var_f = 2 * omega * nbar_over_q / dt
-    sd_f = math.sqrt(var_f)
-    weights = _force_weights(seq, g, omega, n_steps)
+    if not cases:
+        raise ValueError("cases must not be empty")
+    weights = np.hstack([_scaled_weights(natural, seq, noq) for seq, noq in cases])
 
     n = cfg.n_trajectories
-    samples = np.empty((n, 3))  # Phi, Q, P per trajectory
+    samples = np.empty((n, weights.shape[1]))  # (Phi, Q, P) per trajectory and case
     chunk = 256  # bounds the force block at 8 MB
-    forces = np.empty((min(chunk, n), n_steps))
+    forces = np.empty((min(chunk, n), _N_STEPS))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        f = forces[:stop - start]
-        for i, row in enumerate(f, start):
+        z = forces[:stop - start]
+        for i, row in enumerate(z, start):
             rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=(i << 64)))
             rng.standard_normal(out=row)
-        f *= sd_f  # the same values as normal(0.0, sd_f): numpy draws it as 0.0 + sd_f * z
-        samples[start:stop] = f @ weights
+        samples[start:stop] = z @ weights
 
-    phi = samples[:, 0]
-    qq = samples[:, 1]
-    pp = samples[:, 2]
-    per_traj = np.column_stack([
-        phi * phi / 4,
-        qq * qq,
-        pp * pp,
-        2 * qq * pp,
-        phi * qq,
-        phi * pp,
-    ])
-    mean = per_traj.mean(axis=0)
-    se = per_traj.std(axis=0, ddof=1) / math.sqrt(n)
-    return BathStatistics(*mean, *se)
+    out = []
+    for phi, qq, pp in samples.reshape(n, -1, 3).transpose(1, 2, 0):
+        per_traj = np.column_stack([
+            phi * phi / 4,
+            qq * qq,
+            pp * pp,
+            2 * qq * pp,
+            phi * qq,
+            phi * pp,
+        ])
+        mean = per_traj.mean(axis=0)
+        se = per_traj.std(axis=0, ddof=1) / math.sqrt(n)
+        out.append(BathStatistics(*mean, *se))
+    return out
+
+
+def bath_covariance(natural: NaturalParams, seq: PulseSequence, nbar_over_q: float) -> BathStatistics:
+    """Exact expectations of the thermal_trajectories estimators, without sampling.
+
+    The force is white and Gaussian with per-step variance var_f, and
+    (Phi, Q, P) = f @ W, so their covariance is exactly var_f W^T W on the
+    same 4096-step grid; the standard errors are zero. It differs from the
+    continuum witness.bath_deltas by O(dt^2).
+    """
+    w = _scaled_weights(natural, seq, nbar_over_q)
+    c = w.T @ w  # var_f W^T W over (Phi, Q, P)
+    return BathStatistics(c[0, 0] / 4, c[1, 1], c[2, 2], 2 * c[1, 2], c[0, 1], c[0, 2],
+                          0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

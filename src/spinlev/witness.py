@@ -414,6 +414,9 @@ def max_nbar_for_violation(
     """Largest nbar for which a pulsed-scheme tau exists with violation
     ratio >= threshold; found by bisection on nbar over a log tau grid,
     each step one numpy kernel call over the whole grid."""
+    for x, name in ((g, "g"), (omega, "omega")):
+        if not (math.isfinite(x) and x > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {x!r}")
     taus = np.sqrt(4 * np.geomspace(lam_range[0], lam_range[1], n_grid) / (omega * g))
     lam_eff = pulsed_effective_lambda(g, omega, taus)
 

@@ -341,6 +341,35 @@ class TestConfigNonFinite:
         assert out == "" and not caught
 
 
+class TestConfigOverflow:
+    """Finite config values whose natural-unit form (omega = 2 pi freq_hz,
+    omega_L = 2 pi larmor_hz, g = omega g_over_omega, the phases omega tau and
+    omega t) overflows to infinity."""
+
+    @pytest.mark.parametrize("sub,body,key", [
+        ("witness", {"larmor_hz": 1e308}, "larmor_hz"),
+        ("witness", {"freq_hz": 1e308}, "freq_hz"),
+        ("witness", {"g_over_omega": 1e308}, "g_over_omega"),
+        ("witness", {"mode": "pulsed", "tau_s": 1e308}, "tau_s"),
+        ("witness", {"grid": {"min": 1e-4, "max": 1e308, "n": 5}}, "grid.max"),
+        ("witness", {"grid": {"min": -1e308, "max": 1e-2, "n": 5}}, "grid.min"),
+        ("trajectory", {"g_over_omega": 1e308}, "g_over_omega"),
+        ("trajectory", {"freq_hz": 1e308}, "freq_hz"),
+        ("trajectory", {"tau_s": 1e306}, "tau_s"),
+    ])
+    def test_overflow_after_scaling_exits_2(self, tmp_path, capsys, sub, body, key):
+        code, out, err, caught = run_config(tmp_path, capsys, sub, body)
+        assert code == 2
+        assert key in err and "overflows" in err and "Traceback" not in err
+        assert out == "" and not caught
+
+    def test_nbar_sweep_grid_is_not_a_phase(self, tmp_path, capsys):
+        # only time grids are scaled by omega; a large nbar grid end stays finite here
+        code, _, err, _ = run_config(tmp_path, capsys, "witness",
+                                     {"sweep": "nbar", "grid": {"min": 0.0, "max": 1e6, "n": 3}})
+        assert code == 0, err
+
+
 class TestThreadsDeprecation:
     NOTE = "note: --threads and SPINLEV_THREADS have no effect and will be removed\n"
 

@@ -237,6 +237,121 @@ class TestThermalTrajectories:
         assert dataclasses.astuple(stats) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def _per_case_reference(natural, seq, cfg, nbar_over_q):
+    """One sequence at a time, as thermal_trajectories ran before batching:
+    the force block is scaled by sd_f and multiplied by the unscaled weights."""
+    g, omega = natural.g, natural.omega
+    n_steps = 4096
+    dt = seq.total_time / n_steps
+    sd_f = math.sqrt(2 * omega * nbar_over_q / dt)
+    weights = oracle._force_weights(seq, g, omega, n_steps)
+    n = cfg.n_trajectories
+    samples = np.empty((n, 3))
+    chunk = 256
+    forces = np.empty((min(chunk, n), n_steps))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        f = forces[:stop - start]
+        for i, row in enumerate(f, start):
+            rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=(i << 64)))
+            rng.standard_normal(out=row)
+        f *= sd_f
+        samples[start:stop] = f @ weights
+    phi, qq, pp = samples.T
+    per_traj = np.column_stack([phi * phi / 4, qq * qq, pp * pp, 2 * qq * pp, phi * qq, phi * pp])
+    mean = per_traj.mean(axis=0)
+    se = per_traj.std(axis=0, ddof=1) / math.sqrt(n)
+    return oracle.BathStatistics(*mean, *se)
+
+
+# Ramsey, echo, CP2 and the off-grid custom sequence, each at its own bath strength
+BATCH_CASES = [(ramsey(2.0), 1e-3), (hahn_echo(2.0), 0.2), (carr_purcell2(2.0), 1.0),
+               (OFF_GRID, 0.05)]
+BATCH_TOL = 1e-12  # the sd_f scaling moves from the force block to the weights: rounding only
+
+
+class TestThermalTrajectoriesBatch:
+    @pytest.mark.parametrize("n", [200, 1500])
+    def test_matches_per_case_reference(self, n):
+        natural, cfg = nat(0.25, 1.0), OracleConfig(seed=20250826, n_trajectories=n)
+        got = oracle.thermal_trajectories_batch(natural, BATCH_CASES, cfg)
+        assert len(got) == len(BATCH_CASES)
+        for stats, (seq, noq) in zip(got, BATCH_CASES):
+            ref = _per_case_reference(natural, seq, cfg, noq)
+            assert dataclasses.astuple(stats) == pytest.approx(
+                dataclasses.astuple(ref), rel=BATCH_TOL, abs=0.0), seq.kind.value
+
+    def test_case_does_not_depend_on_its_batch(self):
+        natural, cfg = nat(0.25, 1.0), OracleConfig(seed=7, n_trajectories=300)
+        full = oracle.thermal_trajectories_batch(natural, BATCH_CASES, cfg)
+        backwards = oracle.thermal_trajectories_batch(natural, BATCH_CASES[::-1], cfg)[::-1]
+        for (seq, noq), a, b in zip(BATCH_CASES, full, backwards):
+            alone = thermal_trajectories(natural, seq, cfg, noq)
+            for other in (a, b):
+                assert dataclasses.astuple(other) == pytest.approx(
+                    dataclasses.astuple(alone), rel=BATCH_TOL, abs=0.0)
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def philox(*args, **kwargs):
+            raise AssertionError("a force path was drawn")
+
+        monkeypatch.setattr(np.random, "Philox", philox)
+
+    def test_coarse_case_raises_before_any_draw(self, no_draws):
+        cfg = OracleConfig(seed=1, n_trajectories=100)
+        with pytest.raises(ResolutionError):
+            oracle.thermal_trajectories_batch(
+                nat(0.25, 1.0), [(ramsey(1.0), 0.1), (ramsey(1.0), 1e6)], cfg)
+
+    @pytest.mark.parametrize("noq", [math.nan, math.inf, -0.1])
+    def test_bad_bath_strength_raises_before_any_draw(self, no_draws, noq):
+        # a NaN strength once passed the resolution test and returned NaN statistics
+        cfg = OracleConfig(seed=1, n_trajectories=100)
+        with pytest.raises(ValueError, match="nbar_over_q"):
+            oracle.thermal_trajectories_batch(
+                nat(0.25, 1.0), [(ramsey(1.0), 0.1), (ramsey(1.0), noq)], cfg)
+        with pytest.raises(ValueError, match="nbar_over_q"):
+            oracle.bath_covariance(nat(0.25, 1.0), ramsey(1.0), noq)
+
+    def test_empty_cases_raise(self):
+        with pytest.raises(ValueError, match="cases"):
+            oracle.thermal_trajectories_batch(nat(0.25, 1.0), [], OracleConfig(n_trajectories=100))
+
+    def test_too_few_trajectories_raise(self):
+        with pytest.raises(ValueError, match="n_trajectories"):
+            oracle.thermal_trajectories_batch(nat(0.25, 1.0), [(ramsey(1.0), 0.1)],
+                                              OracleConfig(n_trajectories=99))
+
+
+class TestBathCovariance:
+    @pytest.mark.parametrize("noq", [1e-3, 1.0])
+    @pytest.mark.parametrize("wt", [math.pi / 2, math.pi, 2 * math.pi])
+    def test_matches_bath_deltas_on_verify_configurations(self, noq, wt):
+        # the configurations of check_bath_monte_carlo; the gap is the O(dt^2)
+        # of the 4096-step grid, at most 1.96e-7 of the largest statistic
+        lam, omega = 0.5, 1.0
+        exact = oracle.bath_covariance(nat(lam * omega / 2, omega), ramsey(wt / omega), noq)
+        d = witness.bath_deltas(lam, noq, omega, wt / omega)
+        closed = (d.dvar_sx, d.dq2, d.dp2, d.dqp, d.dsyq, d.dsyp)
+        values = [v for _, v, _ in exact.as_pairs()]
+        scale = max(abs(v) for v in closed)
+        assert max(abs(a - b) for a, b in zip(values, closed)) <= 1e-6 * scale
+        assert all(se == 0.0 for _, _, se in exact.as_pairs())
+
+    def test_monte_carlo_scatters_around_it(self):
+        natural, cfg = nat(0.25, 1.0), OracleConfig(seed=20250826, n_trajectories=1500)
+        mcs = oracle.thermal_trajectories_batch(natural, BATCH_CASES, cfg)
+        for (seq, noq), mc in zip(BATCH_CASES, mcs):
+            exact = oracle.bath_covariance(natural, seq, noq)
+            for (name, v, se), (_, e, _) in zip(mc.as_pairs(), exact.as_pairs()):
+                assert abs(v - e) <= 3 * se, (seq.kind.value, name)
+
+    def test_coarse_grid_raises(self):
+        with pytest.raises(ResolutionError):
+            oracle.bath_covariance(nat(0.25, 1.0), ramsey(1.0), 1e6)
+
+
 class TestGaussianNoiseFactor:
     def test_matches_closed_form_at_moderate_kappa(self):
         for n, kappa in [(100, 0.5), (10000, 1.0)]:

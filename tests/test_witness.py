@@ -392,6 +392,14 @@ class TestGridKernels:
         with pytest.raises(ValueError, match="unphysically large"):
             witness.max_nbar_for_violation(1.0, 1.0, threshold=-1.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("arg", ["g", "omega"])
+    def test_max_nbar_rejects_nonpositive_or_non_finite(self, arg, bad):
+        # g = 0 once gave tau = inf, a NaN lam_eff and a bisection walked to ~0
+        kwargs = {"g": 1.0, "omega": 1.0, arg: bad}
+        with pytest.raises(ValueError, match=f"{arg} must be finite and > 0"):
+            witness.max_nbar_for_violation(**kwargs)
+
     def test_degenerate_grid_point_raises(self):
         grid = witness._moments(0.5, 1.0, 1.0, 0.0, np.array([0.5, 1.0, 2.0]))
         ok = witness._coefficients(grid)
