@@ -13,11 +13,13 @@ losslessly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -45,22 +47,62 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(rows, header, fmt, out):
-    """rows: list of dicts keyed by header names."""
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _cells(col, fmt):
+    """One output column as a list of csv or json cell strings.
+
+    A float array is formatted in one pass: FLOAT_FMT for csv, float.__repr__
+    for json (NaN and +-inf spelled as json writes them). Any other column
+    keeps the per-cell rule: a float gets FLOAT_FMT in csv, anything else
+    str(); json cells are json.dumps of the value. Columns of only str or
+    only int take that rule in one map call.
+    """
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        vals = col.tolist()
+        if fmt == "csv":
+            return list(map(FLOAT_FMT.__mod__, vals))
+        cells = list(map(float.__repr__, vals))
+        if not np.isfinite(col).all():
+            cells = [_JSON_NONFINITE.get(c, c) for c in cells]
+        return cells
+    vals = col.tolist() if isinstance(col, np.ndarray) else list(col)
+    types = set(map(type, vals))
+    if types <= {str}:
+        return vals if fmt == "csv" else list(map(encode_basestring_ascii, vals))
+    if types <= {int}:
+        return list(map(int.__repr__, vals))
     if fmt == "csv":
-        lines = [",".join(header)]
-        for r in rows:
-            cells = []
-            for h in header:
-                v = r[h]
-                if isinstance(v, float):
-                    cells.append(FLOAT_FMT % v)
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
+        return [FLOAT_FMT % v if isinstance(v, float) else str(v) for v in vals]
+    return list(map(json.dumps, vals))
+
+
+def _emit(header, columns, fmt, out):
+    """Write a table given as one column per header name.
+
+    Float columns are float64 arrays; other columns are sequences of
+    scalars (str, int). Each column is converted to text once, and rows are
+    joined from the cell lists. The text is byte-identical to formatting
+    the equivalent row dicts cell by cell (csv) or with
+    json.dumps(rows, indent=2, sort_keys=True) (json).
+    """
+    if not header or len(columns) != len(header):
+        raise ValueError(f"need one column per header name, got {len(columns)} for {len(header)}")
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    if fmt == "csv":
+        cells = [_cells(c, fmt) for c in columns]
+        text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    elif n:
+        order = sorted(range(len(header)), key=header.__getitem__)
+        keys = (encode_basestring_ascii(header[i]).replace("%", "%%") for i in order)
+        row = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
+        rows = map(row.__mod__, zip(*(_cells(columns[i], fmt) for i in order)))
+        text = "[\n" + ",\n".join(rows) + "\n]\n"
     else:
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        text = "[]\n"
     if out:
         _atomic_write(out, text)
     else:
@@ -170,23 +212,19 @@ def cmd_sensitivity(args) -> int:
     n_points = _count(cfg.get("n_points", 200), "n_points", minimum=1)
     nbar_over_q = to_natural(params).nbar / params.quality_factor
     nus = [float(nu) for nu in np.geomspace(nu_min, nu_max, n_points)]
-    rows = []
+    labels, values = [], []
     for kind in kinds:
         seq = pulses.make_sequence(_kind(kind), tau)
         points = sensing.sensitivity_sweep(params, seq, [2 * math.pi * nu for nu in nus])
-        rows += [{
-            "sweep_name": "nu_hz",
-            "sweep_value": nu_hz,
-            "eta_n_per_sqrt_hz": sp.eta,
-            "projection_var": sp.budget.projection_var,
-            "backaction_var": sp.budget.backaction_var,
-            "thermal_var": sp.budget.thermal_var,
-            "sequence": kind,
-            "nbar_over_q": nbar_over_q,
-        } for nu_hz, sp in zip(nus, points)]
+        labels += [kind] * len(points)
+        values += [(nu_hz, sp.eta, sp.budget.projection_var, sp.budget.backaction_var,
+                    sp.budget.thermal_var) for nu_hz, sp in zip(nus, points)]
+    nu_hz, eta, projection, backaction, thermal = np.array(values, dtype=float).reshape(-1, 5).T
     header = ["sweep_name", "sweep_value", "eta_n_per_sqrt_hz", "projection_var",
               "backaction_var", "thermal_var", "sequence", "nbar_over_q"]
-    _emit(rows, header, args.format, args.out)
+    n = len(labels)
+    _emit(header, [["nu_hz"] * n, nu_hz, eta, projection, backaction, thermal, labels,
+                   np.full(n, nbar_over_q)], args.format, args.out)
     return 0
 
 
@@ -202,7 +240,7 @@ def cmd_witness(args) -> int:
         _scaled(lo, omega, "grid.min")
         _scaled(hi, omega, "grid.max")
     n = _count(grid_cfg.get("n", 2000), "grid.n")
-    grid = list(np.linspace(lo, hi, n))
+    grid = np.linspace(lo, hi, n)
     lam = _finite(cfg.get("lam", 0.5), "lam")
     g = _scaled(cfg.get("g_over_omega", 1.0), omega, "g_over_omega")
     omega_l = _scaled(cfg.get("larmor_hz", 0.0), 2 * math.pi, "larmor_hz")
@@ -211,22 +249,25 @@ def cmd_witness(args) -> int:
     nbar = _finite(cfg.get("nbar", 0.0), "nbar")
     nbar_over_q = _finite(cfg.get("nbar_over_q", 0.0), "nbar_over_q")
     try:
-        scan = witness.violation_scan(
-            mode, sweep, grid, lam=lam, g=g, omega=omega, omega_l=omega_l, tau=tau,
-            nbar=nbar, nbar_over_q=nbar_over_q, initial=cfg.get("initial", "ground"),
-        )
+        with np.errstate(all="ignore"):  # overflow shows as non-finite output, checked below
+            scan = witness.violation_scan(
+                mode, sweep, grid, lam=lam, g=g, omega=omega, omega_l=omega_l, tau=tau,
+                nbar=nbar, nbar_over_q=nbar_over_q, initial=cfg.get("initial", "ground"),
+            )
+            bad = ~(np.isfinite(scan.w_b) & np.isfinite(scan.w_en) & np.isfinite(scan.w_ratio))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = [{
-        "sweep_name": scan.sweep_name,
-        "sweep_value": p.sweep_value,
-        "w_b": p.w_b,
-        "w_en": p.w_en,
-        "w_ratio": p.w_ratio,
-        "log10_w_ratio": p.log10_w_ratio,
-    } for p in scan.points]
+    if bad.any():
+        inputs = {"mode": mode, "sweep": sweep, "lam": lam, "g_over_omega": cfg.get("g_over_omega", 1.0),
+                  "nbar": nbar, "nbar_over_q": nbar_over_q, "larmor_hz": cfg.get("larmor_hz", 0.0),
+                  "tau_s": tau}
+        raise ConfigError(
+            f"witness scan is not finite at {int(bad.sum())} of {bad.size} grid points "
+            f"(first at {sweep} = {scan.sweep_value[bad][0].item()!r}); the kernels overflow at "
+            + ", ".join(f"{k} = {v!r}" for k, v in inputs.items()))
     header = ["sweep_name", "sweep_value", "w_b", "w_en", "w_ratio", "log10_w_ratio"]
-    _emit(rows, header, args.format, args.out)
+    _emit(header, [[scan.sweep_name] * len(grid), scan.sweep_value, scan.w_b, scan.w_en, scan.w_ratio,
+                   scan.log10_w_ratio], args.format, args.out)
     landmarks = {"tau_asymp": scan.tau_asymp, "tau_star": scan.tau_star,
                  "max_nbar": scan.max_nbar}
     land_path = (args.out + ".landmarks.json") if args.out else None
@@ -243,7 +284,7 @@ def cmd_table(args) -> int:
     omega = 1.0
     wt = float(cfg.get("omega_tau", 0.1))
     tau = wt / omega
-    rows = []
+    labels, quantities, values = [], [], []
     for kind in (SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2):
         seq = pulses.make_sequence(kind, tau)
         lead = pulses.leading_order_row(kind, omega, tau)
@@ -260,16 +301,14 @@ def cmd_table(args) -> int:
             ("g_star_scale", lead.g_star_scale,
              sensing.optimal_coupling(kind, omega, tau, 0.25)),
         ):
-            rows.append({
-                "sequence": kind.value,
-                "omega_tau": wt,
-                "quantity": quantity,
-                "leading_order": float(leading),
-                "exact": float(exact),
-                "ratio": float(exact / leading) if leading else float("nan"),
-            })
+            labels.append(kind.value)
+            quantities.append(quantity)
+            values.append((float(leading), float(exact),
+                           float(exact / leading) if leading else float("nan")))
+    leading_col, exact_col, ratio_col = np.array(values).T
     header = ["sequence", "omega_tau", "quantity", "leading_order", "exact", "ratio"]
-    _emit(rows, header, args.format, args.out)
+    _emit(header, [labels, np.full(len(labels), wt), quantities, leading_col, exact_col, ratio_col],
+          args.format, args.out)
     return 0
 
 
@@ -282,15 +321,17 @@ def cmd_trajectory(args) -> int:
     n_samples = _count(cfg.get("n_samples", 200), "n_samples")
     kinds = cfg.get("sequences", [k.value for k in
                                   (SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2)])
-    rows = []
+    labels, branches, samples = [], [], []
     for kind in kinds:
         seq = pulses.make_sequence(_kind(kind), tau)
         for branch in (0, 1):
-            for t, x, p in dynamics.trajectory(seq, g, omega, branch, n_samples):
-                rows.append({"sequence": kind, "branch": branch,
-                             "t_s": t, "x_ho_units": x, "p_ho_units": p})
+            pts = dynamics.trajectory(seq, g, omega, branch, n_samples)
+            labels += [kind] * len(pts)
+            branches += [branch] * len(pts)
+            samples += pts
+    t, x, p = np.array(samples, dtype=float).reshape(-1, 3).T
     header = ["sequence", "branch", "t_s", "x_ho_units", "p_ho_units"]
-    _emit(rows, header, args.format, args.out)
+    _emit(header, [labels, branches, t, x, p], args.format, args.out)
     return 0
 
 
@@ -324,27 +365,35 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     _add_global_flags(common)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn, desc in (
-        ("sensitivity", cmd_sensitivity, "force sensitivity frequency sweep"),
-        ("witness", cmd_witness, "entanglement-witness violation scan"),
-        ("table", cmd_table, "leading-order vs exact sequence table"),
-        ("trajectory", cmd_trajectory, "branch phase-space trajectories"),
-        ("verify", cmd_verify, "run the self-verification suite"),
+    for name, desc in (
+        ("sensitivity", "force sensitivity frequency sweep"),
+        ("witness", "entanglement-witness violation scan"),
+        ("table", "leading-order vs exact sequence table"),
+        ("trajectory", "branch phase-space trajectories"),
+        ("verify", "run the self-verification suite"),
     ):
-        sub.add_parser(name, help=desc, parents=[common]).set_defaults(fn=fn)
+        sub.add_parser(name, help=desc, parents=[common])
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built on its first call: parse_args keeps no
+    state in the parser, so one serves every call in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         threads_given = args.threads is not None or bool(os.environ.get("SPINLEV_THREADS"))
         args.threads = _threads(args)
         if threads_given:
             print("note: --threads and SPINLEV_THREADS have no effect and will be removed",
                   file=sys.stderr)
-        return args.fn(args)
+        # looked up at call time, so a wrapped or patched cmd_* function
+        # takes effect although the parser was built before
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigError, ParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

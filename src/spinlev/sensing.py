@@ -171,7 +171,8 @@ def sensitivity_sweep(
     eta = sqrt(NSR(nu) (tau + t_c)) * hbar / x0, with the coupling set to the
     projection/backaction balance point unless given explicitly. Only the
     kernel transform depends on nu; the coupling, backaction, thermal
-    variance and kernel pieces are computed once for the sequence.
+    variance and kernel pieces are computed once for the sequence. Raises
+    ValueError when the thermal variance is not finite (e.g. Q = 1e-300).
     """
     nat = to_natural(params)
     omega, tau = nat.omega, seq.total_time
@@ -180,6 +181,8 @@ def sensitivity_sweep(
     delta_n = pulses.residual_displacement(seq, g, omega)[1]
     nbar_over_q = nat.nbar / params.quality_factor
     v_th = thermal_phase_variance(seq, g, omega, nbar_over_q) if include_thermal else 0.0
+    if not math.isfinite(v_th):
+        raise ValueError(f"thermal phase variance is not finite ({v_th!r}) at nbar/Q = {nbar_over_q!r}")
     pieces = pulses._kernel_pieces(seq, g, omega)
     points = []
     for nu in nus:

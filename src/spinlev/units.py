@@ -103,10 +103,15 @@ def nbar_from_temperature(temperature: float, omega: float) -> float:
 
 
 def oscillator_length(mass: float, omega: float) -> float:
-    """x0 = sqrt(hbar / (2 m omega))."""
+    """x0 = sqrt(hbar / (2 m omega)); raises ParameterError when x0 underflows
+    to 0 or overflows (e.g. mass 1e300 kg)."""
     _finite_positive("mass", mass)
     _finite_positive("omega", omega)
-    return math.sqrt(HBAR / (2.0 * mass * omega))
+    denom = 2.0 * mass * omega
+    x0 = math.sqrt(HBAR / denom) if denom > 0 else math.inf
+    _require(math.isfinite(x0) and x0 > 0, f"oscillator length x0 = {x0!r} m is not finite and > 0 "
+                                           f"at mass {mass!r} kg, omega {omega!r} rad/s")
+    return x0
 
 
 def to_natural(p: PhysicalParams) -> NaturalParams:

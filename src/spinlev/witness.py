@@ -313,13 +313,28 @@ class ScanPoint:
     log10_w_ratio: float
 
 
-@dataclass(frozen=True)
+_SCAN_FIELDS = ("sweep_value", "w_b", "w_en", "w_ratio", "log10_w_ratio")
+
+
+@dataclass(frozen=True, eq=False)
 class ScanResult:
+    """A violation scan: one read-only float64 array per ScanPoint field, and
+    the landmarks as Python floats (None where the scan has none)."""
+
     sweep_name: str
-    points: tuple
+    sweep_value: np.ndarray
+    w_b: np.ndarray
+    w_en: np.ndarray
+    w_ratio: np.ndarray
+    log10_w_ratio: np.ndarray
     tau_asymp: Optional[float]  # first grid point with w_ratio <= 0 after a positive one
     tau_star: Optional[float]  # interpolated crossing of w_ratio = 1e-3
     max_nbar: Optional[float]  # tau_star alias for nbar sweeps
+
+    @property
+    def points(self) -> tuple:
+        """The scan as a tuple of ScanPoint records of Python floats."""
+        return tuple(map(ScanPoint, *(getattr(self, f).tolist() for f in _SCAN_FIELDS)))
 
 
 RATIO_THRESHOLD = 1e-3
@@ -349,18 +364,22 @@ def violation_scan(
 
     The whole grid is one call of the numpy kernel, so each point agrees
     with the one-point functions (thermal_wb, thermal_wen, bath_witness)
-    to within 1e-13 relative rather than bit for bit. Every ScanPoint
-    field is a Python float.
+    to within 1e-13 relative rather than bit for bit. The result holds one
+    float64 array per ScanPoint field (`points` builds the records on
+    demand); log10_w_ratio is math.log10 of each positive ratio and -inf
+    elsewhere. The landmarks are found by index searches on w_ratio and
+    interpolated in Python floats between the two bracketing points. Inputs
+    so large that the kernels overflow give NaN or inf entries, not an
+    error; callers that need finite output check the arrays.
     """
     if mode not in ("pulseless", "pulsed"):
         raise ValueError("mode must be 'pulseless' or 'pulsed'")
     if sweep not in ("t", "nbar"):
         raise ValueError("sweep must be 't' or 'nbar'")
-    grid = [float(x) for x in grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+    x = np.array(grid, dtype=float)
+    if x.ndim != 1 or not x.size or np.any(x[1:] <= x[:-1]):
         raise ValueError("grid must be nonempty and sorted increasing")
 
-    x = np.array(grid)
     if mode == "pulsed":
         lam_eff = pulsed_effective_lambda(g, omega, x if sweep == "t" else tau)
         t = math.pi / omega
@@ -372,28 +391,25 @@ def violation_scan(
         w_b, w_en = _bath(lam_eff, nb, nbar_over_q, omega, omega_l, t, initial)
     else:
         w_b, w_en = _thermal(lam_eff, nb, omega, omega_l, t)
-    w_b, w_en = np.broadcast_arrays(w_b, w_en, x)[:2]  # a ground-start nbar sweep is one point
+    # a ground-start nbar sweep is one point
+    w_b, w_en = (np.broadcast_to(np.asarray(w, dtype=float), x.shape).copy() for w in (w_b, w_en))
     ratio = (w_b - w_en) / w_b
-    points = [
-        ScanPoint(xv, b, e, r, math.log10(r) if r > 0 else float("-inf"))
-        for xv, b, e, r in zip(grid, w_b.tolist(), w_en.tolist(), ratio.tolist())
-    ]
+    positive = ratio > 0
+    log10_ratio = np.full(x.shape, -math.inf)
+    # math.log10, not np.log10: numpy rounds the last bit differently for some ratios
+    log10_ratio[positive] = list(map(math.log10, ratio[positive].tolist()))
+    for a in (x, w_b, w_en, ratio, log10_ratio):
+        a.flags.writeable = False
 
-    # asymptote = sign change on the grid: the first nonpositive point after
-    # a positive one; an identically nonpositive scan has no landmark
-    asymp = None
-    seen_positive = False
-    for p in points:
-        if p.w_ratio > 0:
-            seen_positive = True
-        elif seen_positive:
-            asymp = p.sweep_value
-            break
-    star = _first_crossing(points, RATIO_THRESHOLD)
+    star = _first_crossing(x, ratio, RATIO_THRESHOLD)
     return ScanResult(
         sweep_name=sweep,
-        points=tuple(points),
-        tau_asymp=asymp,
+        sweep_value=x,
+        w_b=w_b,
+        w_en=w_en,
+        w_ratio=ratio,
+        log10_w_ratio=log10_ratio,
+        tau_asymp=_asymptote(x, positive),
         tau_star=star if sweep == "t" else None,
         max_nbar=star if sweep == "nbar" else None,
     )
@@ -438,10 +454,23 @@ def max_nbar_for_violation(
     return (lo + hi) / 2
 
 
-def _first_crossing(points, level):
+def _asymptote(x, positive) -> Optional[float]:
+    """Sign change on the grid: the first point with w_ratio not > 0 (NaN
+    included) after a positive one; an identically nonpositive scan has none."""
+    first = int(np.argmax(positive))
+    if not positive[first]:
+        return None
+    after = np.flatnonzero(~positive[first:])
+    return float(x[first + after[0]]) if after.size else None
+
+
+def _first_crossing(x, ratio, level) -> Optional[float]:
     """First downward crossing of w_ratio through level, linearly interpolated."""
-    for p0, p1 in zip(points, points[1:]):
-        if p0.w_ratio > level >= p1.w_ratio:
-            frac = (p0.w_ratio - level) / (p0.w_ratio - p1.w_ratio)
-            return p0.sweep_value + frac * (p1.sweep_value - p0.sweep_value)
-    return None
+    hits = np.flatnonzero((ratio[:-1] > level) & (ratio[1:] <= level))
+    if not hits.size:
+        return None
+    i = int(hits[0])
+    x0, x1 = x[i].item(), x[i + 1].item()
+    r0, r1 = ratio[i].item(), ratio[i + 1].item()
+    frac = (r0 - level) / (r0 - r1)
+    return x0 + frac * (x1 - x0)

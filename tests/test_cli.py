@@ -1,14 +1,19 @@
 """CLI contract: schemas, exit codes, determinism, config handling."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinlev import cli, verify
+from spinlev import cli, dynamics, pulses, sensing, verify, witness
+from spinlev.pulses import SequenceKind
+from spinlev.units import REFERENCE_DEVICE, params_from_dict, to_natural
 
 
 def run_cli(argv, capsys):
@@ -397,3 +402,219 @@ class TestThreadsDeprecation:
             assert err == (self.NOTE if flag else "")
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
+
+
+# ---------------------------------------------------------------------------
+# Columnar output: cli._emit against the row-dict writer it replaced.
+
+
+def reference_emit(rows, header, fmt):
+    """The text cli._emit wrote from a list of row dicts keyed by header names."""
+    if fmt == "csv":
+        lines = [",".join(header)]
+        for r in rows:
+            cells = []
+            for h in header:
+                v = r[h]
+                if isinstance(v, float):
+                    cells.append(cli.FLOAT_FMT % v)
+                else:
+                    cells.append(str(v))
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
+    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+def emit_text(header, columns, fmt):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(header, columns, fmt, None)
+    return buf.getvalue()
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+INTS = st.integers(-10 ** 20, 10 ** 20)
+TEXTS = st.one_of(st.sampled_from(["a,b", 'say "hi"', "two\nlines", "naïve", "∂x/∂t", "%s", ""]),
+                  st.text(max_size=12))
+NAMES = st.one_of(st.sampled_from(["100%", '"q"', "%s", "%(x)s", "w_b", "é"]), st.text(max_size=8))
+
+
+class TestEmitColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), header=st.lists(NAMES, min_size=1, max_size=6, unique=True),
+           n=st.integers(0, 50), fmt=st.sampled_from(["csv", "json"]))
+    def test_matches_row_dict_writer(self, data, header, n, fmt):
+        columns, values = [], []
+        for _ in header:
+            kind = data.draw(st.sampled_from(["float", "int", "str", "mixed"]))
+            if kind == "float":
+                vals = data.draw(st.lists(FLOATS, min_size=n, max_size=n))
+                columns.append(np.array(vals, dtype=float))
+            else:
+                cell = {"int": INTS, "str": TEXTS, "mixed": st.one_of(FLOATS, INTS, TEXTS)}[kind]
+                vals = data.draw(st.lists(cell, min_size=n, max_size=n))
+                columns.append(vals)
+            values.append(vals)
+        rows = [dict(zip(header, cells)) for cells in zip(*values)]
+        assert emit_text(header, columns, fmt) == reference_emit(rows, header, fmt)
+
+    @pytest.mark.parametrize("fmt,text", [("csv", "a,b\n"), ("json", "[]\n")])
+    def test_empty_table(self, fmt, text):
+        assert emit_text(["a", "b"], [np.array([]), []], fmt) == text
+
+    def test_ragged_columns_raise(self):
+        with pytest.raises(ValueError, match="length"):
+            emit_text(["a", "b"], [np.zeros(3), ["x", "y"]], "csv")
+        with pytest.raises(ValueError, match="one column per header"):
+            emit_text(["a", "b"], [np.zeros(3)], "json")
+
+
+SENSITIVITY_CFG = {**REFERENCE_DEVICE, "tau_s": 2e-4, "nu_min_hz": 3.0, "nu_max_hz": 3e4,
+                   "n_points": 7, "larmor_hz": 2.0}
+WITNESS_CFG = {"mode": "pulseless", "sweep": "t", "freq_hz": 50.0, "lam": 0.7, "nbar": 0.4,
+               "nbar_over_q": 3e-3, "initial": "thermal", "larmor_hz": 3.0,
+               "grid": {"min": 1e-4, "max": 0.1, "n": 120}}
+TRAJECTORY_CFG = {"freq_hz": 80.0, "g_over_omega": 0.7, "tau_s": 0.004, "n_samples": 9,
+                  "sequences": ["carr_purcell2", "ramsey"]}
+TABLE_CFG = {"omega_tau": 0.7}
+KINDS = ["ramsey", "hahn_echo", "carr_purcell2"]
+
+
+def reference_rows(sub):
+    """(rows, header, landmarks) of one subcommand at its config above, built
+    row by row from the public API as the row-dict CLI built them."""
+    if sub == "sensitivity":
+        cfg = SENSITIVITY_CFG
+        params = params_from_dict(cfg)
+        nbar_over_q = to_natural(params).nbar / params.quality_factor
+        nus = [float(nu) for nu in np.geomspace(cfg["nu_min_hz"], cfg["nu_max_hz"], cfg["n_points"])]
+        rows = []
+        for kind in KINDS:
+            seq = pulses.make_sequence(kind, cfg["tau_s"])
+            points = sensing.sensitivity_sweep(params, seq, [2 * math.pi * nu for nu in nus])
+            rows += [{"sweep_name": "nu_hz", "sweep_value": nu, "eta_n_per_sqrt_hz": sp.eta,
+                      "projection_var": sp.budget.projection_var,
+                      "backaction_var": sp.budget.backaction_var,
+                      "thermal_var": sp.budget.thermal_var, "sequence": kind,
+                      "nbar_over_q": nbar_over_q} for nu, sp in zip(nus, points)]
+        header = ["sweep_name", "sweep_value", "eta_n_per_sqrt_hz", "projection_var",
+                  "backaction_var", "thermal_var", "sequence", "nbar_over_q"]
+        return rows, header, None
+    if sub == "witness":
+        cfg = WITNESS_CFG
+        omega = 2 * math.pi * cfg["freq_hz"]
+        grid = list(np.linspace(cfg["grid"]["min"], cfg["grid"]["max"], cfg["grid"]["n"]))
+        scan = witness.violation_scan(
+            cfg["mode"], cfg["sweep"], grid, lam=cfg["lam"], g=omega, omega=omega,
+            omega_l=2 * math.pi * cfg["larmor_hz"], tau=0.1 * math.pi / omega, nbar=cfg["nbar"],
+            nbar_over_q=cfg["nbar_over_q"], initial=cfg["initial"])
+        rows = [{"sweep_name": scan.sweep_name, "sweep_value": p.sweep_value, "w_b": p.w_b,
+                 "w_en": p.w_en, "w_ratio": p.w_ratio, "log10_w_ratio": p.log10_w_ratio}
+                for p in scan.points]
+        header = ["sweep_name", "sweep_value", "w_b", "w_en", "w_ratio", "log10_w_ratio"]
+        landmarks = {"tau_asymp": scan.tau_asymp, "tau_star": scan.tau_star,
+                     "max_nbar": scan.max_nbar}
+        return rows, header, landmarks
+    if sub == "trajectory":
+        cfg = TRAJECTORY_CFG
+        omega = 2 * math.pi * cfg["freq_hz"]
+        rows = []
+        for kind in cfg["sequences"]:
+            seq = pulses.make_sequence(kind, cfg["tau_s"])
+            for branch in (0, 1):
+                for t, x, p in dynamics.trajectory(seq, cfg["g_over_omega"] * omega, omega, branch,
+                                                   cfg["n_samples"]):
+                    rows.append({"sequence": kind, "branch": branch, "t_s": t,
+                                 "x_ho_units": x, "p_ho_units": p})
+        return rows, ["sequence", "branch", "t_s", "x_ho_units", "p_ho_units"], None
+    wt = TABLE_CFG["omega_tau"]
+    rows = []
+    for kind in map(SequenceKind, KINDS):
+        seq = pulses.make_sequence(kind, wt)
+        lead = pulses.leading_order_row(kind, 1.0, wt)
+        for quantity, leading, exact in (
+            ("phi_per_gf", lead.phi_per_gf, abs(pulses.dc_phase(seq, 1.0, 1.0))),
+            ("delta_n_per_g2", lead.delta_n_per_g2, pulses.residual_displacement(seq, 1.0, 1.0)[1]),
+            ("zeta_per_g2", abs(pulses.zeta_closed_form(kind, 1.0, 1.0, wt)),
+             abs(pulses.squeezing_parameter(seq, 1.0, 1.0))),
+            ("force_sql_scale", lead.force_sql_scale, sensing.force_sql(kind, 1.0, wt, 1.0)),
+            ("g_star_scale", lead.g_star_scale, sensing.optimal_coupling(kind, 1.0, wt, 0.25)),
+        ):
+            rows.append({"sequence": kind.value, "omega_tau": wt, "quantity": quantity,
+                         "leading_order": float(leading), "exact": float(exact),
+                         "ratio": float(exact / leading) if leading else float("nan")})
+    return rows, ["sequence", "omega_tau", "quantity", "leading_order", "exact", "ratio"], None
+
+
+class TestColumnarOutputBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("sub,cfg", [("sensitivity", SENSITIVITY_CFG), ("witness", WITNESS_CFG),
+                                         ("trajectory", TRAJECTORY_CFG), ("table", TABLE_CFG)])
+    def test_file_equals_row_dict_output(self, tmp_path, capsys, sub, cfg, fmt):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"out.{fmt}"
+        code, _, err = run_cli([sub, "--config", str(path), "--out", str(out), "--format", fmt],
+                               capsys)
+        assert code == 0, err
+        rows, header, landmarks = reference_rows(sub)
+        assert out.read_bytes() == reference_emit(rows, header, fmt).encode()
+        if landmarks is not None:
+            sidecar = tmp_path / f"out.{fmt}.landmarks.json"
+            assert sidecar.read_text() == json.dumps(landmarks, indent=2, sort_keys=True) + "\n"
+
+
+class TestWitnessOverflow:
+    """Finite inputs whose witness kernels overflow to NaN or inf."""
+
+    @pytest.mark.parametrize("body,key", [
+        ({"lam": 1e200}, "lam"),
+        ({"nbar": 1e308}, "nbar"),
+        ({"nbar_over_q": 1e308}, "nbar_over_q"),
+        ({"mode": "pulsed", "g_over_omega": 1e300}, "g_over_omega"),
+    ])
+    def test_non_finite_scan_exits_2(self, tmp_path, capsys, body, key):
+        code, out, err, caught = run_config(tmp_path, capsys, "witness", body)
+        assert code == 2
+        assert err.startswith("error:") and "not finite" in err
+        assert f"{key} = {body[key]!r}" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert out == "" and not caught
+
+
+class TestSensitivityExtremeDevice:
+    def test_mass_underflowing_x0_exits_2(self, tmp_path, capsys):
+        code, out, err, caught = run_config(tmp_path, capsys, "sensitivity", {"mass_kg": 1e300})
+        assert code == 2
+        assert "x0" in err and "mass" in err and "Traceback" not in err
+        assert out == "" and not caught
+
+    def test_infinite_thermal_variance_exits_2(self, tmp_path, capsys):
+        code, out, err, caught = run_config(tmp_path, capsys, "sensitivity", {"q_factor": 1e-300})
+        assert code == 2
+        assert "thermal" in err and "not finite" in err and "Traceback" not in err
+        assert out == "" and not caught
+
+
+class TestCachedParser:
+    def test_no_state_carries_between_calls(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SPINLEV_THREADS", raising=False)
+        seen = []
+        monkeypatch.setattr(verify, "run_checks",
+                            lambda seed, threads: seen.append(seed) or {"all_pass": True})
+        out = tmp_path / "t.json"
+        code, stdout, err = run_cli(["table", "--format", "json", "--out", str(out),
+                                     "--threads", "2"], capsys)
+        assert code == 0 and stdout == ""
+        assert err == TestThreadsDeprecation.NOTE
+        json.loads(out.read_text())
+        code, stdout, err = run_cli(["table"], capsys)
+        assert code == 0 and err == ""
+        assert stdout.startswith("sequence,omega_tau,")  # csv, on stdout
+        code, _, err = run_cli(["table", "--threads", "3"], capsys)
+        assert code == 0 and err == TestThreadsDeprecation.NOTE
+        for argv in (["verify", "--seed", "5"], ["verify"]):
+            run_cli(argv, capsys)
+        assert seen == [5, verify.DEFAULT_SEED]
+        assert cli.build_parser() is not cli.build_parser()

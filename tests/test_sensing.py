@@ -288,6 +288,13 @@ class TestSensitivitySweep:
         with pytest.raises(ValueError, match="finite"):
             force_sensitivity(self.REF, seq, bad)
 
+    def test_infinite_thermal_variance_raises(self):
+        p = self.REF.with_(quality_factor=1e-300)  # nbar/Q = 1e306
+        with pytest.raises(ValueError, match="thermal phase variance is not finite"):
+            sensitivity_sweep(p, carr_purcell2(1e-4), [2 * math.pi * 10.0])
+        sweep = sensitivity_sweep(p, carr_purcell2(1e-4), [2 * math.pi * 10.0], include_thermal=False)
+        assert math.isfinite(sweep[0].eta)
+
 
 class TestForceSqlZero:
     def test_refocused_ramsey_raises(self):

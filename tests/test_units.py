@@ -109,6 +109,12 @@ class TestOscillatorLength:
             oscillator_length(1e-15, 1.0) / 2, rel=1e-14
         )
 
+    @pytest.mark.parametrize("mass,omega", [(1e300, 2 * math.pi * 100), (1e-300, 1e-300)])
+    def test_underflow_or_overflow_raises(self, mass, omega):
+        # hbar / (2 m omega) underflows to 0 (and sqrt(0) = 0) or overflows to inf
+        with pytest.raises(ParameterError, match="x0"):
+            oscillator_length(mass, omega)
+
 
 class TestParamsFromDict:
     def test_minimal(self):

@@ -409,3 +409,91 @@ class TestGridKernels:
                                        cov_qp=np.array([0.0, 0.0, 0.0]))
         with pytest.raises(DegenerateMomentsError):
             witness._coefficients(singular)
+
+
+# ---------------------------------------------------------------------------
+# Landmarks: the index searches on the w_ratio array against the scalar
+# loops over ScanPoint records that they replaced.
+
+
+def ref_asymptote(points):
+    seen_positive = False
+    for p in points:
+        if p.w_ratio > 0:
+            seen_positive = True
+        elif seen_positive:
+            return p.sweep_value
+    return None
+
+
+def ref_first_crossing(points, level):
+    for p0, p1 in zip(points, points[1:]):
+        if p0.w_ratio > level >= p1.w_ratio:
+            frac = (p0.w_ratio - level) / (p0.w_ratio - p1.w_ratio)
+            return p0.sweep_value + frac * (p1.sweep_value - p0.sweep_value)
+    return None
+
+
+RATIOS = st.one_of(
+    st.sampled_from([1e-3, 0.0, -0.0, -1e-3, 2e-3, math.nextafter(1e-3, 1), math.nan, 5e-324]),
+    st.floats(-1.0, 1.0),
+)
+RATIO_LISTS = st.one_of(
+    st.lists(RATIOS, min_size=1, max_size=30),
+    st.lists(st.floats(5e-324, 1.0), min_size=1, max_size=30),  # all positive
+    st.lists(st.floats(max_value=0.0), min_size=1, max_size=30),  # all nonpositive
+)
+
+
+class TestScanLandmarks:
+    @settings(max_examples=500, deadline=None)
+    @given(ratios=RATIO_LISTS, start=st.floats(-10.0, 10.0), data=st.data())
+    def test_index_search_equals_scalar_loop(self, ratios, start, data):
+        steps = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=len(ratios), max_size=len(ratios)))
+        x = start + np.cumsum(steps)
+        assume(np.all(np.diff(x) > 0))
+        ratio = np.array(ratios)
+        points = [witness.ScanPoint(xv, 1.0, 1.0, r, 0.0) for xv, r in zip(x.tolist(), ratios)]
+        assert witness._asymptote(x, ratio > 0) == ref_asymptote(points)
+        got = witness._first_crossing(x, ratio, witness.RATIO_THRESHOLD)
+        ref = ref_first_crossing(points, witness.RATIO_THRESHOLD)
+        assert got == ref
+        assert got is None or type(got) is float
+
+    @settings(max_examples=200, deadline=None)
+    @given(mode=st.sampled_from(["pulseless", "pulsed"]), sweep=st.sampled_from(["t", "nbar"]),
+           noq=st.sampled_from([0.0, 3e-3, 0.05]), initial=st.sampled_from(["ground", "thermal"]),
+           lam=st.floats(0.0, 2.0), g_over_omega=st.floats(0.0, 3.0), w_tau=st.floats(0.01, 4.0),
+           nbar=st.floats(0.0, 5.0), lo=st.floats(0.0, 10.0), span=st.floats(1e-3, 20.0),
+           n=st.integers(1, 60))
+    def test_scan_landmarks_equal_scalar_loop(self, mode, sweep, noq, initial, lam, g_over_omega,
+                                              w_tau, nbar, lo, span, n):
+        # n = 1 gives one-point grids; noq > 0 with "ground" gives constant nbar sweeps
+        grid = np.linspace(lo, lo + span, n)
+        assume(np.all(np.diff(grid) > 0))
+        res = violation_scan(mode, sweep, grid, lam=lam, g=g_over_omega, omega=1.0,
+                             tau=w_tau, nbar=nbar, nbar_over_q=noq, initial=initial)
+        points = res.points
+        assert res.tau_asymp == ref_asymptote(points)
+        star = ref_first_crossing(points, witness.RATIO_THRESHOLD)
+        assert (res.tau_star, res.max_nbar) == ((star, None) if sweep == "t" else (None, star))
+
+    @pytest.mark.parametrize("sweep,noq,initial", [("t", 0.0, "ground"), ("nbar", 1e-3, "ground"),
+                                                   ("nbar", 1e-3, "thermal")])
+    def test_points_are_python_floats_equal_to_arrays(self, sweep, noq, initial):
+        res = violation_scan("pulseless", sweep, np.linspace(0.0, 4.0, 40), lam=0.5,
+                             nbar_over_q=noq, initial=initial)
+        points = res.points
+        assert isinstance(points, tuple) and len(points) == 40
+        for field in ("sweep_value", "w_b", "w_en", "w_ratio", "log10_w_ratio"):
+            arr = getattr(res, field)
+            assert arr.dtype == np.float64 and arr.shape == (40,) and not arr.flags.writeable
+            vals = [getattr(p, field) for p in points]
+            assert all(type(v) is float for v in vals)
+            assert vals == arr.tolist()
+
+    def test_one_point_ground_nbar_sweep(self):
+        # the ground-start bath kernel does not depend on nbar: one value for the grid
+        res = violation_scan("pulseless", "nbar", [2.0], lam=0.5, nbar_over_q=1e-3)
+        assert res.sweep_value.tolist() == [2.0] and res.w_b.shape == (1,)
+        assert res.tau_asymp is None and res.max_nbar is None
