@@ -2,9 +2,7 @@ r"""Command-line interface.
 
 Subcommands: sensitivity, witness, table, trajectory, verify. Global flags:
 --config <path> (JSON parameters), --out <path>, --format csv|json,
---seed <u64> (read by verify only), --threads <n> (falls back to the
-SPINLEV_THREADS environment variable; validated, but without effect and
-deprecated: giving either prints a note on stderr).
+--seed <u64> (read by verify only).
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 All file writes are atomic (temp file + rename) and floats are serialized
 losslessly.
@@ -146,18 +144,6 @@ def _load_config(path, allowed=frozenset()):
     return _check_keys(cfg, allowed)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SPINLEV_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"SPINLEV_THREADS is not an integer: {env!r}") from exc
-    return 1
-
-
 def _count(value, key: str, minimum=None) -> int:
     """An integral config count (JSON 3 or 3.0); anything else exits 2 naming the key."""
     try:
@@ -187,11 +173,20 @@ def _scaled(value, scale: float, key: str, positive: bool = False) -> float:
     return x
 
 
-def _kind(name: str) -> SequenceKind:
-    try:
-        return SequenceKind(name)
-    except ValueError as exc:
-        raise ConfigError(f"unknown sequence {name!r}") from exc
+def _sequences(cfg, tau: float):
+    """(name, PulseSequence) for each name in the config's "sequences" list,
+    by default the named kinds; anything but a list of known names exits 2."""
+    names = cfg.get("sequences", [k.value for k in pulses.NAMED_KINDS])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ConfigError(f"sequences must be a list of sequence names, got {names!r}")
+    out = []
+    for name in names:
+        try:
+            kind = SequenceKind(name)
+        except ValueError as exc:
+            raise ConfigError(f"unknown sequence {name!r}") from exc
+        out.append((name, pulses.make_sequence(kind, tau)))
+    return out
 
 
 def cmd_sensitivity(args) -> int:
@@ -202,8 +197,6 @@ def cmd_sensitivity(args) -> int:
         merged.pop("nbar", None)
     params = params_from_dict(merged)
     tau = float(cfg.get("tau_s", 1e-4))
-    kinds = cfg.get("sequences", [k.value for k in
-                                  (SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2)])
     nu_min = float(cfg.get("nu_min_hz", 1.0))
     nu_max = float(cfg.get("nu_max_hz", 1e5))
     if not (math.isfinite(nu_min) and math.isfinite(nu_max) and 0 < nu_min < nu_max):
@@ -213,10 +206,9 @@ def cmd_sensitivity(args) -> int:
     nbar_over_q = to_natural(params).nbar / params.quality_factor
     nus = [float(nu) for nu in np.geomspace(nu_min, nu_max, n_points)]
     labels, values = [], []
-    for kind in kinds:
-        seq = pulses.make_sequence(_kind(kind), tau)
+    for name, seq in _sequences(cfg, tau):
         points = sensing.sensitivity_sweep(params, seq, [2 * math.pi * nu for nu in nus])
-        labels += [kind] * len(points)
+        labels += [name] * len(points)
         values += [(nu_hz, sp.eta, sp.budget.projection_var, sp.budget.backaction_var,
                     sp.budget.thermal_var) for nu_hz, sp in zip(nus, points)]
     nu_hz, eta, projection, backaction, thermal = np.array(values, dtype=float).reshape(-1, 5).T
@@ -285,7 +277,7 @@ def cmd_table(args) -> int:
     wt = float(cfg.get("omega_tau", 0.1))
     tau = wt / omega
     labels, quantities, values = [], [], []
-    for kind in (SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2):
+    for kind in pulses.NAMED_KINDS:
         seq = pulses.make_sequence(kind, tau)
         lead = pulses.leading_order_row(kind, omega, tau)
         phi_exact = abs(pulses.dc_phase(seq, 1.0, omega))
@@ -319,14 +311,11 @@ def cmd_trajectory(args) -> int:
     tau = _finite(cfg.get("tau_s", 0.2 * math.pi / omega), "tau_s")
     _scaled(tau, omega, "tau_s")
     n_samples = _count(cfg.get("n_samples", 200), "n_samples")
-    kinds = cfg.get("sequences", [k.value for k in
-                                  (SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2)])
     labels, branches, samples = [], [], []
-    for kind in kinds:
-        seq = pulses.make_sequence(_kind(kind), tau)
+    for name, seq in _sequences(cfg, tau):
         for branch in (0, 1):
             pts = dynamics.trajectory(seq, g, omega, branch, n_samples)
-            labels += [kind] * len(pts)
+            labels += [name] * len(pts)
             branches += [branch] * len(pts)
             samples += pts
     t, x, p = np.array(samples, dtype=float).reshape(-1, 3).T
@@ -337,8 +326,7 @@ def cmd_trajectory(args) -> int:
 
 def cmd_verify(args) -> int:
     _load_config(args.config)  # verify reads no config key
-    report = verify.run_checks(seed=args.seed if args.seed is not None else verify.DEFAULT_SEED,
-                               threads=args.threads)
+    report = verify.run_checks(seed=args.seed if args.seed is not None else verify.DEFAULT_SEED)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         _atomic_write(args.out, text)
@@ -352,14 +340,12 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     p.add_argument("--seed", type=int, help="Monte Carlo seed")
-    p.add_argument("--threads", type=int,
-                   help="deprecated, without effect (default SPINLEV_THREADS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="spinlev",
                                 description="Pulsed spin-oscillator sensing and witness toolkit")
-    p.set_defaults(config=None, out=None, format="csv", seed=None, threads=None)
+    p.set_defaults(config=None, out=None, format="csv", seed=None)
     _add_global_flags(p)
     # accept the global flags after the subcommand as well
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -386,11 +372,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        threads_given = args.threads is not None or bool(os.environ.get("SPINLEV_THREADS"))
-        args.threads = _threads(args)
-        if threads_given:
-            print("note: --threads and SPINLEV_THREADS have no effect and will be removed",
-                  file=sys.stderr)
         # looked up at call time, so a wrapped or patched cmd_* function
         # takes effect although the parser was built before
         return globals()[f"cmd_{args.command}"](args)

@@ -96,6 +96,7 @@ def _force_segments(seq: PulseSequence, force):
     times = list(times)
     if times[0] != 0.0 or times[-1] < seq.total_time - 1e-15 * seq.total_time:
         raise ValueError("force grid must start at 0 and cover [0, tau]")
+    _check_finite_force(values)
     edges = sorted(set(t for t in times if t < seq.total_time) | {a for a, _, _ in segs} | {seq.total_time})
     out = []
     for a, b in zip(edges, edges[1:]):
@@ -114,6 +115,8 @@ def evolve_state(
     force=None,
 ) -> EntangledState:
     """Evolve (|0> + |1>)/sqrt2 x |alpha> through the sequence."""
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     t0, g0 = branch_evolution(seq, g, omega, +1, alpha, force)
     t1, g1 = branch_evolution(seq, g, omega, -1, alpha, force)
     w = 1.0 / math.sqrt(2.0)
@@ -214,6 +217,7 @@ def magnus_phases(seq: PulseSequence, g: float, omega: float, force=None) -> Mag
             times = times + [tau]
         if len(times) != len(values) + 1:
             raise ValueError("force series must be (edges, values) with one more edge than value")
+        _check_finite_force(values)
         _check_force_resolution(seq, omega, times)
         pieces = pulses._kernel_pieces(seq, g, omega)
         for a, b, f in zip(times, times[1:], values):
@@ -230,6 +234,11 @@ def magnus_phases(seq: PulseSequence, g: float, omega: float, force=None) -> Mag
                 phase_f += f * (k0 * (hi - lo) + (r * pulses._int_exp(-1j * omega, lo, hi)).imag)
     zeta = pulses.squeezing_parameter(seq, g, omega)
     return MagnusPhases(beta, disp_f, phase_f, zeta)
+
+
+def _check_finite_force(values) -> None:
+    if not np.isfinite(np.asarray(values, dtype=float)).all():
+        raise ValueError("force values must be finite")
 
 
 def _check_force_resolution(seq: PulseSequence, omega: float, times) -> None:

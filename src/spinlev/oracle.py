@@ -93,18 +93,12 @@ def suggested_n_max(max_alpha_sq: float) -> int:
     return int(math.ceil(max_alpha_sq + 10 * math.sqrt(max_alpha_sq + 1) + 20))
 
 
-def initial_state(alpha: complex, n_max: int, spin: str = "plus_x") -> JointState:
+def initial_state(alpha: complex, n_max: int) -> JointState:
+    """(|0> + |1>)/sqrt2 x |alpha>, the start every sequence is evolved from."""
     osc = coherent_vector(alpha, n_max)
     c = np.zeros((2, n_max + 1), dtype=complex)
-    if spin == "plus_x":
-        c[0] = osc / math.sqrt(2)
-        c[1] = osc / math.sqrt(2)
-    elif spin == "up":
-        c[0] = osc
-    elif spin == "down":
-        c[1] = osc
-    else:
-        raise ValueError("spin must be plus_x, up, or down")
+    c[0] = osc / math.sqrt(2)
+    c[1] = osc / math.sqrt(2)
     return JointState(c)
 
 

@@ -36,6 +36,10 @@ class SequenceKind(enum.Enum):
     CUSTOM = "custom"
 
 
+# The kinds with a fixed pulse list, in the order tables and sweeps list them.
+NAMED_KINDS = (SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2)
+
+
 @dataclass(frozen=True)
 class PulseSequence:
     """A total free-evolution time plus an ordered list of pi-pulse times."""

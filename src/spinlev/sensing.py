@@ -101,7 +101,7 @@ def thermal_phase_variance(seq: PulseSequence, g: float, omega: float, nbar_over
 
 
 class UnboundedCouplingError(ValueError):
-    """Raised when Dn = 0 leaves the optimal coupling unbounded."""
+    """Raised when Dn = 0 or xi = 0 leaves the optimal coupling unbounded."""
 
 
 def _backaction_per_g2(seq: PulseSequence, omega: float) -> float:
@@ -132,7 +132,11 @@ def force_sql(kind, omega: float, tau: float, xi: float) -> float:
 
 
 def _balance_coupling(seq: PulseSequence, omega: float, xi: float, n_spins: float) -> float:
-    """optimal_coupling of any pulse sequence; raises UnboundedCouplingError at Dn = 0."""
+    """optimal_coupling of any pulse sequence; raises UnboundedCouplingError at
+    Dn = 0 or xi = 0 (a cooling factor that underflows leaves no backaction)."""
+    if xi == 0.0:
+        raise UnboundedCouplingError(
+            "cooling factor xi is 0 (no backaction); optimal coupling is unbounded")
     return 1.0 / math.sqrt(2.0 * n_spins * _backaction_per_g2(seq, omega) * math.sqrt(xi))
 
 

@@ -25,8 +25,6 @@ DEFAULT_SEED = 20250826
 
 _log = logging.getLogger(__name__)
 
-_KINDS = (SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2)
-
 
 def _check(name, expected, observed, tolerance, ok):
     return {
@@ -45,7 +43,7 @@ def _nat(g, omega, nbar=0.0, q=1e6):
 
 def check_oracle_branch_fidelity(seed):
     worst = 1.0
-    for kind in _KINDS:
+    for kind in pulses.NAMED_KINDS:
         for gr in (0.1, 1.0, 2.0):
             for wt in (0.1, math.pi, 2 * math.pi):
                 seq = pulses.make_sequence(kind, wt)
@@ -59,7 +57,7 @@ def check_oracle_branch_fidelity(seed):
 
 def check_squeezing_closed_forms(seed):
     worst = 0.0
-    for kind in _KINDS:
+    for kind in pulses.NAMED_KINDS:
         for wt in np.linspace(2 * math.pi / 100, 2 * math.pi, 100):
             seq = pulses.make_sequence(kind, float(wt))
             exact = pulses.squeezing_parameter(seq, 0.7, 1.0)
@@ -169,12 +167,13 @@ def check_sensitivity_shape(seed):
     tau = 1e-4
     omega = p.trap_frequency
     flatness = {}
-    for kind in _KINDS:
+    for kind in pulses.NAMED_KINDS:
         seq = pulses.make_sequence(kind, tau)
         e1 = sensing.force_sensitivity(p, seq, 2 * math.pi * 1.0).eta
         e10 = sensing.force_sensitivity(p, seq, 2 * math.pi * 10.0).eta
         flatness[kind.value] = abs(e1 / e10 - 1)
-    dc = {k.value: abs(pulses.dc_phase(pulses.make_sequence(k, tau), 1.0, omega)) for k in _KINDS}
+    dc = {k.value: abs(pulses.dc_phase(pulses.make_sequence(k, tau), 1.0, omega))
+          for k in pulses.NAMED_KINDS}
     ordering = dc["carr_purcell2"] < dc["hahn_echo"] < dc["ramsey"]
     flat = all(v < 0.01 for v in flatness.values())
     return _check("sensitivity_shape", "flat low-nu curves; CP DC response suppressed below echo below Ramsey",
@@ -214,7 +213,7 @@ def check_sql_structure(seed):
     omega, tau, xi = 2 * math.pi * 100, 1e-4, 0.25
     worst_bal = 0.0
     worst_var = 0.0
-    for kind in _KINDS:
+    for kind in pulses.NAMED_KINDS:
         seq = pulses.make_sequence(kind, tau)
         gstar = sensing.optimal_coupling(kind, omega, tau, xi)
         dn = pulses.residual_displacement(seq, gstar, omega)[1]
@@ -273,11 +272,9 @@ ALL_CHECKS = (
 )
 
 
-def run_checks(seed: int = DEFAULT_SEED, threads: int = 1) -> dict:
+def run_checks(seed: int = DEFAULT_SEED) -> dict:
     """Run the full suite; ordered results, deterministic for fixed seed.
 
-    threads is accepted and has no effect: the checks are GIL-bound Python,
-    and a thread pool measured no faster than running them in order.
     Each check's wall time is logged at DEBUG on the "spinlev.verify"
     logger (record attributes check and elapsed_s), never put in the report.
     """

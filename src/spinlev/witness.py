@@ -377,8 +377,8 @@ def violation_scan(
     if sweep not in ("t", "nbar"):
         raise ValueError("sweep must be 't' or 'nbar'")
     x = np.array(grid, dtype=float)
-    if x.ndim != 1 or not x.size or np.any(x[1:] <= x[:-1]):
-        raise ValueError("grid must be nonempty and sorted increasing")
+    if x.ndim != 1 or not x.size or not np.isfinite(x).all() or np.any(x[1:] <= x[:-1]):
+        raise ValueError("grid must be nonempty, finite and sorted increasing")
 
     if mode == "pulsed":
         lam_eff = pulsed_effective_lambda(g, omega, x if sweep == "t" else tau)

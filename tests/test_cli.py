@@ -6,6 +6,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ class TestSensitivityCommand:
 
 class TestVerifyCommand:
     def test_failing_check_exits_1(self, tmp_path, capsys, monkeypatch):
-        def fake_run_checks(seed, threads):
+        def fake_run_checks(seed):
             return {"seed": seed, "checks": [
                 {"check_name": "corrupted", "expected": 0.0, "observed": 1.0,
                  "tolerance": 1e-12, "pass": False}],
@@ -149,7 +150,7 @@ class TestVerifyCommand:
         assert code == 1
 
     def test_passing_suite_exits_0(self, capsys, monkeypatch):
-        def fake_run_checks(seed, threads):
+        def fake_run_checks(seed):
             return {"seed": seed, "checks": [
                 {"check_name": "ok", "expected": 1.0, "observed": 1.0,
                  "tolerance": 1e-12, "pass": True}],
@@ -161,24 +162,6 @@ class TestVerifyCommand:
         assert json.loads(out)["all_pass"] is True
 
 
-class TestThreadsFlag:
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("SPINLEV_THREADS", "7")
-        args = cli.build_parser().parse_args(["table"])
-        assert cli._threads(args) == 7
-
-    def test_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("SPINLEV_THREADS", "7")
-        args = cli.build_parser().parse_args(["table", "--threads", "3"])
-        assert cli._threads(args) == 3
-
-    def test_bad_env_raises(self, monkeypatch):
-        monkeypatch.setenv("SPINLEV_THREADS", "many")
-        args = cli.build_parser().parse_args(["table"])
-        with pytest.raises(cli.ConfigError):
-            cli._threads(args)
-
-
 class TestSensitivityNonFinite:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy geomspace on an infinite end
     @pytest.mark.parametrize("key,value", [("nu_max_hz", math.inf), ("nu_min_hz", math.nan)])
@@ -188,15 +171,6 @@ class TestSensitivityNonFinite:
         code, _, err = run_cli(["sensitivity", "--config", str(cfg)], capsys)
         assert code == 2
         assert "finite" in err
-
-
-class TestThreadsWithoutEffect:
-    @pytest.mark.parametrize("sub", ["sensitivity", "witness", "table", "trajectory"])
-    def test_bad_env_exits_2(self, monkeypatch, capsys, sub):
-        monkeypatch.setenv("SPINLEV_THREADS", "many")
-        code, _, err = run_cli([sub], capsys)
-        assert code == 2
-        assert "SPINLEV_THREADS" in err
 
 
 class TestSensitivityFrequencyRange:
@@ -373,35 +347,6 @@ class TestConfigOverflow:
         code, _, err, _ = run_config(tmp_path, capsys, "witness",
                                      {"sweep": "nbar", "grid": {"min": 0.0, "max": 1e6, "n": 3}})
         assert code == 0, err
-
-
-class TestThreadsDeprecation:
-    NOTE = "note: --threads and SPINLEV_THREADS have no effect and will be removed\n"
-
-    @pytest.mark.parametrize("flag,env", [(["--threads", "3"], None), ([], "2")])
-    def test_note_on_stderr_output_unchanged(self, tmp_path, capsys, monkeypatch, flag, env):
-        monkeypatch.delenv("SPINLEV_THREADS", raising=False)
-        code, plain, err = run_cli(["table", "--format", "json"], capsys)
-        assert code == 0 and err == ""
-        if env is not None:
-            monkeypatch.setenv("SPINLEV_THREADS", env)
-        code, out, err = run_cli(["table", "--format", "json", *flag], capsys)
-        assert code == 0
-        assert out == plain
-        assert err == self.NOTE
-
-    def test_verify_report_bytes_unchanged(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("SPINLEV_THREADS", raising=False)
-        monkeypatch.setattr(verify, "ALL_CHECKS", (verify.check_witness_identity,
-                                                   verify.check_si_anchors))
-        reports = []
-        for flag in ([], ["--threads", "4"]):
-            path = tmp_path / f"v{len(reports)}.json"
-            code, out, err = run_cli(["verify", "--out", str(path), *flag], capsys)
-            assert code == 0 and out == ""
-            assert err == (self.NOTE if flag else "")
-            reports.append(path.read_bytes())
-        assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------
@@ -597,23 +542,77 @@ class TestSensitivityExtremeDevice:
         assert out == "" and not caught
 
 
+class TestUnderflowingCoolingFactor:
+    def test_zero_xi_exits_2(self, tmp_path, capsys):
+        # xi = e^(-1e303) underflows to 0, which leaves the optimal coupling unbounded
+        code, out, err, caught = run_config(tmp_path, capsys, "sensitivity", {"cooling_time_s": 1e300})
+        assert code == 2
+        assert err.startswith("error:") and "xi" in err and "Traceback" not in err
+        assert out == "" and not caught
+
+
+class TestSequencesConfig:
+    @pytest.mark.parametrize("sub", ["sensitivity", "trajectory"])
+    @pytest.mark.parametrize("value", ["ramsey", {"ramsey": 1}, ["ramsey", 3], [None]])
+    def test_not_a_list_of_names_exits_2(self, tmp_path, capsys, sub, value):
+        code, out, err, _ = run_config(tmp_path, capsys, sub, {"sequences": value})
+        assert code == 2
+        assert err.startswith("error: sequences must be a list of sequence names")
+        assert out == ""
+
+    @pytest.mark.parametrize("sub", ["sensitivity", "trajectory"])
+    def test_unknown_name_exits_2(self, tmp_path, capsys, sub):
+        code, _, err, _ = run_config(tmp_path, capsys, sub, {"sequences": ["ramsey", "uhrig7"]})
+        assert code == 2
+        assert "unknown sequence 'uhrig7'" in err
+
+    @pytest.mark.parametrize("sub", ["sensitivity", "trajectory"])
+    def test_empty_list_writes_header_only(self, tmp_path, capsys, sub):
+        code, out, err, _ = run_config(tmp_path, capsys, sub, {"sequences": []})
+        assert code == 0, err
+        assert len(out.splitlines()) == 1
+
+
+class TestNoThreadKnobs:
+    def test_threads_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_environment_is_not_read(self, capsys, monkeypatch):
+        monkeypatch.delenv("SPINLEV_THREADS", raising=False)
+        plain = run_cli(["table", "--format", "json"], capsys)
+        monkeypatch.setenv("SPINLEV_THREADS", "many")
+        assert run_cli(["table", "--format", "json"], capsys) == plain
+        assert plain[0] == 0 and plain[2] == ""
+
+
+class TestReadmeFlags:
+    def test_global_flag_block_matches_parser(self):
+        # the fenced block after "Global flags work before or after the subcommand"
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lead = text.index("Global flags work before or after the subcommand")
+        start = text.index("```\n", lead) + 4
+        block = text[start:text.index("```", start)]
+        documented = {line.split()[0] for line in block.splitlines() if line.startswith("--")}
+        options = {opt for action in cli.build_parser()._actions
+                   for opt in action.option_strings if opt.startswith("--")}
+        assert documented == options - {"--help"}
+
+
 class TestCachedParser:
     def test_no_state_carries_between_calls(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("SPINLEV_THREADS", raising=False)
         seen = []
         monkeypatch.setattr(verify, "run_checks",
-                            lambda seed, threads: seen.append(seed) or {"all_pass": True})
+                            lambda seed: seen.append(seed) or {"all_pass": True})
         out = tmp_path / "t.json"
-        code, stdout, err = run_cli(["table", "--format", "json", "--out", str(out),
-                                     "--threads", "2"], capsys)
-        assert code == 0 and stdout == ""
-        assert err == TestThreadsDeprecation.NOTE
+        code, stdout, err = run_cli(["table", "--format", "json", "--out", str(out)], capsys)
+        assert code == 0 and stdout == "" and err == ""
         json.loads(out.read_text())
         code, stdout, err = run_cli(["table"], capsys)
         assert code == 0 and err == ""
         assert stdout.startswith("sequence,omega_tau,")  # csv, on stdout
-        code, _, err = run_cli(["table", "--threads", "3"], capsys)
-        assert code == 0 and err == TestThreadsDeprecation.NOTE
         for argv in (["verify", "--seed", "5"], ["verify"]):
             run_cli(argv, capsys)
         assert seen == [5, verify.DEFAULT_SEED]

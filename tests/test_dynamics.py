@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,3 +210,30 @@ class TestTrajectoryExact:
         for branch in (0, 1):
             got = trajectory(seq, 1.3, 2.0, branch, n_samples, alpha=0.2 - 0.1j)
             assert got == _restepped_from_zero(seq, 1.3, 2.0, branch, n_samples, 0.2 - 0.1j)
+
+
+class TestNonFiniteInput:
+    """NaN or inf in a force value or the start amplitude raises where it
+    enters, instead of returning an all-NaN state with numpy warnings."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_evolve_state_force(self, bad):
+        with pytest.raises(ValueError, match="force values must be finite"):
+            evolve_state(hahn_echo(1.0), 0.5, 1.0, 0j, force=([0.0, 1.0], [bad]))
+
+    @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
+    def test_evolve_state_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            evolve_state(hahn_echo(1.0), 0.5, 1.0, alpha)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_magnus_phases_force(self, bad):
+        with pytest.raises(ValueError, match="force values must be finite"):
+            magnus_phases(hahn_echo(1.0), 0.5, 1.0, force=([0.0, 1.0], [bad]))
+

@@ -305,3 +305,18 @@ class TestForceSqlZero:
             force_sql(SequenceKind.RAMSEY, omega, tau, xi)
         with pytest.raises(UnboundedCouplingError):
             optimal_coupling(SequenceKind.RAMSEY, omega, tau, xi)
+
+
+class TestUnderflowingCoolingFactor:
+    def test_zero_xi_is_unbounded(self):
+        # xi = e^(-1e303) underflows to 0: no backaction, so g* is unbounded
+        p = params_from_dict(REFERENCE_DEVICE).with_(cooling_time=1e300)
+        xi = cooling_factor(p.cooling_rate, p.cooling_time)
+        assert xi == 0.0
+        with pytest.raises(UnboundedCouplingError, match="xi"):
+            sensing._balance_coupling(carr_purcell2(1e-4), p.trap_frequency, xi, 1.0)
+        with pytest.raises(UnboundedCouplingError, match="xi"):
+            optimal_coupling(SequenceKind.HAHN_ECHO, p.trap_frequency, 1e-4, xi)
+        with pytest.raises(UnboundedCouplingError, match="xi"):
+            sensitivity_sweep(p, carr_purcell2(1e-4), [2 * math.pi * 10.0])
+

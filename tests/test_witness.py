@@ -221,6 +221,13 @@ class TestViolationScan:
         with pytest.raises(ValueError):
             violation_scan("pulsed", "t", [0.2, 0.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        # a NaN fails the sorted test x[1:] <= x[:-1] both ways, so it needs its own check
+        for grid in ([0.1, bad, 0.3], [0.1, 0.3, bad], [bad, 0.1, 0.3]):
+            with pytest.raises(ValueError, match="finite"):
+                violation_scan("pulseless", "t", grid, lam=0.5)
+
     def test_t_fixed_pulseless(self):
         assert t_fixed_pulseless(2.0) == pytest.approx(math.pi / 2.0)
 
