@@ -156,9 +156,18 @@ def _count(value, key: str, minimum=None) -> int:
     return int(x)
 
 
+def _number(value, key: str) -> float:
+    """float(value); a config value that is not a number (null, a list, an
+    object, a non-numeric string) exits 2 naming the key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def _finite(value, key: str, positive: bool = False) -> float:
     """A finite float config value (and > 0 if positive); anything else exits 2 naming the key."""
-    x = float(value)
+    x = _number(value, key)
     if not math.isfinite(x) or (positive and x <= 0):
         raise ConfigError(f"{key} must be finite{' and > 0' if positive else ''}, got {value!r}")
     return x
@@ -196,9 +205,9 @@ def cmd_sensitivity(args) -> int:
     if "temperature_k" in cfg and "nbar" not in cfg:
         merged.pop("nbar", None)
     params = params_from_dict(merged)
-    tau = float(cfg.get("tau_s", 1e-4))
-    nu_min = float(cfg.get("nu_min_hz", 1.0))
-    nu_max = float(cfg.get("nu_max_hz", 1e5))
+    tau = _number(cfg.get("tau_s", 1e-4), "tau_s")
+    nu_min = _number(cfg.get("nu_min_hz", 1.0), "nu_min_hz")
+    nu_max = _number(cfg.get("nu_max_hz", 1e5), "nu_max_hz")
     if not (math.isfinite(nu_min) and math.isfinite(nu_max) and 0 < nu_min < nu_max):
         raise ConfigError("nu_min_hz and nu_max_hz must be finite with 0 < nu_min_hz < nu_max_hz, "
                           f"got {nu_min!r} and {nu_max!r}")
@@ -274,7 +283,7 @@ def cmd_witness(args) -> int:
 def cmd_table(args) -> int:
     cfg = _load_config(args.config, _TABLE_KEYS)
     omega = 1.0
-    wt = float(cfg.get("omega_tau", 0.1))
+    wt = _number(cfg.get("omega_tau", 0.1), "omega_tau")
     tau = wt / omega
     labels, quantities, values = [], [], []
     for kind in pulses.NAMED_KINDS:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -34,7 +35,8 @@ class CutoffError(RuntimeError):
 
 
 class ResolutionError(RuntimeError):
-    """Norm drift in the Fock evolution, or a force grid too coarse for the noise fidelity."""
+    """Norm drift in the Fock evolution, a coherent state below double precision,
+    or a force grid too coarse for the noise fidelity."""
 
 
 @dataclass(frozen=True)
@@ -64,28 +66,45 @@ class JointState:
         return self.coeff.shape[1] - 1
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeff))
+        return math.sqrt(np.vdot(self.coeff, self.coeff).real)
+
+    def margins(self) -> tuple[float, float]:
+        """(top-4 Fock population, |norm - 1|): how far the state is from the
+        truncation and norm limits that check() enforces."""
+        top = self.coeff[:, -4:]
+        return float(np.vdot(top, top).real), abs(self.norm() - 1.0)
 
     def check(self, tail_tolerance: float) -> None:
         # check the tail first: truncation loss also shows up as norm drift,
         # and the actionable advice then is a larger n_max
-        tail = float(np.sum(np.abs(self.coeff[:, -4:]) ** 2))
+        tail, drift = self.margins()
         if tail >= tail_tolerance:
             raise CutoffError(
                 f"top-4 Fock population {tail:.3e} >= {tail_tolerance:.1e}; increase n_max"
             )
-        n = self.norm()
-        if abs(n - 1.0) > 1e-10:
-            raise ResolutionError(f"norm drifted to {n!r}")
+        if drift > 1e-10:
+            raise ResolutionError(f"norm drifted by {drift!r} from 1")
 
 
 def coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
-    """Fock coefficients of |alpha> via the stable recurrence."""
-    v = np.zeros(n_max + 1, dtype=complex)
-    v[0] = math.exp(-abs(alpha) ** 2 / 2)
-    for n in range(n_max):
-        v[n + 1] = v[n] * alpha / math.sqrt(n + 1)
-    return v
+    """Fock coefficients of |alpha>, c_n = e^{-|alpha|^2/2} prod_{k<=n} alpha/sqrt(k).
+
+    Raises ValueError for a non-finite alpha and ResolutionError when the
+    vacuum amplitude e^{-|alpha|^2/2} leaves the normal float range
+    (|alpha|^2 above about 1416), where the state would come out with lost
+    precision or as all zeros.
+    """
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    vacuum = math.exp(-abs(alpha) ** 2 / 2)
+    if vacuum < sys.float_info.min:
+        raise ResolutionError(
+            f"e^(-|alpha|^2/2) underflows at |alpha|^2 = {abs(alpha) ** 2!r}; "
+            "the coherent state is not representable")
+    v = np.empty(n_max + 1, dtype=complex)
+    v[0] = vacuum
+    v[1:] = alpha / np.sqrt(np.arange(1, n_max + 1))
+    return np.cumprod(v)
 
 
 def suggested_n_max(max_alpha_sq: float) -> int:
@@ -103,20 +122,54 @@ def initial_state(alpha: complex, n_max: int) -> JointState:
 
 
 @lru_cache(maxsize=256)
-def _sector_eigensystem(n_max: int, c_over_omega: float):
-    """Eigendecomposition of n_hat + (c/omega) x (shared omega factored out)."""
+def _sector_eigensystem(n_max: int, kappa: float):
+    """Eigendecomposition of n_hat + kappa x for kappa >= 0 (kappa = c/omega).
+
+    The parity P = (-1)^n_hat anticommutes with x, so n_hat - kappa x =
+    P (n_hat + kappa x) P exactly in the truncated basis: the same
+    eigenvalues, and eigenvectors with their odd entries negated. One entry
+    therefore serves both signs of the coupling.
+    """
     from scipy.linalg import eigh_tridiagonal  # lazy: only the oracle needs scipy
 
     diag = np.arange(n_max + 1, dtype=float)
-    off = c_over_omega * np.sqrt(np.arange(1, n_max + 1))
+    off = kappa * np.sqrt(np.arange(1, n_max + 1))
     evals, evecs = eigh_tridiagonal(diag, off)
     return evals, evecs
 
 
-def _sector_propagate(vec: np.ndarray, c: float, omega: float, dt: float) -> np.ndarray:
-    """Exact e^{-i (omega n + c x) dt} on one spin sector."""
-    evals, evecs = _sector_eigensystem(len(vec) - 1, c / omega)
-    return evecs @ (np.exp(-1j * omega * evals * dt) * (evecs.T @ vec))
+def _propagate(psi: np.ndarray, kappas: tuple[float, float], omega: float, dt: float) -> np.ndarray:
+    """Exact e^{-i omega dt (n_hat + kappa_j x)} on column j of psi, an
+    (n_max + 1, 2) complex array with one column per spin sector; returns a
+    new array. Sectors with the same |kappa| (both of them on a force-free
+    piece) share one product."""
+    k0, k1 = kappas
+    if abs(k0) == abs(k1):
+        return _propagate_columns(psi.copy(), kappas, omega, dt)
+    out = np.empty_like(psi)
+    out[:, :1] = _propagate_columns(psi[:, :1].copy(), (k0,), omega, dt)
+    out[:, 1:] = _propagate_columns(psi[:, 1:].copy(), (k1,), omega, dt)
+    return out
+
+
+def _propagate_columns(v: np.ndarray, kappas: tuple[float, ...], omega: float, dt: float) -> np.ndarray:
+    """e^{-i omega dt (n_hat + kappa_j x)} on column j of the C-contiguous
+    complex v, for couplings of one |kappa|; v is overwritten.
+
+    The eigenvectors are real, so both products run in real arithmetic on
+    the (n_max + 1, 2m) float64 view of v; a column with kappa < 0 is
+    propagated as P e^{-i omega dt (n_hat + |kappa| x)} P.
+    """
+    evals, evecs = _sector_eigensystem(v.shape[0] - 1, abs(kappas[0]))
+    odd = [j for j, k in enumerate(kappas) if k < 0]
+    for j in odd:
+        v[1::2, j] *= -1
+    y = (evecs.T @ v.view(float)).view(complex)
+    y *= np.exp(-1j * omega * evals * dt)[:, None]
+    w = (evecs @ y.view(float)).view(complex)
+    for j in odd:
+        w[1::2, j] *= -1
+    return w
 
 
 def evolve(
@@ -128,14 +181,14 @@ def evolve(
 ) -> JointState:
     """Truncated-Fock evolution under H = g sigma_z x + omega n - f(t) x.
 
-    force is None or a piecewise-constant (times, values) series; the value
-    on each piece is read at the piece midpoint (clamped to the series).
-    Every pulse segment is split at the force knots strictly inside it, so
-    the Hamiltonian is constant on each piece and each spin sector is
-    propagated exactly, e^{-i (omega n + c x) dt}; force knots are honoured
-    exactly and there is no time step. The cost is one cached tridiagonal
-    eigendecomposition per distinct (n_max, c/omega) pair, and force=None is
-    the f = 0 case on whole segments.
+    force is None or a piecewise-constant (times, values) series with finite
+    values; the value on each piece is read at the piece midpoint (clamped
+    to the series). Every pulse segment is split at the force knots strictly
+    inside it, so the Hamiltonian is constant on each piece and each spin
+    sector is propagated exactly, e^{-i (omega n + c x) dt}; force knots are
+    honoured exactly and there is no time step. The cost is one cached
+    tridiagonal eigendecomposition per distinct (n_max, |c|/omega) pair, and
+    force=None is the f = 0 case on whole segments, with no knot search.
 
     Pulses are handled in the toggling frame: the instantaneous pi flips are
     absorbed into the sign profile of the coupling, which keeps the spin-
@@ -145,19 +198,27 @@ def evolve(
     made here.
     """
     g, omega = natural.g, natural.omega
-    times, values = ([0.0], [0.0]) if force is None else force
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    c = state.coeff.copy()
-    out = JointState(c)
+    if force is not None:
+        times = np.asarray(force[0], dtype=float)
+        values = np.asarray(force[1], dtype=float)
+        dynamics._check_finite_force(values)
+    psi = np.array(state.coeff.T, dtype=complex, order="C")
     for a, b, s in pulses.segments(seq):
-        edges = [a, *np.unique(times[(times > a) & (times < b)]), b]
-        for lo, hi in zip(edges, edges[1:]):
-            idx = min(int(np.searchsorted(times, (lo + hi) / 2, side="right")) - 1, len(values) - 1)
-            f = float(values[max(idx, 0)])
-            c[0] = _sector_propagate(c[0], s * g - f, omega, hi - lo)
-            c[1] = _sector_propagate(c[1], -s * g - f, omega, hi - lo)
-        out.check(cfg.tail_tolerance)
+        for dt, f in [(b - a, 0.0)] if force is None else _force_pieces(a, b, times, values):
+            psi = _propagate(psi, ((s * g - f) / omega, (-s * g - f) / omega), omega, dt)
+        JointState(psi.T).check(cfg.tail_tolerance)
+    return JointState(np.ascontiguousarray(psi.T))
+
+
+def _force_pieces(a: float, b: float, times: np.ndarray, values: np.ndarray) -> list[tuple[float, float]]:
+    """(duration, force) of each piece of [a, b] between the force knots
+    strictly inside it; the force is read at the piece midpoint, clamped to
+    the series."""
+    edges = [a, *np.unique(times[(times > a) & (times < b)]), b]
+    out = []
+    for lo, hi in zip(edges, edges[1:]):
+        idx = min(int(np.searchsorted(times, (lo + hi) / 2, side="right")) - 1, len(values) - 1)
+        out.append((hi - lo, float(values[max(idx, 0)])))
     return out
 
 

@@ -42,7 +42,7 @@ def _nat(g, omega, nbar=0.0, q=1e6):
 
 
 def check_oracle_branch_fidelity(seed):
-    worst = 1.0
+    worst, worst_tail, worst_drift = 1.0, 0.0, 0.0
     for kind in pulses.NAMED_KINDS:
         for gr in (0.1, 1.0, 2.0):
             for wt in (0.1, math.pi, 2 * math.pi):
@@ -51,8 +51,11 @@ def check_oracle_branch_fidelity(seed):
                 n_max = oracle.suggested_n_max((4 * gr) ** 2 + 1)
                 st = oracle.evolve(oracle.initial_state(0j, n_max), _nat(gr, 1.0), seq)
                 worst = min(worst, oracle.branch_fidelity(closed, st))
-    return _check("oracle_branch_fidelity", "min fidelity > 1 - 1e-8", worst, 1e-8,
-                  worst > 1 - 1e-8)
+                tail, drift = st.margins()
+                worst_tail, worst_drift = max(worst_tail, tail), max(worst_drift, drift)
+    return _check("oracle_branch_fidelity", "min fidelity > 1 - 1e-8",
+                  {"worst_fidelity": worst, "worst_tail": worst_tail, "worst_norm_drift": worst_drift},
+                  1e-8, worst > 1 - 1e-8)
 
 
 def check_squeezing_closed_forms(seed):

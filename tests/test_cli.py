@@ -320,6 +320,25 @@ class TestConfigNonFinite:
         assert out == "" and not caught
 
 
+class TestConfigWrongType:
+    """Config values that are not numbers once ended in a TypeError traceback (exit 1)."""
+
+    @pytest.mark.parametrize("sub,body,key", [
+        ("witness", {"lam": None}, "lam"),
+        ("witness", {"grid": {"min": [1]}}, "grid.min"),
+        ("sensitivity", {"tau_s": [1]}, "tau_s"),
+        ("sensitivity", {"nu_min_hz": None}, "nu_min_hz"),
+        ("sensitivity", {"nu_max_hz": {"hz": 1}}, "nu_max_hz"),
+        ("table", {"omega_tau": None}, "omega_tau"),
+        ("trajectory", {"g_over_omega": "strong"}, "g_over_omega"),
+    ])
+    def test_not_a_number_exits_2_naming_key(self, tmp_path, capsys, sub, body, key):
+        code, out, err, caught = run_config(tmp_path, capsys, sub, body)
+        assert code == 2
+        assert f"{key} must be a number" in err and "Traceback" not in err
+        assert out == "" and not caught
+
+
 class TestConfigOverflow:
     """Finite config values whose natural-unit form (omega = 2 pi freq_hz,
     omega_L = 2 pi larmor_hz, g = omega g_over_omega, the phases omega tau and

@@ -2,16 +2,19 @@
 
 import cmath
 import dataclasses
+import functools
 import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from spinlev import dynamics, oracle, pulses, witness
 from spinlev.oracle import (
     CutoffError,
+    JointState,
     OracleConfig,
     ResolutionError,
     branch_fidelity,
@@ -39,6 +42,44 @@ class TestStateConstruction:
         n_op = np.arange(65)
         assert float(n_op @ (np.abs(v) ** 2)) == pytest.approx(abs(1.2 - 0.4j) ** 2,
                                                                rel=1e-10)
+
+    @pytest.mark.parametrize("alpha,n_max", [(0j, 12), (1.2 - 0.4j, 64), (-3.1 + 2.2j, 80),
+                                             (8.5 + 7.0j, 290), (-12.2j, 290)])
+    def test_coherent_vector_matches_recurrence_loop(self, alpha, n_max):
+        # the loop coherent_vector used before it became one cumprod
+        ref = np.zeros(n_max + 1, dtype=complex)
+        ref[0] = math.exp(-abs(alpha) ** 2 / 2)
+        for n in range(n_max):
+            ref[n + 1] = ref[n] * alpha / math.sqrt(n + 1)
+        assert np.max(np.abs(coherent_vector(alpha, n_max) - ref)) <= 1e-15
+
+    def test_coherent_vector_rejects_underflowing_vacuum(self):
+        # the loop returned an all-zero vector (norm 0.0) here
+        with pytest.raises(ResolutionError, match="underflows"):
+            coherent_vector(40, 2000)
+        with pytest.raises(ResolutionError, match="underflows"):
+            coherent_vector(38.0, 2000)  # e^{-722}: subnormal, precision lost
+        assert np.linalg.norm(coherent_vector(37.0, 2000)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_coherent_vector_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            coherent_vector(alpha, 16)
+
+    def test_margins_report_tail_and_norm_drift(self):
+        c = np.zeros((2, 11), dtype=complex)
+        # 0.1 at the fourth-highest level counts, 0.05 at the fifth does not
+        c[0, 0], c[1, 0], c[1, -4], c[0, -5] = 0.6, 0.6j, 0.1, 0.05
+        tail, drift = JointState(c).margins()
+        assert tail == pytest.approx(0.01, rel=1e-15)
+        assert drift == pytest.approx(1.0 - math.sqrt(0.7325), rel=1e-14)
+        with pytest.raises(CutoffError):
+            JointState(c).check(1e-6)
+        c[1, -4] = c[0, -5] = 0.0
+        c[0, 0] = c[1, 0] = math.sqrt(0.5)
+        tail, drift = JointState(c).margins()
+        assert tail == 0.0 and drift <= 1e-15
+        JointState(c).check(1e-8)
 
     def test_suggested_n_max_monotone(self):
         vals = [suggested_n_max(a) for a in (0.0, 1.0, 4.0, 25.0)]
@@ -142,6 +183,114 @@ class TestEvolution:
         st = evolve(initial_state(0, 48), nat(g, omega), carr_purcell2(tau),
                     force=force)
         assert branch_fidelity(closed, st) > 1 - 1e-8
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_force_rejected_where_it_enters(self, bad, monkeypatch):
+        def no_eigensystem(*args):
+            raise AssertionError("an eigensystem was computed")
+
+        monkeypatch.setattr(oracle, "_sector_eigensystem", no_eigensystem)
+        with pytest.raises(ValueError, match="force values must be finite"):
+            evolve(initial_state(0, 32), nat(0.5, 1.0), hahn_echo(1.5),
+                   force=([0.0, 0.7, 1.5], [0.1, bad]))
+
+
+@functools.lru_cache(maxsize=64)
+def _signed_eigensystem(n_max, kappa):
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(np.arange(n_max + 1, dtype=float), kappa * np.sqrt(np.arange(1, n_max + 1)))
+
+
+def reference_evolve(state, natural, seq, force=None):
+    """The complex-matrix propagator evolve replaced: each sector on its own,
+    with the eigensystem of its signed coupling and complex matrix-vector
+    products; returns the final (2, n_max + 1) coefficients."""
+    g, omega = natural.g, natural.omega
+    times, values = ([0.0], [0.0]) if force is None else force
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    c = state.coeff.copy()
+    for a, b, s in pulses.segments(seq):
+        edges = [a, *np.unique(times[(times > a) & (times < b)]), b]
+        for lo, hi in zip(edges, edges[1:]):
+            idx = min(int(np.searchsorted(times, (lo + hi) / 2, side="right")) - 1, len(values) - 1)
+            f = float(values[max(idx, 0)])
+            for k, coupling in ((0, s * g - f), (1, -s * g - f)):
+                evals, evecs = _signed_eigensystem(c.shape[1] - 1, coupling / omega)
+                c[k] = evecs @ (np.exp(-1j * omega * evals * (hi - lo)) * (evecs.T @ c[k]))
+    return c
+
+
+def _max_alpha_sq(seq, g, omega, force):
+    """Largest |gamma|^2 either branch reaches: on a piece with coupling c,
+    gamma(t) = (gamma_a + c/omega) e^{-i omega t} - c/omega."""
+    worst = 0.0
+    for spin in (1, -1):
+        theta, gam = 0.0, 0j
+        for a, b, (s, f) in dynamics._force_segments(seq, force):
+            c = spin * s * g - f
+            worst = max(worst, (abs(gam + c / omega) + abs(c / omega)) ** 2)
+            theta, gam = dynamics.segment_step(theta, gam, c, omega, b - a)
+    return worst
+
+
+@st.composite
+def custom_runs(draw):
+    """A custom sequence with 1-64 off-grid pulses, g/omega in [0.1, 2], and
+    in half the cases a piecewise-constant force with knots off the pulse edges."""
+    n_pulses = draw(st.integers(1, 64))
+    tau = draw(st.floats(0.3, 4.0))
+    unit = st.floats(1e-6, 1.0 - 1e-6)
+    times = sorted({tau * u for u in draw(st.lists(unit, min_size=n_pulses, max_size=n_pulses))})
+    g = draw(st.floats(0.1, 2.0))
+    force = None
+    if draw(st.booleans()):
+        knots = sorted(set(tau * u for u in draw(st.lists(unit, min_size=1, max_size=12))) - set(times))
+        values = draw(st.lists(st.floats(-0.3, 0.3), min_size=len(knots) + 1, max_size=len(knots) + 1))
+        force = ([0.0, *knots, tau], values)
+    return pulses.custom(tau, times), g, force
+
+
+class TestRealPropagator:
+    """evolve runs real products on (n, 2) float views, with one eigensystem
+    per +-kappa pair; it must reproduce the complex propagator it replaced."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(custom_runs())
+    def test_matches_complex_reference_and_closed_form(self, run):
+        seq, g, force = run
+        omega = 1.0
+        a2 = _max_alpha_sq(seq, g, omega, force)
+        assume(a2 <= 40.0)
+        n_max = suggested_n_max(a2)
+        start = initial_state(0j, n_max)
+        st_new = evolve(start, nat(g, omega), seq, force=force)
+        ref = reference_evolve(start, nat(g, omega), seq, force=force)
+        assert np.max(np.abs(st_new.coeff - ref)) <= 1e-12
+        closed = dynamics.evolve_state(seq, g, omega, 0j, force)
+        assert 1 - branch_fidelity(closed, st_new) <= 1e-12
+
+    @pytest.mark.parametrize("kappas", [(0.7, -0.7), (-1.3, 1.3), (-0.4, -0.4), (0.3, -1.1), (-0.9, 0.2)])
+    def test_negative_coupling_matches_direct_eigendecomposition(self, kappas):
+        # n - kappa x = P (n + kappa x) P with P = (-1)^n: a kappa < 0 sector
+        # uses the |kappa| eigensystem with its odd entries flipped
+        n_max, omega, dt = 60, 1.3, 0.9
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=(n_max + 1, 2)) + 1j * rng.normal(size=(n_max + 1, 2))
+        psi /= np.linalg.norm(psi, axis=0)
+        got = oracle._propagate(psi, kappas, omega, dt)
+        x = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1)
+        for j, kappa in enumerate(kappas):
+            evals, evecs = np.linalg.eigh(np.diag(np.arange(n_max + 1.0)) + kappa * (x + x.T))
+            direct = evecs @ (np.exp(-1j * omega * evals * dt) * (evecs.T @ psi[:, j]))
+            assert np.max(np.abs(got[:, j] - direct)) <= 1e-13, (kappas, j)
+
+    def test_one_eigensystem_per_coupling_pair(self):
+        oracle._sector_eigensystem.cache_clear()
+        evolve(initial_state(0, 40), nat(0.9, 1.0), carr_purcell2(2.0))
+        assert oracle._sector_eigensystem.cache_info().misses == 1
 
 
 class TestWitnessMoments:

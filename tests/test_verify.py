@@ -17,3 +17,13 @@ def test_check_timings_logged_at_debug_not_reported(caplog):
     assert all(r.levelno == logging.DEBUG and r.elapsed_s >= 0.0 for r in records)
     assert json.dumps(report, sort_keys=True) == quiet
     assert "elapsed" not in quiet
+
+
+def test_oracle_branch_fidelity_reports_fock_margins():
+    check = verify.check_oracle_branch_fidelity(verify.DEFAULT_SEED)
+    obs = check["observed"]
+    assert set(obs) == {"worst_fidelity", "worst_tail", "worst_norm_drift"}
+    assert check["pass"] is (obs["worst_fidelity"] > 1 - 1e-8)
+    # the per-segment check in oracle.evolve bounds both margins
+    assert 0.0 <= obs["worst_tail"] < 1e-8
+    assert 0.0 <= obs["worst_norm_drift"] <= 1e-10
