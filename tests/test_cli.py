@@ -401,6 +401,7 @@ FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
 INTS = st.integers(-10 ** 20, 10 ** 20)
 TEXTS = st.one_of(st.sampled_from(["a,b", 'say "hi"', "two\nlines", "naïve", "∂x/∂t", "%s", ""]),
                   st.text(max_size=12))
+RUN_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300]
 NAMES = st.one_of(st.sampled_from(["100%", '"q"', "%s", "%(x)s", "w_b", "é"]), st.text(max_size=8))
 
 
@@ -411,9 +412,17 @@ class TestEmitColumns:
     def test_matches_row_dict_writer(self, data, header, n, fmt):
         columns, values = [], []
         for _ in header:
-            kind = data.draw(st.sampled_from(["float", "int", "str", "mixed"]))
+            kind = data.draw(st.sampled_from(["float", "float runs", "int", "str", "mixed"]))
             if kind == "float":
                 vals = data.draw(st.lists(FLOATS, min_size=n, max_size=n))
+                columns.append(np.array(vals, dtype=float))
+            elif kind == "float runs":
+                # runs of equal values, as a per-sequence term repeated on every row
+                vals = []
+                while len(vals) < n:
+                    value = data.draw(st.one_of(st.sampled_from(RUN_FLOATS), FLOATS))
+                    length = data.draw(st.sampled_from([1, 2, 5, n]))
+                    vals += [value] * min(length, n - len(vals))
                 columns.append(np.array(vals, dtype=float))
             else:
                 cell = {"int": INTS, "str": TEXTS, "mixed": st.one_of(FLOATS, INTS, TEXTS)}[kind]
@@ -422,6 +431,19 @@ class TestEmitColumns:
             values.append(vals)
         rows = [dict(zip(header, cells)) for cells in zip(*values)]
         assert emit_text(header, columns, fmt) == reference_emit(rows, header, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("vals", [
+        [0.0, 0.0, -0.0, -0.0, 0.0, 0.0],
+        [math.nan] * 3 + [math.inf] * 3 + [-math.inf] * 2,
+        [2.5] * 7,
+        [1.0, 1.0, 1.0, 2.0],
+    ], ids=["signed_zeros", "non_finite", "one_run", "two_runs"])
+    def test_float_runs_match_cell_by_cell(self, vals, fmt):
+        # a column of few runs is formatted once per run; the text is unchanged
+        assert cli._cells(np.array(vals), fmt) == [cli._cells(np.array([v]), fmt)[0] for v in vals]
+        rows = [{"x": v} for v in vals]
+        assert emit_text(["x"], [np.array(vals)], fmt) == reference_emit(rows, ["x"], fmt)
 
     @pytest.mark.parametrize("fmt,text", [("csv", "a,b\n"), ("json", "[]\n")])
     def test_empty_table(self, fmt, text):

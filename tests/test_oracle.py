@@ -196,6 +196,49 @@ class TestEvolution:
                    force=([0.0, 0.7, 1.5], [0.1, bad]))
 
 
+    @pytest.mark.parametrize("force", [([0.0, 0.5], [0.2]), ([0.3, 1.5], [0.2]), ([], [])],
+                             ids=["ends_before_tau", "starts_after_0", "empty"])
+    def test_bad_force_grid_rejected_where_it_enters(self, force, monkeypatch):
+        # the grid check of dynamics, so both exact routes see the same force
+        def no_eigensystem(*args):
+            raise AssertionError("an eigensystem was computed")
+
+        monkeypatch.setattr(oracle, "_sector_eigensystem", no_eigensystem)
+        for route in (lambda: evolve(initial_state(0, 32), nat(0.5, 1.0), hahn_echo(1.5), force=force),
+                      lambda: dynamics.evolve_state(hahn_echo(1.5), 0.5, 1.0, 0j, force=force)):
+            with pytest.raises(ValueError, match="force grid must start at 0 and cover"):
+                route()
+
+    def test_constant_force_decomposes_each_coupling_once(self, monkeypatch):
+        # a constant force over CPMG-8 meets the couplings g - f and g + f on
+        # all nine segments; each is decomposed once, outside the shared cache
+        decompose = oracle._sector_eigensystem.__wrapped__
+        decomposed = []
+
+        def counting(n_max, kappa):
+            decomposed.append(kappa)
+            return decompose(n_max, kappa)
+
+        monkeypatch.setattr(oracle, "_sector_eigensystem", functools.lru_cache(maxsize=128)(counting))
+        tau = 6.0
+        seq = pulses.custom(tau, [tau * (2 * j - 1) / 16 for j in range(1, 9)])
+        evolve(initial_state(0, 60), nat(0.8, 1.0), seq, force=([0.0, tau], [0.15]))
+        assert sorted(decomposed) == pytest.approx([0.65, 0.95], rel=1e-15)
+        assert oracle._sector_eigensystem.cache_info().currsize == 0
+
+    def test_forced_couplings_stay_out_of_the_shared_cache(self):
+        # forced pieces are decomposed for the call only; the force-free
+        # piece of the same run still goes through the cache
+        oracle._sector_eigensystem.cache_clear()
+        tau = 2.0
+        force = ([0.0, 0.5, 1.2, tau], [0.2, 0.0, -0.1])
+        st_forced = evolve(initial_state(0, 40), nat(0.9, 1.0), carr_purcell2(tau), force=force)
+        info = oracle._sector_eigensystem.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        closed = dynamics.evolve_state(carr_purcell2(tau), 0.9, 1.0, 0j, force=force)
+        assert 1 - branch_fidelity(closed, st_forced) <= 1e-12
+
+
 @functools.lru_cache(maxsize=64)
 def _signed_eigensystem(n_max, kappa):
     from scipy.linalg import eigh_tridiagonal

@@ -240,3 +240,121 @@ class TestLeadingOrderRow:
         assert exact == pytest.approx(row.delta_n_per_g2, rel=1e-3)
         phi = dc_phase(hahn_echo(tau), g, omega)
         assert abs(phi) == pytest.approx(g * row.phi_per_gf, rel=1e-3)
+
+
+def _mp_spectral_response(seq, g, omega, nu, mp):
+    """int_0^tau K(s) e^{-i nu s} ds at 50 digits, from the per-segment kernel
+    pieces K = k0 + Im(R e^{-i omega s}) integrated segment by segment: the
+    route the double-precision code used to take, exact in this arithmetic."""
+    with mp.workdps(50):
+        g, omega, nu = mp.mpf(g), mp.mpf(omega), mp.mpf(nu)
+        edges = [mp.mpf(0), *map(mp.mpf, seq.pulse_times), mp.mpf(seq.total_time)]
+
+        def int_exp(z, a, b):  # int_a^b e^{z s} ds
+            return b - a if z == 0 else (mp.exp(z * b) - mp.exp(z * a)) / z
+
+        total, tail = mp.mpc(0), mp.mpc(0)
+        for k in reversed(range(len(edges) - 1)):
+            a, b, s = edges[k], edges[k + 1], (-1) ** k
+            r = g / (1j * omega) * s * mp.exp(1j * omega * b) + tail
+            tail = r - g / (1j * omega) * s * mp.exp(1j * omega * a)
+            total += s * g / omega * int_exp(-1j * nu, a, b)
+            total += (r * int_exp(-1j * (omega + nu), a, b)
+                      - mp.conj(r) * int_exp(1j * (omega - nu), a, b)) / 2j
+        return complex(total)
+
+
+class TestSpectralResponseReference:
+    """The closed-form spectral response against a 50-digit reference at the
+    reference device: 1 Hz - 100 kHz, plus nu = 0, +-omega and omega (1 +- 1e-9)."""
+
+    TAU = 1e-4
+    SEQS = [ramsey(TAU), hahn_echo(TAU), carr_purcell2(TAU),
+            custom(TAU, [1.3e-5, 3.7e-5, 4.1e-5, 8.9e-5])]
+
+    @pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.kind.value)
+    def test_within_1e_9_of_50_digits(self, seq):
+        mp = pytest.importorskip("mpmath")
+        from spinlev.units import REFERENCE_DEVICE, params_from_dict, to_natural
+
+        omega = to_natural(params_from_dict(REFERENCE_DEVICE)).omega
+        g = 2.5e3
+        nus = [2 * math.pi * f for f in np.geomspace(1.0, 1e5, 41)]
+        nus += [0.0, omega, -omega, omega * (1 + 1e-9), omega * (1 - 1e-9), -2 * math.pi * 5e4]
+        got = pulses.spectral_response(seq, g, omega, np.array(nus))
+        for nu, value in zip(nus, got):
+            ref = _mp_spectral_response(seq, g, omega, nu, mp)
+            assert abs(value - ref) <= 1e-9 * abs(ref), (nu, value, ref)
+
+
+@st.composite
+def spectral_cases(draw):
+    """A pulse list with 0-64 pulses, omega tau from 1e-3 to 1e2, and an array of
+    nu mixing 0, +-omega, frequencies near omega and 1/tau, and wide random ones."""
+    tau = draw(st.floats(1e-3, 1e2))
+    n_pulses = draw(st.integers(0, 64))
+    unit = st.floats(1e-6, 1.0 - 1e-6)
+    times = sorted({tau * u for u in draw(st.lists(unit, min_size=n_pulses, max_size=n_pulses))})
+    omega = draw(st.floats(1e-3, 1e2)) / tau
+    special = st.sampled_from([0.0, omega, -omega, 2 * omega, omega * (1 + 1e-9), 1 / tau, -0.5 / tau])
+    wide = st.floats(-1e4 / tau, 1e4 / tau)
+    nus = draw(st.lists(st.one_of(special, wide), min_size=1, max_size=40))
+    return custom(tau, times), omega, nus
+
+
+class TestSpectralResponseArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(case=spectral_cases(), g=st.floats(0.1, 3.0), data=st.data())
+    def test_array_elements_equal_scalar_calls(self, case, g, data):
+        seq, omega, nus = case
+        got = pulses.spectral_response(seq, g, omega, np.array(nus))
+        order = data.draw(st.permutations(range(len(nus))))
+        shuffled = pulses.spectral_response(seq, g, omega, np.array(nus)[order])
+        for i, nu in enumerate(nus):
+            scalar = pulses.spectral_response(seq, g, omega, nu)
+            assert isinstance(scalar, complex)
+            # bit for bit, also with the element's neighbours shuffled
+            assert (got[i].real, got[i].imag) == (scalar.real, scalar.imag), nu
+        assert np.array_equal(shuffled, got[order])
+
+    def test_shape_and_conjugate_symmetry(self):
+        seq = carr_purcell2(3.0)
+        half = np.linspace(0.0, 4.0, 6)
+        nus = np.concatenate((-half[::-1], half)).reshape(3, 4)
+        got = pulses.spectral_response(seq, 0.8, 1.0, nus)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got, np.conj(got[::-1, ::-1]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pulses.spectral_response(hahn_echo(1.0), 1.0, 1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            pulses.spectral_response(hahn_echo(1.0), 1.0, 1.0, np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="omega"):
+            pulses.spectral_response(hahn_echo(1.0), 1.0, bad, 0.5)
+
+    def test_overflowing_phase_rejected(self):
+        # |nu| tau overflows: no sin(inf) NaN and no numpy warning, a ValueError
+        with pytest.raises(ValueError, match="finite"):
+            pulses.spectral_response(hahn_echo(1e10), 1.0, 1.0, 1e300)
+        with pytest.raises(ValueError, match="finite"):
+            pulses.spectral_response(hahn_echo(1e10), 1.0, 1.0, np.array([0.5, -1e300]))
+
+
+class TestKernelContinuity:
+    @settings(max_examples=80, deadline=None)
+    @given(seq=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=12, unique=True).map(
+               lambda ts: custom(2.0, sorted(ts))),
+           g=st.floats(0.1, 3.0), omega=st.floats(0.05, 20.0))
+    def test_kernel_continuous_at_pulse_edges(self, seq, g, omega):
+        # K(s) = int_s^tau G(t) sin(omega (t - s)) dt has no jump where G does:
+        # the pieces on either side of each pulse agree there, and K(tau) = 0
+        pieces = pulses._kernel_pieces(seq, g, omega)
+        scale = g / omega * (1 + len(pieces))
+        for (_, b, k0, r), (a, _, k1, r1) in zip(pieces, pieces[1:]):
+            left = k0 + (r * np.exp(-1j * omega * b)).imag
+            right = k1 + (r1 * np.exp(-1j * omega * a)).imag
+            assert abs(left - right) <= 1e-13 * scale
+        _, tau, k_last, r_last = pieces[-1]
+        assert abs(k_last + (r_last * np.exp(-1j * omega * tau)).imag) <= 1e-13 * scale

@@ -320,3 +320,27 @@ class TestUnderflowingCoolingFactor:
         with pytest.raises(UnboundedCouplingError, match="xi"):
             sensitivity_sweep(p, carr_purcell2(1e-4), [2 * math.pi * 10.0])
 
+
+
+class TestSensitivitySpectrum:
+    REF = params_from_dict(REFERENCE_DEVICE)
+    NUS = TestSensitivitySweep.NUS
+
+    @pytest.mark.parametrize("seq", TestSensitivitySweep.SEQS, ids=lambda s: s.kind.value)
+    def test_arrays_hold_the_sweep(self, seq):
+        spec = sensing.sensitivity_spectrum(self.REF, seq, self.NUS)
+        assert spec.nus.dtype == spec.eta.dtype == spec.signal_phase_per_force.dtype == np.float64
+        assert spec.points == sensitivity_sweep(self.REF, seq, self.NUS)
+        for sp in spec.points:
+            assert (sp.budget.projection_var, sp.budget.backaction_var, sp.budget.thermal_var) == (
+                spec.projection_var, spec.backaction_var, spec.thermal_var)
+
+    def test_empty_grid(self):
+        spec = sensing.sensitivity_spectrum(self.REF, carr_purcell2(1e-4), [])
+        assert spec.eta.shape == (0,) and spec.points == []
+
+    def test_noise_to_signal_array_equals_scalar(self):
+        phis = np.array([0.0, 1e-9, 3.7e-7, 2.0, 1e150])
+        got = noise_to_signal(phis, 0.3, 0.25, 2.0, 1e-3)
+        assert got.tolist() == [noise_to_signal(p, 0.3, 0.25, 2.0, 1e-3) for p in phis.tolist()]
+        assert got[0] == math.inf
