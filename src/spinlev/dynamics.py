@@ -80,27 +80,11 @@ def branch_evolution(
     if omega <= 0:
         raise ValueError("omega must be > 0")
     theta, gamma = 0.0, complex(alpha)
-    for a, b, s in _force_segments(seq, force):
+    for a, b, k, fk in zip(*(x.tolist() for x in pieces(seq, force))):
         # Hamiltonian term -f (a + a^dag): the x coefficient is sign*g - f
-        c = spin_sign * s[0] * g - s[1]
+        c = spin_sign * (-1) ** k * g - fk
         theta, gamma = segment_step(theta, gamma, c, omega, b - a)
     return theta, gamma
-
-
-def _force_segments(seq: PulseSequence, force):
-    """Merge pulse segments with force-grid segments into (a, b, (sign, f)) pieces."""
-    segs = pulses.segments(seq)
-    if force is None:
-        return [(a, b, (s, 0.0)) for a, b, s in segs]
-    times, values = _checked_force(seq, force)
-    edges = sorted(set(t for t in times.tolist() if t < seq.total_time) | {a for a, _, _ in segs} | {seq.total_time})
-    out = []
-    for a, b in zip(edges, edges[1:]):
-        mid = (a + b) / 2
-        s = pulses.sign_profile(seq, a)
-        idx = int(np.searchsorted(times, mid, side="right")) - 1
-        out.append((a, b, (s, float(values[min(idx, len(values) - 1)]))))
-    return out
 
 
 def evolve_state(
@@ -186,8 +170,10 @@ def magnus_phases(seq: PulseSequence, g: float, omega: float, force=None) -> Mag
       (sigma_z/2) in the same normalization as the response kernel;
     * squeezing_zeta: the J_z^2 coefficient.
 
-    force may be a piecewise-constant time series (edges, values) with
-    len(edges) == len(values) + 1 (handled exactly), or a callable spectrum
+    force may be a boxcar time series (edges, values), values[j] on
+    [edges[j], edges[j+1]) and zero outside [edges[0], edges[-1]], with
+    finite edges from 0 on that never decrease and one more edge than value
+    (or as many, tau closing the last), handled exactly; or a callable spectrum
     f(nu) with the convention f(nu) = (2 pi)^{-1/2} int f(t) e^{i nu t} dt,
     in which case force_phase = Re int chi(nu) f(nu) dnu by quadrature.
     """
@@ -207,47 +193,58 @@ def magnus_phases(seq: PulseSequence, g: float, omega: float, force=None) -> Mag
         phase_f = val
         disp_f = 1j * cmath.exp(-1j * omega * tau) * math.sqrt(2 * math.pi) * complex(force(omega))
     elif force is not None:
-        times, values = force
-        times = list(times)
-        if len(times) == len(values):
-            times = times + [tau]
-        if len(times) != len(values) + 1:
+        edges, values = list(force[0]), list(force[1])
+        if len(edges) == len(values):
+            edges.append(tau)
+        if len(edges) != len(values) + 1:
             raise ValueError("force series must be (edges, values) with one more edge than value")
-        _check_finite_force(values)
-        _check_force_resolution(seq, omega, times)
-        pieces = pulses._kernel_pieces(seq, g, omega)
-        for a, b, f in zip(times, times[1:], values):
-            b = min(b, tau)
-            if b <= a:
-                continue
+        # the boxcar series is zero outside [edges[0], edges[-1]]
+        boxcar = pieces(seq, ([0.0, *edges, max(edges[-1], tau)], [0.0, *values, 0.0]))
+        _check_force_resolution(seq, omega, edges)
+        kernel = pulses._kernel_pieces(seq, g, omega)
+        for a, b, k, fk in zip(*(x[boxcar[3] != 0].tolist() for x in boxcar)):
             # displacement: +i int e^{-i omega (tau - t)} f dt  (from -f(a+a^dag))
-            disp_f += 1j * f * cmath.exp(-1j * omega * tau) * pulses._int_exp(1j * omega, a, b)
-            # phase: int K(s) f ds over [a, b], intersected with kernel pieces
-            for pa, pb, k0, r in pieces:
-                lo, hi = max(a, pa), min(b, pb)
-                if hi <= lo:
-                    continue
-                phase_f += f * (k0 * (hi - lo) + (r * pulses._int_exp(-1j * omega, lo, hi)).imag)
+            disp_f += 1j * fk * cmath.exp(-1j * omega * tau) * pulses._int_exp(1j * omega, a, b)
+            # phase: int K(s) f ds over the piece, inside one kernel piece
+            _, _, k0, r = kernel[k]
+            phase_f += fk * (k0 * (b - a) + (r * pulses._int_exp(-1j * omega, a, b)).imag)
     zeta = pulses.squeezing_parameter(seq, g, omega)
     return MagnusPhases(beta, disp_f, phase_f, zeta)
 
 
+def pieces(seq: PulseSequence, force=None) -> tuple[np.ndarray, ...]:
+    """The pieces of [0, tau] on which the pulse sign and the force are both
+    constant, as arrays (start, end, seg, f), after the checks of
+    _checked_force: seg indexes the pulse segment that holds the piece (sign
+    (-1)**seg), f is the force there (0 without one), read at the piece
+    start, as a midpoint can round onto the next knot on a one-ulp piece."""
+    cuts = np.array((0.0, *seq.pulse_times))
+    if force is None:
+        start, seg, f = cuts, np.arange(cuts.size), np.zeros(cuts.size)
+    else:
+        times, values = _checked_force(seq, force)
+        start = np.unique(np.concatenate((times[times < seq.total_time], cuts)))
+        seg = pulses.segment_index(seq, start)
+        f = values[np.minimum(np.searchsorted(times, start, side="right") - 1, values.size - 1)]
+    return start, np.append(start[1:], seq.total_time), seg, f
+
+
 def _checked_force(seq: PulseSequence, force) -> tuple[np.ndarray, np.ndarray]:
-    """(times, values) of a piecewise-constant force series as float arrays,
-    after checking that the grid starts at 0 and covers [0, tau] and that
-    every value is finite; the check both exact routes apply where the
-    force enters."""
+    """(times, values) of a force series as float arrays, once its knots are
+    finite, never decrease, start at 0 and cover [0, tau] and it holds one
+    finite value per interval, or per knot (the last value then extends the
+    series, as the last interval's value does past tau)."""
     times = np.asarray(force[0], dtype=float)
     values = np.asarray(force[1], dtype=float)
+    if not np.isfinite(times).all() or np.any(np.diff(times) < 0):
+        raise ValueError("force knots must be finite and must not decrease")
     if not times.size or times[0] != 0.0 or times[-1] < seq.total_time - 1e-15 * seq.total_time:
         raise ValueError("force grid must start at 0 and cover [0, tau]")
-    _check_finite_force(values)
-    return times, values
-
-
-def _check_finite_force(values) -> None:
-    if not np.isfinite(np.asarray(values, dtype=float)).all():
+    if values.size not in (times.size - 1, times.size):
+        raise ValueError("force series needs one value per interval or one per knot")
+    if not np.isfinite(values).all():
         raise ValueError("force values must be finite")
+    return times, values
 
 
 def _check_force_resolution(seq: PulseSequence, omega: float, times) -> None:

@@ -185,17 +185,14 @@ def evolve(
 ) -> JointState:
     """Truncated-Fock evolution under H = g sigma_z x + omega n - f(t) x.
 
-    force is None or a piecewise-constant (times, values) series with finite
-    values on a grid that starts at 0 and covers [0, tau] (the grid check of
-    dynamics, applied before any eigensystem is computed); the value on each
-    piece is read at the piece midpoint. Every pulse segment is split at the
-    force knots strictly inside it, so the Hamiltonian is constant on each
-    piece and each spin sector is propagated exactly,
-    e^{-i (omega n + c x) dt}; force knots are honoured exactly and there is
-    no time step. Each distinct (n_max, |c|/omega) pair costs one
+    force is None or a piecewise-constant (times, values) series, checked by
+    dynamics.pieces before any eigensystem is computed. On each of its
+    pieces the Hamiltonian is constant and each spin sector is propagated
+    exactly, e^{-i (omega n + c x) dt}: force knots are honoured exactly and
+    there is no time step. The state is checked at the end of each pulse
+    segment. Each distinct (n_max, |c|/omega) pair costs one
     tridiagonal eigendecomposition: force-free pairs are shared across calls
     through the _sector_eigensystem cache, forced ones only within the call.
-    force=None is the f = 0 case on whole segments, with no knot search.
 
     Pulses are handled in the toggling frame: the instantaneous pi flips are
     absorbed into the sign profile of the coupling, which keeps the spin-
@@ -205,32 +202,20 @@ def evolve(
     made here.
     """
     g, omega = natural.g, natural.omega
-    if force is not None:
-        times, values = dynamics._checked_force(seq, force)
-        # a forced coupling depends on the force value, so it is decomposed
-        # apart from the shared cache, where it would evict the force-free
-        # entries; within the call it is kept, as a constant force meets the
-        # same two couplings on every pulse segment
-        forced = lru_cache(maxsize=None)(_sector_eigensystem.__wrapped__)
+    start, end, seg, f = (x.tolist() for x in dynamics.pieces(seq, force))
+    # a forced coupling depends on the force value, so it is decomposed apart
+    # from the shared cache, where it would evict the force-free entries;
+    # within the call it is kept, as a constant force meets the same two
+    # couplings on every pulse segment
+    forced = lru_cache(maxsize=None)(_sector_eigensystem.__wrapped__)
     psi = np.array(state.coeff.T, dtype=complex, order="C")
-    for a, b, s in pulses.segments(seq):
-        for dt, f in [(b - a, 0.0)] if force is None else _force_pieces(a, b, times, values):
-            psi = _propagate(psi, ((s * g - f) / omega, (-s * g - f) / omega), omega, dt,
-                             forced if f else _sector_eigensystem)
-        JointState(psi.T).check(cfg.tail_tolerance)
+    for i, (a, b, k, fk) in enumerate(zip(start, end, seg, f)):
+        s = (-1) ** k
+        psi = _propagate(psi, ((s * g - fk) / omega, (-s * g - fk) / omega), omega, b - a,
+                         forced if fk else _sector_eigensystem)
+        if i + 1 == len(seg) or seg[i + 1] != k:  # the end of a pulse segment
+            JointState(psi.T).check(cfg.tail_tolerance)
     return JointState(np.ascontiguousarray(psi.T))
-
-
-def _force_pieces(a: float, b: float, times: np.ndarray, values: np.ndarray) -> list[tuple[float, float]]:
-    """(duration, force) of each piece of [a, b] between the force knots
-    strictly inside it; the force is read at the piece midpoint, clamped to
-    the series."""
-    edges = [a, *np.unique(times[(times > a) & (times < b)]), b]
-    out = []
-    for lo, hi in zip(edges, edges[1:]):
-        idx = min(int(np.searchsorted(times, (lo + hi) / 2, side="right")) - 1, len(values) - 1)
-        out.append((hi - lo, float(values[max(idx, 0)])))
-    return out
 
 
 def closed_form_vector(state: EntangledState, n_max: int) -> np.ndarray:
@@ -449,8 +434,7 @@ def _force_weights(seq: PulseSequence, g: float, omega: float, n_steps: int) -> 
     dt = tau / n_steps
     edges = np.linspace(0.0, tau, n_steps + 1)
     mids = (edges[:-1] + edges[1:]) / 2
-    flips = np.searchsorted(np.asarray(seq.pulse_times, dtype=float), mids, side="right")
-    s = np.where(flips % 2 == 0, 1.0, -1.0)
+    s = np.where(pulses.segment_index(seq, mids) % 2 == 0, 1.0, -1.0)
     r = cmath.exp(-1j * omega * dt)
     rk = np.exp(-1j * omega * dt * np.arange(n_steps + 1))  # r^k
     # D_k = (g/omega)(r - 1) sum_{j<k} s_j r^{k-1-j}

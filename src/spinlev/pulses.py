@@ -105,12 +105,17 @@ def make_sequence(kind: SequenceKind | str, tau: float, pulse_times=None) -> Pul
     return custom(tau, pulse_times or ())
 
 
+def segment_index(seq: PulseSequence, t):
+    """Index of the segment that holds t: the number of pulses at or before t
+    (so a pulse time starts the next segment); vectorized over t."""
+    return np.searchsorted(np.asarray(seq.pulse_times, dtype=float), t, side="right")
+
+
 def sign_profile(seq: PulseSequence, t: float) -> int:
     """s(t): +1 before the first pulse, flipping at each pulse, right-continuous."""
     if not (0.0 <= t <= seq.total_time):
         raise ValueError(f"t={t!r} outside [0, tau={seq.total_time!r}]")
-    flips = sum(1 for tp in seq.pulse_times if tp <= t)
-    return 1 if flips % 2 == 0 else -1
+    return 1 if segment_index(seq, t) % 2 == 0 else -1
 
 
 def segments(seq: PulseSequence) -> list[tuple[float, float, int]]:

@@ -125,33 +125,39 @@ def check_bath_monte_carlo(seed):
     stats = oracle.thermal_trajectories_batch(
         _nat(g, omega), [(pulses.ramsey(wt / omega), noq) for noq, wt in configs], cfg)
     z = {}  # per statistic, the largest z over the six configurations
+    worst = {}  # per statistic, the comparison at that configuration
     for (noq, wt), st in zip(configs, stats):
         d = witness.bath_deltas(lam, noq, omega, wt / omega)
         closed = {"dvar_sx": d.dvar_sx, "dq2": d.dq2, "dp2": d.dp2,
                   "dqp": d.dqp, "dsyq": d.dsyq, "dsyp": d.dsyp}
         for name, val, se in st.as_pairs():
-            z.setdefault(name, 0.0)
-            if se > 0:
-                z[name] = max(z[name], abs(val - closed[name]) / se)
+            zi = abs(val - closed[name]) / se if se > 0 else 0.0
+            if name not in z or zi > z[name]:
+                z[name] = zi
+                worst[name] = {"estimate": val, "closed_form": closed[name], "standard_error": se,
+                               "z": zi, "n": cfg.n_trajectories,
+                               "nbar_over_q": noq, "omega_tau": wt}
     worst_z = max(z.values())
     return _check("bath_monte_carlo", "all six statistics within 3 sigma (36 comparisons)",
-                  {"worst_z": worst_z, "z": z}, 3.0, worst_z <= 3.0)
+                  {"worst_z": worst_z, "z": z, "at_worst": worst}, 3.0, worst_z <= 3.0)
 
 
 def check_witness_truncation_band(seed):
-    from scipy.optimize import brentq
-
     omega = 2 * math.pi * 100
     tau = 0.1 * math.pi / omega
-    roots = {}
-    for gr in (0.5, 1.0, 2.0):
-        lam = witness.pulsed_effective_lambda(gr * omega, omega, tau)
+    ratios = (0.5, 1.0, 2.0)
+    lam = np.array([witness.pulsed_effective_lambda(gr * omega, omega, tau) for gr in ratios])
 
-        def f(nb):
-            return (witness.thermal_wb(lam, nb, omega, 0.0, math.pi / omega)
-                    - witness.thermal_wen(lam, nb, omega, math.pi / omega))
+    def positive(nb):  # the sign of W_b - W_en at each coupling
+        w_b, w_en = witness._thermal(lam, nb, omega, 0.0, math.pi / omega)
+        return w_b > w_en
 
-        roots[str(gr)] = brentq(f, 0.05, 100.0)
+    lo, hi = np.full(lam.size, 0.05), np.full(lam.size, 100.0)
+    at_lo = positive(lo)
+    if np.any(positive(hi) == at_lo):
+        raise ValueError("W_b - W_en does not change sign on nbar in [0.05, 100]")
+    roots = witness._bisect(lambda nb: positive(nb) == at_lo, lo, hi)
+    roots = dict(zip(map(str, ratios), roots.tolist()))
     ok = all(0.1 <= r <= 10.0 for r in roots.values())
     return _check("witness_truncation_band", "violation ceases at nbar in [0.1, 10] for all g/w",
                   roots, None, ok)

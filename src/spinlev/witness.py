@@ -445,12 +445,16 @@ def max_nbar_for_violation(
         lo, hi = hi, hi * 2
         if hi > 1e6:
             raise ValueError("violation persists to unphysically large nbar")
-    for _ in range(60):
+    return float(_bisect(lambda nb: peak_ratio(nb) >= threshold, lo, hi))
+
+
+def _bisect(inside, lo, hi, steps: int = 60):
+    """Midpoint of [lo, hi] after `steps` halvings that keep inside(lo) true
+    and inside(hi) false; elementwise over arrays."""
+    for _ in range(steps):
         mid = (lo + hi) / 2
-        if peak_ratio(mid) >= threshold:
-            lo = mid
-        else:
-            hi = mid
+        ok = inside(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     return (lo + hi) / 2
 
 

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinlev import dynamics, pulses
 from spinlev.dynamics import (
@@ -237,3 +238,180 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="force values must be finite"):
             magnus_phases(hahn_echo(1.0), 0.5, 1.0, force=([0.0, 1.0], [bad]))
 
+
+
+def _reference_force_segments(seq, force):
+    """The pulse/force merge that dynamics.pieces replaced, kept as a
+    reference: (a, b, (sign, f)) per piece."""
+    segs = pulses.segments(seq)
+    if force is None:
+        return [(a, b, (s, 0.0)) for a, b, s in segs]
+    times, values = dynamics._checked_force(seq, force)
+    edges = sorted(set(t for t in times.tolist() if t < seq.total_time)
+                   | {a for a, _, _ in segs} | {seq.total_time})
+    out = []
+    for a, b in zip(edges, edges[1:]):
+        mid = (a + b) / 2
+        s = pulses.sign_profile(seq, a)
+        idx = int(np.searchsorted(times, mid, side="right")) - 1
+        out.append((a, b, (s, float(values[min(idx, len(values) - 1)]))))
+    return out
+
+
+def _reference_magnus_force(seq, g, omega, force):
+    """(displacement, phase) of the per-interval, per-kernel-piece loop that
+    magnus_phases replaced, kept as a reference."""
+    tau = seq.total_time
+    times, values = list(force[0]), list(force[1])
+    if len(times) == len(values):
+        times.append(tau)
+    disp, phase = 0j, 0.0
+    kernel = pulses._kernel_pieces(seq, g, omega)
+    for a, b, f in zip(times, times[1:], values):
+        b = min(b, tau)
+        if b <= a:
+            continue
+        disp += 1j * f * cmath.exp(-1j * omega * tau) * pulses._int_exp(1j * omega, a, b)
+        for pa, pb, k0, r in kernel:
+            lo, hi = max(a, pa), min(b, pb)
+            if hi <= lo:
+                continue
+            phase += f * (k0 * (hi - lo) + (r * pulses._int_exp(-1j * omega, lo, hi)).imag)
+    return disp, phase
+
+
+_UNIT = st.floats(1e-6, 1.0 - 1e-6)
+_FORCE = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def _sequences(draw):
+    """A custom sequence with 0-64 pulses at arbitrary times."""
+    tau = draw(st.floats(0.3, 6.0))
+    n = draw(st.integers(0, 64))
+    return custom(tau, sorted({tau * u for u in draw(st.lists(_UNIT, min_size=n, max_size=n))}))
+
+
+@st.composite
+def _forced_runs(draw):
+    """A sequence and, in most cases, a force series whose knots may repeat,
+    fall on pulse times or run past tau, with one value per interval or one
+    per knot."""
+    seq = draw(_sequences())
+    tau = seq.total_time
+    if draw(st.integers(0, 3)) == 0:
+        return seq, None
+    inner = [tau * u for u in draw(st.lists(_UNIT, max_size=12))]
+    if seq.pulse_times:
+        inner += draw(st.lists(st.sampled_from(seq.pulse_times), max_size=4))
+    knots = [0.0, *sorted(inner), tau * draw(st.sampled_from([1.0, 1.5]))]
+    n_values = len(knots) - 1 + draw(st.integers(0, 1))
+    values = draw(st.lists(_FORCE, min_size=n_values, max_size=n_values))
+    return seq, (knots, values)
+
+
+class TestPieces:
+    """dynamics.pieces, the one piece list every exact route runs on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_forced_runs())
+    def test_tiles_segments_and_reads_the_force(self, run):
+        seq, force = run
+        start, end, seg, f = dynamics.pieces(seq, force)
+        tau = seq.total_time
+        assert start[0] == 0.0 and end[-1] == tau
+        assert np.array_equal(start[1:], end[:-1]) and np.all(end > start)
+        edges = (0.0, *seq.pulse_times, tau)
+        for a, b, k, fk in zip(start.tolist(), end.tolist(), seg.tolist(), f.tolist()):
+            assert edges[k] <= a and b <= edges[k + 1]  # inside one pulse segment
+            if force is None:
+                assert fk == 0.0
+            else:  # the value of the interval that holds the piece; the last past the last knot
+                knots, values = force
+                j = max(i for i, t in enumerate(knots) if t <= a)
+                assert knots[j] <= a and (j + 1 == len(knots) or b <= knots[j + 1])
+                assert fk == values[min(j, len(values) - 1)]
+                mid = (a + b) / 2
+                if mid < b:  # the series value at the midpoint
+                    assert fk == values[min(max(i for i, t in enumerate(knots) if t <= mid),
+                                            len(values) - 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_forced_runs())
+    def test_matches_the_merge_it_replaced_bit_for_bit(self, run):
+        # the old merge read f at the midpoint, which on a piece one ulp wide
+        # can round onto the next knot and read the next interval; f is
+        # compared wherever the midpoint lies inside the piece
+        seq, force = run
+        start, end, seg, f = (x.tolist() for x in dynamics.pieces(seq, force))
+        ref = _reference_force_segments(seq, force)
+        assert len(ref) == len(start)
+        for a, b, k, fk, (ra, rb, (rs, rf)) in zip(start, end, seg, f, ref):
+            assert (a.hex(), b.hex(), (-1) ** k) == (ra.hex(), rb.hex(), rs)
+            if (a + b) / 2 < b:
+                assert fk.hex() == rf.hex()
+
+    @pytest.mark.parametrize("force", [([0.0, 0.7, 0.3, 1.0], [0.1, -0.2, 0.3]),
+                                       ([0.0, math.nan, 1.0], [0.1, 0.2]),
+                                       ([0.0, 0.5, math.inf], [0.1, 0.2])],
+                             ids=["decreasing", "nan", "inf"])
+    def test_bad_knots_rejected(self, force):
+        for route in (lambda: dynamics.pieces(hahn_echo(1.0), force),
+                      lambda: evolve_state(hahn_echo(1.0), 0.7, 1.9, 0j, force),
+                      lambda: magnus_phases(hahn_echo(1.0), 0.7, 1.9, force)):
+            with pytest.raises(ValueError, match="force knots must be finite and must not decrease"):
+                route()
+
+    @pytest.mark.parametrize("values", [[], [0.1, 0.2, 0.3, 0.4]], ids=["none", "extra"])
+    def test_value_count_checked(self, values):
+        # one value per interval or per knot; an empty series raised IndexError
+        # and extra values were dropped
+        for route in (lambda: evolve_state(hahn_echo(1.0), 0.7, 1.9, 0j, ([0.0, 0.5, 1.0], values)),
+                      lambda: dynamics.pieces(hahn_echo(1.0), ([0.0, 0.5, 1.0], values))):
+            with pytest.raises(ValueError, match="one value per interval or one per knot"):
+                route()
+
+    def test_magnus_boxcar_before_zero_rejected(self):
+        # the boxcar series is mapped onto a grid that starts at 0
+        with pytest.raises(ValueError, match="force knots"):
+            magnus_phases(hahn_echo(1.0), 0.7, 1.9, ([-0.2, 0.5], [0.1]))
+
+
+@st.composite
+def _boxcar_runs(draw):
+    """A sequence, g, omega and a boxcar force series for magnus_phases: a
+    few arbitrary edges, or a uniform grid fine enough for the resolution
+    check, starting at or after 0 and ending before or after tau."""
+    seq = draw(_sequences())
+    tau = seq.total_time
+    g, omega = draw(st.floats(0.05, 2.0)), draw(st.floats(0.3, 3.0))
+    if draw(st.booleans()):
+        edges = sorted(tau * 1.3 * u for u in draw(st.lists(_UNIT, min_size=1, max_size=5)))
+        if len(edges) == 1:  # a constant force from edges[0] < tau on
+            return seq, g, omega, ([edges[0] / 1.3], [draw(_FORCE)])
+    else:
+        first, span = tau * draw(st.floats(0.0, 0.5)), tau * draw(st.floats(0.2, 1.0))
+        limit = min(2 * math.pi / omega, tau) / 4
+        n = math.ceil(span / limit) + draw(st.integers(4, 20))
+        edges = np.linspace(first, first + span, n + 1).tolist()
+    values = draw(st.lists(_FORCE, min_size=len(edges) - 1, max_size=len(edges) - 1))
+    return seq, g, omega, (edges, values)
+
+
+class TestMagnusOnPieces:
+    @settings(max_examples=300, deadline=None)
+    @given(_boxcar_runs())
+    def test_matches_the_nested_loop_it_replaced(self, run):
+        seq, g, omega, force = run
+        ph = magnus_phases(seq, g, omega, force)
+        disp, phase = _reference_magnus_force(seq, g, omega, force)
+        assert ph.force_phase_per_sz.hex() == phase.hex()
+        # the displacement integral is now split at the pulse times as well;
+        # each int_a^b e^{i omega s} ds of pulses._int_exp carries an absolute
+        # rounding of about 1e-16/omega ((e^z - 1)/z just above |z| = 1e-5)
+        edges = list(force[0]) + ([seq.total_time] if len(force[0]) == len(force[1]) else [])
+        scale = sum(abs(f) * (min(b, seq.total_time) - min(a, seq.total_time))
+                    for a, b, f in zip(edges, edges[1:], force[1]))
+        n_pieces = len(edges) + len(seq.pulse_times)
+        rounding = 1e-15 * n_pieces * max(map(abs, force[1])) / omega
+        assert abs(ph.displacement_force - disp) <= 1e-13 * max(abs(disp), scale) + rounding

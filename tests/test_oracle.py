@@ -209,6 +209,18 @@ class TestEvolution:
             with pytest.raises(ValueError, match="force grid must start at 0 and cover"):
                 route()
 
+    @pytest.mark.parametrize("force", [([0.0, 0.7, 0.3, 1.5], [0.1, -0.2, 0.3]),
+                                       ([0.0, math.nan, 1.5], [0.1, 0.2])],
+                             ids=["decreasing", "nan"])
+    def test_bad_force_knots_rejected_where_they_enter(self, force, monkeypatch):
+        # the knot check of dynamics.pieces, before any eigensystem
+        def no_eigensystem(*args):
+            raise AssertionError("an eigensystem was computed")
+
+        monkeypatch.setattr(oracle, "_sector_eigensystem", no_eigensystem)
+        with pytest.raises(ValueError, match="force knots must be finite and must not decrease"):
+            evolve(initial_state(0, 32), nat(0.5, 1.0), hahn_echo(1.5), force=force)
+
     def test_constant_force_decomposes_each_coupling_once(self, monkeypatch):
         # a constant force over CPMG-8 meets the couplings g - f and g + f on
         # all nine segments; each is decomposed once, outside the shared cache
@@ -272,8 +284,8 @@ def _max_alpha_sq(seq, g, omega, force):
     worst = 0.0
     for spin in (1, -1):
         theta, gam = 0.0, 0j
-        for a, b, (s, f) in dynamics._force_segments(seq, force):
-            c = spin * s * g - f
+        for a, b, k, f in zip(*(x.tolist() for x in dynamics.pieces(seq, force))):
+            c = spin * (-1) ** k * g - f
             worst = max(worst, (abs(gam + c / omega) + abs(c / omega)) ** 2)
             theta, gam = dynamics.segment_step(theta, gam, c, omega, b - a)
     return worst
