@@ -19,7 +19,6 @@ force enters with f = -f_ext).
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -77,10 +76,12 @@ def branch_evolution(
 ):
     """Final (theta, gamma) for one spin branch; force is an optional
     (times, values) piecewise-constant series on a grid covering [0, tau]."""
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
+    if not math.isfinite(g):
+        raise ValueError(f"g must be finite, got {g!r}")
+    if not (omega > 0 and math.isfinite(omega)):
+        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     theta, gamma = 0.0, complex(alpha)
-    for a, b, k, fk in zip(*(x.tolist() for x in pieces(seq, force))):
+    for a, b, k, fk in zip(*(x.tolist() for x in pulses.pieces(seq, force))):
         # Hamiltonian term -f (a + a^dag): the x coefficient is sign*g - f
         c = spin_sign * (-1) ** k * g - fk
         theta, gamma = segment_step(theta, gamma, c, omega, b - a)
@@ -135,19 +136,18 @@ def trajectory(
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     spin_sign = +1 if spin_branch == 0 else -1
-    segs = pulses.segments(seq)
+    start, end, seg, _ = (x.tolist() for x in pulses.pieces(seq))
+    c = [spin_sign * (-1) ** k * g for k in seg]
     starts = [(0.0, complex(alpha))]
-    for a, b, s in segs[:-1]:
-        starts.append(segment_step(*starts[-1], spin_sign * s * g, omega, b - a))
-    seg_starts = [a for a, _, _ in segs]
+    for a, b, ck in zip(start[:-1], end, c):
+        starts.append(segment_step(*starts[-1], ck, omega, b - a))
     out = []
-    for t in np.linspace(0.0, seq.total_time, n_samples):
-        k = bisect.bisect_left(seg_starts, t)  # segments that begin before t
+    ts = np.linspace(0.0, seq.total_time, n_samples)
+    for t, k in zip(ts.tolist(), np.searchsorted(start, ts).tolist()):  # k segments begin before t
         gamma = starts[0][1]
         if k:
-            a, b, s = segs[k - 1]
-            _, gamma = segment_step(*starts[k - 1], spin_sign * s * g, omega, min(b, t) - a)
-        out.append((float(t), math.sqrt(2) * gamma.real, math.sqrt(2) * gamma.imag))
+            _, gamma = segment_step(*starts[k - 1], c[k - 1], omega, min(end[k - 1], t) - start[k - 1])
+        out.append((t, math.sqrt(2) * gamma.real, math.sqrt(2) * gamma.imag))
     return out
 
 
@@ -199,52 +199,19 @@ def magnus_phases(seq: PulseSequence, g: float, omega: float, force=None) -> Mag
         if len(edges) != len(values) + 1:
             raise ValueError("force series must be (edges, values) with one more edge than value")
         # the boxcar series is zero outside [edges[0], edges[-1]]
-        boxcar = pieces(seq, ([0.0, *edges, max(edges[-1], tau)], [0.0, *values, 0.0]))
-        _check_force_resolution(seq, omega, edges)
-        kernel = pulses._kernel_pieces(seq, g, omega)
-        for a, b, k, fk in zip(*(x[boxcar[3] != 0].tolist() for x in boxcar)):
-            # displacement: +i int e^{-i omega (tau - t)} f dt  (from -f(a+a^dag))
-            disp_f += 1j * fk * cmath.exp(-1j * omega * tau) * pulses._int_exp(1j * omega, a, b)
-            # phase: int K(s) f ds over the piece, inside one kernel piece
-            _, _, k0, r = kernel[k]
-            phase_f += fk * (k0 * (b - a) + (r * pulses._int_exp(-1j * omega, a, b)).imag)
+        boxcar = pulses.pieces(seq, ([0.0, *edges, max(edges[-1], tau)], [0.0, *values, 0.0]))
+        a, b, k, f = (x[boxcar[3] != 0] for x in boxcar)
+        half = 0.5 * omega * (b - a)
+        # phase: int K(s) f ds, each piece integrated back from its end
+        kb, pb = pulses._kernel_at(pulses._kernel_ends(seq, g, omega), omega, k, b)
+        _check_force_resolution(seq, omega, edges)  # after the omega > 0 check of _kernel_at
+        phase_f = g * float(f @ pulses._kernel_integrals(kb, pb, 1.0 - 2.0 * (k % 2), omega, 2.0 * half)[0])
+        # displacement: +i int e^{-i omega (tau - t)} f dt (from -f(a+a^dag)), per piece
+        # in the half-angle form e^{i omega (a+b)/2} 2 sin(omega (b-a)/2)/omega
+        disp_f = (2j / omega) * cmath.exp(-1j * omega * tau) * complex(
+            np.sum(f * np.sin(half) * np.exp(0.5j * omega * (a + b))))
     zeta = pulses.squeezing_parameter(seq, g, omega)
     return MagnusPhases(beta, disp_f, phase_f, zeta)
-
-
-def pieces(seq: PulseSequence, force=None) -> tuple[np.ndarray, ...]:
-    """The pieces of [0, tau] on which the pulse sign and the force are both
-    constant, as arrays (start, end, seg, f), after the checks of
-    _checked_force: seg indexes the pulse segment that holds the piece (sign
-    (-1)**seg), f is the force there (0 without one), read at the piece
-    start, as a midpoint can round onto the next knot on a one-ulp piece."""
-    cuts = np.array((0.0, *seq.pulse_times))
-    if force is None:
-        start, seg, f = cuts, np.arange(cuts.size), np.zeros(cuts.size)
-    else:
-        times, values = _checked_force(seq, force)
-        start = np.unique(np.concatenate((times[times < seq.total_time], cuts)))
-        seg = pulses.segment_index(seq, start)
-        f = values[np.minimum(np.searchsorted(times, start, side="right") - 1, values.size - 1)]
-    return start, np.append(start[1:], seq.total_time), seg, f
-
-
-def _checked_force(seq: PulseSequence, force) -> tuple[np.ndarray, np.ndarray]:
-    """(times, values) of a force series as float arrays, once its knots are
-    finite, never decrease, start at 0 and cover [0, tau] and it holds one
-    finite value per interval, or per knot (the last value then extends the
-    series, as the last interval's value does past tau)."""
-    times = np.asarray(force[0], dtype=float)
-    values = np.asarray(force[1], dtype=float)
-    if not np.isfinite(times).all() or np.any(np.diff(times) < 0):
-        raise ValueError("force knots must be finite and must not decrease")
-    if not times.size or times[0] != 0.0 or times[-1] < seq.total_time - 1e-15 * seq.total_time:
-        raise ValueError("force grid must start at 0 and cover [0, tau]")
-    if values.size not in (times.size - 1, times.size):
-        raise ValueError("force series needs one value per interval or one per knot")
-    if not np.isfinite(values).all():
-        raise ValueError("force values must be finite")
-    return times, values
 
 
 def _check_force_resolution(seq: PulseSequence, omega: float, times) -> None:

@@ -202,7 +202,7 @@ def evolve(
     made here.
     """
     g, omega = natural.g, natural.omega
-    start, end, seg, f = (x.tolist() for x in dynamics.pieces(seq, force))
+    start, end, seg, f = (x.tolist() for x in pulses.pieces(seq, force))
     # a forced coupling depends on the force value, so it is decomposed apart
     # from the shared cache, where it would evict the force-free entries;
     # within the call it is kept, as a constant force meets the same two
@@ -275,9 +275,9 @@ def _branch_raw_moments(alphas: np.ndarray, g: float, omega: float, t: float) ->
     """
     g0 = g1 = np.asarray(alphas, dtype=complex)
     th0 = th1 = 0.0
-    for a, b, s in pulses.segments(pulses.ramsey(t)):
-        th0, g0 = dynamics.segment_step(th0, g0, s * g, omega, b - a)
-        th1, g1 = dynamics.segment_step(th1, g1, -s * g, omega, b - a)
+    for a, b, k, _ in zip(*(x.tolist() for x in pulses.pieces(pulses.ramsey(t)))):
+        th0, g0 = dynamics.segment_step(th0, g0, (-1) ** k * g, omega, b - a)
+        th1, g1 = dynamics.segment_step(th1, g1, -(-1) ** k * g, omega, b - a)
     phase = np.exp(1j * (th0 - th1))
     ov = np.exp(-np.abs(g0) ** 2 / 2 - np.abs(g1) ** 2 / 2 + np.conj(g1) * g0)
     z = phase * ov  # e^{i(theta0-theta1)} <g1|g0>

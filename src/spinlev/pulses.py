@@ -3,7 +3,7 @@ r"""Pulse sequences and their per-sequence scalar functionals.
 A sequence of instantaneous pi pulses modulates the spin-motion coupling as
 G(t) = g * s(t), where the sign profile s(t) starts at +1 and flips at each
 pulse time. Everything here is computed from closed-form antiderivatives over
-the constant-sign segments; no numerical quadrature is used.
+the constant-sign segments (pieces); no numerical quadrature is used.
 
 The three functionals:
 
@@ -15,6 +15,8 @@ The three functionals:
   for Ramsey / echo / two-pulse Carr-Purcell), and its Fourier transform
   chi(nu) = (2 pi)^{-1/2} int_0^tau K(s) e^{-i nu s} ds;
 * squeezing parameter  zeta = int_0^tau int_0^t sin(omega(t-t')) G(t) G(t') dt' dt.
+
+All but chi(nu) take K from one backward recursion, _kernel_ends.
 """
 
 from __future__ import annotations
@@ -118,39 +120,112 @@ def sign_profile(seq: PulseSequence, t: float) -> int:
     return 1 if segment_index(seq, t) % 2 == 0 else -1
 
 
-def segments(seq: PulseSequence) -> list[tuple[float, float, int]]:
-    """Constant-sign segments as (start, end, sign)."""
-    edges = (0.0, *seq.pulse_times, seq.total_time)
-    out = []
-    sign = 1
-    for a, b in zip(edges, edges[1:]):
-        out.append((a, b, sign))
-        sign = -sign
-    return out
+def pieces(seq: PulseSequence, force=None) -> tuple[np.ndarray, ...]:
+    """The pieces of [0, tau] on which the pulse sign and the force are both
+    constant, as arrays (start, end, seg, f), after the checks of
+    _checked_force: seg indexes the pulse segment that holds the piece (sign
+    (-1)**seg), f is the force there (0 without one), read at the piece
+    start, as a midpoint can round onto the next knot on a one-ulp piece."""
+    cuts = np.array((0.0, *seq.pulse_times))
+    if force is None:
+        start, seg, f = cuts, np.arange(cuts.size), np.zeros(cuts.size)
+    else:
+        times, values = _checked_force(seq, force)
+        start = np.unique(np.concatenate((times[times < seq.total_time], cuts)))
+        seg = segment_index(seq, start)
+        f = values[np.minimum(np.searchsorted(times, start, side="right") - 1, values.size - 1)]
+    return start, np.append(start[1:], seq.total_time), seg, f
 
 
-def _phi1(z: complex) -> complex:
-    """(e^z - 1)/z, stable at z -> 0."""
-    if abs(z) < 1e-5:
-        return 1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0
-    return (cmath.exp(z) - 1.0) / z
+def _checked_force(seq: PulseSequence, force) -> tuple[np.ndarray, np.ndarray]:
+    """(times, values) of a force series as float arrays, once its knots are
+    finite, never decrease, start at 0 and cover [0, tau] and it holds one
+    finite value per interval, or per knot (the last value then extends the
+    series, as the last interval's value does past tau)."""
+    times = np.asarray(force[0], dtype=float)
+    values = np.asarray(force[1], dtype=float)
+    if not np.isfinite(times).all() or np.any(np.diff(times) < 0):
+        raise ValueError("force knots must be finite and must not decrease")
+    if not times.size or times[0] != 0.0 or times[-1] < seq.total_time - 1e-15 * seq.total_time:
+        raise ValueError("force grid must start at 0 and cover [0, tau]")
+    if values.size not in (times.size - 1, times.size):
+        raise ValueError("force series needs one value per interval or one per knot")
+    if not np.isfinite(values).all():
+        raise ValueError("force values must be finite")
+    return times, values
 
 
-def _int_exp(z: complex, a: float, b: float) -> complex:
-    """int_a^b e^{z s} ds, exact with a stable z -> 0 limit."""
-    d = b - a
-    return cmath.exp(z * a) * d * _phi1(z * d)
+def _kernel_ends(seq: PulseSequence, g: float, omega: float):
+    """(t, k, p): the edges 0, t_1, ..., t_n, tau and, at unit coupling, K and
+    p = K'/omega there. K'' + omega^2 K = omega G is stepped back from
+    K(tau) = K'(tau) = 0 over each segment (sign s, end b, th = omega (b - x)):
+    K = K_b cos th - p_b sin th + s (1 - cos th)/omega, p = K_b sin th
+    + p_b cos th - s sin th/omega, with no term that cancels at small omega tau.
+    Scaling by g afterwards keeps Delta n, zeta and int K^2 exactly homogeneous
+    in g; omega = 0 gives the limits K = 0, p(x) = -int_x^tau s dt."""
+    if not math.isfinite(g):
+        raise ValueError(f"g must be finite, got {g!r}")
+    if not (omega >= 0 and math.isfinite(omega)):
+        raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
+    t = (0.0, *seq.pulse_times, seq.total_time)
+    k, p = [0.0] * len(t), [0.0] * len(t)
+    for j in range(len(t) - 2, -1, -1):
+        s, theta = (-1.0) ** j, omega * (t[j + 1] - t[j])
+        c, sn, h = math.cos(theta), math.sin(theta), math.sin(0.5 * theta)
+        v, w = (2.0 * h * h / omega, sn / omega) if omega else (0.0, t[j + 1] - t[j])
+        k[j], p[j] = k[j + 1] * c - p[j + 1] * sn + s * v, k[j + 1] * sn + p[j + 1] * c - s * w
+    return np.array(t), np.array(k), np.array(p)
+
+
+def _kernel_at(ends, omega: float, seg, x):
+    """(K, p) of _kernel_ends at points x of the segments seg."""
+    if not omega > 0:
+        raise ValueError(f"omega must be > 0, got {omega!r}")
+    t, k, p = ends
+    theta = omega * (t[seg + 1] - x)
+    s = 1.0 - 2.0 * (seg % 2)
+    kb, pb, cos, sin = k[seg + 1], p[seg + 1], np.cos(theta), np.sin(theta)
+    return (kb * cos - pb * sin + s * (2.0 * np.sin(0.5 * theta) ** 2 / omega),
+            kb * sin + pb * cos - s * (sin / omega))
+
+
+# Taylor coefficients of x^3, x^5, ..., x^25 in S(x) = x - sin x and in
+# J(x) = int_0^x (1 - cos u)^2 du = 2 S(x) - S(2x)/4: below 1e-17 relative at x = 1
+_ODD = np.arange(3, 27, 2)
+_TAYLOR = np.array([[(-1) ** j / math.factorial(n), (-1) ** j * (2 - 2 ** (n - 2)) / math.factorial(n)]
+                    for j, n in enumerate(_ODD.tolist())])
+
+
+def _sine_integrals(x):
+    """(S(x), J(x)) for an array x >= 0; their closed forms x - sin x and
+    (3 S(x) - sin x (1 - cos x))/2 cancel below x = 1, where the series is used."""
+    sin = np.sin(x)
+    closed = np.array((x - sin, 1.5 * (x - sin) - sin * np.sin(0.5 * x) ** 2))
+    return np.where(x < 1.0, ((np.minimum(x, 1.0)[:, None] ** _ODD) @ _TAYLOR).T, closed)
+
+
+def _kernel_integrals(k, p, s, omega: float, phi):
+    """(int K dx, int K^2 dx) of _kernel_ends over [b - phi/omega, b] in a segment
+    of sign s, from K = k and p there: K = k cos u - p sin u + c (1 - cos u) in
+    u = omega (b - x), c = s/omega, and of the closed forms only S and J cancel."""
+    if not omega > 0:
+        raise ValueError(f"omega must be > 0, got {omega!r}")
+    c = s / omega
+    sin, vers = np.sin(phi), 2.0 * np.sin(0.5 * phi) ** 2
+    x_sin, vers2 = _sine_integrals(phi)
+    # int cos^2 = (phi + sin cos)/2, int sin^2 = (S + sin (1 - cos))/2,
+    # int cos (1 - cos) = S - J, int sin (1 - cos) = (1 - cos)^2/2
+    square = (0.5 * k * k * (phi + sin * np.cos(phi)) + 0.5 * p * p * (x_sin + sin * vers)
+              + c * c * vers2 + 2.0 * c * k * (x_sin - vers2) - k * p * sin * sin - c * p * vers * vers)
+    return (k * sin - p * vers + c * x_sin) / omega, square / omega
 
 
 def residual_displacement(seq: PulseSequence, g: float, omega: float) -> tuple[complex, float]:
-    """(beta, delta_n): residual coherent displacement per sigma_z unit and |beta|^2."""
-    if omega < 0:
-        raise ValueError("omega must be >= 0")
-    acc = 0.0 + 0.0j
-    for a, b, s in segments(seq):
-        acc += s * _int_exp(1j * omega, a, b)
-    beta = -1j * g * cmath.exp(-1j * omega * seq.total_time) * acc
-    return beta, abs(beta) ** 2
+    """(beta, delta_n): residual coherent displacement per sigma_z unit and
+    |beta|^2, with beta = g e^{-i omega tau} (K(0) + i K'(0)/omega)."""
+    k0, p0 = (float(x[0]) for x in _kernel_ends(seq, g, omega)[1:])
+    beta = g * cmath.exp(-1j * omega * seq.total_time) * complex(k0, p0)
+    return beta, g * g * (k0 * k0 + p0 * p0)
 
 
 def delta_n_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) -> float:
@@ -166,36 +241,12 @@ def delta_n_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) 
     raise ValueError("no closed form for custom sequences")
 
 
-def _kernel_pieces(seq: PulseSequence, g: float, omega: float):
-    """Per-segment representation of K(s).
-
-    On segment k with sign s_k, K(s) = K0_k + Im(R_k e^{-i omega s}) where
-    K0_k = s_k g / omega and R_k collects the segment-boundary phasors.
-    """
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
-    segs = segments(seq)
-    pieces = []
-    # tail sums: R_k = (g/(i omega)) [ s_k e^{i omega b_k} + sum_{j>k} s_j (e^{i omega b_j} - e^{i omega a_j}) ]
-    tail = 0.0 + 0.0j
-    for a, b, s in reversed(segs):
-        r = (g / (1j * omega)) * (s * cmath.exp(1j * omega * b)) + tail
-        pieces.append((a, b, s * g / omega, r))
-        tail = r - (g / (1j * omega)) * (s * cmath.exp(1j * omega * a))
-    pieces.reverse()
-    return pieces
-
-
 def phase_kernel(seq: PulseSequence, g: float, omega: float, s):
     """K(s) = int_s^tau G(t) sin(omega (t-s)) dt, vectorized over s."""
     s = np.asarray(s, dtype=float)
     if np.any((s < 0) | (s > seq.total_time)):
         raise ValueError("s outside [0, tau]")
-    out = np.empty_like(s)
-    for a, b, k0, r in _kernel_pieces(seq, g, omega):
-        m = (s >= a) & (s <= b)
-        out[m] = k0 + np.imag(r * np.exp(-1j * omega * s[m]))
-    return out
+    return g * _kernel_at(_kernel_ends(seq, g, omega), omega, segment_index(seq, s), s)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,6 +349,8 @@ def spectral_response(seq: PulseSequence, g: float, omega: float, nu):
     evaluation it stays within 1e-12 relative (1 Hz - 100 kHz at the
     reference device, and random pulse lists with 0 - 64 pulses).
     """
+    if not math.isfinite(g):
+        raise ValueError(f"g must be finite, got {g!r}")
     if not (omega > 0 and math.isfinite(omega)):
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     nus = np.asarray(nu, dtype=float)
@@ -353,19 +406,9 @@ def dc_phase(seq: PulseSequence, g: float, omega: float) -> float:
 
 def kernel_l2(seq: PulseSequence, g: float, omega: float) -> float:
     """int_0^tau K(s)^2 ds, closed form per segment."""
-    total = 0.0
-    for a, b, k0, r in _kernel_pieces(seq, g, omega):
-        rho, delta = abs(r), cmath.phase(r) if r != 0 else 0.0
-        d = b - a
-        # K = k0 + rho sin(delta - omega s)
-        total += k0 * k0 * d + rho * rho * d / 2.0
-        ca = delta - omega * a
-        cb = delta - omega * b
-        # int sin(delta - omega s) ds = (cos(delta - omega s))/omega |_a^b... d/ds cos(c-ws) = w sin(..)
-        total += 2.0 * k0 * rho * (math.cos(cb) - math.cos(ca)) / omega
-        # int sin^2 = (s - sin(2(delta-omega s))/(-2 omega)...)/2
-        total += rho * rho * (math.sin(2 * cb) - math.sin(2 * ca)) / (4.0 * omega)
-    return total
+    t, k, p = _kernel_ends(seq, g, omega)
+    s = 1.0 - 2.0 * (np.arange(t.size - 1) % 2)
+    return g * g * float(_kernel_integrals(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1]))[1].sum())
 
 
 def ramsey_paper_kernel(g: float, omega: float, tau: float, nu: float) -> complex:
@@ -395,21 +438,10 @@ def cp_approx_kernel(g: float, omega: float, tau: float, nu: float) -> complex:
 
 
 def squeezing_parameter(seq: PulseSequence, g: float, omega: float) -> float:
-    """zeta = int_0^tau int_0^t sin(omega(t-t')) G(t) G(t') dt' dt, piecewise exact."""
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
-    # zeta = Im int_0^tau G(t) e^{i omega t} E(t) dt with E(t) = int_0^t G(t') e^{-i omega t'} dt'
-    total = 0.0 + 0.0j
-    e_acc = 0.0 + 0.0j
-    for a, b, s in segments(seq):
-        # E(t) = e_acc + s g (e^{-i omega t} - e^{-i omega a})/(-i omega) on this segment
-        c0 = e_acc + s * g * cmath.exp(-1j * omega * a) / (1j * omega)
-        # term1: int_a^b s g e^{i omega t} c0 dt
-        total += s * g * c0 * _int_exp(1j * omega, a, b)
-        # term2: int_a^b s g e^{i omega t} * (-s g e^{-i omega t}/(i omega)) dt
-        total += -(g * g) * (b - a) / (1j * omega)
-        e_acc += s * g * _int_exp(-1j * omega, a, b)
-    return total.imag
+    """zeta = int_0^tau int_0^t sin(omega(t-t')) G(t) G(t') dt' dt = int_0^tau G K ds."""
+    t, k, p = _kernel_ends(seq, g, omega)
+    s = 1.0 - 2.0 * (np.arange(t.size - 1) % 2)
+    return g * g * float(s @ _kernel_integrals(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1]))[0])
 
 
 def zeta_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) -> float:

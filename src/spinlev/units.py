@@ -86,8 +86,8 @@ class NaturalParams:
     larmor: float  # rad/s
 
     def __post_init__(self) -> None:
-        _require(self.omega > 0, "omega must be > 0")
-        _require(self.g >= 0, "g must be >= 0")
+        _finite_positive("omega", self.omega)
+        _require(math.isfinite(self.g) and self.g >= 0, f"g must be finite and >= 0, got {self.g!r}")
 
 
 def nbar_from_temperature(temperature: float, omega: float) -> float:

@@ -156,7 +156,7 @@ def witness_value(m: MomentRecord, c: WitnessCoefficients) -> float:
     )
 
 
-def optimize_coefficients(m: MomentRecord, initial_guess: Optional[WitnessCoefficients] = None) -> WitnessCoefficients:
+def optimize_coefficients(m: MomentRecord) -> WitnessCoefficients:
     """Minimizer of W over (a_y, b_y, a_z, b_z).
 
     W is quadratic in the coefficients with the same 2x2 quadrature covariance

@@ -184,6 +184,11 @@ class TestMagnusPhases:
         with pytest.raises(ValueError):
             magnus_phases(seq, 1.0, 2 * math.pi, force=(edges, values))
 
+    def test_zero_omega_with_a_fine_force_grid_rejected(self):
+        # the resolution check divides by omega, which raised ZeroDivisionError
+        with pytest.raises(ValueError, match="omega must be > 0"):
+            magnus_phases(ramsey(1.0), 0.5, 0.0, (np.linspace(0.0, 1.0, 9).tolist(), [0.1] * 8))
+
 
 def _restepped_from_zero(seq, g, omega, spin_branch, n_samples, alpha):
     """Trajectory samples re-stepped from t = 0 for every sample."""
@@ -191,10 +196,11 @@ def _restepped_from_zero(seq, g, omega, spin_branch, n_samples, alpha):
     out = []
     for t in np.linspace(0.0, seq.total_time, n_samples):
         theta, gamma = 0.0, complex(alpha)
-        for a, b, s in pulses.segments(seq):
+        for a, b, k, _ in zip(*(x.tolist() for x in pulses.pieces(seq))):
             if a >= t:
                 break
-            theta, gamma = dynamics.segment_step(theta, gamma, sign * s * g, omega, min(b, t) - a)
+            theta, gamma = dynamics.segment_step(theta, gamma, sign * (-1) ** k * g, omega,
+                                                 min(b, t) - a)
         out.append((float(t), math.sqrt(2) * gamma.real, math.sqrt(2) * gamma.imag))
     return out
 
@@ -233,6 +239,14 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="alpha must be finite"):
             evolve_state(hahn_echo(1.0), 0.5, 1.0, alpha)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["g", "omega"])
+    def test_coupling_and_frequency(self, name, bad):
+        args = {"g": 0.5, "omega": 1.0, name: bad}
+        for route in (evolve_state, magnus_phases):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                route(hahn_echo(1.0), args["g"], args["omega"])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_magnus_phases_force(self, bad):
         with pytest.raises(ValueError, match="force values must be finite"):
@@ -241,12 +255,12 @@ class TestNonFiniteInput:
 
 
 def _reference_force_segments(seq, force):
-    """The pulse/force merge that dynamics.pieces replaced, kept as a
+    """The pulse/force merge that pulses.pieces replaced, kept as a
     reference: (a, b, (sign, f)) per piece."""
-    segs = pulses.segments(seq)
+    segs = [(a, b, (-1) ** k) for a, b, k, _ in zip(*(x.tolist() for x in pulses.pieces(seq)))]
     if force is None:
         return [(a, b, (s, 0.0)) for a, b, s in segs]
-    times, values = dynamics._checked_force(seq, force)
+    times, values = pulses._checked_force(seq, force)
     edges = sorted(set(t for t in times.tolist() if t < seq.total_time)
                    | {a for a, _, _ in segs} | {seq.total_time})
     out = []
@@ -258,26 +272,64 @@ def _reference_force_segments(seq, force):
     return out
 
 
-def _reference_magnus_force(seq, g, omega, force):
+def _reference_int_exp(z, a, b, exp):
+    """int_a^b e^{z s} ds as the old pulses._int_exp formed it, through
+    (e^z - 1)/z and its series below |z| = 1e-5 (the old pulses._phi1); in
+    mpmath arithmetic the closed form has digits to spare and is kept."""
+    zd = z * (b - a)
+    if abs(zd) < 1e-5 and isinstance(zd, complex):
+        phi1 = 1.0 + zd / 2.0 + zd * zd / 6.0 + zd * zd * zd / 24.0
+    else:
+        phi1 = (exp(zd) - 1.0) / zd
+    return exp(z * a) * (b - a) * phi1
+
+
+def _reference_kernel_pieces(seq, g, omega, exp, num):
+    """The old pulses._kernel_pieces: on segment k with sign s_k,
+    K(s) = K0_k + Im(R_k e^{-i omega s}), K0_k = s_k g / omega."""
+    edges = [num(t) for t in (0.0, *seq.pulse_times, seq.total_time)]
+    pieces = []
+    tail = 0j
+    for k in reversed(range(len(edges) - 1)):
+        a, b, s = edges[k], edges[k + 1], (-1) ** k
+        r = (g / (1j * omega)) * (s * exp(1j * omega * b)) + tail
+        pieces.append((a, b, s * g / omega, r))
+        tail = r - (g / (1j * omega)) * (s * exp(1j * omega * a))
+    pieces.reverse()
+    return pieces
+
+
+def _reference_magnus_force(seq, g, omega, force, exp=cmath.exp, num=float):
     """(displacement, phase) of the per-interval, per-kernel-piece loop that
-    magnus_phases replaced, kept as a reference."""
-    tau = seq.total_time
-    times, values = list(force[0]), list(force[1])
+    magnus_phases replaced, kept as a reference; with exp=mp.exp and
+    num=mp.mpf it runs in mpmath arithmetic."""
+    g, omega, tau = num(g), num(omega), num(seq.total_time)
+    times, values = [num(t) for t in force[0]], [num(f) for f in force[1]]
     if len(times) == len(values):
         times.append(tau)
-    disp, phase = 0j, 0.0
-    kernel = pulses._kernel_pieces(seq, g, omega)
+    disp, phase = 0j, num(0.0)
+    kernel = _reference_kernel_pieces(seq, g, omega, exp, num)
     for a, b, f in zip(times, times[1:], values):
         b = min(b, tau)
         if b <= a:
             continue
-        disp += 1j * f * cmath.exp(-1j * omega * tau) * pulses._int_exp(1j * omega, a, b)
+        disp += 1j * f * exp(-1j * omega * tau) * _reference_int_exp(1j * omega, a, b, exp)
         for pa, pb, k0, r in kernel:
             lo, hi = max(a, pa), min(b, pb)
             if hi <= lo:
                 continue
-            phase += f * (k0 * (hi - lo) + (r * pulses._int_exp(-1j * omega, lo, hi)).imag)
+            phase += f * (k0 * (hi - lo) + (r * _reference_int_exp(-1j * omega, lo, hi, exp)).imag)
     return disp, phase
+
+
+def _abs_kernel_force(seq, g, omega, force):
+    """int |K f| ds, by the trapezoid rule on 65 points per boxcar piece."""
+    edges = list(force[0]) + ([seq.total_time] if len(force[0]) == len(force[1]) else [])
+    start, end, _, f = pulses.pieces(
+        seq, ([0.0, *edges, max(edges[-1], seq.total_time)], [0.0, *force[1], 0.0]))
+    s = np.linspace(start, end, 65, axis=1)
+    k = np.abs(pulses.phase_kernel(seq, g, omega, s.ravel())).reshape(s.shape)
+    return float(np.abs(f) @ np.trapezoid(k, s, axis=1))
 
 
 _UNIT = st.floats(1e-6, 1.0 - 1e-6)
@@ -311,13 +363,13 @@ def _forced_runs(draw):
 
 
 class TestPieces:
-    """dynamics.pieces, the one piece list every exact route runs on."""
+    """pulses.pieces, the one piece list every exact route runs on."""
 
     @settings(max_examples=300, deadline=None)
     @given(_forced_runs())
     def test_tiles_segments_and_reads_the_force(self, run):
         seq, force = run
-        start, end, seg, f = dynamics.pieces(seq, force)
+        start, end, seg, f = pulses.pieces(seq, force)
         tau = seq.total_time
         assert start[0] == 0.0 and end[-1] == tau
         assert np.array_equal(start[1:], end[:-1]) and np.all(end > start)
@@ -343,7 +395,7 @@ class TestPieces:
         # can round onto the next knot and read the next interval; f is
         # compared wherever the midpoint lies inside the piece
         seq, force = run
-        start, end, seg, f = (x.tolist() for x in dynamics.pieces(seq, force))
+        start, end, seg, f = (x.tolist() for x in pulses.pieces(seq, force))
         ref = _reference_force_segments(seq, force)
         assert len(ref) == len(start)
         for a, b, k, fk, (ra, rb, (rs, rf)) in zip(start, end, seg, f, ref):
@@ -356,7 +408,7 @@ class TestPieces:
                                        ([0.0, 0.5, math.inf], [0.1, 0.2])],
                              ids=["decreasing", "nan", "inf"])
     def test_bad_knots_rejected(self, force):
-        for route in (lambda: dynamics.pieces(hahn_echo(1.0), force),
+        for route in (lambda: pulses.pieces(hahn_echo(1.0), force),
                       lambda: evolve_state(hahn_echo(1.0), 0.7, 1.9, 0j, force),
                       lambda: magnus_phases(hahn_echo(1.0), 0.7, 1.9, force)):
             with pytest.raises(ValueError, match="force knots must be finite and must not decrease"):
@@ -367,7 +419,7 @@ class TestPieces:
         # one value per interval or per knot; an empty series raised IndexError
         # and extra values were dropped
         for route in (lambda: evolve_state(hahn_echo(1.0), 0.7, 1.9, 0j, ([0.0, 0.5, 1.0], values)),
-                      lambda: dynamics.pieces(hahn_echo(1.0), ([0.0, 0.5, 1.0], values))):
+                      lambda: pulses.pieces(hahn_echo(1.0), ([0.0, 0.5, 1.0], values))):
             with pytest.raises(ValueError, match="one value per interval or one per knot"):
                 route()
 
@@ -399,19 +451,37 @@ def _boxcar_runs(draw):
 
 
 class TestMagnusOnPieces:
+    # magnus_phases takes K from pulses._kernel_ends and integrates each force
+    # piece in closed form; the nested loop it replaced took K from the old
+    # phasor pieces K0 + Im(R e^{-i omega s}), which cancel at small omega tau
     @settings(max_examples=300, deadline=None)
     @given(_boxcar_runs())
     def test_matches_the_nested_loop_it_replaced(self, run):
         seq, g, omega, force = run
         ph = magnus_phases(seq, g, omega, force)
         disp, phase = _reference_magnus_force(seq, g, omega, force)
-        assert ph.force_phase_per_sz.hex() == phase.hex()
-        # the displacement integral is now split at the pulse times as well;
-        # each int_a^b e^{i omega s} ds of pulses._int_exp carries an absolute
-        # rounding of about 1e-16/omega ((e^z - 1)/z just above |z| = 1e-5)
         edges = list(force[0]) + ([seq.total_time] if len(force[0]) == len(force[1]) else [])
         scale = sum(abs(f) * (min(b, seq.total_time) - min(a, seq.total_time))
                     for a, b, f in zip(edges, edges[1:], force[1]))
+        # the reference rounds K0 + Im(R e^{-i omega s}), |K0| = g/omega and |R|
+        # up to (1 + 2 n) g/omega, however small K is; over 3000 draws the
+        # largest difference was 3.4e-16 of this rounding scale, or 4.5e-4 of
+        # int |K f| (where K ~ 1e-16 on the force piece)
+        rounding = 1e-15 * g / omega * (2 + len(seq.pulse_times)) * scale
+        assert abs(ph.force_phase_per_sz - phase) <= 1e-13 * _abs_kernel_force(seq, g, omega, force) + rounding
+        # the displacement integral is now split at the pulse times as well;
+        # each int_a^b e^{i omega s} ds of the reference carries an absolute
+        # rounding of about 1e-16/omega ((e^z - 1)/z just above |z| = 1e-5)
         n_pieces = len(edges) + len(seq.pulse_times)
         rounding = 1e-15 * n_pieces * max(map(abs, force[1])) / omega
         assert abs(ph.displacement_force - disp) <= 1e-13 * max(abs(disp), scale) + rounding
+
+    @settings(max_examples=25, deadline=None)
+    @given(_boxcar_runs())
+    def test_phase_matches_40_digits(self, run):
+        mp = pytest.importorskip("mpmath")
+        seq, g, omega, force = run
+        with mp.workdps(40):
+            _, ref = _reference_magnus_force(seq, g, omega, force, mp.exp, mp.mpf)
+        got = magnus_phases(seq, g, omega, force).force_phase_per_sz
+        assert abs(got - float(ref)) <= 1e-13 * _abs_kernel_force(seq, g, omega, force)

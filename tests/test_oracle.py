@@ -213,7 +213,7 @@ class TestEvolution:
                                        ([0.0, math.nan, 1.5], [0.1, 0.2])],
                              ids=["decreasing", "nan"])
     def test_bad_force_knots_rejected_where_they_enter(self, force, monkeypatch):
-        # the knot check of dynamics.pieces, before any eigensystem
+        # the knot check of pulses.pieces, before any eigensystem
         def no_eigensystem(*args):
             raise AssertionError("an eigensystem was computed")
 
@@ -267,7 +267,8 @@ def reference_evolve(state, natural, seq, force=None):
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     c = state.coeff.copy()
-    for a, b, s in pulses.segments(seq):
+    for a, b, k, _ in zip(*(x.tolist() for x in pulses.pieces(seq))):
+        s = (-1) ** k
         edges = [a, *np.unique(times[(times > a) & (times < b)]), b]
         for lo, hi in zip(edges, edges[1:]):
             idx = min(int(np.searchsorted(times, (lo + hi) / 2, side="right")) - 1, len(values) - 1)
@@ -284,7 +285,7 @@ def _max_alpha_sq(seq, g, omega, force):
     worst = 0.0
     for spin in (1, -1):
         theta, gam = 0.0, 0j
-        for a, b, k, f in zip(*(x.tolist() for x in dynamics.pieces(seq, force))):
+        for a, b, k, f in zip(*(x.tolist() for x in pulses.pieces(seq, force))):
             c = spin * (-1) ** k * g - f
             worst = max(worst, (abs(gam + c / omega) + abs(c / omega)) ** 2)
             theta, gam = dynamics.segment_step(theta, gam, c, omega, b - a)
@@ -598,7 +599,8 @@ def _stepping_reference(natural, seq, cfg, nbar_over_q):
             gam[which] = g2 - beta
     phi = (theta["p"] - theta["m"]) + (np.conj(gam["m"]) * gam["p"]).imag
     t0p, g0p, t0m, g0m = 0.0, 0j, 0.0, 0j
-    for a, b, sseg in pulses.segments(seq):
+    for a, b, k, _ in zip(*(x.tolist() for x in pulses.pieces(seq))):
+        sseg = (-1) ** k
         t0p, g0p = dynamics.segment_step(t0p, g0p, sseg * g, omega, b - a)
         t0m, g0m = dynamics.segment_step(t0m, g0m, -sseg * g, omega, b - a)
     phi = phi - ((t0p - t0m) + (np.conj(g0m) * g0p).imag)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from spinlev import pulses
@@ -25,7 +25,6 @@ from spinlev.pulses import (
     residual_displacement,
     response_kernel,
     sign_profile,
-    segments,
     squeezing_parameter,
     zeta_closed_form,
 )
@@ -77,7 +76,8 @@ class TestSignProfile:
         # integral of the sign profile: tau for Ramsey, 0 for the echoes
         for seq, expect in [(ramsey(1.0), 1.0), (hahn_echo(1.0), 0.0),
                             (carr_purcell2(1.0), 0.0)]:
-            total = sum(s * (b - a) for a, b, s in segments(seq))
+            total = sum((-1) ** k * (b - a)
+                        for a, b, k, _ in zip(*(x.tolist() for x in pulses.pieces(seq))))
             assert total == pytest.approx(expect, abs=1e-15)
 
 
@@ -242,26 +242,88 @@ class TestLeadingOrderRow:
         assert abs(phi) == pytest.approx(g * row.phi_per_gf, rel=1e-3)
 
 
+def _mp_int_exp(z, a, b, mp):
+    """int_a^b e^{z s} ds in mpmath arithmetic."""
+    return b - a if z == 0 else (mp.exp(z * b) - mp.exp(z * a)) / z
+
+
+def _mp_kernel_pieces(seq, g, omega, mp):
+    """(a, b, s, k0, R) per pulse segment in mpmath numbers at the working
+    precision: K = k0 + Im(R e^{-i omega s}) there, k0 = s g / omega, R from
+    the segment-boundary phasors; the route the double-precision code used
+    to take, which cancels only at small omega tau."""
+    g, omega = mp.mpf(g), mp.mpf(omega)
+    edges = [mp.mpf(0), *map(mp.mpf, seq.pulse_times), mp.mpf(seq.total_time)]
+    out, tail = [], mp.mpc(0)
+    for k in reversed(range(len(edges) - 1)):
+        a, b, s = edges[k], edges[k + 1], (-1) ** k
+        r = g / (1j * omega) * s * mp.exp(1j * omega * b) + tail
+        tail = r - g / (1j * omega) * s * mp.exp(1j * omega * a)
+        out.append((a, b, s, s * g / omega, r))
+    return out[::-1]
+
+
 def _mp_spectral_response(seq, g, omega, nu, mp):
     """int_0^tau K(s) e^{-i nu s} ds at 50 digits, from the per-segment kernel
-    pieces K = k0 + Im(R e^{-i omega s}) integrated segment by segment: the
-    route the double-precision code used to take, exact in this arithmetic."""
+    pieces integrated segment by segment, exact in this arithmetic."""
     with mp.workdps(50):
-        g, omega, nu = mp.mpf(g), mp.mpf(omega), mp.mpf(nu)
-        edges = [mp.mpf(0), *map(mp.mpf, seq.pulse_times), mp.mpf(seq.total_time)]
-
-        def int_exp(z, a, b):  # int_a^b e^{z s} ds
-            return b - a if z == 0 else (mp.exp(z * b) - mp.exp(z * a)) / z
-
-        total, tail = mp.mpc(0), mp.mpc(0)
-        for k in reversed(range(len(edges) - 1)):
-            a, b, s = edges[k], edges[k + 1], (-1) ** k
-            r = g / (1j * omega) * s * mp.exp(1j * omega * b) + tail
-            tail = r - g / (1j * omega) * s * mp.exp(1j * omega * a)
-            total += s * g / omega * int_exp(-1j * nu, a, b)
-            total += (r * int_exp(-1j * (omega + nu), a, b)
-                      - mp.conj(r) * int_exp(1j * (omega - nu), a, b)) / 2j
+        omega, nu = mp.mpf(omega), mp.mpf(nu)
+        total = mp.mpc(0)
+        for a, b, s, k0, r in _mp_kernel_pieces(seq, g, omega, mp):
+            total += k0 * _mp_int_exp(-1j * nu, a, b, mp)
+            total += (r * _mp_int_exp(-1j * (omega + nu), a, b, mp)
+                      - mp.conj(r) * _mp_int_exp(1j * (omega - nu), a, b, mp)) / 2j
         return complex(total)
+
+
+def _mp_functionals(seq, g, omega, force, points, mp):
+    """(int K^2, zeta, Delta n, int K f, K at points) at 40 digits from the
+    kernel pieces, for a boxcar force (edges, values) on [0, tau]."""
+    with mp.workdps(40):
+        w, gm = mp.mpf(omega), mp.mpf(g)
+        pieces = _mp_kernel_pieces(seq, g, omega, mp)
+        l2 = zeta = phase = mp.mpf(0)
+        acc = mp.mpc(0)
+        for a, b, s, k0, r in pieces:
+            # K^2 = k0^2 + 2 k0 Im(z) + (|R|^2 - Re(z^2))/2 with z = R e^{-i omega s}
+            im_r = mp.im(r * _mp_int_exp(-1j * w, a, b, mp))
+            l2 += ((k0 * k0 + abs(r) ** 2 / 2) * (b - a) + 2 * k0 * im_r
+                   - mp.re(r * r * _mp_int_exp(-2j * w, a, b, mp)) / 2)
+            zeta += s * gm * (k0 * (b - a) + im_r)
+            acc += s * _mp_int_exp(1j * w, a, b, mp)
+            for fa, fb, f in zip(force[0], force[0][1:], force[1]):
+                lo, hi = max(mp.mpf(fa), a), min(mp.mpf(fb), b)
+                if hi > lo:
+                    phase += f * (k0 * (hi - lo) + mp.im(r * _mp_int_exp(-1j * w, lo, hi, mp)))
+        kernel = [next(k0 + mp.im(r * mp.exp(-1j * w * x)) for a, b, _, k0, r in pieces if a <= x <= b)
+                  for x in map(mp.mpf, points)]
+        return (float(l2), float(zeta), float(gm * gm * abs(acc) ** 2), float(phase),
+                np.array([float(k) for k in kernel]))
+
+
+def _reference_deviations(seq, g, omega):
+    """{name: (|value - reference|, |reference|, bound)} for kernel_l2, zeta,
+    Delta n, the magnus_phases force phase and phase_kernel (its largest
+    deviation over 17 points, against its largest value) at 40 digits; bound
+    is the largest value the functional can take for a kernel of this norm:
+    |zeta| <= g (tau int K^2)^1/2, |phi| <= (int K^2 int f^2)^1/2, Delta n <= g^2 tau^2."""
+    mp = pytest.importorskip("mpmath")
+    from spinlev.dynamics import magnus_phases
+
+    tau = seq.total_time
+    force = ([0.0, 0.17 * tau, 0.5 * tau, 0.61 * tau, tau], [0.3, -0.2, 0.5, 0.1])
+    points = np.linspace(0.0, tau, 17)
+    l2, zeta, dn, phase, kernel = _mp_functionals(seq, g, omega, force, points, mp)
+    f2 = sum(f * f * (b - a) for a, b, f in zip(force[0], force[0][1:], force[1]))
+    k_max = np.abs(kernel).max()
+    return {
+        "l2": (abs(kernel_l2(seq, g, omega) - l2), l2, l2),
+        "zeta": (abs(squeezing_parameter(seq, g, omega) - zeta), abs(zeta), g * math.sqrt(tau * l2)),
+        "dn": (abs(residual_displacement(seq, g, omega)[1] - dn), dn, g * g * tau * tau),
+        "phase": (abs(magnus_phases(seq, g, omega, force).force_phase_per_sz - phase), abs(phase),
+                  math.sqrt(l2 * f2)),
+        "kernel": (np.abs(phase_kernel(seq, g, omega, points) - kernel).max(), k_max, k_max),
+    }
 
 
 class TestSpectralResponseReference:
@@ -285,6 +347,80 @@ class TestSpectralResponseReference:
         for nu, value in zip(nus, got):
             ref = _mp_spectral_response(seq, g, omega, nu, mp)
             assert abs(value - ref) <= 1e-9 * abs(ref), (nu, value, ref)
+
+
+class TestKernelFunctionalsReference:
+    """The time-domain functionals, all built on one backward kernel
+    recursion, against 40 digits: within 1e-13 relative, except Delta n
+    for CP2 below omega tau = 0.2, whose first two moments vanish, so that
+    both routes lose (omega tau)^-2 to the same moment cancellation."""
+
+    OMEGA = 2 * math.pi * 100  # the reference device
+    DEVICE = [maker(tau) for tau in (3e-5, 1e-4, 3e-4) for maker in (ramsey, hahn_echo, carr_purcell2)]
+    DEVICE.append(custom(1e-4, [1.3e-5, 3.7e-5, 4.1e-5, 8.9e-5]))
+    UNIT = [maker(wt) for wt in (0.1, 1.0, math.pi, 2 * math.pi, 10.0)
+            for maker in (ramsey, hahn_echo, carr_purcell2)]
+
+    @pytest.mark.parametrize("seq", DEVICE + UNIT, ids=lambda s: f"{s.kind.value}-{s.total_time:.3g}")
+    def test_fixed_sequences(self, seq):
+        g, omega = (2.5e3, self.OMEGA) if seq.total_time < 1e-3 else (0.7, 1.0)
+        errors = {name: dev / ref for name, (dev, ref, _) in _reference_deviations(seq, g, omega).items()}
+        dn_gate = 1e-13
+        if seq.kind is SequenceKind.CARR_PURCELL2 and omega * seq.total_time < 0.2:
+            dn_gate = 4e-15 / (omega * seq.total_time) ** 2  # 1.1e-11 at tau = 3e-5 s
+        assert errors.pop("dn") <= dn_gate
+        assert max(errors.values()) <= 1e-13, errors
+
+    @settings(max_examples=25, deadline=None)
+    @given(tau=st.sampled_from([0.1, 1.0, math.pi, 2 * math.pi, 10.0]),
+           units=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=3, max_size=64, unique=True))
+    def test_random_pulse_lists(self, tau, units):
+        # a random pulse list can refocus zeta, Delta n or the force phase to
+        # near 0, so these are held to their bound for the kernel's norm
+        seq = custom(tau, sorted({tau * u for u in units}))
+        assume(len(seq.pulse_times) >= 3)
+        errors = {name: dev / bound for name, (dev, _, bound) in _reference_deviations(seq, 0.7, 1.0).items()}
+        assert max(errors.values()) <= 1e-13, errors
+
+
+class TestHomogeneousInG:
+    @settings(max_examples=100, deadline=None)
+    @given(seq=st.lists(st.floats(0.01, 0.99), max_size=12, unique=True).map(
+               lambda ts: custom(1.5, sorted(ts))),
+           omega=st.floats(0.05, 20.0), g=st.floats(1e-3, 1e3))
+    def test_quadratic_in_g_to_one_ulp(self, seq, omega, g):
+        # K is formed at unit coupling and scaled by g afterwards, so Delta n,
+        # int K^2 and zeta are g^2 times their unit-coupling values
+        for f in (lambda c: residual_displacement(seq, c, omega)[1],
+                  lambda c: kernel_l2(seq, c, omega), lambda c: squeezing_parameter(seq, c, omega)):
+            expect = g * g * f(1.0)
+            assert abs(f(g) - expect) <= math.ulp(expect)
+
+
+class TestNonFiniteCoupling:
+    """A NaN or infinite g or omega raises a ValueError naming it, instead
+    of returning NaN."""
+
+    ROUTES = {
+        "residual_displacement": residual_displacement,
+        "kernel_l2": kernel_l2,
+        "squeezing_parameter": squeezing_parameter,
+        "phase_kernel": lambda seq, g, omega: phase_kernel(seq, g, omega, [0.3]),
+        "spectral_response": lambda seq, g, omega: pulses.spectral_response(seq, g, omega, 0.5),
+        "dc_phase": dc_phase,
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_g(self, route, bad):
+        with pytest.raises(ValueError, match="g must be finite"):
+            self.ROUTES[route](carr_purcell2(1.0), bad, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("route", sorted(set(ROUTES) - {"dc_phase", "spectral_response"}))
+    def test_omega(self, route, bad):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            self.ROUTES[route](carr_purcell2(1.0), 0.7, bad)
 
 
 @st.composite
@@ -349,12 +485,10 @@ class TestKernelContinuity:
            g=st.floats(0.1, 3.0), omega=st.floats(0.05, 20.0))
     def test_kernel_continuous_at_pulse_edges(self, seq, g, omega):
         # K(s) = int_s^tau G(t) sin(omega (t - s)) dt has no jump where G does:
-        # the pieces on either side of each pulse agree there, and K(tau) = 0
-        pieces = pulses._kernel_pieces(seq, g, omega)
-        scale = g / omega * (1 + len(pieces))
-        for (_, b, k0, r), (a, _, k1, r1) in zip(pieces, pieces[1:]):
-            left = k0 + (r * np.exp(-1j * omega * b)).imag
-            right = k1 + (r1 * np.exp(-1j * omega * a)).imag
+        # phase_kernel just before each pulse (the segment that ends there) and
+        # at it (the segment that starts there) agree, and K(tau) = 0
+        scale = g / omega * (2 + len(seq.pulse_times))
+        for t in seq.pulse_times:
+            left, right = phase_kernel(seq, g, omega, [math.nextafter(t, 0.0), t])
             assert abs(left - right) <= 1e-13 * scale
-        _, tau, k_last, r_last = pieces[-1]
-        assert abs(k_last + (r_last * np.exp(-1j * omega * tau)).imag) <= 1e-13 * scale
+        assert phase_kernel(seq, g, omega, [seq.total_time])[0] == 0.0

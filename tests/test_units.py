@@ -72,6 +72,15 @@ class TestToNatural:
         assert coupling_ratio_scaling(p4, p) == pytest.approx(1.0 / 8.0, rel=1e-12)
 
 
+class TestNaturalParams:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["g", "omega"])
+    def test_non_finite_coupling_and_frequency_rejected(self, name, bad):
+        fields = dict(g=0.2, omega=1.0, lam=0.4, nbar=0.0, gamma=1e-6, x0=1.0, larmor=0.0)
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            units.NaturalParams(**{**fields, name: bad})
+
+
 class TestNbarFromTemperature:
     def test_zero_temperature(self):
         assert nbar_from_temperature(0.0, 1.0) == 0.0
