@@ -341,8 +341,11 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    seed = args.seed if args.seed is not None else verify.DEFAULT_SEED
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"--seed must be in [0, 2**64), got {seed}")
     _load_config(args.config)  # verify reads no config key
-    report = verify.run_checks(seed=args.seed if args.seed is not None else verify.DEFAULT_SEED)
+    report = verify.run_checks(seed=seed)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         _atomic_write(args.out, text)
@@ -355,7 +358,7 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON parameter file")
     p.add_argument("--out", help="output file path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    p.add_argument("--seed", type=int, help="Monte Carlo seed")
+    p.add_argument("--seed", type=int, help="Monte Carlo seed in [0, 2**64)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -66,6 +66,14 @@ def segment_step(theta: float, gamma: complex, c: float, omega: float, dt: float
     return theta + c * c * dt / omega + phase1 + phase2, g2 - beta
 
 
+def _check_coupling(g: float, omega: float) -> None:
+    """Raise ValueError unless g is finite and omega finite and > 0."""
+    if not math.isfinite(g):
+        raise ValueError(f"g must be finite, got {g!r}")
+    if not (omega > 0 and math.isfinite(omega)):
+        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+
+
 def branch_evolution(
     seq: PulseSequence,
     g: float,
@@ -76,10 +84,7 @@ def branch_evolution(
 ):
     """Final (theta, gamma) for one spin branch; force is an optional
     (times, values) piecewise-constant series on a grid covering [0, tau]."""
-    if not math.isfinite(g):
-        raise ValueError(f"g must be finite, got {g!r}")
-    if not (omega > 0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+    _check_coupling(g, omega)
     theta, gamma = 0.0, complex(alpha)
     for a, b, k, fk in zip(*(x.tolist() for x in pulses.pieces(seq, force))):
         # Hamiltonian term -f (a + a^dag): the x coefficient is sign*g - f
@@ -131,10 +136,12 @@ def trajectory(
 
     The branch state is stored at each segment start; a sample at t takes one
     step from the start of the last segment that begins before t.
-    Quadratures are q = sqrt2 Re(gamma), p = sqrt2 Im(gamma).
+    Quadratures are q = sqrt2 Re(gamma), p = sqrt2 Im(gamma). g and omega are
+    checked as in branch_evolution.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    _check_coupling(g, omega)
     spin_sign = +1 if spin_branch == 0 else -1
     start, end, seg, _ = (x.tolist() for x in pulses.pieces(seq))
     c = [spin_sign * (-1) ** k * g for k in seg]
@@ -205,7 +212,7 @@ def magnus_phases(seq: PulseSequence, g: float, omega: float, force=None) -> Mag
         # phase: int K(s) f ds, each piece integrated back from its end
         kb, pb = pulses._kernel_at(pulses._kernel_ends(seq, g, omega), omega, k, b)
         _check_force_resolution(seq, omega, edges)  # after the omega > 0 check of _kernel_at
-        phase_f = g * float(f @ pulses._kernel_integrals(kb, pb, 1.0 - 2.0 * (k % 2), omega, 2.0 * half)[0])
+        phase_f = g * float(f @ pulses._kernel_integral(kb, pb, 1.0 - 2.0 * (k % 2), omega, 2.0 * half))
         # displacement: +i int e^{-i omega (tau - t)} f dt (from -f(a+a^dag)), per piece
         # in the half-angle form e^{i omega (a+b)/2} 2 sin(omega (b-a)/2)/omega
         disp_f = (2j / omega) * cmath.exp(-1j * omega * tau) * complex(

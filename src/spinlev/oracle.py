@@ -6,18 +6,24 @@ Three independent checks back the closed forms elsewhere in the package:
   exact on every piece where the pulse sign and the force are constant;
 * Monte Carlo sampling of thermal ensembles (Glauber-P) and of Brownian
   white-noise forces, with counter-based per-trajectory seeding so results
-  are bit-identical for a fixed seed regardless of scheduling; the bath
-  estimators are linear in the force path, so a batch of sequences and bath
-  strengths shares one draw of each path (thermal_trajectories_batch), and
-  their exact expectations need no sampling at all (bath_covariance);
+  are bit-identical for a fixed seed regardless of scheduling: trajectory i
+  reads the Philox stream at counter i << 64 of the seed's key, reached by
+  re-seeking one generator per call, not by building one per trajectory;
+  the bath estimators are linear in the force path, so a batch of sequences
+  and bath strengths shares one draw of each path
+  (thermal_trajectories_batch), and their exact expectations need no
+  sampling at all (bath_covariance);
 * Gaussian covariance propagation of the one-axis-twisted collective spin.
 """
 
 from __future__ import annotations
 
 import cmath
+import logging
 import math
+import numbers
 import sys
+import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -28,6 +34,8 @@ from . import dynamics, pulses, witness
 from .dynamics import EntangledState
 from .pulses import PulseSequence
 from .units import NaturalParams
+
+_log = logging.getLogger(__name__)
 
 
 class CutoffError(RuntimeError):
@@ -47,6 +55,9 @@ class OracleConfig:
     tail_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
+        # a Philox key; numpy would truncate a float seed without a word
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**128):
+            raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
         if self.n_max < 4:
             raise ValueError("n_max must be >= 4")
         if not 0 < self.tail_tolerance <= 1e-6:
@@ -491,12 +502,15 @@ def thermal_trajectories_batch(
 
     Each trajectory samples a piecewise-constant force with per-step variance
     2 omega (nbar/Q) / dt on a 4096-step grid, drawn from its own
-    counter-based Philox stream. The estimators are the force-linear
-    functionals whose statistics give the bath-induced moment shifts: the
-    relative branch phase Phi and the common displacement (Q, P); then
-    d<q^2> = E[Q^2], d<p^2> = E[P^2], d<qp+pq> = 2 E[QP],
-    dVar(S_x) = E[Phi^2]/4, and the sigma_y cross shifts are E[Phi Q],
-    E[Phi P] (Phi here is the branch phase theta_+ - theta_- plus the
+    counter-based Philox stream: trajectory i reads the stream that
+    Philox(key=cfg.seed, counter=i << 64) starts, and the call builds one
+    generator and re-seeks it to the start of each stream (counter and
+    buffer), so no generator is built per trajectory. The estimators are
+    the force-linear functionals whose statistics give the bath-induced
+    moment shifts: the relative branch phase Phi and the common
+    displacement (Q, P); then d<q^2> = E[Q^2], d<p^2> = E[P^2],
+    d<qp+pq> = 2 E[QP], dVar(S_x) = E[Phi^2]/4, and the sigma_y cross
+    shifts are E[Phi Q], E[Phi P] (Phi here is the branch phase theta_+ - theta_- plus the
     overlap phase, the negative of the kernel-integral phase).
 
     The exact step map of dynamics.segment_step is affine in the drive, and
@@ -513,8 +527,12 @@ def thermal_trajectories_batch(
     another only by its force scale sd_f and its weights, so every case sees
     the same unit-normal paths z: each block of z is drawn once and
     multiplied by the stacked 4096 x 3k matrix of sd_f W. Every case is
-    validated before the first draw, and its statistics equal those of a
-    batch of one up to the rounding of the matrix product.
+    validated before the generator is built, and its statistics equal those
+    of a batch of one up to the rounding of the matrix product.
+
+    The seconds spent drawing and in the products are logged at DEBUG on the
+    "spinlev.oracle" logger (record attributes n_trajectories, n_cases,
+    draw_s and product_s), never returned.
     """
     if cfg.n_trajectories < 100:
         raise ValueError("n_trajectories must be >= 100")
@@ -522,17 +540,35 @@ def thermal_trajectories_batch(
         raise ValueError("cases must not be empty")
     weights = np.hstack([_scaled_weights(natural, seq, noq) for seq, noq in cases])
 
+    bit_gen = np.random.Philox(key=cfg.seed)
+    rng = np.random.Generator(bit_gen)
+    # the start of stream i: counter words (0, i, 0, 0), as Philox(counter=i << 64)
+    # sets them, and an empty buffer, so nothing left from stream i - 1 leaks in
+    state = bit_gen.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    counter = state["state"]["counter"]
+
     n = cfg.n_trajectories
     samples = np.empty((n, weights.shape[1]))  # (Phi, Q, P) per trajectory and case
     chunk = 256  # bounds the force block at 8 MB
     forces = np.empty((min(chunk, n), _N_STEPS))
+    draw_s = product_s = 0.0
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         z = forces[:stop - start]
+        t0 = time.perf_counter()
         for i, row in enumerate(z, start):
-            rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=(i << 64)))
+            counter[1] = i
+            bit_gen.state = state
             rng.standard_normal(out=row)
+        t1 = time.perf_counter()
         samples[start:stop] = z @ weights
+        draw_s += t1 - t0
+        product_s += time.perf_counter() - t1
+    _log.debug("%d trajectories x %d cases: draws %.6f s, products %.6f s",
+               n, len(cases), draw_s, product_s,
+               extra={"n_trajectories": n, "n_cases": len(cases),
+                      "draw_s": draw_s, "product_s": product_s})
 
     out = []
     for phi, qq, pp in samples.reshape(n, -1, 3).transpose(1, 2, 0):

@@ -199,25 +199,41 @@ _TAYLOR = np.array([[(-1) ** j / math.factorial(n), (-1) ** j * (2 - 2 ** (n - 2
 def _sine_integrals(x):
     """(S(x), J(x)) for an array x >= 0; their closed forms x - sin x and
     (3 S(x) - sin x (1 - cos x))/2 cancel below x = 1, where the series is used."""
+    small = x < 1.0
+    if small.all():
+        return ((x[:, None] ** _ODD) @ _TAYLOR).T
     sin = np.sin(x)
-    closed = np.array((x - sin, 1.5 * (x - sin) - sin * np.sin(0.5 * x) ** 2))
-    return np.where(x < 1.0, ((np.minimum(x, 1.0)[:, None] ** _ODD) @ _TAYLOR).T, closed)
+    x_sin = x - sin
+    closed = np.array((x_sin, 1.5 * x_sin - sin * np.sin(0.5 * x) ** 2))
+    if not small.any():
+        return closed
+    return np.where(small, ((np.minimum(x, 1.0)[:, None] ** _ODD) @ _TAYLOR).T, closed)
 
 
-def _kernel_integrals(k, p, s, omega: float, phi):
-    """(int K dx, int K^2 dx) of _kernel_ends over [b - phi/omega, b] in a segment
-    of sign s, from K = k and p there: K = k cos u - p sin u + c (1 - cos u) in
-    u = omega (b - x), c = s/omega, and of the closed forms only S and J cancel."""
+def _segment_terms(s, omega: float, phi):
+    """(c, sin phi, 1 - cos phi) of segments of sign s and phase length phi, on
+    which K = k cos u - p sin u + c (1 - cos u) in u = omega (b - x), c = s/omega,
+    with k and p the values of _kernel_ends at the segment end b."""
     if not omega > 0:
         raise ValueError(f"omega must be > 0, got {omega!r}")
-    c = s / omega
-    sin, vers = np.sin(phi), 2.0 * np.sin(0.5 * phi) ** 2
+    return s / omega, np.sin(phi), 2.0 * np.sin(0.5 * phi) ** 2
+
+
+def _kernel_integral(k, p, s, omega: float, phi):
+    """int K dx over [b - phi/omega, b] (_segment_terms); only S cancels."""
+    c, sin, vers = _segment_terms(s, omega, phi)
+    return (k * sin - p * vers + c * _sine_integrals(phi)[0]) / omega
+
+
+def _kernel_square_integral(k, p, s, omega: float, phi):
+    """int K^2 dx over [b - phi/omega, b] (_segment_terms); only S and J cancel."""
+    c, sin, vers = _segment_terms(s, omega, phi)
     x_sin, vers2 = _sine_integrals(phi)
     # int cos^2 = (phi + sin cos)/2, int sin^2 = (S + sin (1 - cos))/2,
     # int cos (1 - cos) = S - J, int sin (1 - cos) = (1 - cos)^2/2
     square = (0.5 * k * k * (phi + sin * np.cos(phi)) + 0.5 * p * p * (x_sin + sin * vers)
               + c * c * vers2 + 2.0 * c * k * (x_sin - vers2) - k * p * sin * sin - c * p * vers * vers)
-    return (k * sin - p * vers + c * x_sin) / omega, square / omega
+    return square / omega
 
 
 def residual_displacement(seq: PulseSequence, g: float, omega: float) -> tuple[complex, float]:
@@ -244,7 +260,7 @@ def delta_n_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) 
 def phase_kernel(seq: PulseSequence, g: float, omega: float, s):
     """K(s) = int_s^tau G(t) sin(omega (t-s)) dt, vectorized over s."""
     s = np.asarray(s, dtype=float)
-    if np.any((s < 0) | (s > seq.total_time)):
+    if not np.all((s >= 0) & (s <= seq.total_time)):  # NaN is not in [0, tau] either
         raise ValueError("s outside [0, tau]")
     return g * _kernel_at(_kernel_ends(seq, g, omega), omega, segment_index(seq, s), s)[0]
 
@@ -408,7 +424,7 @@ def kernel_l2(seq: PulseSequence, g: float, omega: float) -> float:
     """int_0^tau K(s)^2 ds, closed form per segment."""
     t, k, p = _kernel_ends(seq, g, omega)
     s = 1.0 - 2.0 * (np.arange(t.size - 1) % 2)
-    return g * g * float(_kernel_integrals(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1]))[1].sum())
+    return g * g * float(_kernel_square_integral(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1])).sum())
 
 
 def ramsey_paper_kernel(g: float, omega: float, tau: float, nu: float) -> complex:
@@ -441,7 +457,7 @@ def squeezing_parameter(seq: PulseSequence, g: float, omega: float) -> float:
     """zeta = int_0^tau int_0^t sin(omega(t-t')) G(t) G(t') dt' dt = int_0^tau G K ds."""
     t, k, p = _kernel_ends(seq, g, omega)
     s = 1.0 - 2.0 * (np.arange(t.size - 1) % 2)
-    return g * g * float(s @ _kernel_integrals(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1]))[0])
+    return g * g * float(s @ _kernel_integral(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1])))
 
 
 def zeta_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) -> float:

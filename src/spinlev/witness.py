@@ -49,8 +49,14 @@ class WitnessCoefficients:
     b_z: float
 
     def __post_init__(self) -> None:
-        for name in ("a_y", "b_y", "a_z", "b_z"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        fields = (self.a_y, self.b_y, self.a_z, self.b_z)
+        try:
+            if np.isfinite(fields).all():
+                return
+        except ValueError:  # fields of unequal shapes: test them one by one
+            pass
+        for name, value in zip(("a_y", "b_y", "a_z", "b_z"), fields):
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
 
 

@@ -162,6 +162,23 @@ class TestVerifyCommand:
         assert json.loads(out)["all_pass"] is True
 
 
+class TestVerifySeedRange:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**128)])
+    def test_seed_outside_u64_exits_2_before_any_check(self, seed, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "run_checks", lambda seed: pytest.fail("a check ran"))
+        code, out, err = run_cli(["verify", "--seed", seed], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--seed" in err
+
+    def test_range_ends_accepted(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(verify, "run_checks",
+                            lambda seed: seen.append(seed) or {"all_pass": True})
+        for seed in (0, 2**64 - 1):
+            assert run_cli(["verify", "--seed", str(seed)], capsys)[0] == 0
+        assert seen == [0, 2**64 - 1]
+
+
 class TestSensitivityNonFinite:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy geomspace on an infinite end
     @pytest.mark.parametrize("key,value", [("nu_max_hz", math.inf), ("nu_min_hz", math.nan)])

@@ -219,6 +219,30 @@ class TestTrajectoryExact:
             assert got == _restepped_from_zero(seq, 1.3, 2.0, branch, n_samples, 0.2 - 0.1j)
 
 
+class TestTrajectoryCoupling:
+    """trajectory steps segment_step itself; a bad g or omega raises the
+    ValueError of branch_evolution instead of NaN rows or a ZeroDivisionError."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_g(self, bad):
+        with pytest.raises(ValueError, match="g must be finite") as traj:
+            trajectory(hahn_echo(1.0), bad, 1.0, 0, 3)
+        with pytest.raises(ValueError) as branch:
+            dynamics.branch_evolution(hahn_echo(1.0), bad, 1.0, +1)
+        assert str(traj.value) == str(branch.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_omega(self, bad):
+        with pytest.raises(ValueError, match="omega must be finite and > 0") as traj:
+            trajectory(hahn_echo(1.0), 0.5, bad, 1, 3)
+        with pytest.raises(ValueError) as branch:
+            dynamics.branch_evolution(hahn_echo(1.0), 0.5, bad, -1)
+        assert str(traj.value) == str(branch.value)
+
+    def test_zero_coupling_still_allowed(self):
+        assert trajectory(hahn_echo(1.0), 0.0, 1.0, 0, 3)[-1] == (1.0, 0.0, 0.0)
+
+
 class TestNonFiniteInput:
     """NaN or inf in a force value or the start amplitude raises where it
     enters, instead of returning an all-NaN state with numpy warnings."""

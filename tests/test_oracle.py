@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import functools
+import logging
 import math
 import subprocess
 import sys
@@ -101,6 +102,16 @@ class TestStateConstruction:
             OracleConfig(n_max=2)
         with pytest.raises(ValueError):
             OracleConfig(tail_tolerance=1e-3)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, math.nan, 1.7, 2.0])
+    def test_seed_outside_philox_key_range(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+            OracleConfig(seed=seed)
+
+    def test_seed_range_ends(self):
+        assert OracleConfig(seed=0).seed == 0
+        assert OracleConfig(seed=2**128 - 1).seed == 2**128 - 1
+        assert OracleConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 def _steps(tau, n, seed):
@@ -527,6 +538,63 @@ class TestThermalTrajectoriesBatch:
         with pytest.raises(ValueError, match="n_trajectories"):
             oracle.thermal_trajectories_batch(nat(0.25, 1.0), [(ramsey(1.0), 0.1)],
                                               OracleConfig(n_trajectories=99))
+
+
+class TestStreamReseek:
+    """thermal_trajectories_batch builds one Philox per call and re-seeks it to
+    each trajectory's stream instead of building a generator per trajectory."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """The force rows the call draws, in order."""
+        drawn = []
+
+        class Recording(np.random.Generator):
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                result = super().standard_normal(size, dtype, out)
+                if out is not None:
+                    drawn.append(out.copy())
+                return result
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        return drawn
+
+    @pytest.mark.parametrize("n", [100, 257, 700])
+    @pytest.mark.parametrize("seed", [0, 20250826, 2**64 - 1, 2**127])
+    def test_rows_are_fresh_streams(self, rows, seed, n):
+        oracle.thermal_trajectories_batch(nat(0.25, 1.0), [(ramsey(1.0), 0.1)],
+                                          OracleConfig(seed=seed, n_trajectories=n))
+        assert len(rows) == n
+        for i in {0, 255, 256, n - 1} & set(range(n)):
+            fresh = np.random.Generator(np.random.Philox(key=seed, counter=(i << 64)))
+            assert rows[i].tobytes() == fresh.standard_normal(4096).tobytes(), i
+
+    def test_one_philox_per_call(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        cfg = OracleConfig(seed=3, n_trajectories=700)
+        oracle.thermal_trajectories_batch(nat(0.25, 1.0), BATCH_CASES, cfg)
+        assert built == [{"key": 3}]
+        thermal_trajectories(nat(0.25, 1.0), ramsey(1.0), cfg, 0.1)
+        assert len(built) == 2
+
+    def test_draw_and_product_times_logged_at_debug(self, caplog):
+        natural, cfg = nat(0.25, 1.0), OracleConfig(seed=3, n_trajectories=300)
+        quiet = oracle.thermal_trajectories_batch(natural, BATCH_CASES, cfg)
+        assert not [r for r in caplog.records if r.name == "spinlev.oracle"]
+        with caplog.at_level(logging.DEBUG, logger="spinlev.oracle"):
+            loud = oracle.thermal_trajectories_batch(natural, BATCH_CASES, cfg)
+        (record,) = [r for r in caplog.records if r.name == "spinlev.oracle"]
+        assert record.levelno == logging.DEBUG
+        assert (record.n_trajectories, record.n_cases) == (300, len(BATCH_CASES))
+        assert record.draw_s > 0.0 and record.product_s > 0.0
+        assert loud == quiet
 
 
 class TestBathCovariance:

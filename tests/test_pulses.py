@@ -423,6 +423,18 @@ class TestNonFiniteCoupling:
             self.ROUTES[route](carr_purcell2(1.0), 0.7, bad)
 
 
+class TestPhaseKernelDomain:
+    @pytest.mark.parametrize("s", [[math.nan], [0.2, math.nan], [-1e-12], [1.0 + 1e-12], [math.inf]])
+    def test_points_outside_zero_tau_raise(self, s):
+        # NaN fails every comparison, so it is rejected as "not in [0, tau]"
+        with pytest.raises(ValueError, match=r"s outside \[0, tau\]"):
+            phase_kernel(hahn_echo(1.0), 0.5, 1.0, s)
+
+    def test_interval_ends_accepted(self):
+        k = phase_kernel(hahn_echo(1.0), 0.5, 1.0, [0.0, 1.0])
+        assert np.isfinite(k).all() and k[1] == 0.0
+
+
 @st.composite
 def spectral_cases(draw):
     """A pulse list with 0-64 pulses, omega tau from 1e-3 to 1e2, and an array of

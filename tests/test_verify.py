@@ -8,7 +8,7 @@ import math
 import subprocess
 import sys
 
-from spinlev import verify, witness
+from spinlev import cli, verify, witness
 
 
 def test_check_timings_logged_at_debug_not_reported(caplog):
@@ -22,6 +22,18 @@ def test_check_timings_logged_at_debug_not_reported(caplog):
     assert all(r.levelno == logging.DEBUG and r.elapsed_s >= 0.0 for r in records)
     assert json.dumps(report, sort_keys=True) == quiet
     assert "elapsed" not in quiet
+
+
+def test_report_bytes_unchanged_with_debug_on(tmp_path, caplog):
+    quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+    code = cli.main(["verify", "--out", str(quiet)])
+    with caplog.at_level(logging.DEBUG, logger="spinlev"):
+        assert cli.main(["verify", "--out", str(loud)]) == code
+    assert loud.read_bytes() == quiet.read_bytes()
+    # the bath check's batch, then mc_determinism's two runs
+    oracle_records = [r for r in caplog.records if r.name == "spinlev.oracle"]
+    assert [r.n_trajectories for r in oracle_records] == [1500, 200, 200]
+    assert b"draw_s" not in loud.read_bytes()
 
 
 def test_oracle_branch_fidelity_reports_fock_margins():

@@ -39,6 +39,34 @@ class TestSeparableBound:
             WitnessCoefficients(math.nan, 0, 0, 0)
 
 
+class TestCoefficientValidation:
+    FIELDS = ("a_y", "b_y", "a_z", "b_z")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_names_the_first_nonfinite_field(self, field, bad):
+        values = dict.fromkeys(self.FIELDS, 0.5) | {field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            WitnessCoefficients(**values)
+        later = self.FIELDS[self.FIELDS.index(field):]
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            WitnessCoefficients(**dict.fromkeys(self.FIELDS, 0.5) | dict.fromkeys(later, bad))
+
+    def test_arrays(self):
+        good = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        WitnessCoefficients(good, good, good, good)
+        bad = good.copy()
+        bad[1, 2] = math.nan
+        with pytest.raises(ValueError, match="^a_z must be finite$"):
+            WitnessCoefficients(good, good, bad, good)
+
+    def test_fields_of_unequal_shapes(self):
+        # tested one by one, as before they were tested together
+        WitnessCoefficients(0.0, np.ones(3), np.ones((2, 2)), 1.0)
+        with pytest.raises(ValueError, match="^b_z must be finite$"):
+            WitnessCoefficients(0.0, np.ones(3), np.ones((2, 2)), np.array([1.0, math.inf]))
+
+
 class TestClosedForms:
     def test_limits_at_zero_lambda(self):
         assert thermal_wb(0.0, 1.3, 1.0, 0.0, 2.0) == 0.5
