@@ -21,7 +21,6 @@ from .sensing import (
     force_sql,
     optimal_coupling,
     sensitivity_spectrum,
-    sensitivity_sweep,
     squeezed_rotation,
 )
 from .units import NaturalParams, ParameterError, PhysicalParams, to_natural, to_physical

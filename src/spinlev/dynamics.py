@@ -44,7 +44,8 @@ class EntangledState:
     relative_phase: float  # theta0 - theta1 (global-phase part only)
 
     def branch(self, spin: int) -> Branch:
-        return self.branch0 if spin == 0 else self.branch1
+        """branch0 for spin 0, branch1 for spin 1."""
+        return (self.branch0, self.branch1)[_branch_index(spin, "spin")]
 
     def observable_phase(self) -> float:
         """Full coherence phase between branches, including the overlap phase."""
@@ -66,6 +67,13 @@ def segment_step(theta: float, gamma: complex, c: float, omega: float, dt: float
     return theta + c * c * dt / omega + phase1 + phase2, g2 - beta
 
 
+def _branch_index(branch: int, name: str) -> int:
+    """A branch label 0 or 1; anything else raises ValueError naming the argument."""
+    if branch not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {branch!r}")
+    return int(branch)
+
+
 def _check_coupling(g: float, omega: float) -> None:
     """Raise ValueError unless g is finite and omega finite and > 0."""
     if not math.isfinite(g):
@@ -83,7 +91,10 @@ def branch_evolution(
     force=None,
 ):
     """Final (theta, gamma) for one spin branch; force is an optional
-    (times, values) piecewise-constant series on a grid covering [0, tau]."""
+    (times, values) piecewise-constant series on a grid covering [0, tau];
+    spin_sign is +1 (branch 0) or -1 (branch 1)."""
+    if spin_sign not in (1, -1):
+        raise ValueError(f"spin_sign must be +1 or -1, got {spin_sign!r}")
     _check_coupling(g, omega)
     theta, gamma = 0.0, complex(alpha)
     for a, b, k, fk in zip(*(x.tolist() for x in pulses.pieces(seq, force))):
@@ -141,8 +152,8 @@ def trajectory(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    spin_sign = 1 - 2 * _branch_index(spin_branch, "spin_branch")
     _check_coupling(g, omega)
-    spin_sign = +1 if spin_branch == 0 else -1
     start, end, seg, _ = (x.tolist() for x in pulses.pieces(seq))
     c = [spin_sign * (-1) ** k * g for k in seg]
     starts = [(0.0, complex(alpha))]

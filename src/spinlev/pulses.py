@@ -26,6 +26,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,15 +40,11 @@ class SequenceKind(enum.Enum):
     CUSTOM = "custom"
 
 
-# The kinds with a fixed pulse list, in the order tables and sweeps list them.
-NAMED_KINDS = (SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2)
-
-
 @dataclass(frozen=True)
 class PulseSequence:
-    """A total free-evolution time plus an ordered list of pi-pulse times."""
+    """A total free-evolution time plus an ordered list of pi-pulse times;
+    two sequences with the same pulse list are equal, however they were built."""
 
-    kind: SequenceKind
     total_time: float
     pulse_times: tuple[float, ...]
 
@@ -60,51 +57,92 @@ class PulseSequence:
             raise ValueError("pulse times must lie strictly inside (0, tau)")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("pulse times must be strictly increasing")
-        if self.kind is SequenceKind.RAMSEY and times:
-            raise ValueError("Ramsey has no pulses")
-        if self.kind is SequenceKind.HAHN_ECHO and not _times_close(times, (tau / 2,)):
-            raise ValueError("HahnEcho pulse list must be [tau/2]")
-        if self.kind is SequenceKind.CARR_PURCELL2 and not _times_close(
-            times, (tau / 4, 3 * tau / 4)
-        ):
-            raise ValueError("CarrPurcell2 pulse list must be [tau/4, 3 tau/4]")
 
     @property
     def tau(self) -> float:
         return self.total_time
 
 
-def _times_close(times: tuple[float, ...], ref: tuple[float, ...]) -> bool:
-    return len(times) == len(ref) and all(
-        math.isclose(t, r, rel_tol=1e-12, abs_tol=0.0) for t, r in zip(times, ref)
-    )
-
-
 def ramsey(tau: float) -> PulseSequence:
-    return PulseSequence(SequenceKind.RAMSEY, tau, ())
+    return PulseSequence(tau, ())
 
 
 def hahn_echo(tau: float) -> PulseSequence:
-    return PulseSequence(SequenceKind.HAHN_ECHO, tau, (tau / 2,))
+    return PulseSequence(tau, (tau / 2,))
 
 
 def carr_purcell2(tau: float) -> PulseSequence:
-    return PulseSequence(SequenceKind.CARR_PURCELL2, tau, (tau / 4, 3 * tau / 4))
+    return PulseSequence(tau, (tau / 4, 3 * tau / 4))
 
 
 def custom(tau: float, pulse_times) -> PulseSequence:
-    return PulseSequence(SequenceKind.CUSTOM, tau, tuple(float(t) for t in pulse_times))
+    return PulseSequence(tau, tuple(float(t) for t in pulse_times))
+
+
+class _Named(NamedTuple):
+    """What is known in closed form about a named kind: its constructor, Delta n
+    and zeta as functions of (r, th) = (g^2/omega^2, omega tau), and the four
+    leading-order scalings of LeadingOrderRow as functions of (omega, tau)."""
+
+    make: Callable[[float], PulseSequence]
+    delta_n: Callable[[float, float], float]
+    zeta: Callable[[float, float], float]
+    leading: tuple[Callable[[float, float], float], ...]
+
+
+# One entry per kind with a fixed pulse list, in the order tables and sweeps list them.
+_NAMED = {
+    SequenceKind.RAMSEY: _Named(
+        ramsey,
+        lambda r, th: 4.0 * r * math.sin(th / 2) ** 2,
+        lambda r, th: r * (th - math.sin(th)),
+        (lambda w, t: w * t**3 / 6.0,
+         lambda w, t: t**2,
+         lambda w, t: 6.0 / (w * t**2),
+         lambda w, t: 1.0 / t),
+    ),
+    SequenceKind.HAHN_ECHO: _Named(
+        hahn_echo,
+        lambda r, th: 16.0 * r * math.sin(th / 4) ** 4,
+        lambda r, th: r * (th - 4.0 * math.sin(th / 2) + math.sin(th)),
+        (lambda w, t: w * t**3 / 8.0,
+         lambda w, t: w**2 * t**4 / 16.0,
+         lambda w, t: 2.0 / t,
+         lambda w, t: 4.0 / (w * t**2)),
+    ),
+    SequenceKind.CARR_PURCELL2: _Named(
+        carr_purcell2,
+        lambda r, th: r * 2**6 * math.sin(th / 8) ** 4 * math.sin(th / 4) ** 2,
+        lambda r, th: r * (th - 4.0 * math.sin(th / 4) - 4.0 * math.sin(th / 2)
+                           + 4.0 * math.sin(3 * th / 4) - math.sin(th)),
+        (lambda w, t: w * t**3 / 32.0,
+         lambda w, t: w**4 * t**6 / 1024.0,
+         lambda w, t: w,
+         lambda w, t: 32.0 / (w**2 * t**3)),
+    ),
+}
+NAMED_KINDS = tuple(_NAMED)
+
+
+def _named(kind: SequenceKind | str, missing: str) -> _Named:
+    """The table entry of a kind; ValueError(missing) for CUSTOM or an unknown name."""
+    try:
+        return _NAMED[SequenceKind(kind)]
+    except (KeyError, ValueError):
+        raise ValueError(missing) from None
 
 
 def make_sequence(kind: SequenceKind | str, tau: float, pulse_times=None) -> PulseSequence:
+    """The sequence of a kind at total time tau: a named kind builds its own
+    pulse list, so it takes no pulse_times; custom needs them."""
     kind = SequenceKind(kind) if not isinstance(kind, SequenceKind) else kind
-    if kind is SequenceKind.RAMSEY:
-        return ramsey(tau)
-    if kind is SequenceKind.HAHN_ECHO:
-        return hahn_echo(tau)
-    if kind is SequenceKind.CARR_PURCELL2:
-        return carr_purcell2(tau)
-    return custom(tau, pulse_times or ())
+    if kind is SequenceKind.CUSTOM:
+        if pulse_times is None:
+            raise ValueError("a custom sequence needs its pulse_times")
+        return custom(tau, pulse_times)
+    if pulse_times is not None:
+        raise ValueError(f"{kind.value} builds its own pulse times; got pulse_times={pulse_times!r}")
+    return _NAMED[kind].make(tau)
 
 
 def segment_index(seq: PulseSequence, t):
@@ -246,15 +284,8 @@ def residual_displacement(seq: PulseSequence, g: float, omega: float) -> tuple[c
 
 def delta_n_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) -> float:
     """Closed-form Delta n for the named sequence kinds."""
-    th = omega * tau
-    r = g * g / (omega * omega)
-    if kind is SequenceKind.RAMSEY:
-        return 4.0 * r * math.sin(th / 2) ** 2
-    if kind is SequenceKind.HAHN_ECHO:
-        return 16.0 * r * math.sin(th / 4) ** 4
-    if kind is SequenceKind.CARR_PURCELL2:
-        return r * 2**6 * math.sin(th / 8) ** 4 * math.sin(th / 4) ** 2
-    raise ValueError("no closed form for custom sequences")
+    closed = _named(kind, "no closed form for custom sequences").delta_n
+    return closed(g * g / (omega * omega), omega * tau)
 
 
 def phase_kernel(seq: PulseSequence, g: float, omega: float, s):
@@ -462,21 +493,8 @@ def squeezing_parameter(seq: PulseSequence, g: float, omega: float) -> float:
 
 def zeta_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) -> float:
     """Column-2 closed forms for the named kinds (signed as the canonical integral)."""
-    th = omega * tau
-    r = g * g / (omega * omega)
-    if kind is SequenceKind.RAMSEY:
-        return r * (th - math.sin(th))
-    if kind is SequenceKind.HAHN_ECHO:
-        return r * (th - 4.0 * math.sin(th / 2) + math.sin(th))
-    if kind is SequenceKind.CARR_PURCELL2:
-        return r * (
-            th
-            - 4.0 * math.sin(th / 4)
-            - 4.0 * math.sin(th / 2)
-            + 4.0 * math.sin(3 * th / 4)
-            - math.sin(th)
-        )
-    raise ValueError("no closed form for custom sequences")
+    closed = _named(kind, "no closed form for custom sequences").zeta
+    return closed(g * g / (omega * omega), omega * tau)
 
 
 @dataclass(frozen=True)
@@ -490,38 +508,15 @@ class LeadingOrderRow:
     in_regime: bool
 
 
-_LEADING = {
-    SequenceKind.RAMSEY: (
-        lambda w, t: w * t**3 / 6.0,
-        lambda w, t: t**2,
-        lambda w, t: 6.0 / (w * t**2),
-        lambda w, t: 1.0 / t,
-    ),
-    SequenceKind.HAHN_ECHO: (
-        lambda w, t: w * t**3 / 8.0,
-        lambda w, t: w**2 * t**4 / 16.0,
-        lambda w, t: 2.0 / t,
-        lambda w, t: 4.0 / (w * t**2),
-    ),
-    SequenceKind.CARR_PURCELL2: (
-        lambda w, t: w * t**3 / 32.0,
-        lambda w, t: w**4 * t**6 / 1024.0,
-        lambda w, t: w,
-        lambda w, t: 32.0 / (w**2 * t**3),
-    ),
-}
-
-
 def leading_order_row(kind: SequenceKind, omega: float, tau: float) -> LeadingOrderRow:
     """Leading-order row values; flags out-of-regime omega tau instead of erroring,
     but raises ValueError where a scaling overflows (omega tau near 0 or huge)."""
-    if kind not in _LEADING:
-        raise ValueError("leading-order rows exist only for the named kinds")
+    scalings = _named(kind, "leading-order rows exist only for the named kinds").leading
     try:
-        values = [scaling(omega, tau) for scaling in _LEADING[kind]]
+        values = [scaling(omega, tau) for scaling in scalings]
     except (ZeroDivisionError, OverflowError):
         values = [math.inf]
     if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"leading-order {kind.value} scalings are not finite at "
+        raise ValueError(f"leading-order {SequenceKind(kind).value} scalings are not finite at "
                          f"omega_tau = {omega * tau!r}")
     return LeadingOrderRow(*values, in_regime=omega * tau < 0.5)

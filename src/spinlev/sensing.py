@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pulses, witness
+from . import pulses
 from .constants import HBAR, KB
 from .pulses import PulseSequence
 from .units import PhysicalParams, to_natural
@@ -86,19 +86,13 @@ def noise_to_signal(
     return math.inf if phi_per_f == 0.0 else noise / (phi_per_f * phi_per_f)
 
 
-def thermal_dephasing(lam: float, nbar_over_q: float, omega: float, tau: float) -> float:
-    """Bath contribution to Var(S_x) over one free-evolution window:
-    (1/2) lam^2 (nbar/Q) [6 wt - 8 sin wt + sin 2wt]."""
-    return witness.bath_deltas(lam, nbar_over_q, omega, tau).dvar_sx
-
-
 def thermal_phase_variance(seq: PulseSequence, g: float, omega: float, nbar_over_q: float) -> float:
     """Bath-induced variance of the signal phase: 2 omega (nbar/Q) int K^2 ds.
 
     The white-noise force correlator 2 omega (nbar/Q) delta(t - t') filtered
     through the sequence kernel. For a pulse-free window this equals one
-    quarter of thermal_dephasing: the observable relative branch phase is
-    Phi = -4 phi, and the spin variance grows by Var(Phi)/4 = 4 Var(phi).
+    quarter of witness.bath_deltas(...).dvar_sx: the observable relative branch
+    phase is Phi = -4 phi, and the spin variance grows by Var(Phi)/4 = 4 Var(phi).
     """
     if nbar_over_q < 0:
         raise ValueError("nbar_over_q must be >= 0")
@@ -197,7 +191,6 @@ def sensitivity_spectrum(
     nus,
     *,
     coupling: float | None = None,
-    include_thermal: bool = True,
 ) -> SensitivitySpectrum:
     """Force sensitivity eta(nu) in N/sqrt(Hz) over an array of angular signal
     frequencies nu.
@@ -215,7 +208,7 @@ def sensitivity_spectrum(
     g = _balance_coupling(seq, omega, xi, params.n_spins) if coupling is None else coupling
     delta_n = pulses.residual_displacement(seq, g, omega)[1]
     nbar_over_q = nat.nbar / params.quality_factor
-    v_th = thermal_phase_variance(seq, g, omega, nbar_over_q) if include_thermal else 0.0
+    v_th = thermal_phase_variance(seq, g, omega, nbar_over_q)
     if not math.isfinite(v_th):
         raise ValueError(f"thermal phase variance is not finite ({v_th!r}) at nbar/Q = {nbar_over_q!r}")
     nus = np.array(nus, dtype=float).reshape(-1)
@@ -227,30 +220,15 @@ def sensitivity_spectrum(
                                params.n_spins * delta_n ** 2 * xi, v_th)
 
 
-def sensitivity_sweep(
-    params: PhysicalParams,
-    seq: PulseSequence,
-    nus,
-    *,
-    coupling: float | None = None,
-    include_thermal: bool = True,
-) -> list[SensitivityPoint]:
-    """sensitivity_spectrum as one SensitivityPoint per frequency."""
-    return sensitivity_spectrum(params, seq, nus, coupling=coupling,
-                                include_thermal=include_thermal).points
-
-
 def force_sensitivity(
     params: PhysicalParams,
     seq: PulseSequence,
     nu: float,
     *,
     coupling: float | None = None,
-    include_thermal: bool = True,
 ) -> SensitivityPoint:
-    """Force sensitivity at one angular signal frequency: the sweep at one nu."""
-    return sensitivity_sweep(params, seq, [nu], coupling=coupling,
-                             include_thermal=include_thermal)[0]
+    """Force sensitivity at one angular signal frequency: the spectrum at one nu."""
+    return sensitivity_spectrum(params, seq, [nu], coupling=coupling).points[0]
 
 
 def squeezed_rotation(n_spins: float, zeta: float):

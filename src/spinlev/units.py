@@ -45,8 +45,6 @@ class PhysicalParams:
     quality_factor: float = 1e6
     temperature: float | None = None  # K
     nbar: float | None = None
-    t2: float = 300e-6  # s
-    t2_star: float = 1e-6  # s
     cooling_rate: float = 1e3  # 1/s
     cooling_time: float = 100e-6  # s
     larmor_frequency: float = 0.0  # rad/s
@@ -66,7 +64,7 @@ class PhysicalParams:
             _require(self.temperature >= 0, "temperature must be >= 0")
         if self.nbar is not None:
             _require(self.nbar >= 0, "nbar must be >= 0")
-        for name in ("t2", "t2_star", "cooling_rate", "cooling_time"):
+        for name in ("cooling_rate", "cooling_time"):
             _require(getattr(self, name) > 0, f"{name} must be > 0")
 
     def with_(self, **kwargs) -> "PhysicalParams":
@@ -181,8 +179,6 @@ _JSON_KEYS = {
     "q_factor": "quality_factor",
     "temperature_k": "temperature",
     "nbar": "nbar",
-    "t2_s": "t2",
-    "t2star_s": "t2_star",
     "cooling_time_s": "cooling_time",
 }
 

@@ -290,11 +290,15 @@ def bath_witness(
     return make_result(float(w_b), float(w_en))
 
 
+def _check_initial(initial) -> None:
+    if initial not in ("ground", "thermal"):
+        raise ValueError(f"initial must be 'ground' or 'thermal', got {initial!r}")
+
+
 def _bath(lam, nbar, nbar_over_q, omega, omega_l, t, initial, xp=np):
     """(W_b, W_en) of bath_witness, broadcasting over arrays of lam, nbar and t
     when xp is numpy."""
-    if initial not in ("ground", "thermal"):
-        raise ValueError("initial must be 'ground' or 'thermal'")
+    _check_initial(initial)
     nbar_state = 0.0 if initial == "ground" else nbar
     m = _moments(lam, nbar_state, omega, omega_l, t, xp)
     c = _coefficients(m)
@@ -382,6 +386,7 @@ def violation_scan(
         raise ValueError("mode must be 'pulseless' or 'pulsed'")
     if sweep not in ("t", "nbar"):
         raise ValueError("sweep must be 't' or 'nbar'")
+    _check_initial(initial)
     x = np.array(grid, dtype=float)
     if x.ndim != 1 or not x.size or not np.isfinite(x).all() or np.any(x[1:] <= x[:-1]):
         raise ValueError("grid must be nonempty, finite and sorted increasing")

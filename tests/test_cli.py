@@ -85,6 +85,14 @@ class TestWitnessCommand:
         landmarks = json.loads((tmp_path / "w.csv.landmarks.json").read_text())
         assert set(landmarks) == {"tau_asymp", "tau_star", "max_nbar"}
 
+    @pytest.mark.parametrize("nbar_over_q", [0.0, 1e-3])
+    def test_unknown_initial_exits_2(self, tmp_path, capsys, nbar_over_q):
+        code, out, err, _ = run_config(tmp_path, capsys, "witness",
+                                       {"initial": "thermall", "nbar_over_q": nbar_over_q})
+        assert code == 2
+        assert err.startswith("error:") and "'thermall'" in err
+        assert out == ""
+
     def test_zero_coupling_scan_is_flat(self, tmp_path, capsys):
         cfg = tmp_path / "w.json"
         cfg.write_text(json.dumps({
@@ -135,6 +143,22 @@ class TestSensitivityCommand:
         code, _, err = run_cli(["sensitivity", "--config", str(cfg)], capsys)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("key", ["t2_s", "t2star_s"])
+    def test_coherence_time_keys_are_unknown(self, tmp_path, capsys, key):
+        code, out, err, _ = run_config(tmp_path, capsys, "sensitivity", {key: 1e-6})
+        assert code == 2
+        assert repr(key) in err and out == ""
+
+    def test_rows_do_not_depend_on_the_coupling_keys(self, tmp_path, capsys):
+        # eta is evaluated at the balance coupling g*, so the gradient, gamma_e
+        # and Larmor keys that set g leave every row as it is
+        body = {"n_points": 7}
+        plain = run_config(tmp_path, capsys, "sensitivity", body)
+        moved = run_config(tmp_path, capsys, "sensitivity", {
+            **body, "gradient_t_per_m": 50.0, "gamma_e_rad_per_s_t": 1e9, "larmor_hz": 1e4})
+        assert plain[0] == moved[0] == 0
+        assert plain[1] == moved[1]
 
 
 class TestVerifyCommand:
@@ -239,7 +263,7 @@ class TestUnknownConfigKeys:
         configs = {
             "sensitivity": {"mass_kg": 1.5e-14, "freq_hz": 100.0, "gradient_t_per_m": 1.0,
                             "gamma_e_rad_per_s_t": 1.76e11, "n_spins": 1, "q_factor": 1e6,
-                            "temperature_k": 1e-3, "t2_s": 3e-4, "t2star_s": 1e-6,
+                            "temperature_k": 1e-3,
                             "cooling_rate_hz": 1e3, "cooling_time_s": 1e-4, "larmor_hz": 0.0,
                             "tau_s": 1e-4, "sequences": ["ramsey"], "nu_min_hz": 1.0,
                             "nu_max_hz": 1e3, "n_points": 3},
@@ -495,7 +519,7 @@ def reference_rows(sub):
         rows = []
         for kind in KINDS:
             seq = pulses.make_sequence(kind, cfg["tau_s"])
-            points = sensing.sensitivity_sweep(params, seq, [2 * math.pi * nu for nu in nus])
+            points = sensing.sensitivity_spectrum(params, seq, [2 * math.pi * nu for nu in nus]).points
             rows += [{"sweep_name": "nu_hz", "sweep_value": nu, "eta_n_per_sqrt_hz": sp.eta,
                       "projection_var": sp.budget.projection_var,
                       "backaction_var": sp.budget.backaction_var,
@@ -623,6 +647,14 @@ class TestSequencesConfig:
         code, _, err, _ = run_config(tmp_path, capsys, sub, {"sequences": ["ramsey", "uhrig7"]})
         assert code == 2
         assert "unknown sequence 'uhrig7'" in err
+
+    @pytest.mark.parametrize("sub", ["sensitivity", "trajectory"])
+    def test_custom_without_pulse_times_exits_2(self, tmp_path, capsys, sub):
+        # a config cannot give pulse times, so "custom" is no sequence it can name
+        code, out, err, _ = run_config(tmp_path, capsys, sub, {"sequences": ["custom"]})
+        assert code == 2
+        assert err.startswith("error:") and "custom" in err
+        assert out == ""
 
     @pytest.mark.parametrize("sub", ["sensitivity", "trajectory"])
     def test_empty_list_writes_header_only(self, tmp_path, capsys, sub):

@@ -209,7 +209,7 @@ class TestTrajectoryExact:
     @pytest.mark.parametrize("seq", [
         ramsey(1.0), hahn_echo(1.0), carr_purcell2(1.0),
         custom(1.0, [0.125, 0.25, 0.5, 0.625, 0.875]),
-    ], ids=lambda s: s.kind.value)
+    ], ids=["ramsey", "hahn_echo", "carr_purcell2", "custom"])
     @pytest.mark.parametrize("n_samples", [9, 50, 333])
     def test_matches_restepping_from_zero(self, seq, n_samples):
         if n_samples == 9:  # every pulse edge is a sample
@@ -241,6 +241,27 @@ class TestTrajectoryCoupling:
 
     def test_zero_coupling_still_allowed(self):
         assert trajectory(hahn_echo(1.0), 0.0, 1.0, 0, 3)[-1] == (1.0, 0.0, 0.0)
+
+
+class TestBranchLabels:
+    """A branch is 0 or 1 and a spin sign +1 or -1; any other label raises
+    instead of scaling the coupling or falling back to branch 1."""
+
+    @pytest.mark.parametrize("sign", [2, 0, -2])
+    def test_spin_sign(self, sign):
+        with pytest.raises(ValueError, match="spin_sign must be"):
+            dynamics.branch_evolution(hahn_echo(1.0), 0.5, 1.0, sign)
+
+    @pytest.mark.parametrize("branch", [7, -1, 2])
+    def test_trajectory_branch(self, branch):
+        with pytest.raises(ValueError, match="spin_branch must be 0 or 1"):
+            trajectory(hahn_echo(1.0), 0.5, 1.0, branch, 3)
+
+    @pytest.mark.parametrize("spin", [7, -1])
+    def test_state_branch(self, spin):
+        st = dynamics.evolve_state(hahn_echo(1.0), 0.5, 1.0)
+        with pytest.raises(ValueError, match="spin must be 0 or 1"):
+            st.branch(spin)
 
 
 class TestNonFiniteInput:

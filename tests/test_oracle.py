@@ -495,7 +495,7 @@ class TestThermalTrajectoriesBatch:
         for stats, (seq, noq) in zip(got, BATCH_CASES):
             ref = _per_case_reference(natural, seq, cfg, noq)
             assert dataclasses.astuple(stats) == pytest.approx(
-                dataclasses.astuple(ref), rel=BATCH_TOL, abs=0.0), seq.kind.value
+                dataclasses.astuple(ref), rel=BATCH_TOL, abs=0.0), seq
 
     def test_case_does_not_depend_on_its_batch(self):
         natural, cfg = nat(0.25, 1.0), OracleConfig(seed=7, n_trajectories=300)
@@ -618,7 +618,7 @@ class TestBathCovariance:
         for (seq, noq), mc in zip(BATCH_CASES, mcs):
             exact = oracle.bath_covariance(natural, seq, noq)
             for (name, v, se), (_, e, _) in zip(mc.as_pairs(), exact.as_pairs()):
-                assert abs(v - e) <= 3 * se, (seq.kind.value, name)
+                assert abs(v - e) <= 3 * se, (seq, name)
 
     def test_coarse_grid_raises(self):
         with pytest.raises(ResolutionError):
@@ -684,7 +684,7 @@ class TestLinearResponseEstimator:
     SEQS = [ramsey(2.0), hahn_echo(2.0), carr_purcell2(2.0), OFF_GRID]
 
     @pytest.mark.parametrize("noq", [1e-3, 0.2])
-    @pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.kind.value)
+    @pytest.mark.parametrize("seq", SEQS, ids=["ramsey", "hahn_echo", "carr_purcell2", "custom"])
     def test_matches_stepping_loop(self, seq, noq):
         natural, cfg = nat(0.25, 1.0), OracleConfig(seed=20250826, n_trajectories=200)
         got = dataclasses.astuple(thermal_trajectories(natural, seq, cfg, noq))

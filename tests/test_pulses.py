@@ -34,6 +34,11 @@ MAKERS = {SequenceKind.RAMSEY: ramsey, SequenceKind.HAHN_ECHO: hahn_echo,
           SequenceKind.CARR_PURCELL2: carr_purcell2}
 
 
+def seq_name(seq):
+    """The named kind whose pulse list seq has, else "custom" (a test id)."""
+    return next((k.value for k in KINDS if make_sequence(k, seq.total_time) == seq), "custom")
+
+
 def random_sequences():
     """Strategy producing Custom sequences with 0-4 interior pulses."""
     return st.lists(st.floats(0.05, 0.95), min_size=0, max_size=4, unique=True).map(
@@ -57,6 +62,39 @@ class TestSequenceConstruction:
 
     def test_make_sequence_accepts_strings(self):
         assert make_sequence("hahn_echo", 2.0).pulse_times == (1.0,)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_named_kind_rejects_pulse_times(self, kind):
+        with pytest.raises(ValueError, match="builds its own pulse times"):
+            make_sequence(kind, 1.0, [0.3])
+        with pytest.raises(ValueError, match="builds its own pulse times"):
+            make_sequence(kind.value, 1.0, [])
+
+    def test_custom_needs_pulse_times(self):
+        with pytest.raises(ValueError, match="custom"):
+            make_sequence("custom", 1.0)
+        with pytest.raises(ValueError, match="custom"):
+            make_sequence(SequenceKind.CUSTOM, 1.0)
+        assert make_sequence("custom", 1.0, [0.3]) == custom(1.0, [0.3])
+        assert make_sequence("custom", 1.0, []) == ramsey(1.0)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("tau", [1e-4, 0.3, 1.0, 2 * math.pi])
+    def test_a_sequence_is_its_pulse_list(self, kind, tau):
+        named = make_sequence(kind, tau)
+        same = custom(tau, named.pulse_times)
+        assert same == named and hash(same) == hash(named)
+        assert custom(tau, [tau / 3]) != named
+
+    def test_named_kinds_order(self):
+        assert pulses.NAMED_KINDS == tuple(KINDS)
+
+    def test_custom_has_no_closed_forms(self):
+        for closed_form in (delta_n_closed_form, zeta_closed_form):
+            with pytest.raises(ValueError, match="no closed form for custom sequences"):
+                closed_form(SequenceKind.CUSTOM, 1.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="leading-order rows exist only for the named kinds"):
+            leading_order_row("custom", 1.0, 0.1)
 
 
 class TestSignProfile:
@@ -334,7 +372,7 @@ class TestSpectralResponseReference:
     SEQS = [ramsey(TAU), hahn_echo(TAU), carr_purcell2(TAU),
             custom(TAU, [1.3e-5, 3.7e-5, 4.1e-5, 8.9e-5])]
 
-    @pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.kind.value)
+    @pytest.mark.parametrize("seq", SEQS, ids=seq_name)
     def test_within_1e_9_of_50_digits(self, seq):
         mp = pytest.importorskip("mpmath")
         from spinlev.units import REFERENCE_DEVICE, params_from_dict, to_natural
@@ -361,12 +399,12 @@ class TestKernelFunctionalsReference:
     UNIT = [maker(wt) for wt in (0.1, 1.0, math.pi, 2 * math.pi, 10.0)
             for maker in (ramsey, hahn_echo, carr_purcell2)]
 
-    @pytest.mark.parametrize("seq", DEVICE + UNIT, ids=lambda s: f"{s.kind.value}-{s.total_time:.3g}")
+    @pytest.mark.parametrize("seq", DEVICE + UNIT, ids=lambda s: f"{seq_name(s)}-{s.total_time:.3g}")
     def test_fixed_sequences(self, seq):
         g, omega = (2.5e3, self.OMEGA) if seq.total_time < 1e-3 else (0.7, 1.0)
         errors = {name: dev / ref for name, (dev, ref, _) in _reference_deviations(seq, g, omega).items()}
         dn_gate = 1e-13
-        if seq.kind is SequenceKind.CARR_PURCELL2 and omega * seq.total_time < 0.2:
+        if seq == carr_purcell2(seq.total_time) and omega * seq.total_time < 0.2:
             dn_gate = 4e-15 / (omega * seq.total_time) ** 2  # 1.1e-11 at tau = 3e-5 s
         assert errors.pop("dn") <= dn_gate
         assert max(errors.values()) <= 1e-13, errors

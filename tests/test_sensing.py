@@ -19,14 +19,14 @@ from spinlev.sensing import (
     noise_to_signal,
     optimal_coupling,
     projection_limit_eta,
-    sensitivity_sweep,
+    sensitivity_spectrum,
     sql_gradient,
     squeezed_rotation,
-    thermal_dephasing,
     thermal_limit_eta,
     thermal_phase_variance,
 )
 from spinlev.units import REFERENCE_DEVICE, PhysicalParams, params_from_dict, to_natural
+from spinlev.witness import bath_deltas
 
 KINDS = [SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2]
 
@@ -87,16 +87,16 @@ class TestNoiseToSignal:
 
 class TestThermalDephasing:
     def test_zero_bath(self):
-        assert thermal_dephasing(0.5, 0.0, 1.0, 1.0) == 0.0
+        assert bath_deltas(0.5, 0.0, 1.0, 1.0).dvar_sx == 0.0
 
     def test_full_period(self):
         lam, noq = 0.4, 0.2
-        assert thermal_dephasing(lam, noq, 1.0, 2 * math.pi) == pytest.approx(
+        assert bath_deltas(lam, noq, 1.0, 2 * math.pi).dvar_sx == pytest.approx(
             0.5 * lam**2 * noq * 12 * math.pi, rel=1e-12)
 
     def test_linearity(self):
-        a = thermal_dephasing(0.4, 1.0, 1.0, 0.9)
-        b = thermal_dephasing(0.4, 1e4, 1.0, 0.9)
+        a = bath_deltas(0.4, 1.0, 1.0, 0.9).dvar_sx
+        b = bath_deltas(0.4, 1e4, 1.0, 0.9).dvar_sx
         assert b == pytest.approx(1e4 * a, rel=1e-12)
 
     def test_kernel_route_quarter_relation_for_ramsey(self):
@@ -105,7 +105,7 @@ class TestThermalDephasing:
         lam = 2 * g / omega
         v_kernel = thermal_phase_variance(ramsey(tau), g, omega, noq)
         assert v_kernel == pytest.approx(
-            thermal_dephasing(lam, noq, omega, tau) / 4, rel=1e-12)
+            bath_deltas(lam, noq, omega, tau).dvar_sx / 4, rel=1e-12)
 
 
 class TestForceSql:
@@ -222,7 +222,7 @@ class TestSqueezedRotation:
             squeezed_rotation(4, 10.0)
 
 
-def _pointwise_point(params, seq, nu, coupling=None, include_thermal=True):
+def _pointwise_point(params, seq, nu, coupling=None):
     """eta(nu) and its budget composed per point from the public functionals."""
     nat = to_natural(params)
     omega = nat.omega
@@ -235,7 +235,7 @@ def _pointwise_point(params, seq, nu, coupling=None, include_thermal=True):
     delta_n = pulses.residual_displacement(seq, g, omega)[1]
     phi = abs(pulses.spectral_response(seq, g, omega, nu))
     noq = nat.nbar / params.quality_factor
-    v_th = thermal_phase_variance(seq, g, omega, noq) if include_thermal else 0.0
+    v_th = thermal_phase_variance(seq, g, omega, noq)
     nsr = noise_to_signal(phi, delta_n, xi, params.n_spins, v_th)
     eta = math.sqrt(nsr * (seq.total_time + params.cooling_time)) * HBAR / nat.x0
     return eta, (1.0 / (4 * params.n_spins), params.n_spins * delta_n ** 2 * xi, v_th, phi)
@@ -245,6 +245,7 @@ class TestSensitivitySweep:
     REF = params_from_dict(REFERENCE_DEVICE)
     SEQS = [ramsey(1e-4), hahn_echo(1e-4), carr_purcell2(1e-4),
             custom(1e-4, [1e-5, 3.5e-5, 6e-5, 8e-5])]
+    SEQ_IDS = ["ramsey", "hahn_echo", "carr_purcell2", "custom"]
     NUS = [0.0, -2 * math.pi * 50.0] + [2 * math.pi * float(f) for f in np.geomspace(1.0, 1e5, 25)]
 
     def test_refocused_ramsey_is_unbounded(self):
@@ -256,11 +257,11 @@ class TestSensitivitySweep:
         with pytest.raises(UnboundedCouplingError):
             force_sensitivity(p, ramsey(0.01), 2 * math.pi * 1e3)
         with pytest.raises(UnboundedCouplingError):
-            sensitivity_sweep(p, ramsey(0.01), [2 * math.pi * 1e3])
+            sensitivity_spectrum(p, ramsey(0.01), [2 * math.pi * 1e3])
 
-    @pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.kind.value)
+    @pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
     def test_sweep_equals_pointwise(self, seq):
-        sweep = sensitivity_sweep(self.REF, seq, self.NUS)
+        sweep = sensitivity_spectrum(self.REF, seq, self.NUS).points
         assert sweep == [force_sensitivity(self.REF, seq, nu) for nu in self.NUS]
         for nu, sp in zip(self.NUS, sweep):
             eta, terms = _pointwise_point(self.REF, seq, nu)
@@ -270,12 +271,12 @@ class TestSensitivitySweep:
             assert (b.projection_var, b.backaction_var, b.thermal_var,
                     b.signal_phase_per_force) == terms
 
-    @pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.kind.value)
+    @pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
     def test_sweep_with_explicit_coupling(self, seq):
-        p = self.REF.with_(n_spins=3, nbar=None, temperature=0.02)
-        sweep = sensitivity_sweep(p, seq, self.NUS, coupling=2.5e3, include_thermal=False)
+        p = self.REF.with_(n_spins=3, nbar=None, temperature=0.0)
+        sweep = sensitivity_spectrum(p, seq, self.NUS, coupling=2.5e3).points
         for nu, sp in zip(self.NUS, sweep):
-            eta, terms = _pointwise_point(p, seq, nu, coupling=2.5e3, include_thermal=False)
+            eta, terms = _pointwise_point(p, seq, nu, coupling=2.5e3)
             assert sp.eta == eta
             assert sp.budget.thermal_var == 0.0
             assert sp.budget.signal_phase_per_force == terms[3]
@@ -284,16 +285,16 @@ class TestSensitivitySweep:
     def test_non_finite_nu_rejected(self, bad):
         seq = carr_purcell2(1e-4)
         with pytest.raises(ValueError, match="finite"):
-            sensitivity_sweep(self.REF, seq, [2 * math.pi * 10.0, bad])
+            sensitivity_spectrum(self.REF, seq, [2 * math.pi * 10.0, bad])
         with pytest.raises(ValueError, match="finite"):
             force_sensitivity(self.REF, seq, bad)
 
     def test_infinite_thermal_variance_raises(self):
         p = self.REF.with_(quality_factor=1e-300)  # nbar/Q = 1e306
         with pytest.raises(ValueError, match="thermal phase variance is not finite"):
-            sensitivity_sweep(p, carr_purcell2(1e-4), [2 * math.pi * 10.0])
-        sweep = sensitivity_sweep(p, carr_purcell2(1e-4), [2 * math.pi * 10.0], include_thermal=False)
-        assert math.isfinite(sweep[0].eta)
+            sensitivity_spectrum(p, carr_purcell2(1e-4), [2 * math.pi * 10.0])
+        spec = sensitivity_spectrum(p.with_(nbar=0.0), carr_purcell2(1e-4), [2 * math.pi * 10.0])
+        assert math.isfinite(spec.eta[0])
 
 
 class TestForceSqlZero:
@@ -318,7 +319,7 @@ class TestUnderflowingCoolingFactor:
         with pytest.raises(UnboundedCouplingError, match="xi"):
             optimal_coupling(SequenceKind.HAHN_ECHO, p.trap_frequency, 1e-4, xi)
         with pytest.raises(UnboundedCouplingError, match="xi"):
-            sensitivity_sweep(p, carr_purcell2(1e-4), [2 * math.pi * 10.0])
+            sensitivity_spectrum(p, carr_purcell2(1e-4), [2 * math.pi * 10.0])
 
 
 
@@ -326,11 +327,11 @@ class TestSensitivitySpectrum:
     REF = params_from_dict(REFERENCE_DEVICE)
     NUS = TestSensitivitySweep.NUS
 
-    @pytest.mark.parametrize("seq", TestSensitivitySweep.SEQS, ids=lambda s: s.kind.value)
+    @pytest.mark.parametrize("seq", TestSensitivitySweep.SEQS, ids=TestSensitivitySweep.SEQ_IDS)
     def test_arrays_hold_the_sweep(self, seq):
         spec = sensing.sensitivity_spectrum(self.REF, seq, self.NUS)
         assert spec.nus.dtype == spec.eta.dtype == spec.signal_phase_per_force.dtype == np.float64
-        assert spec.points == sensitivity_sweep(self.REF, seq, self.NUS)
+        assert spec.points == [force_sensitivity(self.REF, seq, nu) for nu in self.NUS]
         for sp in spec.points:
             assert (sp.budget.projection_var, sp.budget.backaction_var, sp.budget.thermal_var) == (
                 spec.projection_var, spec.backaction_var, spec.thermal_var)
@@ -344,3 +345,14 @@ class TestSensitivitySpectrum:
         got = noise_to_signal(phis, 0.3, 0.25, 2.0, 1e-3)
         assert got.tolist() == [noise_to_signal(p, 0.3, 0.25, 2.0, 1e-3) for p in phis.tolist()]
         assert got[0] == math.inf
+
+
+class TestCustomKindHasNoSql:
+    """A custom kind names no pulse list, so the kind-level solvers raise
+    instead of solving for Ramsey."""
+
+    def test_force_sql_and_optimal_coupling_raise(self):
+        with pytest.raises(ValueError, match="custom"):
+            force_sql("custom", 1.0, 0.1, 1.0)
+        with pytest.raises(ValueError, match="custom"):
+            optimal_coupling(SequenceKind.CUSTOM, 1.0, 0.1, 0.25)

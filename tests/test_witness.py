@@ -249,6 +249,12 @@ class TestViolationScan:
         with pytest.raises(ValueError):
             violation_scan("pulsed", "t", [0.2, 0.1])
 
+    @pytest.mark.parametrize("nbar_over_q", [0.0, 1e-3])
+    def test_unknown_initial_rejected_with_or_without_bath(self, nbar_over_q):
+        with pytest.raises(ValueError, match="initial must be 'ground' or 'thermal', got 'thermall'"):
+            violation_scan("pulseless", "t", [0.1, 0.2], lam=0.5, nbar_over_q=nbar_over_q,
+                           initial="thermall")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_grid_rejected(self, bad):
         # a NaN fails the sorted test x[1:] <= x[:-1] both ways, so it needs its own check
