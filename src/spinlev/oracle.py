@@ -77,12 +77,13 @@ class JointState:
         return self.coeff.shape[1] - 1
 
     def norm(self) -> float:
-        return math.sqrt(np.vdot(self.coeff, self.coeff).real)
+        flat = self.coeff.ravel("K")  # memory order: no copy of a transposed view
+        return math.sqrt(np.vdot(flat, flat).real)
 
     def margins(self) -> tuple[float, float]:
         """(top-4 Fock population, |norm - 1|): how far the state is from the
         truncation and norm limits that check() enforces."""
-        top = self.coeff[:, -4:]
+        top = self.coeff[:, -4:].ravel("K")
         return float(np.vdot(top, top).real), abs(self.norm() - 1.0)
 
     def check(self, tail_tolerance: float) -> None:
@@ -140,51 +141,50 @@ def _sector_eigensystem(n_max: int, kappa: float):
     P (n_hat + kappa x) P exactly in the truncated basis: the same
     eigenvalues, and eigenvectors with their odd entries negated. One entry
     therefore serves both signs of the coupling.
-    """
-    from scipy.linalg import eigh_tridiagonal  # lazy: only the oracle needs scipy
 
+    One call of LAPACK's divide-and-conquer dstevd, the driver
+    scipy.linalg.eigh_tridiagonal picks for a full spectrum, with the same
+    result bit for bit; the arrays are built here, so only the coupling is
+    checked. Raises ValueError when kappa sqrt(n_max) is not finite, as
+    dstevd returns NaN for it without an error, and LinAlgError when dstevd
+    fails.
+    """
+    from scipy.linalg.lapack import dstevd  # lazy: only the oracle needs scipy
+
+    # dstevd takes at least one off-diagonal entry, unread for a 1 x 1 matrix
+    top = max(n_max, 1)
+    if not math.isfinite(kappa * math.sqrt(top)):  # the off-diagonal entry of largest magnitude
+        raise ValueError(f"coupling kappa = {kappa!r} gives a non-finite tridiagonal at n_max = {n_max}")
     diag = np.arange(n_max + 1, dtype=float)
-    off = kappa * np.sqrt(np.arange(1, n_max + 1))
-    evals, evecs = eigh_tridiagonal(diag, off)
+    off = kappa * np.sqrt(np.arange(1, top + 1))
+    evals, evecs, info = dstevd(diag, off)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed for kappa = {kappa!r}, n_max = {n_max}: info = {info}")
     return evals, evecs
 
 
-def _propagate(psi: np.ndarray, kappas: tuple[float, float], omega: float, dt: float,
-               eigensystem=None) -> np.ndarray:
-    """Exact e^{-i omega dt (n_hat + kappa_j x)} on column j of psi, an
-    (n_max + 1, 2) complex array with one column per spin sector; returns a
-    new array. Sectors with the same |kappa| (both of them on a force-free
-    piece) share one product. eigensystem(n_max, |kappa|) decomposes a
-    sector, by default through the _sector_eigensystem cache."""
-    eigensystem = eigensystem or _sector_eigensystem
-    k0, k1 = kappas
-    if abs(k0) == abs(k1):
-        return _propagate_columns(psi.copy(), kappas, omega, dt, eigensystem)
-    out = np.empty_like(psi)
-    out[:, :1] = _propagate_columns(psi[:, :1].copy(), (k0,), omega, dt, eigensystem)
-    out[:, 1:] = _propagate_columns(psi[:, 1:].copy(), (k1,), omega, dt, eigensystem)
-    return out
+_MINUS_ONE = np.complex128(-1)  # v *= -1 converts the int on every call
 
 
-def _propagate_columns(v: np.ndarray, kappas: tuple[float, ...], omega: float, dt: float,
-                       eigensystem) -> np.ndarray:
-    """e^{-i omega dt (n_hat + kappa_j x)} on column j of the C-contiguous
-    complex v, for couplings of one |kappa|; v is overwritten.
+def _rotate(re: np.ndarray, flips, evecs: np.ndarray, phase: np.ndarray) -> None:
+    """e^{-i omega dt (n_hat + kappa_j x)} on the m spin-sector columns of a
+    state block, in place, for couplings kappa_j of one |kappa|.
 
-    The eigenvectors are real, so both products run in real arithmetic on
-    the (n_max + 1, 2m) float64 view of v; a column with kappa < 0 is
-    propagated as P e^{-i omega dt (n_hat + |kappa| x)} P.
+    re is the (n_max + 1, 2m) float view of the block, evecs the
+    eigenvectors of that |kappa| and phase e^{-i omega E dt} over its
+    eigenvalues E, as an (n_max + 1, m) array. The eigenvectors are real, so
+    both products run in real arithmetic. A column with kappa < 0 is
+    propagated as P e^{-i omega dt (n_hat + |kappa| x)} P: flips holds the
+    odd-row views P negates, one per such column.
     """
-    evals, evecs = eigensystem(v.shape[0] - 1, abs(kappas[0]))
-    odd = [j for j, k in enumerate(kappas) if k < 0]
-    for j in odd:
-        v[1::2, j] *= -1
-    y = (evecs.T @ v.view(float)).view(complex)
-    y *= np.exp(-1j * omega * evals * dt)[:, None]
-    w = (evecs @ y.view(float)).view(complex)
-    for j in odd:
-        w[1::2, j] *= -1
-    return w
+    for v in flips:
+        np.multiply(v, _MINUS_ONE, out=v)
+    y = evecs.T @ re
+    yc = y.view(complex)
+    yc *= phase
+    np.matmul(evecs, y, out=re)
+    for v in flips:
+        np.multiply(v, _MINUS_ONE, out=v)
 
 
 def evolve(
@@ -204,6 +204,9 @@ def evolve(
     segment. Each distinct (n_max, |c|/omega) pair costs one
     tridiagonal eigendecomposition: force-free pairs are shared across calls
     through the _sector_eigensystem cache, forced ones only within the call.
+    All of them are decomposed before the first piece is propagated, the
+    phases of every force-free piece come from one exp over a table of
+    piece lengths, and the state is updated in place.
 
     Pulses are handled in the toggling frame: the instantaneous pi flips are
     absorbed into the sign profile of the coupling, which keeps the spin-
@@ -211,22 +214,68 @@ def evolve(
     compared against. The physical lab state differs only by the known final
     pulse rotations, which drop out of every fidelity and moment comparison
     made here.
+
+    Each call logs one DEBUG record on the "spinlev.oracle" logger, with
+    record attributes n_pieces, cache_misses (of the shared cache),
+    forced_decompositions, decompose_s, product_s (the propagation, from
+    the phase table to the last check) and the final margins tail and drift;
+    none of them is returned.
     """
     g, omega = natural.g, natural.omega
-    start, end, seg, f = (x.tolist() for x in pulses.pieces(seq, force))
+    start, end, seg, f = pulses.pieces(seq, force)
+    n_max = state.n_max
+    sg = np.where(seg % 2, -g, g)  # (-1)**seg g, the coupling of spin 0
+    kappas = np.column_stack(((sg - f) / omega, (-sg - f) / omega))
+    dt = end - start
+    free = f == 0
+    t0 = time.perf_counter()
     # a forced coupling depends on the force value, so it is decomposed apart
     # from the shared cache, where it would evict the force-free entries;
     # within the call it is kept, as a constant force meets the same two
     # couplings on every pulse segment
-    forced = lru_cache(maxsize=None)(_sector_eigensystem.__wrapped__)
+    decompose = _sector_eigensystem.__wrapped__
+    forced = {k: decompose(n_max, k) for k in dict.fromkeys(np.abs(kappas[~free]).ravel().tolist())}
+    misses = 0
+    if free.any():
+        # every force-free piece has |kappa| = g/omega: one eigensystem
+        before = _sector_eigensystem.cache_info().misses
+        evals, free_evecs = _sector_eigensystem(n_max, abs(kappas[free][0, 0].item()))
+        misses = _sector_eigensystem.cache_info().misses - before
+    t1 = time.perf_counter()
+    if free.any():
+        # one column per spin sector, so the product with the (n_max + 1, 2)
+        # block of the state runs over contiguous rows
+        table = np.exp(-1j * omega * evals * dt[free][:, None])
+        phases = iter(np.stack((table, table), axis=-1))
     psi = np.array(state.coeff.T, dtype=complex, order="C")
-    for i, (a, b, k, fk) in enumerate(zip(start, end, seg, f)):
-        s = (-1) ** k
-        psi = _propagate(psi, ((s * g - fk) / omega, (-s * g - fk) / omega), omega, b - a,
-                         forced if fk else _sector_eigensystem)
-        if i + 1 == len(seg) or seg[i + 1] != k:  # the end of a pulse segment
-            JointState(psi.T).check(cfg.tail_tolerance)
-    return JointState(np.ascontiguousarray(psi.T))
+    re = psi.view(float)
+    halves = (re[:, :2], re[:, 2:])
+    odd = (psi[1::2, 0], psi[1::2, 1])
+    view = JointState(psi.T)  # psi changes in place, so one wrapper serves every check
+    last = np.append(seg[1:] != seg[:-1], True)  # the last piece of each pulse segment
+    for (k0, k1), d, is_free, check in zip(kappas.tolist(), dt.tolist(), free.tolist(), last.tolist()):
+        if abs(k0) == abs(k1):  # one product for both sectors, as on every force-free piece
+            if is_free:
+                evecs, phase = free_evecs, next(phases)
+            else:
+                evals_k, evecs = forced[abs(k0)]
+                phase = np.exp(-1j * omega * evals_k * d)[:, None]
+            _rotate(re, [v for k, v in zip((k0, k1), odd) if k < 0], evecs, phase)
+        else:
+            for k, half, v in zip((k0, k1), halves, odd):
+                evals_k, evecs = forced[abs(k)]
+                _rotate(half, (v,) if k < 0 else (), evecs, np.exp(-1j * omega * evals_k * d)[:, None])
+        if check:
+            view.check(cfg.tail_tolerance)
+    product_s = time.perf_counter() - t1
+    result = JointState(np.ascontiguousarray(psi.T))
+    if _log.isEnabledFor(logging.DEBUG):
+        tail, drift = result.margins()
+        _log.debug("%d pieces: %d cache misses, %d forced decompositions in %.6f s, products %.6f s, "
+                   "margins (%.3e, %.3e)", len(dt), misses, len(forced), t1 - t0, product_s, tail, drift,
+                   extra={"n_pieces": len(dt), "cache_misses": misses, "forced_decompositions": len(forced),
+                          "decompose_s": t1 - t0, "product_s": product_s, "tail": tail, "drift": drift})
+    return result
 
 
 def closed_form_vector(state: EntangledState, n_max: int) -> np.ndarray:
@@ -340,7 +389,8 @@ def witness_moments(
     nbar None or 0 uses exact truncated-Fock evolution of the vacuum start;
     nbar > 0 draws Glauber-P coherent samples (alpha ~ CN(0, nbar)) and
     averages the exact per-sample branch moments, with batched standard
-    errors for the assembled witness value.
+    errors for the assembled witness value (2 batches below 200 samples, 20
+    from 200 on); it raises ValueError for fewer samples than batches.
     """
     g, omega = natural.g, natural.omega
     lam = natural.lam
@@ -354,12 +404,14 @@ def witness_moments(
         rec = moments_from_state(st)
         return MomentEstimate(rec, witness.witness_value(rec, coefficients), 0.0)
 
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     n = cfg.n_trajectories
+    n_batches = 20 if n >= 200 else 2
+    if n < n_batches:  # an empty batch has no mean, and the standard error would be NaN
+        raise ValueError(f"n_trajectories must be >= {n_batches} for a sampled witness, got {n}")
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     draws = rng.normal(size=(n, 2)) * math.sqrt(nbar / 2.0)
     raw = _branch_raw_moments(draws[:, 0] + 1j * draws[:, 1], g, omega, t)
 
-    n_batches = 20 if n >= 200 else 2
     batches = np.array_split(np.arange(n), n_batches)
     w_vals = []
     for idx in batches:

@@ -290,6 +290,41 @@ def reference_evolve(state, natural, seq, force=None):
     return c
 
 
+def _propagate_columns(v, kappas, omega, dt):
+    """e^{-i omega dt (n_hat + kappa_j x)} on column j of the C-contiguous v,
+    for couplings of one |kappa|, as evolve ran it piece by piece."""
+    evals, evecs = _signed_eigensystem(v.shape[0] - 1, abs(kappas[0]))
+    odd = [j for j, k in enumerate(kappas) if k < 0]
+    for j in odd:
+        v[1::2, j] *= -1
+    y = (evecs.T @ v.view(float)).view(complex)
+    y *= np.exp(-1j * omega * evals * dt)[:, None]
+    w = (evecs @ y.view(float)).view(complex)
+    for j in odd:
+        w[1::2, j] *= -1
+    return w
+
+
+def piece_loop_evolve(state, natural, seq, force=None):
+    """The piece-by-piece loop evolve replaced, kept as its bit-for-bit
+    reference: per piece a copy of the state, its own exp, the parity flips
+    on the copy and scipy's eigh_tridiagonal; returns the final
+    (2, n_max + 1) coefficients."""
+    g, omega = natural.g, natural.omega
+    psi = np.array(state.coeff.T, dtype=complex, order="C")
+    for a, b, k, fk in zip(*(x.tolist() for x in pulses.pieces(seq, force))):
+        s = (-1) ** k
+        k0, k1 = (s * g - fk) / omega, (-s * g - fk) / omega
+        if abs(k0) == abs(k1):
+            psi = _propagate_columns(psi.copy(), (k0, k1), omega, b - a)
+        else:
+            out = np.empty_like(psi)
+            out[:, :1] = _propagate_columns(psi[:, :1].copy(), (k0,), omega, b - a)
+            out[:, 1:] = _propagate_columns(psi[:, 1:].copy(), (k1,), omega, b - a)
+            psi = out
+    return psi.T
+
+
 def _max_alpha_sq(seq, g, omega, force):
     """Largest |gamma|^2 either branch reaches: on a piece with coupling c,
     gamma(t) = (gamma_a + c/omega) e^{-i omega t} - c/omega."""
@@ -304,10 +339,11 @@ def _max_alpha_sq(seq, g, omega, force):
 
 
 @st.composite
-def custom_runs(draw):
-    """A custom sequence with 1-64 off-grid pulses, g/omega in [0.1, 2], and
-    in half the cases a piecewise-constant force with knots off the pulse edges."""
-    n_pulses = draw(st.integers(1, 64))
+def custom_runs(draw, min_pulses=1):
+    """A custom sequence with min_pulses-64 off-grid pulses, g/omega in
+    [0.1, 2], and in half the cases a piecewise-constant force with knots off
+    the pulse edges."""
+    n_pulses = draw(st.integers(min_pulses, 64))
     tau = draw(st.floats(0.3, 4.0))
     unit = st.floats(1e-6, 1.0 - 1e-6)
     times = sorted({tau * u for u in draw(st.lists(unit, min_size=n_pulses, max_size=n_pulses))})
@@ -318,6 +354,19 @@ def custom_runs(draw):
         values = draw(st.lists(st.floats(-0.3, 0.3), min_size=len(knots) + 1, max_size=len(knots) + 1))
         force = ([0.0, *knots, tau], values)
     return pulses.custom(tau, times), g, force
+
+
+@st.composite
+def mixed_runs(draw):
+    """A custom_runs run with 0-64 pulses whose force, where there is one, is
+    zero on some intervals, so force-free and forced pieces alternate, and
+    with g = 0 in one run in five, where a forced piece propagates both
+    sectors in one product."""
+    seq, g, force = draw(custom_runs(min_pulses=0))
+    if force is not None:
+        knots, values = force
+        force = (knots, [0.0 if draw(st.booleans()) else v for v in values])
+    return seq, 0.0 if draw(st.integers(0, 4)) == 0 else g, force
 
 
 class TestRealPropagator:
@@ -342,17 +391,88 @@ class TestRealPropagator:
     @pytest.mark.parametrize("kappas", [(0.7, -0.7), (-1.3, 1.3), (-0.4, -0.4), (0.3, -1.1), (-0.9, 0.2)])
     def test_negative_coupling_matches_direct_eigendecomposition(self, kappas):
         # n - kappa x = P (n + kappa x) P with P = (-1)^n: a kappa < 0 sector
-        # uses the |kappa| eigensystem with its odd entries flipped
+        # uses the |kappa| eigensystem with its odd entries flipped. Each
+        # pair is one Ramsey piece with g = omega (k0 - k1)/2 and a constant
+        # f = -omega (k0 + k1)/2; as g >= 0, a pair with k0 < k1 runs with
+        # its sectors swapped. The pairs cover a force-free piece, a forced
+        # one with g = 0 (both sectors in one product) and forced ones with
+        # the sectors apart.
         n_max, omega, dt = 60, 1.3, 0.9
         rng = np.random.default_rng(3)
-        psi = rng.normal(size=(n_max + 1, 2)) + 1j * rng.normal(size=(n_max + 1, 2))
-        psi /= np.linalg.norm(psi, axis=0)
-        got = oracle._propagate(psi, kappas, omega, dt)
+        psi = np.zeros((n_max + 1, 2), dtype=complex)
+        psi[:31] = rng.normal(size=(31, 2)) + 1j * rng.normal(size=(31, 2))
+        psi /= np.linalg.norm(psi)
+        swap = kappas[0] < kappas[1]
+        k0, k1 = kappas[::-1] if swap else kappas
+        start = JointState(np.ascontiguousarray((psi[:, ::-1] if swap else psi).T))
+        force = ([0.0, dt], [-omega * (k0 + k1) / 2])
+        got = evolve(start, nat(omega * (k0 - k1) / 2, omega), ramsey(dt), force=force).coeff.T
+        got = got[:, ::-1] if swap else got
         x = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1)
         for j, kappa in enumerate(kappas):
             evals, evecs = np.linalg.eigh(np.diag(np.arange(n_max + 1.0)) + kappa * (x + x.T))
             direct = evecs @ (np.exp(-1j * omega * evals * dt) * (evecs.T @ psi[:, j]))
             assert np.max(np.abs(got[:, j] - direct)) <= 1e-13, (kappas, j)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(mixed_runs(), st.floats(0.5, 2.0))
+    def test_bit_identical_to_the_piece_loop(self, run, omega):
+        seq, g, force = run
+        a2 = _max_alpha_sq(seq, g, omega, force)
+        assume(a2 <= 40.0)
+        alpha = 0.2 - 0.1j  # no exact zeros in the start
+        start = initial_state(alpha, suggested_n_max((math.sqrt(a2) + abs(alpha)) ** 2))
+        got = evolve(start, nat(g, omega), seq, force=force).coeff
+        assert np.array_equal(got, piece_loop_evolve(start, nat(g, omega), seq, force))
+
+    @pytest.mark.parametrize("n_max", [0, 1, 4, 17, 64, 150, 290])
+    @pytest.mark.parametrize("kappa", [0.0, 1e-9, 0.05, 0.7, 2.0, 6.5])
+    def test_eigensystem_is_eigh_tridiagonals_bit_for_bit(self, n_max, kappa):
+        from scipy.linalg import eigh_tridiagonal
+
+        evals, evecs = oracle._sector_eigensystem.__wrapped__(n_max, kappa)
+        ref_evals, ref_evecs = eigh_tridiagonal(np.arange(n_max + 1, dtype=float),
+                                                kappa * np.sqrt(np.arange(1, n_max + 1)))
+        assert np.array_equal(evals, ref_evals) and np.array_equal(evecs, ref_evecs)
+
+    @pytest.mark.parametrize("n_max,kappa", [(8, math.inf), (8, -math.inf), (8, math.nan), (8, 1e308)],
+                             ids=["inf", "-inf", "nan", "overflow"])
+    def test_non_finite_coupling_rejected_before_lapack(self, n_max, kappa, monkeypatch):
+        # dstevd returns NaN for an infinite off-diagonal without an error;
+        # 1e308 sqrt(8) overflows although kappa is finite
+        import scipy.linalg.lapack
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("dstevd was called")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", no_lapack)
+        with pytest.raises(ValueError, match=r"coupling kappa = .* gives a non-finite tridiagonal"):
+            oracle._sector_eigensystem.__wrapped__(n_max, kappa)
+
+    def test_non_finite_coupling_in_evolve_names_the_coupling(self):
+        # g - f = 2e308 overflows to inf; scipy's message used to be the error
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="coupling kappa = inf"):
+            evolve(initial_state(0j, 8), nat(1e308, 1.0), ramsey(1.0), force=([0.0, 1.0], [-1e308]))
+
+    def test_costs_logged_at_debug(self, caplog):
+        # one record per call, with the costs in attributes and not in the result
+        oracle._sector_eigensystem.cache_clear()
+        seq, force = carr_purcell2(2.0), ([0.0, 0.5, 1.2, 2.0], [0.2, 0.0, -0.1])
+        quiet = evolve(initial_state(0, 40), nat(0.9, 1.0), seq, force=force)
+        assert not [r for r in caplog.records if r.name == "spinlev.oracle"]
+        oracle._sector_eigensystem.cache_clear()
+        with caplog.at_level(logging.DEBUG, logger="spinlev.oracle"):
+            loud = evolve(initial_state(0, 40), nat(0.9, 1.0), seq, force=force)
+            evolve(initial_state(0, 40), nat(0.9, 1.0), seq)
+        first, second = [r for r in caplog.records if r.name == "spinlev.oracle"]
+        assert first.levelno == logging.DEBUG
+        # pieces from 0, 0.5 (pulse and knot), 1.2 (knot) and 1.5 (pulse); the
+        # forced ones meet |kappa| = 0.9 -+ 0.2 and 0.9 -+ 0.1
+        assert (first.n_pieces, first.cache_misses, first.forced_decompositions) == (4, 1, 4)
+        assert (second.n_pieces, second.cache_misses, second.forced_decompositions) == (3, 0, 0)
+        assert first.decompose_s > 0.0 and first.product_s > 0.0
+        assert (first.tail, first.drift) == loud.margins()
+        assert np.array_equal(loud.coeff, quiet.coeff)
 
     def test_one_eigensystem_per_coupling_pair(self):
         oracle._sector_eigensystem.cache_clear()
@@ -385,6 +505,13 @@ class TestWitnessMoments:
         est2 = witness_moments(nat(lam * omega / 2, omega), t, cfg, nbar=1.0,
                                coefficients=coeff)
         assert abs(est2.w_en - closed) < 3 * est2.w_en_se
+
+    def test_too_few_samples_for_the_batches_rejected(self):
+        # one sample left the second of two batches empty: w_en_se was NaN
+        with pytest.raises(ValueError, match="n_trajectories must be >= 2"):
+            witness_moments(nat(0.25, 1.0), math.pi, OracleConfig(n_trajectories=1, seed=1), nbar=1.0)
+        est = witness_moments(nat(0.25, 1.0), math.pi, OracleConfig(n_trajectories=2, seed=1), nbar=1.0)
+        assert math.isfinite(est.w_en_se)
 
     def test_seed_determinism(self):
         cfg = OracleConfig(seed=11, n_trajectories=500)

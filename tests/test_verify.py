@@ -30,10 +30,13 @@ def test_report_bytes_unchanged_with_debug_on(tmp_path, caplog):
     with caplog.at_level(logging.DEBUG, logger="spinlev"):
         assert cli.main(["verify", "--out", str(loud)]) == code
     assert loud.read_bytes() == quiet.read_bytes()
-    # the bath check's batch, then mc_determinism's two runs
+    # the bath check's batch, then mc_determinism's two runs; every other
+    # oracle record is one oracle.evolve call
     oracle_records = [r for r in caplog.records if r.name == "spinlev.oracle"]
-    assert [r.n_trajectories for r in oracle_records] == [1500, 200, 200]
-    assert b"draw_s" not in loud.read_bytes()
+    bath = [r for r in oracle_records if hasattr(r, "n_trajectories")]
+    assert [r.n_trajectories for r in bath] == [1500, 200, 200]
+    assert all(hasattr(r, "n_pieces") for r in oracle_records if r not in bath)
+    assert b"draw_s" not in loud.read_bytes() and b"product_s" not in loud.read_bytes()
 
 
 def test_oracle_branch_fidelity_reports_fock_margins():
