@@ -59,11 +59,12 @@ class EntangledState:
 
 
 def segment_step(theta: float, gamma: complex, c: float, omega: float, dt: float):
-    """Evolve one branch through one constant-coefficient segment (exact)."""
+    """Evolve one branch through one constant-coefficient segment (exact);
+    gamma is a complex or an array of them (theta then becomes an array)."""
     beta = c / omega
-    phase1 = (beta * np.conj(gamma)).imag
+    phase1 = (beta * gamma.conjugate()).imag
     g2 = (gamma + beta) * cmath.exp(-1j * omega * dt)
-    phase2 = (-beta * np.conj(g2)).imag
+    phase2 = (-beta * g2.conjugate()).imag
     return theta + c * c * dt / omega + phase1 + phase2, g2 - beta
 
 
@@ -82,6 +83,34 @@ def _check_coupling(g: float, omega: float) -> None:
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
 
 
+def branch_states(
+    seq: PulseSequence,
+    g: float,
+    omega: float,
+    spin_sign: int,
+    alpha,
+    force=None,
+):
+    """One spin branch stepped piece by piece through pulses.pieces(seq, force).
+
+    Returns (t, c, states): the piece boundaries t (0, ..., tau), the drive
+    coefficient c = spin_sign (-1)^seg g - f of each piece (Hamiltonian term
+    -f (a + a^dag)), and the (theta, gamma) at every boundary, starting from
+    (0, alpha). alpha is a complex or an array of them, stepped together.
+    force is an optional (times, values) piecewise-constant series on a grid
+    covering [0, tau]; spin_sign is +1 (branch 0) or -1 (branch 1).
+    """
+    if spin_sign not in (1, -1):
+        raise ValueError(f"spin_sign must be +1 or -1, got {spin_sign!r}")
+    _check_coupling(g, omega)
+    start, end, seg, f = (x.tolist() for x in pulses.pieces(seq, force))
+    c = [spin_sign * (-1) ** k * g - fk for k, fk in zip(seg, f)]
+    states = [(0.0, alpha)]
+    for a, b, ck in zip(start, end, c):
+        states.append(segment_step(*states[-1], ck, omega, b - a))
+    return [*start, seq.total_time], c, states
+
+
 def branch_evolution(
     seq: PulseSequence,
     g: float,
@@ -90,18 +119,8 @@ def branch_evolution(
     alpha: complex = 0j,
     force=None,
 ):
-    """Final (theta, gamma) for one spin branch; force is an optional
-    (times, values) piecewise-constant series on a grid covering [0, tau];
-    spin_sign is +1 (branch 0) or -1 (branch 1)."""
-    if spin_sign not in (1, -1):
-        raise ValueError(f"spin_sign must be +1 or -1, got {spin_sign!r}")
-    _check_coupling(g, omega)
-    theta, gamma = 0.0, complex(alpha)
-    for a, b, k, fk in zip(*(x.tolist() for x in pulses.pieces(seq, force))):
-        # Hamiltonian term -f (a + a^dag): the x coefficient is sign*g - f
-        c = spin_sign * (-1) ** k * g - fk
-        theta, gamma = segment_step(theta, gamma, c, omega, b - a)
-    return theta, gamma
+    """Final (theta, gamma) for one spin branch, checked as in branch_states."""
+    return branch_states(seq, g, omega, spin_sign, complex(alpha), force)[2][-1]
 
 
 def evolve_state(
@@ -148,23 +167,18 @@ def trajectory(
     The branch state is stored at each segment start; a sample at t takes one
     step from the start of the last segment that begins before t.
     Quadratures are q = sqrt2 Re(gamma), p = sqrt2 Im(gamma). g and omega are
-    checked as in branch_evolution.
+    checked as in branch_states.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     spin_sign = 1 - 2 * _branch_index(spin_branch, "spin_branch")
-    _check_coupling(g, omega)
-    start, end, seg, _ = (x.tolist() for x in pulses.pieces(seq))
-    c = [spin_sign * (-1) ** k * g for k in seg]
-    starts = [(0.0, complex(alpha))]
-    for a, b, ck in zip(start[:-1], end, c):
-        starts.append(segment_step(*starts[-1], ck, omega, b - a))
+    t_b, c, states = branch_states(seq, g, omega, spin_sign, complex(alpha))
     out = []
     ts = np.linspace(0.0, seq.total_time, n_samples)
-    for t, k in zip(ts.tolist(), np.searchsorted(start, ts).tolist()):  # k segments begin before t
-        gamma = starts[0][1]
+    for t, k in zip(ts.tolist(), np.searchsorted(t_b[:-1], ts).tolist()):  # k segments begin before t
+        gamma = states[0][1]
         if k:
-            _, gamma = segment_step(*starts[k - 1], c[k - 1], omega, min(end[k - 1], t) - start[k - 1])
+            _, gamma = segment_step(*states[k - 1], c[k - 1], omega, min(t_b[k], t) - t_b[k - 1])
         out.append((t, math.sqrt(2) * gamma.real, math.sqrt(2) * gamma.imag))
     return out
 
@@ -188,30 +202,22 @@ def magnus_phases(seq: PulseSequence, g: float, omega: float, force=None) -> Mag
       (sigma_z/2) in the same normalization as the response kernel;
     * squeezing_zeta: the J_z^2 coefficient.
 
-    force may be a boxcar time series (edges, values), values[j] on
+    force is None or a boxcar time series (edges, values), values[j] on
     [edges[j], edges[j+1]) and zero outside [edges[0], edges[-1]], with
     finite edges from 0 on that never decrease and one more edge than value
-    (or as many, tau closing the last), handled exactly; or a callable spectrum
-    f(nu) with the convention f(nu) = (2 pi)^{-1/2} int f(t) e^{i nu t} dt,
-    in which case force_phase = Re int chi(nu) f(nu) dnu by quadrature.
+    (or as many, tau closing the last), handled exactly; any other force
+    raises ValueError.
     """
     beta, _ = pulses.residual_displacement(seq, g, omega)
     disp_f = 0j
     phase_f = 0.0
     tau = seq.total_time
-    if callable(force):
-        from scipy.integrate import quad
-
-        def integrand(nu: float) -> float:
-            return (pulses.response_kernel(seq, g, omega, nu) * force(nu)).real
-
-        cut = 400.0 * max(omega, 2 * math.pi / tau)
-        pts = [-omega, 0.0, omega]
-        val, _err = quad(integrand, -cut, cut, points=pts, limit=800)
-        phase_f = val
-        disp_f = 1j * cmath.exp(-1j * omega * tau) * math.sqrt(2 * math.pi) * complex(force(omega))
-    elif force is not None:
-        edges, values = list(force[0]), list(force[1])
+    if force is not None:
+        try:
+            edges, values = (list(x) for x in force)
+        except (TypeError, ValueError):
+            raise ValueError("force must be None or a boxcar series (edges, values), "
+                             f"got {type(force).__name__}") from None
         if len(edges) == len(values):
             edges.append(tau)
         if len(edges) != len(values) + 1:

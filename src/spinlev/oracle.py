@@ -333,11 +333,9 @@ def _branch_raw_moments(alphas: np.ndarray, g: float, omega: float, t: float) ->
     syp, szq, szp) of raw (uncentered) expectation values of sigma-level
     operators per initial coherent amplitude in alphas.
     """
-    g0 = g1 = np.asarray(alphas, dtype=complex)
-    th0 = th1 = 0.0
-    for a, b, k, _ in zip(*(x.tolist() for x in pulses.pieces(pulses.ramsey(t)))):
-        th0, g0 = dynamics.segment_step(th0, g0, (-1) ** k * g, omega, b - a)
-        th1, g1 = dynamics.segment_step(th1, g1, -(-1) ** k * g, omega, b - a)
+    seq, alphas = pulses.ramsey(t), np.asarray(alphas, dtype=complex)
+    th0, g0 = dynamics.branch_states(seq, g, omega, +1, alphas)[2][-1]
+    th1, g1 = dynamics.branch_states(seq, g, omega, -1, alphas)[2][-1]
     phase = np.exp(1j * (th0 - th1))
     ov = np.exp(-np.abs(g0) ** 2 / 2 - np.abs(g1) ** 2 / 2 + np.conj(g1) * g0)
     z = phase * ov  # e^{i(theta0-theta1)} <g1|g0>
@@ -389,8 +387,9 @@ def witness_moments(
     nbar None or 0 uses exact truncated-Fock evolution of the vacuum start;
     nbar > 0 draws Glauber-P coherent samples (alpha ~ CN(0, nbar)) and
     averages the exact per-sample branch moments, with batched standard
-    errors for the assembled witness value (2 batches below 200 samples, 20
-    from 200 on); it raises ValueError for fewer samples than batches.
+    errors for the assembled witness value from the means of
+    max(2, min(20, n // 10)) batches of the n samples (20 from n = 200 on);
+    it raises ValueError for fewer samples than batches.
     """
     g, omega = natural.g, natural.omega
     lam = natural.lam
@@ -405,7 +404,7 @@ def witness_moments(
         return MomentEstimate(rec, witness.witness_value(rec, coefficients), 0.0)
 
     n = cfg.n_trajectories
-    n_batches = 20 if n >= 200 else 2
+    n_batches = max(2, min(20, n // 10))
     if n < n_batches:  # an empty batch has no mean, and the standard error would be NaN
         raise ValueError(f"n_trajectories must be >= {n_batches} for a sampled witness, got {n}")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
@@ -517,6 +516,7 @@ def _force_weights(seq: PulseSequence, g: float, omega: float, n_steps: int) -> 
 
 
 _N_STEPS = 4096  # force grid of the bath Monte Carlo and of bath_covariance
+_FORCE_ROWS = 32  # force paths drawn per block: 32 x 4096 float64 bounds the block at 1 MB
 
 
 def _scaled_weights(natural: NaturalParams, seq: PulseSequence, nbar_over_q: float) -> np.ndarray:
@@ -602,11 +602,10 @@ def thermal_trajectories_batch(
 
     n = cfg.n_trajectories
     samples = np.empty((n, weights.shape[1]))  # (Phi, Q, P) per trajectory and case
-    chunk = 256  # bounds the force block at 8 MB
-    forces = np.empty((min(chunk, n), _N_STEPS))
+    forces = np.empty((min(_FORCE_ROWS, n), _N_STEPS))
     draw_s = product_s = 0.0
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, _FORCE_ROWS):
+        stop = min(start + _FORCE_ROWS, n)
         z = forces[:stop - start]
         t0 = time.perf_counter()
         for i, row in enumerate(z, start):

@@ -13,10 +13,11 @@ The three functionals:
   phase accumulated per unit impulse of force delivered at time s (in the
   per-(sigma_z/2) normalization whose DC limit gives omega tau^3/6, /8, /32
   for Ramsey / echo / two-pulse Carr-Purcell), and its Fourier transform
-  chi(nu) = (2 pi)^{-1/2} int_0^tau K(s) e^{-i nu s} ds;
+  T(nu) = int_0^tau K(s) e^{-i nu s} ds (spectral_response; the response
+  chi(nu) = T(nu) / sqrt(2 pi));
 * squeezing parameter  zeta = int_0^tau int_0^t sin(omega(t-t')) G(t) G(t') dt' dt.
 
-All but chi(nu) take K from one backward recursion, _kernel_ends.
+All but T(nu) take K from one backward recursion, _kernel_ends.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class SequenceKind(enum.Enum):
@@ -149,13 +148,6 @@ def segment_index(seq: PulseSequence, t):
     """Index of the segment that holds t: the number of pulses at or before t
     (so a pulse time starts the next segment); vectorized over t."""
     return np.searchsorted(np.asarray(seq.pulse_times, dtype=float), t, side="right")
-
-
-def sign_profile(seq: PulseSequence, t: float) -> int:
-    """s(t): +1 before the first pulse, flipping at each pulse, right-continuous."""
-    if not (0.0 <= t <= seq.total_time):
-        raise ValueError(f"t={t!r} outside [0, tau={seq.total_time!r}]")
-    return 1 if segment_index(seq, t) % 2 == 0 else -1
 
 
 def pieces(seq: PulseSequence, force=None) -> tuple[np.ndarray, ...]:
@@ -441,11 +433,6 @@ def spectral_response(seq: PulseSequence, g: float, omega: float, nu):
     return out.reshape(nus.shape)
 
 
-def response_kernel(seq: PulseSequence, g: float, omega: float, nu):
-    """chi(nu) = (2 pi)^{-1/2} int_0^tau K(s) e^{-i nu s} ds, scalar or array nu."""
-    return spectral_response(seq, g, omega, nu) / SQRT_2PI
-
-
 def dc_phase(seq: PulseSequence, g: float, omega: float) -> float:
     """phi/f at nu = 0: int_0^tau K(s) ds (signed)."""
     return spectral_response(seq, g, omega, 0.0).real
@@ -456,32 +443,6 @@ def kernel_l2(seq: PulseSequence, g: float, omega: float) -> float:
     t, k, p = _kernel_ends(seq, g, omega)
     s = 1.0 - 2.0 * (np.arange(t.size - 1) % 2)
     return g * g * float(_kernel_square_integral(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1])).sum())
-
-
-def ramsey_paper_kernel(g: float, omega: float, tau: float, nu: float) -> complex:
-    """The printed Ramsey closed-form response 2g[nu(cos wt-1) - w(cos nt-1)]/(nu w (nu-w)).
-
-    Removable singularities at nu -> 0 and nu -> omega are evaluated by series limit.
-    """
-    th = omega * tau
-    if abs(nu) * tau < 1e-6:
-        # numerator ~ nu [(cos wt - 1) + w nu tau^2/2]; denominator ~ -nu w^2
-        return 2.0 * g * (1.0 - math.cos(th)) / (omega * omega)
-    if abs(nu - omega) * tau < 1e-6:
-        # L'Hopital at nu = omega: numerator' = (cos wt - 1) + w t sin(w t), denominator' = w^2
-        return 2.0 * g * ((math.cos(th) - 1.0) + th * math.sin(th)) / (omega * omega)
-    return 2.0 * g * (nu * (math.cos(th) - 1.0) - omega * (math.cos(nu * tau) - 1.0)) / (
-        nu * omega * (nu - omega)
-    )
-
-
-def cp_approx_kernel(g: float, omega: float, tau: float, nu: float) -> complex:
-    """Small-omega-tau Gaussian approximation of the two-pulse Carr-Purcell response."""
-    return (
-        (g * omega * tau**3 / 2**5)
-        * cmath.exp(-1j * nu * tau / 2)
-        * math.exp(-(9 * omega**2 + nu**2) * tau**2 / 2**6)
-    )
 
 
 def squeezing_parameter(seq: PulseSequence, g: float, omega: float) -> float:

@@ -147,7 +147,11 @@ class TestMagnusPhases:
         assert ph.force_phase_per_sz == pytest.approx(expect, rel=1e-9)
 
     def test_spectral_route_matches_time_route(self):
-        # narrow Gaussian pulse given as a time series and as its spectrum
+        # narrow Gaussian pulse given as a time series and as its spectrum;
+        # the spectral route is Re int chi(nu) f(nu) dnu by quadrature, with
+        # f(nu) = (2 pi)^{-1/2} int f(t) e^{i nu t} dt
+        from scipy.integrate import quad
+
         g, omega = 0.8, 2 * math.pi
         seq = carr_purcell2(2.0)
         t0, sig, f0 = 0.9, 0.05, 0.3
@@ -161,9 +165,19 @@ class TestMagnusPhases:
             return (f0 * sig * math.exp(-(sig * nu) ** 2 / 2)
                     * cmath.exp(1j * nu * t0))
 
-        ph_spec = magnus_phases(seq, g, omega, force=spectrum)
-        assert ph_spec.force_phase_per_sz == pytest.approx(
-            ph_time.force_phase_per_sz, rel=1e-5)
+        def integrand(nu):
+            return (pulses.spectral_response(seq, g, omega, nu) / math.sqrt(2 * math.pi)
+                    * spectrum(nu)).real
+
+        cut = 400.0 * max(omega, 2 * math.pi / seq.tau)
+        phase_spec = quad(integrand, -cut, cut, points=[-omega, 0.0, omega], limit=800)[0]
+        assert phase_spec == pytest.approx(ph_time.force_phase_per_sz, rel=1e-5)
+
+    @pytest.mark.parametrize("force", [lambda nu: 0.1, 0.1, ([0.0, 1.0], [0.1], [0.2])],
+                             ids=["callable", "scalar", "three_parts"])
+    def test_force_other_than_a_boxcar_series_rejected(self, force):
+        with pytest.raises(ValueError, match=r"force must be None or a boxcar series \(edges, values\)"):
+            magnus_phases(hahn_echo(1.0), 0.7, 2.0, force)
 
     def test_observable_phase_is_four_kernel_integrals(self):
         # relative branch phase between forced and unforced evolutions
@@ -220,7 +234,7 @@ class TestTrajectoryExact:
 
 
 class TestTrajectoryCoupling:
-    """trajectory steps segment_step itself; a bad g or omega raises the
+    """trajectory steps through branch_states; a bad g or omega raises the
     ValueError of branch_evolution instead of NaN rows or a ZeroDivisionError."""
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -311,7 +325,7 @@ def _reference_force_segments(seq, force):
     out = []
     for a, b in zip(edges, edges[1:]):
         mid = (a + b) / 2
-        s = pulses.sign_profile(seq, a)
+        s = int(1 - 2 * (pulses.segment_index(seq, a) % 2))
         idx = int(np.searchsorted(times, mid, side="right")) - 1
         out.append((a, b, (s, float(values[min(idx, len(values) - 1)]))))
     return out

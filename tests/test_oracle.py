@@ -513,6 +513,13 @@ class TestWitnessMoments:
         est = witness_moments(nat(0.25, 1.0), math.pi, OracleConfig(n_trajectories=2, seed=1), nbar=1.0)
         assert math.isfinite(est.w_en_se)
 
+    def test_standard_error_below_200_samples_from_more_than_two_batches(self):
+        # two batch means (one degree of freedom) gave w_en_se from 3.1e-5 to
+        # 0.018 over these seeds, against a true spread of w_en of 0.0089
+        se = [witness_moments(nat(0.25, 1.0), math.pi, OracleConfig(seed=seed, n_trajectories=199),
+                              nbar=1.0).w_en_se for seed in range(1, 61)]
+        assert min(se) > 2e-3
+
     def test_seed_determinism(self):
         cfg = OracleConfig(seed=11, n_trajectories=500)
         a = witness_moments(nat(0.25, 1.0), 1.0, cfg, nbar=0.5)
@@ -774,7 +781,7 @@ def _stepping_reference(natural, seq, cfg, nbar_over_q):
     sd_f = math.sqrt(2 * omega * nbar_over_q / dt)
     edges = np.linspace(0.0, tau, n_steps + 1)
     mids = (edges[:-1] + edges[1:]) / 2
-    signs = np.array([pulses.sign_profile(seq, t) for t in mids])
+    signs = 1 - 2 * (pulses.segment_index(seq, mids) % 2)
     phase_step = np.exp(-1j * omega * dt)
     n = cfg.n_trajectories
     f = np.stack([np.random.Generator(np.random.Philox(key=cfg.seed, counter=(i << 64)))
@@ -848,10 +855,14 @@ class TestVectorisedRawMoments:
                 assert np.max(np.abs(row - expect)) <= 1e-12
 
 
-def test_import_leaves_scipy_unloaded():
+def test_import_leaves_scipy_unloaded(tmp_path):
     # scipy is imported by the oracle's eigensolver on first use, so the
-    # closed-form subcommands do not pay for it at import
-    code = "import sys, spinlev, spinlev.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # closed-form subcommands do not pay for it, at import or when they run
+    code = ("import os, sys, spinlev, spinlev.cli\n"
+            "for command in ('sensitivity', 'witness', 'table', 'trajectory'):\n"
+            "    assert spinlev.cli.main([command, '--out', os.path.join(sys.argv[1], command)]) == 0\n"
+            "spinlev.magnus_phases(spinlev.pulses.hahn_echo(1.0), 0.5, 1.0, ([0.2, 0.7], [0.1]))\n"
+            "print('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

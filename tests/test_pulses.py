@@ -1,5 +1,6 @@
 """Pulse-sequence functionals: sign profile, displacement, kernels, squeezing."""
 
+import cmath
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from spinlev import pulses
 from spinlev.pulses import (
     SequenceKind,
     carr_purcell2,
-    cp_approx_kernel,
     custom,
     dc_phase,
     delta_n_closed_form,
@@ -21,10 +21,9 @@ from spinlev.pulses import (
     make_sequence,
     phase_kernel,
     ramsey,
-    ramsey_paper_kernel,
     residual_displacement,
-    response_kernel,
-    sign_profile,
+    segment_index,
+    spectral_response,
     squeezing_parameter,
     zeta_closed_form,
 )
@@ -37,6 +36,37 @@ MAKERS = {SequenceKind.RAMSEY: ramsey, SequenceKind.HAHN_ECHO: hahn_echo,
 def seq_name(seq):
     """The named kind whose pulse list seq has, else "custom" (a test id)."""
     return next((k.value for k in KINDS if make_sequence(k, seq.total_time) == seq), "custom")
+
+
+def sign_profile(seq, t):
+    """s(t): +1 before the first pulse, flipping at each pulse, right-continuous."""
+    return 1 - 2 * (segment_index(seq, t) % 2)
+
+
+def ramsey_paper_kernel(g: float, omega: float, tau: float, nu: float) -> complex:
+    """The printed Ramsey closed-form response 2g[nu(cos wt-1) - w(cos nt-1)]/(nu w (nu-w)).
+
+    Removable singularities at nu -> 0 and nu -> omega are evaluated by series limit.
+    """
+    th = omega * tau
+    if abs(nu) * tau < 1e-6:
+        # numerator ~ nu [(cos wt - 1) + w nu tau^2/2]; denominator ~ -nu w^2
+        return 2.0 * g * (1.0 - math.cos(th)) / (omega * omega)
+    if abs(nu - omega) * tau < 1e-6:
+        # L'Hopital at nu = omega: numerator' = (cos wt - 1) + w t sin(w t), denominator' = w^2
+        return 2.0 * g * ((math.cos(th) - 1.0) + th * math.sin(th)) / (omega * omega)
+    return 2.0 * g * (nu * (math.cos(th) - 1.0) - omega * (math.cos(nu * tau) - 1.0)) / (
+        nu * omega * (nu - omega)
+    )
+
+
+def cp_approx_kernel(g: float, omega: float, tau: float, nu: float) -> complex:
+    """Small-omega-tau Gaussian approximation of the two-pulse Carr-Purcell response."""
+    return (
+        (g * omega * tau**3 / 2**5)
+        * cmath.exp(-1j * nu * tau / 2)
+        * math.exp(-(9 * omega**2 + nu**2) * tau**2 / 2**6)
+    )
 
 
 def random_sequences():
@@ -98,18 +128,6 @@ class TestSequenceConstruction:
 
 
 class TestSignProfile:
-    def test_examples(self):
-        assert sign_profile(ramsey(1.0), 0.9) == 1
-        assert sign_profile(hahn_echo(1.0), 0.75) == -1
-        assert sign_profile(carr_purcell2(1.0), 0.5) == -1
-        assert sign_profile(carr_purcell2(1.0), 0.9) == 1
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            sign_profile(ramsey(1.0), -0.1)
-        with pytest.raises(ValueError):
-            sign_profile(ramsey(1.0), 1.1)
-
     def test_dc_cancellation(self):
         # integral of the sign profile: tau for Ramsey, 0 for the echoes
         for seq, expect in [(ramsey(1.0), 1.0), (hahn_echo(1.0), 0.0),
@@ -156,21 +174,21 @@ class TestResponseKernel:
         assert abs(val.imag) < 1e-12
 
     def test_zero_coupling(self):
-        assert response_kernel(hahn_echo(1.0), 0.0, 2.0, 0.5) == 0.0
+        assert spectral_response(hahn_echo(1.0), 0.0, 2.0, 0.5) == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(seq=random_sequences(), nu=st.floats(-20.0, 20.0), omega=st.floats(0.5, 10.0))
     def test_hermitian_symmetry(self, seq, nu, omega):
-        plus = response_kernel(seq, 1.0, omega, nu)
-        minus = response_kernel(seq, 1.0, omega, -nu)
+        plus = spectral_response(seq, 1.0, omega, nu) / math.sqrt(2 * math.pi)
+        minus = spectral_response(seq, 1.0, omega, -nu) / math.sqrt(2 * math.pi)
         assert minus == pytest.approx(plus.conjugate(), rel=1e-9, abs=1e-12)
 
     def test_removable_singularities(self):
         g, omega = 0.8, 1.0
         seq = carr_purcell2(3.0)
         for nu0 in (0.0, omega, -omega):
-            at = response_kernel(seq, g, omega, nu0)
-            near = response_kernel(seq, g, omega, nu0 + 1e-9)
+            at = spectral_response(seq, g, omega, nu0) / math.sqrt(2 * math.pi)
+            near = spectral_response(seq, g, omega, nu0 + 1e-9) / math.sqrt(2 * math.pi)
             assert at == pytest.approx(near, rel=1e-5, abs=1e-12)
 
     def test_matches_quadrature(self):
@@ -183,7 +201,7 @@ class TestResponseKernel:
 
         expect_re = quad(lambda s: k_quad(s) * math.cos(nu * s),
                          0, seq.tau, points=seq.pulse_times, limit=200)[0]
-        chi = response_kernel(seq, g, omega, nu) * math.sqrt(2 * math.pi)
+        chi = spectral_response(seq, g, omega, nu)
         assert chi.real == pytest.approx(expect_re, rel=1e-7, abs=1e-10)
 
     def test_phase_kernel_at_dc(self):
@@ -217,7 +235,7 @@ class TestCpApproxKernel:
         tau = 0.05 * math.pi / omega
         seq = carr_purcell2(tau)
         for nu in np.linspace(0, 2 * math.pi / tau, 25):
-            exact = abs(response_kernel(seq, 1.0, omega, nu)) * math.sqrt(2 * math.pi)
+            exact = abs(spectral_response(seq, 1.0, omega, nu))
             approx = abs(cp_approx_kernel(1.0, omega, tau, nu))
             assert abs(approx - exact) <= 0.5 * exact
 

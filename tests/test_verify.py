@@ -78,7 +78,7 @@ def test_truncation_roots_match_brentq():
 
 def test_run_checks_leaves_scipy_optimize_unloaded():
     code = ("import sys, spinlev.verify as v; v.run_checks(); "
-            "print('scipy.optimize' in sys.modules)")
+            "print('scipy.optimize' in sys.modules, 'scipy.integrate' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
