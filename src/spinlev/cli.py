@@ -6,6 +6,15 @@ Subcommands: sensitivity, witness, table, trajectory, verify. Global flags:
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 All file writes are atomic (temp file + rename) and floats are serialized
 losslessly.
+
+csv writes each float as FLOAT_FMT ('%.16e') would, byte for byte, but a
+whole column at a time: numpy scales it to 17-digit integers in long double
+and builds the cells from digit tables. Zeros, NaN, +-inf, values within
+the long-double error bound of a rounding tie (about 2 % of random values)
+and the rare value a few ulps from a power of ten are formatted by
+FLOAT_FMT itself; where long double is no wider than double, every value
+is. json writes float.__repr__ per value. Config values that must be
+numbers go through units.json_number, so a JSON boolean or string exits 2.
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ import numpy as np
 
 from . import dynamics, pulses, sensing, verify, witness
 from .pulses import SequenceKind
-from .units import _JSON_KEYS, REFERENCE_DEVICE, ParameterError, params_from_dict, to_natural
+from .units import (_JSON_KEYS, REFERENCE_DEVICE, ParameterError, json_number, params_from_dict,
+                    to_natural)
 
 FLOAT_FMT = "%.16e"
 
@@ -47,29 +57,123 @@ def _atomic_write(path: str, text: str) -> None:
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# csv float kernel. A finite nonzero |x| is y * 10^(e - 16) with
+# 10^16 <= y < 10^17, and y is formed in long double from a correctly rounded
+# 10^(16 - e): two roundings of half an ulp leave |y - exact| within
+# (eps + eps^2/4) * exact, about eps * y (y * 1.1e-19 with the x87 64-bit
+# significand, at most 0.011). Where the fraction of y is further than
+# _TIE_MARGIN * y (twice that bound) from 1/2, the nearest integer to y holds
+# the 17 digits FLOAT_FMT prints. Zeros, non-finite values, near-ties and the
+# rare value whose floor(log10) is one off (within a few ulps of a power of
+# ten) are formatted by FLOAT_FMT itself; where long double is a plain double
+# the margin exceeds 1/2 and every value takes that route.
+_TIE_MARGIN = 2 * float(np.finfo(np.longdouble).eps)
+_E_MIN, _E_MAX = -324, 308  # floor(log10|x|) of any double
+_PAD = 0xFF  # padding byte of the csv byte matrix; UTF-8 never produces it
+
+
+def _digits(n, width):
+    """The digits of 0 ... n - 1, zero-padded to width, as (n, width) ASCII bytes."""
+    return (np.arange(n)[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10 + ord("0")).astype(np.uint8)
+
+
+@functools.cache
+def _csv_tables():
+    """The long doubles 10^(16 - e) for e = _E_MIN ... _E_MAX, as the C
+    library's strtold rounds them, and the uint32 words a FLOAT_FMT cell is
+    built from: sign, lead digit, '.' and first digit; four digits; three
+    digits and 'e'; the exponent's sign and digits. Built on first use."""
+    pow10 = np.array(["1e%d" % (16 - e) for e in range(_E_MIN, _E_MAX + 1)]).astype(np.longdouble)
+    minus = _text_bytes(["-%d.%d" % divmod(i, 10) for i in range(100)]).view(np.uint32).ravel()
+    plus = minus.copy()
+    plus.view(np.uint8)[::4] = _PAD
+    head = np.concatenate([plus, minus])
+    quads = _digits(10_000, 4).view(np.uint32).ravel()
+    tails = np.column_stack([_digits(1000, 3), np.full(1000, ord("e"), np.uint8)]).view(np.uint32).ravel()
+    exps = _text_bytes(["%+03d" % e for e in range(_E_MIN, _E_MAX + 2)]).view(np.uint32).ravel()
+    return pow10, head, quads, tails, exps
+
+
+def _runs(col):
+    """(start, length) arrays of the runs of equal values in a float64
+    column, or None unless there are at most n/2 runs (a per-sequence term
+    repeated on every row). Values are compared by their bits, so 0.0 and
+    -0.0 stay apart."""
+    bits = col.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if 2 * (starts.size + 1) > col.size:
+        return None
+    starts = np.concatenate(([0], starts))
+    return starts, np.diff(starts, append=col.size)
+
+
+def _text_bytes(cells):
+    """A list of str cells as an (n, width) uint8 matrix of their UTF-8
+    bytes, each row padded with 0xFF."""
+    enc = [c.encode("utf-8", "surrogatepass") for c in cells]
+    lens = np.fromiter(map(len, enc), np.intp, len(enc))
+    out = np.full((len(enc), lens.max(initial=0)), _PAD, np.uint8)
+    out[np.arange(out.shape[1]) < lens[:, None]] = np.frombuffer(b"".join(enc), np.uint8)
+    return out
+
+
+def _float_bytes(col):
+    """A float64 column as an (n, 24) uint8 matrix of its FLOAT_FMT cells,
+    each row padded with 0xFF (see _TIE_MARGIN)."""
+    runs = _runs(col)
+    if runs is not None:
+        starts, lengths = runs
+        return np.repeat(_float_bytes(col[starts]), lengths, axis=0)
+    pow10, head, quads, tails, exps = _csv_tables()
+    a = np.abs(col)
+    ok = (a > 0) & (a < math.inf)
+    if not ok.all():
+        a = np.where(ok, a, 1.0)  # a placeholder; FLOAT_FMT formats these rows
+    e = np.floor(np.log10(a)).astype(np.intp)
+    y = a.astype(np.longdouble) * pow10[e - _E_MIN]
+    ok &= (y >= 1e16) & (y < 1e17)  # log10 can round across an integer near 10^k
+    d = y.astype(np.int64)
+    frac = (y - d).astype(np.float64)
+    ok &= np.abs(frac - 0.5) > _TIE_MARGIN * d
+    d += frac > 0.5
+    carry = d >= 10**17  # the significand rounds up to 10.000... (or y is out of range)
+    d[carry] = 10**16
+    e += carry
+    lead = d // 10**15  # lead digit and first decimal
+    hi = d // 10**7 - lead * 10**8  # decimals 2-9
+    lo = d - d // 10**7 * 10**7  # decimals 10-16
+    words = np.empty((col.size, 6), np.uint32)
+    words[:, 0] = head[np.signbit(col) * 100 + lead]
+    words[:, 1] = quads[hi // 10**4]
+    words[:, 2] = quads[hi - hi // 10**4 * 10**4]
+    words[:, 3] = quads[lo // 1000]
+    words[:, 4] = tails[lo - lo // 1000 * 1000]
+    words[:, 5] = exps[e - _E_MIN]
+    out = words.view(np.uint8)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        cells = _text_bytes(list(map(FLOAT_FMT.__mod__, col[slow].tolist())))
+        out[slow] = _PAD
+        out[slow, :cells.shape[1]] = cells
+    return out
+
 
 def _cells(col, fmt):
     """One output column as a list of csv or json cell strings.
 
-    A float array is formatted in one pass: FLOAT_FMT for csv, float.__repr__
-    for json (NaN and +-inf spelled as json writes them). A float column of
-    at most n/2 runs of equal values (a per-sequence term repeated on every
-    row) formats each run once and repeats its cell; values are compared by
-    their bits, so 0.0 and -0.0 stay apart. Any other column keeps the
+    A json float array is formatted in one pass with float.__repr__ (NaN and
+    +-inf spelled as json writes them), once per run when it has few (_runs).
+    (csv float arrays go through _float_bytes.) Any other column keeps the
     per-cell rule: a float gets FLOAT_FMT in csv, anything else str(); json
     cells are json.dumps of the value. Columns of only str or only int take
     that rule in one map call.
     """
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        bits = col.view(np.int64)
-        starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-        if 2 * (starts.size + 1) <= col.size:
-            cells = np.array(_cells(col[np.concatenate(([0], starts))], fmt), dtype=object)
-            return np.repeat(cells, np.diff(starts, prepend=0, append=col.size)).tolist()
-        vals = col.tolist()
-        if fmt == "csv":
-            return list(map(FLOAT_FMT.__mod__, vals))
-        cells = list(map(float.__repr__, vals))
+    if isinstance(col, np.ndarray) and col.dtype == np.float64 and fmt == "json":
+        runs = _runs(col)
+        if runs is not None:
+            starts, lengths = runs
+            return np.repeat(np.array(_cells(col[starts], fmt), dtype=object), lengths).tolist()
+        cells = list(map(float.__repr__, col.tolist()))
         if not np.isfinite(col).all():
             cells = [_JSON_NONFINITE.get(c, c) for c in cells]
         return cells
@@ -88,10 +192,13 @@ def _emit(header, columns, fmt, out):
     """Write a table given as one column per header name.
 
     Float columns are float64 arrays; other columns are sequences of
-    scalars (str, int). Each column is converted to text once, and rows are
-    joined from the cell lists. The text is byte-identical to formatting
-    the equivalent row dicts cell by cell (csv) or with
-    json.dumps(rows, indent=2, sort_keys=True) (json).
+    scalars (str, int). Each column is converted to text once. In csv every
+    column becomes a 0xFF-padded byte matrix (_float_bytes, _text_bytes),
+    the matrices and the separators are laid side by side, and the padding
+    is dropped before the text is decoded once; json rows are joined from
+    the cell lists. The text is byte-identical to formatting the equivalent
+    row dicts cell by cell (csv) or with json.dumps(rows, indent=2,
+    sort_keys=True) (json).
     """
     if not header or len(columns) != len(header):
         raise ValueError(f"need one column per header name, got {len(columns)} for {len(header)}")
@@ -99,8 +206,14 @@ def _emit(header, columns, fmt, out):
     if any(len(c) != n for c in columns):
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
     if fmt == "csv":
-        cells = [_cells(c, fmt) for c in columns]
-        text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+        parts = []
+        for c in columns:
+            floats = isinstance(c, np.ndarray) and c.dtype == np.float64
+            parts += [_float_bytes(c) if floats else _text_bytes(_cells(c, fmt)),
+                      np.full((n, 1), ord(","), np.uint8)]
+        parts[-1][:] = ord("\n")
+        body = np.concatenate(parts, axis=1).ravel()
+        text = ",".join(header) + "\n" + body[body != _PAD].tobytes().decode("utf-8", "surrogatepass")
     elif n:
         order = sorted(range(len(header)), key=header.__getitem__)
         keys = (encode_basestring_ascii(header[i]).replace("%", "%%") for i in order)
@@ -153,10 +266,11 @@ def _load_config(path, allowed=frozenset()):
 
 
 def _count(value, key: str, minimum=None) -> int:
-    """An integral config count (JSON 3 or 3.0); anything else exits 2 naming the key."""
+    """An integral config count (JSON 3 or 3.0); anything else, a boolean
+    included, exits 2 naming the key."""
     try:
-        x = float(value)
-    except (TypeError, ValueError):
+        x = json_number(value, key)
+    except ParameterError:
         x = math.nan
     if not (math.isfinite(x) and x == int(x) and (minimum is None or x >= minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
@@ -164,18 +278,9 @@ def _count(value, key: str, minimum=None) -> int:
     return int(x)
 
 
-def _number(value, key: str) -> float:
-    """float(value); a config value that is not a number (null, a list, an
-    object, a non-numeric string) exits 2 naming the key."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-
-
 def _finite(value, key: str, positive: bool = False) -> float:
     """A finite float config value (and > 0 if positive); anything else exits 2 naming the key."""
-    x = _number(value, key)
+    x = json_number(value, key)
     if not math.isfinite(x) or (positive and x <= 0):
         raise ConfigError(f"{key} must be finite{' and > 0' if positive else ''}, got {value!r}")
     return x
@@ -213,9 +318,9 @@ def cmd_sensitivity(args) -> int:
     if "temperature_k" in cfg and "nbar" not in cfg:
         merged.pop("nbar", None)
     params = params_from_dict(merged)
-    tau = _number(cfg.get("tau_s", 1e-4), "tau_s")
-    nu_min = _number(cfg.get("nu_min_hz", 1.0), "nu_min_hz")
-    nu_max = _number(cfg.get("nu_max_hz", 1e5), "nu_max_hz")
+    tau = json_number(cfg.get("tau_s", 1e-4), "tau_s")
+    nu_min = json_number(cfg.get("nu_min_hz", 1.0), "nu_min_hz")
+    nu_max = json_number(cfg.get("nu_max_hz", 1e5), "nu_max_hz")
     if not (math.isfinite(nu_min) and math.isfinite(nu_max) and 0 < nu_min < nu_max):
         raise ConfigError("nu_min_hz and nu_max_hz must be finite with 0 < nu_min_hz < nu_max_hz, "
                           f"got {nu_min!r} and {nu_max!r}")
@@ -290,7 +395,7 @@ def cmd_witness(args) -> int:
 def cmd_table(args) -> int:
     cfg = _load_config(args.config, _TABLE_KEYS)
     omega = 1.0
-    wt = _number(cfg.get("omega_tau", 0.1), "omega_tau")
+    wt = json_number(cfg.get("omega_tau", 0.1), "omega_tau")
     tau = wt / omega
     labels, quantities, values = [], [], []
     for kind in pulses.NAMED_KINDS:

@@ -582,6 +582,13 @@ def thermal_trajectories_batch(
     validated before the generator is built, and its statistics equal those
     of a batch of one up to the rounding of the matrix product.
 
+    At a fixed seed the draws are fixed, but the statistics are bit-stable
+    only for one BLAS build, thread count and block size (_FORCE_ROWS = 32
+    rows per product): the BLAS rounds the product z @ weights differently
+    for other blockings (256-row and 32-row blocks give statistics up to
+    9 ulp apart), so any of them can move the last digits of a `verify`
+    report.
+
     The seconds spent drawing and in the products are logged at DEBUG on the
     "spinlev.oracle" logger (record attributes n_trajectories, n_cases,
     draw_s and product_s), never returned.

@@ -12,6 +12,7 @@ and the mechanical damping rate is gamma = omega / Q.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .constants import GAMMA_E_DEFAULT, HBAR, KB
@@ -183,21 +184,39 @@ _JSON_KEYS = {
 }
 
 
+def json_number(value, key: str) -> float:
+    """float(value) for a JSON number (an int or a float); anything else (a
+    boolean, a string, null, a list, an object) or an integer beyond the
+    float range raises ParameterError naming the key."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ParameterError(f"{key} = {value!r} is beyond the float range") from None
+    raise ParameterError(f"{key} must be a number, got {value!r}")
+
+
 def params_from_dict(d: dict) -> PhysicalParams:
-    """Build PhysicalParams from the CLI JSON schema (frequencies given in Hz)."""
-    kwargs = {}
-    for key, field in _JSON_KEYS.items():
-        if key in d:
-            kwargs[field] = d[key]
+    """Build PhysicalParams from the CLI JSON schema (frequencies given in Hz).
+
+    Every value must be a JSON number (json_number) and n_spins an integral
+    one; anything else raises ParameterError naming the key."""
     if "freq_hz" not in d:
         raise ParameterError("config missing required key freq_hz")
     if "mass_kg" not in d:
         raise ParameterError("config missing required key mass_kg")
-    kwargs["trap_frequency"] = 2.0 * math.pi * d["freq_hz"]
+    kwargs = {}
+    for key, field in _JSON_KEYS.items():
+        if key in d:
+            kwargs[field] = json_number(d[key], key)
+    if "n_spins" in kwargs:
+        _require(kwargs["n_spins"].is_integer(), f"n_spins must be an integer, got {d['n_spins']!r}")
+        kwargs["n_spins"] = int(kwargs["n_spins"])
+    kwargs["trap_frequency"] = 2.0 * math.pi * json_number(d["freq_hz"], "freq_hz")
     if "cooling_rate_hz" in d:
-        kwargs["cooling_rate"] = d["cooling_rate_hz"]
+        kwargs["cooling_rate"] = json_number(d["cooling_rate_hz"], "cooling_rate_hz")
     if "larmor_hz" in d:
-        kwargs["larmor_frequency"] = 2.0 * math.pi * d["larmor_hz"]
+        kwargs["larmor_frequency"] = 2.0 * math.pi * json_number(d["larmor_hz"], "larmor_hz")
     if "temperature_k" not in d and "nbar" not in d:
         kwargs["nbar"] = 0.0
     try:

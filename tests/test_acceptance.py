@@ -290,14 +290,14 @@ def test_criterion_11_squeezed_readout():
             assert abs(factor - oracle_factor) / factor <= 0.05, kappa
 
 
-def test_criterion_12_verify_determinism(tmp_path):
+def test_criterion_12_verify_determinism(tmp_path, child_env):
     outputs = []
     for run in range(3):
         out = tmp_path / f"report-{run}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "spinlev.cli", "verify",
              "--seed", str(SEED), "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env)
         # exit code 1 is expected: the suite includes the two documented
         # failing figure-anchor checks
         assert proc.returncode in (0, 1), proc.stderr

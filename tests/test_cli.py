@@ -6,6 +6,7 @@ import io
 import json
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -372,12 +373,47 @@ class TestConfigWrongType:
         ("sensitivity", {"nu_max_hz": {"hz": 1}}, "nu_max_hz"),
         ("table", {"omega_tau": None}, "omega_tau"),
         ("trajectory", {"g_over_omega": "strong"}, "g_over_omega"),
+        # JSON booleans and numeric strings are not numbers either
+        ("sensitivity", {"freq_hz": "100"}, "freq_hz"),
+        ("sensitivity", {"mass_kg": True}, "mass_kg"),
+        ("sensitivity", {"cooling_rate_hz": False}, "cooling_rate_hz"),
+        ("sensitivity", {"larmor_hz": "0"}, "larmor_hz"),
+        ("sensitivity", {"q_factor": None}, "q_factor"),
+        ("sensitivity", {"tau_s": "1e-4"}, "tau_s"),
+        ("witness", {"lam": True}, "lam"),
+        ("table", {"omega_tau": False}, "omega_tau"),
     ])
     def test_not_a_number_exits_2_naming_key(self, tmp_path, capsys, sub, body, key):
         code, out, err, caught = run_config(tmp_path, capsys, sub, body)
         assert code == 2
         assert f"{key} must be a number" in err and "Traceback" not in err
         assert out == "" and not caught
+
+    @pytest.mark.parametrize("sub,body,key", [
+        ("sensitivity", {"n_points": True}, "n_points"),
+        ("witness", {"grid": {"n": True}}, "grid.n"),
+        ("trajectory", {"n_samples": "3"}, "n_samples"),
+        ("sensitivity", {"n_spins": 2.5}, "n_spins"),
+        ("sensitivity", {"n_spins": True}, "n_spins"),
+    ])
+    def test_not_an_integer_exits_2_naming_key(self, tmp_path, capsys, sub, body, key):
+        code, out, err, caught = run_config(tmp_path, capsys, sub, body)
+        assert code == 2
+        assert f"{key} must be" in err and "Traceback" not in err
+        assert out == "" and not caught
+
+    def test_integral_n_spins_accepted(self, tmp_path, capsys):
+        rows = [run_config(tmp_path, capsys, "sensitivity", {"n_spins": n, "n_points": 3})[1]
+                for n in (2, 2.0)]
+        assert rows[0] == rows[1] != ""
+
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
+        for sub, body, key in (("sensitivity", {"freq_hz": 10 ** 400}, "freq_hz"),
+                               ("trajectory", {"tau_s": -10 ** 400}, "tau_s"),
+                               ("trajectory", {"n_samples": 10 ** 400}, "n_samples")):
+            code, out, err, _ = run_config(tmp_path, capsys, sub, body)
+            assert code == 2 and key in err and "Traceback" not in err, (body, err)
+            assert out == ""
 
 
 class TestConfigOverflow:
@@ -495,6 +531,73 @@ class TestEmitColumns:
             emit_text(["a", "b"], [np.zeros(3), ["x", "y"]], "csv")
         with pytest.raises(ValueError, match="one column per header"):
             emit_text(["a", "b"], [np.zeros(3)], "json")
+
+
+def csv_floats(vals):
+    """The csv text _emit writes for one float column, and the text of
+    FLOAT_FMT applied value by value."""
+    col = np.asarray(vals, dtype=np.float64)
+    expect = "".join(f"{cli.FLOAT_FMT % v}\n" for v in col.tolist())
+    return emit_text(["x"], [col], "csv"), "x\n" + expect
+
+
+# doubles whose 17-digit rounding is an exact tie (the 18th digit is a final 5)
+TIES = [1234567890123456.25, 1234567890123456.75, 123456789012345.625, 123456789012345.875,
+        12345678901234.5625]
+
+
+def kernel_values(seed=20250826, n=50_000):
+    """Doubles that stress the csv float kernel."""
+    rng = np.random.default_rng(seed)
+    powers = np.array(["1e%d" % k for k in range(-307, 309)], dtype=np.float64)
+    values = [
+        rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64),  # both signs, every exponent
+        rng.integers(1, 2 ** 52, n // 10, dtype=np.uint64).view(np.float64),  # subnormals
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), -powers,
+        np.array(TIES), -np.array(TIES),
+        np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308]),
+    ]
+    return np.concatenate(values)
+
+
+class TestCsvFloatKernel:
+    """cli._float_bytes: whole float columns as FLOAT_FMT text in numpy."""
+
+    def test_every_row_equals_float_fmt(self):
+        got, expect = csv_floats(kernel_values())
+        assert got == expect
+
+    def test_exact_ties_round_half_even(self):
+        # the kernel cannot tell which way a tie rounds, so ties take the
+        # FLOAT_FMT route
+        got, _ = csv_floats(TIES + [-TIES[0]])
+        assert got.split() == ["x", "1.2345678901234562e+15", "1.2345678901234568e+15",
+                               "1.2345678901234562e+14", "1.2345678901234588e+14",
+                               "1.2345678901234562e+13", "-1.2345678901234562e+15"]
+
+    def test_power_table_is_correctly_rounded(self):
+        pow10 = cli._csv_tables()[0]
+        for e, p in zip(range(cli._E_MIN, cli._E_MAX + 1), pow10):
+            exact = Fraction(10) ** (16 - e)
+            ulp = Fraction(*np.spacing(p).as_integer_ratio())
+            assert abs(Fraction(*p.as_integer_ratio()) - exact) <= ulp / 2, 16 - e
+
+    def test_fallback_for_every_value_gives_the_same_text(self, monkeypatch):
+        vals = kernel_values(seed=7, n=5000)
+        fast, _ = csv_floats(vals)
+
+        class CountingFormat(str):
+            calls = 0
+
+            def __mod__(self, v):
+                CountingFormat.calls += 1
+                return str.__mod__(self, v)
+
+        monkeypatch.setattr(cli, "_TIE_MARGIN", 1.0)  # margin * y >= 1e16 > 1/2
+        monkeypatch.setattr(cli, "FLOAT_FMT", CountingFormat(cli.FLOAT_FMT))
+        assert emit_text(["x"], [vals], "csv") == fast
+        assert CountingFormat.calls == vals.size
 
 
 SENSITIVITY_CFG = {**REFERENCE_DEVICE, "tau_s": 2e-4, "nu_min_hz": 3.0, "nu_max_hz": 3e4,

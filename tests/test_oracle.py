@@ -855,7 +855,7 @@ class TestVectorisedRawMoments:
                 assert np.max(np.abs(row - expect)) <= 1e-12
 
 
-def test_import_leaves_scipy_unloaded(tmp_path):
+def test_import_leaves_scipy_unloaded(tmp_path, child_env):
     # scipy is imported by the oracle's eigensolver on first use, so the
     # closed-form subcommands do not pay for it, at import or when they run
     code = ("import os, sys, spinlev, spinlev.cli\n"
@@ -863,6 +863,7 @@ def test_import_leaves_scipy_unloaded(tmp_path):
             "    assert spinlev.cli.main([command, '--out', os.path.join(sys.argv[1], command)]) == 0\n"
             "spinlev.magnus_phases(spinlev.pulses.hahn_echo(1.0), 0.5, 1.0, ([0.2, 0.7], [0.1]))\n"
             "print('scipy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+                          env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -137,6 +137,19 @@ class TestParamsFromDict:
         with pytest.raises(ParameterError):
             params_from_dict({"freq_hz": 1e3})
 
+    @pytest.mark.parametrize("key,value", [("freq_hz", "100"), ("mass_kg", True), ("nbar", None),
+                                           ("larmor_hz", [1.0]), ("n_spins", 2.5),
+                                           ("q_factor", 10 ** 400)])
+    def test_value_not_a_number_raises_naming_key(self, key, value):
+        d = {"mass_kg": 1e-15, "freq_hz": 1e3, "gradient_t_per_m": 1e5, key: value}
+        with pytest.raises(ParameterError, match=key):
+            params_from_dict(d)
+
+    def test_integral_n_spins_is_an_int(self):
+        p = params_from_dict({"mass_kg": 1e-15, "freq_hz": 1e3, "gradient_t_per_m": 1e5,
+                              "n_spins": 3.0})
+        assert p.n_spins == 3 and isinstance(p.n_spins, int)
+
     def test_frequency_keys_in_hz(self):
         p = params_from_dict(
             {"mass_kg": 1e-15, "freq_hz": 100.0, "gradient_t_per_m": 0.0,

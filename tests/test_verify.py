@@ -76,9 +76,9 @@ def test_truncation_roots_match_brentq():
         assert abs(roots[str(gr)] - ref) <= 1e-12 * ref
 
 
-def test_run_checks_leaves_scipy_optimize_unloaded():
+def test_run_checks_leaves_scipy_optimize_unloaded(child_env):
     code = ("import sys, spinlev.verify as v; v.run_checks(); "
             "print('scipy.optimize' in sys.modules, 'scipy.integrate' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"
