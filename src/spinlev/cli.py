@@ -4,8 +4,9 @@ Subcommands: sensitivity, witness, table, trajectory, verify. Global flags:
 --config <path> (JSON parameters), --out <path>, --format csv|json,
 --seed <u64> (read by verify only).
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
-All file writes are atomic (temp file + rename) and floats are serialized
-losslessly.
+All output goes through one writer, _write: stdout, or with --out an
+atomic write (temp file + rename) whose file takes the mode open() would
+give it under the umask. Floats are serialized losslessly.
 
 csv writes each float as FLOAT_FMT ('%.16e') would, byte for byte, but a
 whole column at a time: numpy scales it to 17-digit integers in long double
@@ -42,13 +43,20 @@ class ConfigError(ValueError):
     pass
 
 
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".spinlev-")
+def _write(out, text: str) -> None:
+    """Write text to stdout, or atomically to the path out (a temporary file
+    renamed over it) with the mode open(out, "w") gives: 0o666 less the umask."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".spinlev-")
     try:
         with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -222,10 +230,7 @@ def _emit(header, columns, fmt, out):
         text = "[\n" + ",\n".join(rows) + "\n]\n"
     else:
         text = "[]\n"
-    if out:
-        _atomic_write(out, text)
-    else:
-        sys.stdout.write(text)
+    _write(out, text)
 
 
 # Config keys each subcommand reads; any other key exits 2, so a typo cannot
@@ -383,12 +388,8 @@ def cmd_witness(args) -> int:
                    scan.log10_w_ratio], args.format, args.out)
     landmarks = {"tau_asymp": scan.tau_asymp, "tau_star": scan.tau_star,
                  "max_nbar": scan.max_nbar}
-    land_path = (args.out + ".landmarks.json") if args.out else None
     text = json.dumps(landmarks, indent=2, sort_keys=True) + "\n"
-    if land_path:
-        _atomic_write(land_path, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out and args.out + ".landmarks.json", text)
     return 0
 
 
@@ -451,11 +452,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--seed must be in [0, 2**64), got {seed}")
     _load_config(args.config)  # verify reads no config key
     report = verify.run_checks(seed=seed)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["all_pass"] else 1
 
 

@@ -15,6 +15,9 @@ The drive coefficient of branch b in segment k is c = b * s_k * g + f, where
 s_k is the pulse sign profile and f an optional piecewise-constant force
 (bath sign convention H ~ (g sigma_z + f)(a + a^dag); an external sensing
 force enters with f = -f_ext).
+
+Every route takes g and omega through pulses.check_coupling; magnus_phases
+takes its functionals from public pulses names, force_response among them.
 """
 
 from __future__ import annotations
@@ -75,14 +78,6 @@ def _branch_index(branch: int, name: str) -> int:
     return int(branch)
 
 
-def _check_coupling(g: float, omega: float) -> None:
-    """Raise ValueError unless g is finite and omega finite and > 0."""
-    if not math.isfinite(g):
-        raise ValueError(f"g must be finite, got {g!r}")
-    if not (omega > 0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
-
-
 def branch_states(
     seq: PulseSequence,
     g: float,
@@ -98,11 +93,12 @@ def branch_states(
     -f (a + a^dag)), and the (theta, gamma) at every boundary, starting from
     (0, alpha). alpha is a complex or an array of them, stepped together.
     force is an optional (times, values) piecewise-constant series on a grid
-    covering [0, tau]; spin_sign is +1 (branch 0) or -1 (branch 1).
+    covering [0, tau]; spin_sign is +1 (branch 0) or -1 (branch 1); g and
+    omega pass pulses.check_coupling.
     """
     if spin_sign not in (1, -1):
         raise ValueError(f"spin_sign must be +1 or -1, got {spin_sign!r}")
-    _check_coupling(g, omega)
+    pulses.check_coupling(g, omega)
     start, end, seg, f = (x.tolist() for x in pulses.pieces(seq, force))
     c = [spin_sign * (-1) ** k * g - fk for k, fk in zip(seg, f)]
     states = [(0.0, alpha)]
@@ -196,10 +192,8 @@ def magnus_phases(seq: PulseSequence, g: float, omega: float, force=None) -> Mag
 
     * displacement_per_sz: final spin-conditioned displacement (per sigma_z unit),
       equal to the residual-displacement beta;
-    * displacement_force: final displacement from the external force alone
-      (sensing sign convention, Hamiltonian term -f (a + a^dag));
-    * force_phase_per_sz: int K(s) f(s) ds, the accumulated spin phase per
-      (sigma_z/2) in the same normalization as the response kernel;
+    * displacement_force, force_phase_per_sz: pulses.force_response of the
+      force, the displacement it alone leaves and int K(s) f(s) ds per (sigma_z/2);
     * squeezing_zeta: the J_z^2 coefficient.
 
     force is None or a boxcar time series (edges, values), values[j] on
@@ -209,8 +203,7 @@ def magnus_phases(seq: PulseSequence, g: float, omega: float, force=None) -> Mag
     raises ValueError.
     """
     beta, _ = pulses.residual_displacement(seq, g, omega)
-    disp_f = 0j
-    phase_f = 0.0
+    phase_f, disp_f = 0.0, 0j
     tau = seq.total_time
     if force is not None:
         try:
@@ -223,17 +216,9 @@ def magnus_phases(seq: PulseSequence, g: float, omega: float, force=None) -> Mag
         if len(edges) != len(values) + 1:
             raise ValueError("force series must be (edges, values) with one more edge than value")
         # the boxcar series is zero outside [edges[0], edges[-1]]
-        boxcar = pulses.pieces(seq, ([0.0, *edges, max(edges[-1], tau)], [0.0, *values, 0.0]))
-        a, b, k, f = (x[boxcar[3] != 0] for x in boxcar)
-        half = 0.5 * omega * (b - a)
-        # phase: int K(s) f ds, each piece integrated back from its end
-        kb, pb = pulses._kernel_at(pulses._kernel_ends(seq, g, omega), omega, k, b)
-        _check_force_resolution(seq, omega, edges)  # after the omega > 0 check of _kernel_at
-        phase_f = g * float(f @ pulses._kernel_integral(kb, pb, 1.0 - 2.0 * (k % 2), omega, 2.0 * half))
-        # displacement: +i int e^{-i omega (tau - t)} f dt (from -f(a+a^dag)), per piece
-        # in the half-angle form e^{i omega (a+b)/2} 2 sin(omega (b-a)/2)/omega
-        disp_f = (2j / omega) * cmath.exp(-1j * omega * tau) * complex(
-            np.sum(f * np.sin(half) * np.exp(0.5j * omega * (a + b))))
+        phase_f, disp_f = pulses.force_response(
+            seq, g, omega, ([0.0, *edges, max(edges[-1], tau)], [0.0, *values, 0.0]))
+        _check_force_resolution(seq, omega, edges)
     zeta = pulses.squeezing_parameter(seq, g, omega)
     return MagnusPhases(beta, disp_f, phase_f, zeta)
 

@@ -17,7 +17,8 @@ The three functionals:
   chi(nu) = T(nu) / sqrt(2 pi));
 * squeezing parameter  zeta = int_0^tau int_0^t sin(omega(t-t')) G(t) G(t') dt' dt.
 
-All but T(nu) take K from one backward recursion, _kernel_ends.
+All but T(nu), force_response's force functionals included, take K from one
+backward recursion, _kernel_ends; every one checks (g, omega) by check_coupling.
 """
 
 from __future__ import annotations
@@ -185,32 +186,34 @@ def _checked_force(seq: PulseSequence, force) -> tuple[np.ndarray, np.ndarray]:
     return times, values
 
 
+def check_coupling(g: float, omega: float) -> None:
+    """Raise ValueError unless g is finite and omega finite and > 0."""
+    if not math.isfinite(g):
+        raise ValueError(f"g must be finite, got {g!r}")
+    if not (omega > 0 and math.isfinite(omega)):
+        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+
+
 def _kernel_ends(seq: PulseSequence, g: float, omega: float):
     """(t, k, p): the edges 0, t_1, ..., t_n, tau and, at unit coupling, K and
     p = K'/omega there. K'' + omega^2 K = omega G is stepped back from
     K(tau) = K'(tau) = 0 over each segment (sign s, end b, th = omega (b - x)):
     K = K_b cos th - p_b sin th + s (1 - cos th)/omega, p = K_b sin th
     + p_b cos th - s sin th/omega, with no term that cancels at small omega tau.
-    Scaling by g afterwards keeps Delta n, zeta and int K^2 exactly homogeneous
-    in g; omega = 0 gives the limits K = 0, p(x) = -int_x^tau s dt."""
-    if not math.isfinite(g):
-        raise ValueError(f"g must be finite, got {g!r}")
-    if not (omega >= 0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
+    Scaling by g afterwards keeps Delta n, zeta and int K^2 exactly homogeneous in g."""
+    check_coupling(g, omega)
     t = (0.0, *seq.pulse_times, seq.total_time)
     k, p = [0.0] * len(t), [0.0] * len(t)
     for j in range(len(t) - 2, -1, -1):
         s, theta = (-1.0) ** j, omega * (t[j + 1] - t[j])
         c, sn, h = math.cos(theta), math.sin(theta), math.sin(0.5 * theta)
-        v, w = (2.0 * h * h / omega, sn / omega) if omega else (0.0, t[j + 1] - t[j])
+        v, w = 2.0 * h * h / omega, sn / omega
         k[j], p[j] = k[j + 1] * c - p[j + 1] * sn + s * v, k[j + 1] * sn + p[j + 1] * c - s * w
     return np.array(t), np.array(k), np.array(p)
 
 
 def _kernel_at(ends, omega: float, seg, x):
     """(K, p) of _kernel_ends at points x of the segments seg."""
-    if not omega > 0:
-        raise ValueError(f"omega must be > 0, got {omega!r}")
     t, k, p = ends
     theta = omega * (t[seg + 1] - x)
     s = 1.0 - 2.0 * (seg % 2)
@@ -244,8 +247,6 @@ def _segment_terms(s, omega: float, phi):
     """(c, sin phi, 1 - cos phi) of segments of sign s and phase length phi, on
     which K = k cos u - p sin u + c (1 - cos u) in u = omega (b - x), c = s/omega,
     with k and p the values of _kernel_ends at the segment end b."""
-    if not omega > 0:
-        raise ValueError(f"omega must be > 0, got {omega!r}")
     return s / omega, np.sin(phi), 2.0 * np.sin(0.5 * phi) ** 2
 
 
@@ -286,6 +287,21 @@ def phase_kernel(seq: PulseSequence, g: float, omega: float, s):
     if not np.all((s >= 0) & (s <= seq.total_time)):  # NaN is not in [0, tau] either
         raise ValueError("s outside [0, tau]")
     return g * _kernel_at(_kernel_ends(seq, g, omega), omega, segment_index(seq, s), s)[0]
+
+
+def force_response(seq: PulseSequence, g: float, omega: float, force) -> tuple[float, complex]:
+    """(phase, displacement) of a force series (times, values) as pieces takes it:
+    int K(s) f(s) ds per (sigma_z/2), and the final displacement
+    +i int e^{-i omega (tau - t)} f dt under -f (a + a^dag), exact per piece."""
+    ends = _kernel_ends(seq, g, omega)
+    start, end, seg, f = pieces(seq, force)
+    a, b, k, f = (x[f != 0] for x in (start, end, seg, f))
+    half = 0.5 * omega * (b - a)
+    kb, pb = _kernel_at(ends, omega, k, b)
+    phase = g * float(f @ _kernel_integral(kb, pb, 1.0 - 2.0 * (k % 2), omega, 2.0 * half))
+    # each piece leaves e^{i omega (a+b)/2} 2 sin(omega (b-a)/2)/omega, rotated to tau
+    return phase, (2j / omega) * cmath.exp(-1j * omega * seq.total_time) * complex(
+        np.sum(f * np.sin(half) * np.exp(0.5j * omega * (a + b))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -388,10 +404,7 @@ def spectral_response(seq: PulseSequence, g: float, omega: float, nu):
     evaluation it stays within 1e-12 relative (1 Hz - 100 kHz at the
     reference device, and random pulse lists with 0 - 64 pulses).
     """
-    if not math.isfinite(g):
-        raise ValueError(f"g must be finite, got {g!r}")
-    if not (omega > 0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+    check_coupling(g, omega)
     nus = np.asarray(nu, dtype=float)
     half_t, w = _edges(seq)
     tau = seq.total_time

@@ -55,6 +55,8 @@ class PhysicalParams:
         _finite_positive("trap_frequency", self.trap_frequency)
         _finite_positive("quality_factor", self.quality_factor)
         _require(math.isfinite(self.gradient) and self.gradient >= 0, "gradient must be >= 0")
+        for name, value in vars(self).items():  # every field that is set is finite
+            _require(value is None or math.isfinite(value), f"{name} must be finite, got {value!r}")
         _require(self.gyromagnetic_ratio > 0, "gyromagnetic_ratio must be > 0")
         _require(self.n_spins >= 1, "n_spins must be >= 1")
         _require(
@@ -91,7 +93,8 @@ class NaturalParams:
 
 def nbar_from_temperature(temperature: float, omega: float) -> float:
     """Bose occupation 1/(exp(hbar omega / k_b T) - 1); returns 0 at T = 0."""
-    _require(temperature >= 0, "temperature must be >= 0")
+    _require(math.isfinite(temperature) and temperature >= 0,
+             f"temperature must be finite and >= 0, got {temperature!r}")
     _finite_positive("omega", omega)
     if temperature == 0.0:
         return 0.0

@@ -29,6 +29,7 @@ them.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,7 +42,7 @@ class DegenerateMomentsError(ValueError):
 
 @dataclass(frozen=True)
 class WitnessCoefficients:
-    """Witness coefficients: floats, or equal-shape arrays inside the grid kernels."""
+    """Witness coefficients, floats or arrays, each checked to be finite."""
 
     a_y: float
     b_y: float
@@ -49,15 +50,14 @@ class WitnessCoefficients:
     b_z: float
 
     def __post_init__(self) -> None:
-        fields = (self.a_y, self.b_y, self.a_z, self.b_z)
-        try:
-            if np.isfinite(fields).all():
-                return
-        except ValueError:  # fields of unequal shapes: test them one by one
-            pass
-        for name, value in zip(("a_y", "b_y", "a_z", "b_z"), fields):
-            if not np.all(np.isfinite(value)):
+        for name in ("a_y", "b_y", "a_z", "b_z"):
+            value = getattr(self, name)
+            if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
+
+
+# The coefficients as the grid kernels hold them: unchecked, so an overflow shows as NaN.
+_GridCoefficients = namedtuple("_GridCoefficients", "a_y b_y a_z b_z")
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def optimize_coefficients(m: MomentRecord) -> WitnessCoefficients:
     return WitnessCoefficients(float(c.a_y), float(c.b_y), float(c.a_z), float(c.b_z))
 
 
-def _coefficients(m: MomentRecord) -> WitnessCoefficients:
+def _coefficients(m: MomentRecord) -> _GridCoefficients:
     """optimize_coefficients for moments whose fields broadcast over a grid.
 
     The 2x2 systems are stacked, one LAPACK solve per grid point and spin
@@ -193,7 +193,7 @@ def _coefficients(m: MomentRecord) -> WitnessCoefficients:
         )
     y = np.linalg.solve(mat, np.stack([-syq, -syp], -1)[..., None])
     z = np.linalg.solve(mat, np.stack([-szq, -szp], -1)[..., None])
-    return WitnessCoefficients(y[..., 0, 0], y[..., 1, 0], z[..., 0, 0], z[..., 1, 0])
+    return _GridCoefficients(y[..., 0, 0], y[..., 1, 0], z[..., 0, 0], z[..., 1, 0])
 
 
 def thermal_wb(lam: float, nbar: float, omega: float, omega_l: float, t: float) -> float:
@@ -302,6 +302,8 @@ def _bath(lam, nbar, nbar_over_q, omega, omega_l, t, initial, xp=np):
     nbar_state = 0.0 if initial == "ground" else nbar
     m = _moments(lam, nbar_state, omega, omega_l, t, xp)
     c = _coefficients(m)
+    if xp is math:  # one point (bath_witness): non-finite coefficients raise, as in optimize_coefficients
+        c = WitnessCoefficients(*c)
     d = _deltas(lam, nbar_over_q, omega, t, xp)
     w_en = witness_value(m, c) + (
         d.dvar_sx

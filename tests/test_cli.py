@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -703,6 +705,10 @@ class TestWitnessOverflow:
         ({"nbar": 1e308}, "nbar"),
         ({"nbar_over_q": 1e308}, "nbar_over_q"),
         ({"mode": "pulsed", "g_over_omega": 1e300}, "g_over_omega"),
+        # with a bath the coefficients overflow too; they once raised "a_y must be finite"
+        ({"lam": 1e200, "nbar_over_q": 1e-3}, "lam"),
+        ({"nbar": 1e308, "nbar_over_q": 1e-3, "initial": "thermal"}, "nbar"),
+        ({"mode": "pulsed", "g_over_omega": 1e300, "nbar_over_q": 1e-3}, "g_over_omega"),
     ])
     def test_non_finite_scan_exits_2(self, tmp_path, capsys, body, key):
         code, out, err, caught = run_config(tmp_path, capsys, "witness", body)
@@ -711,6 +717,47 @@ class TestWitnessOverflow:
         assert f"{key} = {body[key]!r}" in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert out == "" and not caught
+
+
+class TestDeviceNonFinite:
+    @pytest.mark.parametrize("key,field", [
+        ("temperature_k", "temperature"), ("nbar", "nbar"), ("gamma_e_rad_per_s_t", "gyromagnetic_ratio"),
+        ("cooling_rate_hz", "cooling_rate"), ("cooling_time_s", "cooling_time"),
+        ("larmor_hz", "larmor_frequency"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, key, field, value):
+        # temperature_k = Infinity once died with a ZeroDivisionError and exit 1
+        code, out, err, caught = run_config(tmp_path, capsys, "sensitivity", {key: value})
+        assert code == 2
+        assert err.startswith(f"error: {field} must be finite") and "Traceback" not in err
+        assert out == "" and not caught
+
+
+class TestOutputFileMode:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                             ids=["umask-022", "umask-077", "umask-002"])
+    def test_out_files_take_the_mode_open_gives(self, tmp_path, capsys, umask, mode):
+        # mkstemp creates 0o600 files, and the rename kept that mode whatever the umask
+        old = os.umask(umask)
+        try:
+            assert run_cli(["table", "--out", str(tmp_path / "t.csv")], capsys)[0] == 0
+            assert run_cli(["witness", "--out", str(tmp_path / "w.json"), "--format", "json"],
+                           capsys)[0] == 0
+        finally:
+            os.umask(old)
+        for name in ("t.csv", "w.json", "w.json.landmarks.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "w.json", "w.json.landmarks.json"]
+
+    def test_verify_report_takes_the_mode_open_gives(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "run_checks", lambda seed: {"all_pass": True})
+        old = os.umask(0o027)
+        try:
+            assert run_cli(["verify", "--out", str(tmp_path / "v.json")], capsys)[0] == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "v.json").stat().st_mode) == 0o640
 
 
 class TestSensitivityExtremeDevice:

@@ -200,7 +200,7 @@ class TestMagnusPhases:
 
     def test_zero_omega_with_a_fine_force_grid_rejected(self):
         # the resolution check divides by omega, which raised ZeroDivisionError
-        with pytest.raises(ValueError, match="omega must be > 0"):
+        with pytest.raises(ValueError, match="omega must be finite and > 0"):
             magnus_phases(ramsey(1.0), 0.5, 0.0, (np.linspace(0.0, 1.0, 9).tolist(), [0.1] * 8))
 
 

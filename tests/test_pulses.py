@@ -1,14 +1,16 @@
 """Pulse-sequence functionals: sign profile, displacement, kernels, squeezing."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from spinlev import pulses
+from spinlev import dynamics, pulses
 from spinlev.pulses import (
     SequenceKind,
     carr_purcell2,
@@ -477,6 +479,92 @@ class TestNonFiniteCoupling:
     def test_omega(self, route, bad):
         with pytest.raises(ValueError, match="omega must be finite"):
             self.ROUTES[route](carr_purcell2(1.0), 0.7, bad)
+
+
+_FORCE = ([0.0, 0.4, 1.0], [0.2, -0.1])  # a force series in the form pieces checks
+
+
+class TestOneCouplingDomain:
+    """Every kernel functional and exact route takes (g, omega) through
+    pulses.check_coupling: g finite, omega finite and > 0, one rule and one
+    message on every route."""
+
+    ROUTES = {
+        "residual_displacement": residual_displacement,
+        "kernel_l2": kernel_l2,
+        "squeezing_parameter": squeezing_parameter,
+        "phase_kernel": lambda seq, g, omega: phase_kernel(seq, g, omega, [0.3]),
+        "spectral_response": lambda seq, g, omega: spectral_response(seq, g, omega, 0.5),
+        "spectral_response_array": lambda seq, g, omega: spectral_response(
+            seq, g, omega, np.array([0.0, 0.5, 30.0])),
+        "dc_phase": dc_phase,
+        "force_response": lambda seq, g, omega: pulses.force_response(seq, g, omega, _FORCE),
+        "evolve_state": dynamics.evolve_state,
+        "branch_evolution": lambda seq, g, omega: dynamics.branch_evolution(seq, g, omega, -1),
+        "trajectory": lambda seq, g, omega: dynamics.trajectory(seq, g, omega, 0, 3),
+        "magnus_phases": dynamics.magnus_phases,
+        "magnus_phases_forced": lambda seq, g, omega: dynamics.magnus_phases(
+            seq, g, omega, ([0.0, 0.4], [0.2])),
+    }
+    BAD = [(g, 1.0) for g in (math.nan, math.inf, -math.inf)] + [
+        (0.7, omega) for omega in (math.nan, math.inf, -math.inf, 0.0, -1.0)]
+
+    @pytest.mark.parametrize("g,omega", BAD, ids=lambda x: repr(x))
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_raises_what_check_coupling_raises(self, route, g, omega):
+        # omega = 0 once reached a limit branch in residual_displacement and a
+        # third message ("omega must be > 0") in magnus_phases
+        with pytest.raises(ValueError) as expected:
+            pulses.check_coupling(g, omega)
+        with pytest.raises(ValueError) as got:
+            self.ROUTES[route](carr_purcell2(1.0), g, omega)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_zero_coupling_allowed(self, route):
+        self.ROUTES[route](carr_purcell2(1.0), 0.0, 1.0)
+
+
+class TestForceResponse:
+    def test_constant_force_matches_the_spectral_route_and_the_closed_form(self):
+        # phase: f times the nu = 0 transform of K; displacement:
+        # +i int_0^tau e^{-i omega (tau - t)} f dt = f (1 - e^{-i omega tau})/omega
+        seq, g, omega, f = custom(1.3, [0.2, 0.7, 0.9]), 0.7, 2.3, 0.4
+        phase, disp = pulses.force_response(seq, g, omega, ([0.0, seq.tau], [f]))
+        assert phase == pytest.approx(f * dc_phase(seq, g, omega), rel=1e-13)
+        assert disp == pytest.approx(f * (1 - cmath.exp(-1j * omega * seq.tau)) / omega, rel=1e-13)
+
+    def test_zero_force_leaves_nothing(self):
+        phase, disp = pulses.force_response(hahn_echo(1.0), 0.7, 2.3, ([0.0, 1.0], [0.0]))
+        assert phase == 0.0 and disp == 0.0
+
+
+class TestPulsesBoundary:
+    def test_no_other_module_reads_a_private_pulses_name(self):
+        # the kernel's layout (_kernel_ends, _kernel_at, ...) can change inside
+        # pulses alone: every other module reads public pulses names only
+        reads = []
+        for path in sorted(Path(pulses.__file__).parent.glob("*.py")):
+            if path.name != "pulses.py":
+                reads += _pulses_reads(path)
+        assert ("dynamics.py", "force_response") in reads  # the walk sees the reads
+        assert [r for r in reads if r[1].startswith("_")] == []
+
+
+def _pulses_reads(path):
+    """(file name, name) for each name a module reads from pulses: by
+    `from .pulses import name`, or as `pulses.name` where `from . import
+    pulses [as alias]` binds the module."""
+    tree = ast.parse(path.read_text(), str(path))
+    aliases, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("pulses", "spinlev.pulses"):
+            reads += [(path.name, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "spinlev"):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "pulses"}
+    return reads + [(path.name, node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases]
 
 
 class TestPhaseKernelDomain:

@@ -38,6 +38,15 @@ class TestPhysicalParams:
         with pytest.raises(ParameterError):
             base_params(trap_frequency=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["gyromagnetic_ratio", "temperature", "nbar", "cooling_rate",
+                                       "cooling_time", "larmor_frequency"])
+    def test_non_finite_field_rejected_by_name(self, field, bad):
+        # temperature = inf once reached nbar_from_temperature as 1/expm1(0)
+        kw = {"nbar": None, field: bad} if field == "temperature" else {field: bad}
+        with pytest.raises(ParameterError, match=f"^{field} must be finite, got {bad!r}$"):
+            base_params(**kw)
+
     def test_with_returns_modified_copy(self):
         p = base_params()
         q = p.with_(gradient=2e5)
@@ -84,6 +93,11 @@ class TestNaturalParams:
 class TestNbarFromTemperature:
     def test_zero_temperature(self):
         assert nbar_from_temperature(0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_temperature_rejected(self, bad):
+        with pytest.raises(ParameterError, match="temperature must be finite and >= 0"):
+            nbar_from_temperature(bad, 1.0)
 
     def test_ln2_point(self):
         omega = 2 * math.pi * 1e6

@@ -60,6 +60,13 @@ class TestCoefficientValidation:
         with pytest.raises(ValueError, match="^a_z must be finite$"):
             WitnessCoefficients(good, good, bad, good)
 
+    @pytest.mark.parametrize("lam,nbar,initial", [(1e200, 0.0, "ground"), (0.5, 1e308, "thermal")])
+    def test_overflowing_one_point_bath_witness_raises(self, lam, nbar, initial):
+        # a scan keeps such coefficients as NaN and reports the grid point;
+        # the one-point function raises, as optimize_coefficients does
+        with pytest.raises(ValueError, match="^a_y must be finite$"):
+            bath_witness(lam, nbar, 1e-3, 1.0, 0.0, 1.0, initial)
+
     def test_fields_of_unequal_shapes(self):
         # tested one by one, as before they were tested together
         WitnessCoefficients(0.0, np.ones(3), np.ones((2, 2)), 1.0)
