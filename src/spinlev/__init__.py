@@ -3,7 +3,7 @@ entanglement-witness evaluation and spin squeezing for a levitated
 spin-mechanical system, with brute-force verification oracles."""
 
 from . import constants, dynamics, oracle, pulses, sensing, units, verify, witness
-from .dynamics import EntangledState, evolve_state, magnus_phases, pulsed_state, pulseless_state
+from .dynamics import EntangledState, evolve_state
 from .pulses import (
     PulseSequence,
     SequenceKind,
@@ -23,7 +23,7 @@ from .sensing import (
     sensitivity_spectrum,
     squeezed_rotation,
 )
-from .units import NaturalParams, ParameterError, PhysicalParams, to_natural, to_physical
+from .units import NaturalParams, ParameterError, PhysicalParams, to_natural
 from .witness import (
     WitnessCoefficients,
     WitnessResult,

@@ -16,8 +16,8 @@ s_k is the pulse sign profile and f an optional piecewise-constant force
 (bath sign convention H ~ (g sigma_z + f)(a + a^dag); an external sensing
 force enters with f = -f_ext).
 
-Every route takes g and omega through pulses.check_coupling; magnus_phases
-takes its functionals from public pulses names, force_response among them.
+Every route checks g and omega (pulses.check_coupling) and alpha in
+branch_states. The force phase and displacement are pulses.force_response.
 """
 
 from __future__ import annotations
@@ -91,14 +91,16 @@ def branch_states(
     Returns (t, c, states): the piece boundaries t (0, ..., tau), the drive
     coefficient c = spin_sign (-1)^seg g - f of each piece (Hamiltonian term
     -f (a + a^dag)), and the (theta, gamma) at every boundary, starting from
-    (0, alpha). alpha is a complex or an array of them, stepped together.
-    force is an optional (times, values) piecewise-constant series on a grid
-    covering [0, tau]; spin_sign is +1 (branch 0) or -1 (branch 1); g and
-    omega pass pulses.check_coupling.
+    (0, alpha). alpha is a finite complex or an array of them, stepped
+    together. force is an optional (times, values) piecewise-constant series
+    on a grid covering [0, tau]; spin_sign is +1 (branch 0) or -1 (branch 1);
+    g and omega pass pulses.check_coupling.
     """
     if spin_sign not in (1, -1):
         raise ValueError(f"spin_sign must be +1 or -1, got {spin_sign!r}")
     pulses.check_coupling(g, omega)
+    if not (np.isfinite(alpha).all() if isinstance(alpha, np.ndarray) else cmath.isfinite(alpha)):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     start, end, seg, f = (x.tolist() for x in pulses.pieces(seq, force))
     c = [spin_sign * (-1) ** k * g - fk for k, fk in zip(seg, f)]
     states = [(0.0, alpha)]
@@ -127,8 +129,6 @@ def evolve_state(
     force=None,
 ) -> EntangledState:
     """Evolve (|0> + |1>)/sqrt2 x |alpha> through the sequence."""
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
     t0, g0 = branch_evolution(seq, g, omega, +1, alpha, force)
     t1, g1 = branch_evolution(seq, g, omega, -1, alpha, force)
     w = 1.0 / math.sqrt(2.0)
@@ -137,17 +137,6 @@ def evolve_state(
         Branch(w * cmath.exp(1j * t1), g1),
         t0 - t1,
     )
-
-
-def pulseless_state(alpha: complex, g: float, omega: float, tau: float) -> EntangledState:
-    """Free evolution for tau: branches (alpha +/- g/omega) e^{-i omega tau} -/+ g/omega."""
-    return evolve_state(pulses.ramsey(tau), g, omega, alpha)
-
-
-def pulsed_state(alpha: complex, g: float, omega: float, tau: float) -> EntangledState:
-    """Single pi pulse at tau/2:
-    branches (alpha +/- g/omega) e^{-i omega tau} +/- g/omega -/+ (2g/omega) e^{-i omega tau/2}."""
-    return evolve_state(pulses.hahn_echo(tau), g, omega, alpha)
 
 
 def trajectory(
@@ -162,8 +151,8 @@ def trajectory(
 
     The branch state is stored at each segment start; a sample at t takes one
     step from the start of the last segment that begins before t.
-    Quadratures are q = sqrt2 Re(gamma), p = sqrt2 Im(gamma). g and omega are
-    checked as in branch_states.
+    Quadratures are q = sqrt2 Re(gamma), p = sqrt2 Im(gamma). g, omega and
+    alpha are checked as in branch_states.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -177,61 +166,3 @@ def trajectory(
             _, gamma = segment_step(*states[k - 1], c[k - 1], omega, min(t_b[k], t) - t_b[k - 1])
         out.append((t, math.sqrt(2) * gamma.real, math.sqrt(2) * gamma.imag))
     return out
-
-
-@dataclass(frozen=True)
-class MagnusPhases:
-    displacement_per_sz: complex
-    displacement_force: complex
-    force_phase_per_sz: float
-    squeezing_zeta: float
-
-
-def magnus_phases(seq: PulseSequence, g: float, omega: float, force=None) -> MagnusPhases:
-    """Split the exact evolution into displacement and phase functionals.
-
-    * displacement_per_sz: final spin-conditioned displacement (per sigma_z unit),
-      equal to the residual-displacement beta;
-    * displacement_force, force_phase_per_sz: pulses.force_response of the
-      force, the displacement it alone leaves and int K(s) f(s) ds per (sigma_z/2);
-    * squeezing_zeta: the J_z^2 coefficient.
-
-    force is None or a boxcar time series (edges, values), values[j] on
-    [edges[j], edges[j+1]) and zero outside [edges[0], edges[-1]], with
-    finite edges from 0 on that never decrease and one more edge than value
-    (or as many, tau closing the last), handled exactly; any other force
-    raises ValueError.
-    """
-    beta, _ = pulses.residual_displacement(seq, g, omega)
-    phase_f, disp_f = 0.0, 0j
-    tau = seq.total_time
-    if force is not None:
-        try:
-            edges, values = (list(x) for x in force)
-        except (TypeError, ValueError):
-            raise ValueError("force must be None or a boxcar series (edges, values), "
-                             f"got {type(force).__name__}") from None
-        if len(edges) == len(values):
-            edges.append(tau)
-        if len(edges) != len(values) + 1:
-            raise ValueError("force series must be (edges, values) with one more edge than value")
-        # the boxcar series is zero outside [edges[0], edges[-1]]
-        phase_f, disp_f = pulses.force_response(
-            seq, g, omega, ([0.0, *edges, max(edges[-1], tau)], [0.0, *values, 0.0]))
-        _check_force_resolution(seq, omega, edges)
-    zeta = pulses.squeezing_parameter(seq, g, omega)
-    return MagnusPhases(beta, disp_f, phase_f, zeta)
-
-
-def _check_force_resolution(seq: PulseSequence, omega: float, times) -> None:
-    """Reject series whose steps are coarse relative to both the oscillator
-    period and the sequence; single- or few-segment constant forces are exact
-    and always allowed."""
-    steps = [b - a for a, b in zip(times, times[1:]) if b > a]
-    if len(steps) <= 4:
-        return
-    limit = min(2 * math.pi / omega, seq.total_time) / 4.0
-    if max(steps) > limit:
-        raise ValueError(
-            f"force series under-sampled: step {max(steps):.3g} exceeds {limit:.3g}"
-        )

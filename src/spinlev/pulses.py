@@ -58,10 +58,6 @@ class PulseSequence:
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("pulse times must be strictly increasing")
 
-    @property
-    def tau(self) -> float:
-        return self.total_time
-
 
 def ramsey(tau: float) -> PulseSequence:
     return PulseSequence(tau, ())
@@ -173,8 +169,11 @@ def _checked_force(seq: PulseSequence, force) -> tuple[np.ndarray, np.ndarray]:
     finite, never decrease, start at 0 and cover [0, tau] and it holds one
     finite value per interval, or per knot (the last value then extends the
     series, as the last interval's value does past tau)."""
-    times = np.asarray(force[0], dtype=float)
-    values = np.asarray(force[1], dtype=float)
+    try:
+        times, values = force
+    except (TypeError, ValueError):
+        raise ValueError(f"force must be a series (times, values), got {type(force).__name__}") from None
+    times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
     if not np.isfinite(times).all() or np.any(np.diff(times) < 0):
         raise ValueError("force knots must be finite and must not decrease")
     if not times.size or times[0] != 0.0 or times[-1] < seq.total_time - 1e-15 * seq.total_time:
@@ -276,8 +275,9 @@ def residual_displacement(seq: PulseSequence, g: float, omega: float) -> tuple[c
 
 
 def delta_n_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) -> float:
-    """Closed-form Delta n for the named sequence kinds."""
+    """Closed-form Delta n for the named sequence kinds; (g, omega) pass check_coupling."""
     closed = _named(kind, "no closed form for custom sequences").delta_n
+    check_coupling(g, omega)
     return closed(g * g / (omega * omega), omega * tau)
 
 
@@ -292,9 +292,20 @@ def phase_kernel(seq: PulseSequence, g: float, omega: float, s):
 def force_response(seq: PulseSequence, g: float, omega: float, force) -> tuple[float, complex]:
     """(phase, displacement) of a force series (times, values) as pieces takes it:
     int K(s) f(s) ds per (sigma_z/2), and the final displacement
-    +i int e^{-i omega (tau - t)} f dt under -f (a + a^dag), exact per piece."""
+    +i int e^{-i omega (tau - t)} f dt under -f (a + a^dag), exact per piece.
+    A series with more than four positive-length intervals from its first
+    nonzero value to its last is under-sampled (ValueError) where one of them
+    exceeds min(2 pi/omega, tau)/4; zero stretches around the force are free."""
     ends = _kernel_ends(seq, g, omega)
-    start, end, seg, f = pieces(seq, force)
+    times, values = _checked_force(seq, force)
+    start, end, seg, f = pieces(seq, (times, values))
+    nonzero = np.flatnonzero(values[:times.size - 1])
+    if nonzero.size:
+        steps = np.diff(times[nonzero[0]:nonzero[-1] + 2])
+        steps = steps[steps > 0]
+        limit = min(2 * math.pi / omega, seq.total_time) / 4.0
+        if steps.size > 4 and steps.max() > limit:
+            raise ValueError(f"force series under-sampled: step {steps.max():.3g} exceeds {limit:.3g}")
     a, b, k, f = (x[f != 0] for x in (start, end, seg, f))
     half = 0.5 * omega * (b - a)
     kb, pb = _kernel_at(ends, omega, k, b)
@@ -466,8 +477,10 @@ def squeezing_parameter(seq: PulseSequence, g: float, omega: float) -> float:
 
 
 def zeta_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) -> float:
-    """Column-2 closed forms for the named kinds (signed as the canonical integral)."""
+    """Column-2 closed forms for the named kinds (signed as the canonical integral);
+    (g, omega) pass check_coupling."""
     closed = _named(kind, "no closed form for custom sequences").zeta
+    check_coupling(g, omega)
     return closed(g * g / (omega * omega), omega * tau)
 
 

@@ -54,20 +54,16 @@ class SensitivityPoint:
 
 
 def cooling_factor(gamma_c: float, t_c: float) -> float:
-    """xi = e^{-gamma_c t_c} / (1 - e^{-gamma_c t_c})."""
+    """xi = e^{-gamma_c t_c} / (1 - e^{-gamma_c t_c}) for finite gamma_c, t_c > 0."""
+    for name, value in (("gamma_c", gamma_c), ("t_c", t_c)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     x = gamma_c * t_c
     if x <= 0:
         raise ValueError("gamma_c * t_c must be > 0 (xi diverges)")
     if x > 700.0:  # expm1 would overflow; xi is exp(-x) to double precision
         return math.exp(-x)
     return 1.0 / math.expm1(x)
-
-
-def backaction_occupation(delta_n: float, xi: float) -> float:
-    """Steady-state oscillator occupation n* = xi * Dn."""
-    if delta_n < 0 or xi < 0:
-        raise ValueError("delta_n and xi must be >= 0")
-    return delta_n * xi
 
 
 def noise_to_signal(
@@ -94,8 +90,8 @@ def thermal_phase_variance(seq: PulseSequence, g: float, omega: float, nbar_over
     quarter of witness.bath_deltas(...).dvar_sx: the observable relative branch
     phase is Phi = -4 phi, and the spin variance grows by Var(Phi)/4 = 4 Var(phi).
     """
-    if nbar_over_q < 0:
-        raise ValueError("nbar_over_q must be >= 0")
+    if not (nbar_over_q >= 0 and math.isfinite(nbar_over_q)):
+        raise ValueError(f"nbar_over_q must be finite and >= 0, got {nbar_over_q!r}")
     return 2 * omega * nbar_over_q * pulses.kernel_l2(seq, g, omega)
 
 

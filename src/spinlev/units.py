@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .constants import GAMMA_E_DEFAULT, HBAR, KB
 
@@ -69,9 +69,6 @@ class PhysicalParams:
             _require(self.nbar >= 0, "nbar must be >= 0")
         for name in ("cooling_rate", "cooling_time"):
             _require(getattr(self, name) > 0, f"{name} must be > 0")
-
-    def with_(self, **kwargs) -> "PhysicalParams":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -131,40 +128,6 @@ def to_natural(p: PhysicalParams) -> NaturalParams:
         x0=x0,
         larmor=p.larmor_frequency,
     )
-
-
-def to_physical(
-    n: NaturalParams,
-    gyromagnetic_ratio: float = GAMMA_E_DEFAULT,
-    quality_factor: float | None = None,
-    **extra,
-) -> PhysicalParams:
-    """Invert to_natural: recover (mass, gradient, ...) from natural parameters."""
-    _finite_positive("x0", n.x0)
-    mass = HBAR / (2.0 * n.omega * n.x0**2)
-    gradient = 2.0 * n.g / (gyromagnetic_ratio * n.x0)
-    q = quality_factor if quality_factor is not None else n.omega / n.gamma
-    extra.setdefault("nbar", n.nbar)
-    return PhysicalParams(
-        mass=mass,
-        trap_frequency=n.omega,
-        gradient=gradient,
-        gyromagnetic_ratio=gyromagnetic_ratio,
-        quality_factor=q,
-        larmor_frequency=n.larmor,
-        **extra,
-    )
-
-
-def coupling_ratio_scaling(p1: PhysicalParams, p2: PhysicalParams) -> float:
-    """(g/omega)_1 / (g/omega)_2.
-
-    Algebraically equals (dB1/dB2) * sqrt(m2/m1) * (omega2/omega1)^(3/2) when the
-    gyromagnetic ratios agree.
-    """
-    n1, n2 = to_natural(p1), to_natural(p2)
-    _require(n2.g > 0, "second parameter set has zero coupling")
-    return (n1.g / n1.omega) / (n2.g / n2.omega)
 
 
 # The reference device in the JSON schema below: 1.5e-14 kg at 100 Hz in a

@@ -9,20 +9,46 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spinlev import dynamics, pulses
-from spinlev.dynamics import (
-    evolve_state,
-    magnus_phases,
-    pulsed_state,
-    pulseless_state,
-    trajectory,
-)
-from spinlev.pulses import carr_purcell2, custom, hahn_echo, ramsey
+from spinlev.dynamics import evolve_state, trajectory
+from spinlev.pulses import carr_purcell2, custom, force_response, hahn_echo, ramsey
+
+
+def _pulseless_branches(alpha, g, omega, tau):
+    """Free evolution for tau, branches 0 and 1:
+    (alpha +/- g/omega) e^{-i omega tau} -/+ g/omega."""
+    d, rot = g / omega, cmath.exp(-1j * omega * tau)
+    return (alpha + d) * rot - d, (alpha - d) * rot + d
+
+
+def _pulsed_branches(alpha, g, omega, tau):
+    """One pi pulse at tau/2, branches 0 and 1: (alpha +/- g/omega) e^{-i omega tau}
+    +/- g/omega -/+ (2g/omega) e^{-i omega tau/2}."""
+    d, rot, half = g / omega, cmath.exp(-1j * omega * tau), cmath.exp(-0.5j * omega * tau)
+    return (alpha + d) * rot + d - 2 * d * half, (alpha - d) * rot - d + 2 * d * half
+
+
+def _boxcar(seq, force):
+    """A boxcar (edges, values), zero outside [edges[0], edges[-1]] and with tau
+    closing the last edge where there are as many edges as values, as the
+    (times, values) series force_response takes."""
+    edges, values = list(force[0]), list(force[1])
+    if len(edges) == len(values):
+        edges.append(seq.total_time)
+    return [0.0, *edges, max(edges[-1], seq.total_time)], [0.0, *values, 0.0]
 
 
 class TestBranchStates:
+    @pytest.mark.parametrize("alpha,g,omega,tau", [(0.8 + 0.3j, 0.0, 2.0, 1.3), (0.2 + 0.1j, 0.7, 1.0, 2.9),
+                                                   (0.3j, 1.1, 2.0, 0.7), (0.0, 1.0, 1.0, 1e-3)])
+    def test_single_pulse_closed_forms(self, alpha, g, omega, tau):
+        for seq, closed in ((ramsey(tau), _pulseless_branches), (hahn_echo(tau), _pulsed_branches)):
+            st = evolve_state(seq, g, omega, alpha)
+            for spin, expect in enumerate(closed(alpha, g, omega, tau)):
+                assert st.branch(spin).alpha == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
     def test_zero_coupling_free_rotation(self):
         alpha, omega, tau = 0.8 + 0.3j, 2.0, 1.3
-        st = pulseless_state(alpha, 0.0, omega, tau)
+        st = evolve_state(ramsey(tau), 0.0, omega, alpha)
         expect = alpha * cmath.exp(-1j * omega * tau)
         for spin in (0, 1):
             assert st.branch(spin).alpha == pytest.approx(expect, rel=1e-14)
@@ -34,13 +60,13 @@ class TestBranchStates:
         d = g / omega
         centers = {0: -d, 1: +d}
         for tau in np.linspace(0.1, 6.0, 7):
-            st = pulseless_state(alpha, g, omega, tau)
+            st = evolve_state(ramsey(tau), g, omega, alpha)
             for spin in (0, 1):
                 r = abs(st.branch(spin).alpha - centers[spin])
                 assert r == pytest.approx(abs(alpha - centers[spin]), rel=1e-12)
 
     def test_equal_branch_weights(self):
-        st = pulsed_state(0.3j, 1.1, 2.0, 0.7)
+        st = evolve_state(hahn_echo(0.7), 1.1, 2.0, 0.3j)
         assert abs(st.branch0.amplitude) == pytest.approx(1 / math.sqrt(2), rel=1e-14)
         assert abs(st.branch1.amplitude) == pytest.approx(1 / math.sqrt(2), rel=1e-14)
 
@@ -64,8 +90,8 @@ class TestBranchStates:
         g, omega = 1.0, 1.0
         seps = {}
         for tau in (1e-2, 1e-3):
-            r = pulseless_state(0, g, omega, tau)
-            e = pulsed_state(0, g, omega, tau)
+            r = evolve_state(ramsey(tau), g, omega, 0)
+            e = evolve_state(hahn_echo(tau), g, omega, 0)
             seps[tau] = (abs(r.branch0.alpha - r.branch1.alpha),
                          abs(e.branch0.alpha - e.branch1.alpha))
         assert seps[1e-3][0] / seps[1e-2][0] == pytest.approx(0.1, rel=1e-2)
@@ -82,7 +108,7 @@ class TestBranchStates:
 class TestTrajectory:
     def test_endpoint_matches_state(self):
         g, omega, tau = 1.1, 2.0, 0.9
-        st = pulsed_state(0, g, omega, tau)
+        st = evolve_state(hahn_echo(tau), g, omega, 0)
         for spin in (0, 1):
             pts = trajectory(hahn_echo(tau), g, omega, spin, 50)
             t, x, p = pts[-1]
@@ -111,29 +137,20 @@ class TestTrajectory:
             trajectory(ramsey(1.0), 1.0, 1.0, 0, 1)
 
 
-class TestMagnusPhases:
-    def test_no_force(self):
-        ph = magnus_phases(hahn_echo(1.0), 0.7, 2.0)
-        assert ph.displacement_force == 0
-        assert ph.force_phase_per_sz == 0.0
-        beta, _ = pulses.residual_displacement(hahn_echo(1.0), 0.7, 2.0)
-        assert ph.displacement_per_sz == beta
-        assert ph.squeezing_zeta == pulses.squeezing_parameter(hahn_echo(1.0), 0.7, 2.0)
-
+class TestForceFunctionals:
     def test_constant_force_phase_is_dc_phase(self):
         g, omega, f = 0.9, 1.6, 0.25
         seq = carr_purcell2(1.4)
-        ph = magnus_phases(seq, g, omega, force=([0.0], [f]))
-        assert ph.force_phase_per_sz == pytest.approx(
-            f * pulses.dc_phase(seq, g, omega), rel=1e-12)
+        phase, _ = force_response(seq, g, omega, _boxcar(seq, ([0.0], [f])))
+        assert phase == pytest.approx(f * pulses.dc_phase(seq, g, omega), rel=1e-12)
 
     def test_constant_force_displacement(self):
         # -f(a+a^dag) drive: da/dt = -i omega a + i f, so the final
         # displacement is f (1 - e^{-i omega tau}) / omega
         omega, f, tau = 1.6, 0.25, 1.4
-        ph = magnus_phases(ramsey(tau), 0.0, omega, force=([0.0], [f]))
+        _, disp = force_response(ramsey(tau), 0.0, omega, _boxcar(ramsey(tau), ([0.0], [f])))
         expect = f * (1 - cmath.exp(-1j * omega * tau)) / omega
-        assert ph.displacement_force == pytest.approx(expect, rel=1e-12)
+        assert disp == pytest.approx(expect, rel=1e-12)
 
     def test_boxcar_force_matches_quadrature(self):
         from scipy.integrate import quad
@@ -141,10 +158,10 @@ class TestMagnusPhases:
         g, omega, f = 1.2, 2.1, 0.4
         seq = hahn_echo(1.0)
         a, b = 0.2, 0.7
-        ph = magnus_phases(seq, g, omega, force=([a, b], [f]))
+        phase, _ = force_response(seq, g, omega, _boxcar(seq, ([a, b], [f])))
         expect = f * quad(lambda s: pulses.phase_kernel(seq, g, omega, s),
                           a, b, points=[0.5])[0]
-        assert ph.force_phase_per_sz == pytest.approx(expect, rel=1e-9)
+        assert phase == pytest.approx(expect, rel=1e-9)
 
     def test_spectral_route_matches_time_route(self):
         # narrow Gaussian pulse given as a time series and as its spectrum;
@@ -159,7 +176,7 @@ class TestMagnusPhases:
         edges = np.linspace(0.0, 2.0, 4001)
         mids = 0.5 * (edges[:-1] + edges[1:])
         values = f0 * np.exp(-((mids - t0) ** 2) / (2 * sig**2))
-        ph_time = magnus_phases(seq, g, omega, force=(list(edges), list(values)))
+        phase_time, _ = force_response(seq, g, omega, _boxcar(seq, (list(edges), list(values))))
 
         def spectrum(nu):
             return (f0 * sig * math.exp(-(sig * nu) ** 2 / 2)
@@ -169,21 +186,23 @@ class TestMagnusPhases:
             return (pulses.spectral_response(seq, g, omega, nu) / math.sqrt(2 * math.pi)
                     * spectrum(nu)).real
 
-        cut = 400.0 * max(omega, 2 * math.pi / seq.tau)
+        cut = 400.0 * max(omega, 2 * math.pi / seq.total_time)
         phase_spec = quad(integrand, -cut, cut, points=[-omega, 0.0, omega], limit=800)[0]
-        assert phase_spec == pytest.approx(ph_time.force_phase_per_sz, rel=1e-5)
+        assert phase_spec == pytest.approx(phase_time, rel=1e-5)
 
     @pytest.mark.parametrize("force", [lambda nu: 0.1, 0.1, ([0.0, 1.0], [0.1], [0.2])],
                              ids=["callable", "scalar", "three_parts"])
-    def test_force_other_than_a_boxcar_series_rejected(self, force):
-        with pytest.raises(ValueError, match=r"force must be None or a boxcar series \(edges, values\)"):
-            magnus_phases(hahn_echo(1.0), 0.7, 2.0, force)
+    def test_force_other_than_a_series_rejected(self, force):
+        for route in (lambda: force_response(hahn_echo(1.0), 0.7, 2.0, force),
+                      lambda: evolve_state(hahn_echo(1.0), 0.7, 2.0, 0j, force)):
+            with pytest.raises(ValueError, match=r"force must be a series \(times, values\)"):
+                route()
 
     def test_observable_phase_is_four_kernel_integrals(self):
         # relative branch phase between forced and unforced evolutions
         g, omega, f = 0.7, 1.9, 0.15
         seq = hahn_echo(1.0)
-        forced = evolve_state(seq, g, omega, 0, force=([0.0, seq.tau], [f]))
+        forced = evolve_state(seq, g, omega, 0, force=([0.0, seq.total_time], [f]))
         free = evolve_state(seq, g, omega, 0)
         dphi = forced.observable_phase() - free.observable_phase()
         kernel_int = f * pulses.dc_phase(seq, g, omega)
@@ -192,16 +211,38 @@ class TestMagnusPhases:
         assert dphi == pytest.approx(-4 * kernel_int, rel=1e-10)
 
     def test_coarse_force_series_rejected(self):
+        # 8 steps of 1.25 against min(2 pi/omega, tau)/4 = 0.25, as a boxcar
+        # and as the series itself
         seq = ramsey(10.0)
         edges = list(np.linspace(0, 10.0, 9))
         values = [0.1] * 8
-        with pytest.raises(ValueError):
-            magnus_phases(seq, 1.0, 2 * math.pi, force=(edges, values))
+        for force in (_boxcar(seq, (edges, values)), (edges, values)):
+            with pytest.raises(ValueError, match="^force series under-sampled: step 1.25 exceeds 0.25$"):
+                force_response(seq, 1.0, 2 * math.pi, force)
+
+    def test_long_zero_stretches_around_a_fine_force_allowed(self):
+        # 16 steps of 0.125 < 0.25 from the first nonzero value to the last;
+        # the zero lead-in and tail, 3 and 5 long, are not steps of the force,
+        # which equals the same force on a uniform 0.125 grid
+        seq, omega = ramsey(10.0), 2 * math.pi
+        values = np.linspace(0.1, 0.4, 16).tolist()
+        padded = force_response(seq, 1.0, omega, ([0.0, *np.linspace(3.0, 5.0, 17).tolist(), 10.0],
+                                                  [0.0, *values, 0.0]))
+        uniform = force_response(seq, 1.0, omega, (np.linspace(0.0, 10.0, 81).tolist(),
+                                                   [0.0] * 24 + values + [0.0] * 40))
+        assert padded == pytest.approx(uniform, rel=1e-12)
+
+    def test_zero_stretch_inside_the_force_counted(self):
+        # the zero step of length 1 lies between nonzero values: 5 steps, one > 0.25
+        with pytest.raises(ValueError, match="^force series under-sampled: step 1 exceeds 0.25$"):
+            force_response(ramsey(10.0), 1.0, 2 * math.pi, ([0.0, 3.0, 3.1, 4.1, 4.2, 4.3, 4.4, 10.0],
+                                                           [0.0, 0.1, 0.0, 0.2, 0.3, 0.4, 0.0]))
 
     def test_zero_omega_with_a_fine_force_grid_rejected(self):
         # the resolution check divides by omega, which raised ZeroDivisionError
+        seq = ramsey(1.0)
         with pytest.raises(ValueError, match="omega must be finite and > 0"):
-            magnus_phases(ramsey(1.0), 0.5, 0.0, (np.linspace(0.0, 1.0, 9).tolist(), [0.1] * 8))
+            force_response(seq, 0.5, 0.0, _boxcar(seq, (np.linspace(0.0, 1.0, 9).tolist(), [0.1] * 8)))
 
 
 def _restepped_from_zero(seq, g, omega, spin_branch, n_samples, alpha):
@@ -295,21 +336,30 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
     def test_evolve_state_alpha(self, alpha):
-        with pytest.raises(ValueError, match="alpha must be finite"):
-            evolve_state(hahn_echo(1.0), 0.5, 1.0, alpha)
+        # one check in branch_states; trajectory returned NaN rows and
+        # branch_evolution (nan, nan+nanj)
+        seq = hahn_echo(1.0)
+        for route in (lambda: evolve_state(seq, 0.5, 1.0, alpha),
+                      lambda: trajectory(seq, 0.5, 1.0, 0, 3, alpha=alpha),
+                      lambda: dynamics.branch_evolution(seq, 0.5, 1.0, +1, alpha),
+                      lambda: dynamics.branch_states(seq, 0.5, 1.0, -1, np.array([0.5, alpha]))):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                route()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["g", "omega"])
     def test_coupling_and_frequency(self, name, bad):
         args = {"g": 0.5, "omega": 1.0, name: bad}
-        for route in (evolve_state, magnus_phases):
+        seq = hahn_echo(1.0)
+        for route in (evolve_state, lambda *a: force_response(*a, _boxcar(seq, ([0.0], [0.1])))):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
-                route(hahn_echo(1.0), args["g"], args["omega"])
+                route(seq, args["g"], args["omega"])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_magnus_phases_force(self, bad):
+    def test_force_response_force(self, bad):
+        seq = hahn_echo(1.0)
         with pytest.raises(ValueError, match="force values must be finite"):
-            magnus_phases(hahn_echo(1.0), 0.5, 1.0, force=([0.0, 1.0], [bad]))
+            force_response(seq, 0.5, 1.0, _boxcar(seq, ([0.0, 1.0], [bad])))
 
 
 
@@ -358,9 +408,9 @@ def _reference_kernel_pieces(seq, g, omega, exp, num):
     return pieces
 
 
-def _reference_magnus_force(seq, g, omega, force, exp=cmath.exp, num=float):
+def _reference_force_loop(seq, g, omega, force, exp=cmath.exp, num=float):
     """(displacement, phase) of the per-interval, per-kernel-piece loop that
-    magnus_phases replaced, kept as a reference; with exp=mp.exp and
+    force_response replaced, kept as a reference; with exp=mp.exp and
     num=mp.mpf it runs in mpmath arithmetic."""
     g, omega, tau = num(g), num(omega), num(seq.total_time)
     times, values = [num(t) for t in force[0]], [num(f) for f in force[1]]
@@ -383,9 +433,7 @@ def _reference_magnus_force(seq, g, omega, force, exp=cmath.exp, num=float):
 
 def _abs_kernel_force(seq, g, omega, force):
     """int |K f| ds, by the trapezoid rule on 65 points per boxcar piece."""
-    edges = list(force[0]) + ([seq.total_time] if len(force[0]) == len(force[1]) else [])
-    start, end, _, f = pulses.pieces(
-        seq, ([0.0, *edges, max(edges[-1], seq.total_time)], [0.0, *force[1], 0.0]))
+    start, end, _, f = pulses.pieces(seq, _boxcar(seq, force))
     s = np.linspace(start, end, 65, axis=1)
     k = np.abs(pulses.phase_kernel(seq, g, omega, s.ravel())).reshape(s.shape)
     return float(np.abs(f) @ np.trapezoid(k, s, axis=1))
@@ -469,7 +517,7 @@ class TestPieces:
     def test_bad_knots_rejected(self, force):
         for route in (lambda: pulses.pieces(hahn_echo(1.0), force),
                       lambda: evolve_state(hahn_echo(1.0), 0.7, 1.9, 0j, force),
-                      lambda: magnus_phases(hahn_echo(1.0), 0.7, 1.9, force)):
+                      lambda: force_response(hahn_echo(1.0), 0.7, 1.9, _boxcar(hahn_echo(1.0), force))):
             with pytest.raises(ValueError, match="force knots must be finite and must not decrease"):
                 route()
 
@@ -482,15 +530,22 @@ class TestPieces:
             with pytest.raises(ValueError, match="one value per interval or one per knot"):
                 route()
 
-    def test_magnus_boxcar_before_zero_rejected(self):
-        # the boxcar series is mapped onto a grid that starts at 0
+    def test_boxcar_before_zero_rejected(self):
+        # a boxcar is mapped onto a grid that starts at 0
+        seq = hahn_echo(1.0)
         with pytest.raises(ValueError, match="force knots"):
-            magnus_phases(hahn_echo(1.0), 0.7, 1.9, ([-0.2, 0.5], [0.1]))
+            force_response(seq, 0.7, 1.9, _boxcar(seq, ([-0.2, 0.5], [0.1])))
+
+
+# force values whose phase and displacement stay normal doubles: from a force
+# of 2.2e-308 they come out subnormal (2e-311), where one ulp, 5e-324, is
+# already more than 1e-13 of them
+_NORMAL_FORCE = _FORCE.filter(lambda f: f == 0.0 or abs(f) >= 1e-200)
 
 
 @st.composite
 def _boxcar_runs(draw):
-    """A sequence, g, omega and a boxcar force series for magnus_phases: a
+    """A sequence, g, omega and a boxcar force series (_boxcar): a
     few arbitrary edges, or a uniform grid fine enough for the resolution
     check, starting at or after 0 and ending before or after tau."""
     seq = draw(_sequences())
@@ -499,23 +554,23 @@ def _boxcar_runs(draw):
     if draw(st.booleans()):
         edges = sorted(tau * 1.3 * u for u in draw(st.lists(_UNIT, min_size=1, max_size=5)))
         if len(edges) == 1:  # a constant force from edges[0] < tau on
-            return seq, g, omega, ([edges[0] / 1.3], [draw(_FORCE)])
+            return seq, g, omega, ([edges[0] / 1.3], [draw(_NORMAL_FORCE)])
     else:
         first, span = tau * draw(st.floats(0.0, 0.5)), tau * draw(st.floats(0.2, 1.0))
         limit = min(2 * math.pi / omega, tau) / 4
         n = math.ceil(span / limit) + draw(st.integers(4, 20))
         edges = np.linspace(first, first + span, n + 1).tolist()
-    values = draw(st.lists(_FORCE, min_size=len(edges) - 1, max_size=len(edges) - 1))
+    values = draw(st.lists(_NORMAL_FORCE, min_size=len(edges) - 1, max_size=len(edges) - 1))
     return seq, g, omega, (edges, values)
 
 
 # a boxcar 1.3e-5 < s < 7.9e-5 where K ~ 1e-5: the double-precision nested
-# loop was 3.2e-18 off the 40-digit phase, magnus_phases 1.7e-21
+# loop was 3.2e-18 off the 40-digit phase, force_response 1.7e-21
 _SMALL_KERNEL_BOXCAR = (custom(1.0, [0.5]), 1.0, 0.5, ([1.3000000000000001e-05, 7.9345703125e-05], [1.0]))
 
 
-class TestMagnusOnPieces:
-    # magnus_phases takes K from pulses._kernel_ends and integrates each force
+class TestForceResponseOnPieces:
+    # force_response takes K from pulses._kernel_ends and integrates each force
     # piece in closed form; the nested loop it replaced took K from the old
     # phasor pieces K0 + Im(R e^{-i omega s}), which cancel at small omega tau,
     # so the loop runs in 40-digit arithmetic here
@@ -525,16 +580,16 @@ class TestMagnusOnPieces:
     def test_matches_the_nested_loop_it_replaced(self, run):
         mp = pytest.importorskip("mpmath")
         seq, g, omega, force = run
-        ph = magnus_phases(seq, g, omega, force)
+        got_phase, got_disp = force_response(seq, g, omega, _boxcar(seq, force))
         with mp.workdps(40):
-            disp, phase = _reference_magnus_force(seq, g, omega, force, mp.exp, mp.mpf)
+            disp, phase = _reference_force_loop(seq, g, omega, force, mp.exp, mp.mpf)
             disp, phase = complex(disp), float(phase)
         edges = list(force[0]) + ([seq.total_time] if len(force[0]) == len(force[1]) else [])
         scale = sum(abs(f) * (min(b, seq.total_time) - min(a, seq.total_time))
                     for a, b, f in zip(edges, edges[1:], force[1]))
-        assert abs(ph.force_phase_per_sz - phase) <= 1e-13 * _abs_kernel_force(seq, g, omega, force)
+        assert abs(got_phase - phase) <= 1e-13 * _abs_kernel_force(seq, g, omega, force)
         # the displacement integral is now split at the pulse times as well
-        assert abs(ph.displacement_force - disp) <= 1e-13 * max(abs(disp), scale)
+        assert abs(got_disp - disp) <= 1e-13 * max(abs(disp), scale)
 
     @settings(max_examples=25, deadline=None)
     @given(_boxcar_runs())
@@ -543,6 +598,6 @@ class TestMagnusOnPieces:
         mp = pytest.importorskip("mpmath")
         seq, g, omega, force = run
         with mp.workdps(40):
-            _, ref = _reference_magnus_force(seq, g, omega, force, mp.exp, mp.mpf)
-        got = magnus_phases(seq, g, omega, force).force_phase_per_sz
+            _, ref = _reference_force_loop(seq, g, omega, force, mp.exp, mp.mpf)
+        got = force_response(seq, g, omega, _boxcar(seq, force))[0]
         assert abs(got - float(ref)) <= 1e-13 * _abs_kernel_force(seq, g, omega, force)

@@ -137,14 +137,14 @@ class TestEvolution:
     def test_free_oscillator(self):
         alpha, omega, tau = 0.7 + 0.2j, 2.0, 1.3
         st = evolve(initial_state(alpha, 48), nat(0.0, omega), ramsey(tau))
-        closed = dynamics.pulseless_state(alpha, 0.0, omega, tau)
+        closed = dynamics.evolve_state(ramsey(tau), 0.0, omega, alpha)
         assert branch_fidelity(closed, st) > 1 - 1e-10
 
     def test_ramsey_branch_amplitudes(self):
         g, omega, tau = 0.8, 1.0, 2.0
         st = evolve(initial_state(0, suggested_n_max((2 * g / omega) ** 2)),
                     nat(g, omega), ramsey(tau))
-        closed = dynamics.pulseless_state(0, g, omega, tau)
+        closed = dynamics.evolve_state(ramsey(tau), g, omega, 0)
         assert branch_fidelity(closed, st) > 1 - 1e-8
 
     def test_pulsed_sequences(self):
@@ -161,7 +161,7 @@ class TestEvolution:
 
     def test_truncation_monotonicity(self):
         g, omega, tau = 2.0, 1.0, math.pi
-        closed = dynamics.pulseless_state(0, g, omega, tau)
+        closed = dynamics.evolve_state(ramsey(tau), g, omega, 0)
         errs = []
         cfg = OracleConfig(tail_tolerance=1e-6)
         for n_max in (42, 46, 50):
@@ -861,7 +861,8 @@ def test_import_leaves_scipy_unloaded(tmp_path, child_env):
     code = ("import os, sys, spinlev, spinlev.cli\n"
             "for command in ('sensitivity', 'witness', 'table', 'trajectory'):\n"
             "    assert spinlev.cli.main([command, '--out', os.path.join(sys.argv[1], command)]) == 0\n"
-            "spinlev.magnus_phases(spinlev.pulses.hahn_echo(1.0), 0.5, 1.0, ([0.2, 0.7], [0.1]))\n"
+            "spinlev.pulses.force_response(spinlev.pulses.hahn_echo(1.0), 0.5, 1.0,\n"
+            "                              ([0.0, 0.2, 0.7, 1.0], [0.0, 0.1, 0.0]))\n"
             "print('scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
                           env=child_env)

@@ -146,7 +146,7 @@ class TestResidualDisplacement:
         g, omega = 0.7, 2.0
         seq = MAKERS[kind](omega_tau / omega)
         _, dn = residual_displacement(seq, g, omega)
-        assert dn == pytest.approx(delta_n_closed_form(kind, g, omega, seq.tau), rel=1e-10)
+        assert dn == pytest.approx(delta_n_closed_form(kind, g, omega, seq.total_time), rel=1e-10)
 
     def test_ramsey_zeros_at_full_periods(self):
         g, omega = 1.3, 1.0
@@ -158,10 +158,10 @@ class TestResidualDisplacement:
     def test_matches_quadrature(self):
         g, omega = 0.9, 1.7
         seq = custom(1.0, [0.2, 0.55, 0.8])
-        re = quad(lambda t: math.cos(omega * (seq.tau - t)) * sign_profile(seq, t),
-                  0, seq.tau, points=seq.pulse_times)[0]
-        im = quad(lambda t: -math.sin(omega * (seq.tau - t)) * sign_profile(seq, t),
-                  0, seq.tau, points=seq.pulse_times)[0]
+        re = quad(lambda t: math.cos(omega * (seq.total_time - t)) * sign_profile(seq, t),
+                  0, seq.total_time, points=seq.pulse_times)[0]
+        im = quad(lambda t: -math.sin(omega * (seq.total_time - t)) * sign_profile(seq, t),
+                  0, seq.total_time, points=seq.pulse_times)[0]
         beta, _ = residual_displacement(seq, g, omega)
         assert beta == pytest.approx(-1j * g * complex(re, im), rel=1e-12)
 
@@ -199,10 +199,10 @@ class TestResponseKernel:
 
         def k_quad(s):
             return g * quad(lambda t: sign_profile(seq, t) * math.sin(omega * (t - s)),
-                            s, seq.tau, points=[p for p in seq.pulse_times if p > s])[0]
+                            s, seq.total_time, points=[p for p in seq.pulse_times if p > s])[0]
 
         expect_re = quad(lambda s: k_quad(s) * math.cos(nu * s),
-                         0, seq.tau, points=seq.pulse_times, limit=200)[0]
+                         0, seq.total_time, points=seq.pulse_times, limit=200)[0]
         chi = spectral_response(seq, g, omega, nu)
         assert chi.real == pytest.approx(expect_re, rel=1e-7, abs=1e-10)
 
@@ -210,14 +210,14 @@ class TestResponseKernel:
         # dc_phase is the integral of the phase kernel K(s)
         g, omega = 0.6, 1.4
         seq = hahn_echo(2.0)
-        ss = np.linspace(0, seq.tau, 20001)
+        ss = np.linspace(0, seq.total_time, 20001)
         trapz = np.trapezoid(phase_kernel(seq, g, omega, ss), ss)
         assert dc_phase(seq, g, omega) == pytest.approx(trapz, rel=1e-6)
 
     def test_kernel_l2(self):
         g, omega = 0.6, 1.4
         seq = carr_purcell2(2.0)
-        ss = np.linspace(0, seq.tau, 40001)
+        ss = np.linspace(0, seq.total_time, 40001)
         trapz = np.trapezoid(phase_kernel(seq, g, omega, ss) ** 2, ss)
         assert kernel_l2(seq, g, omega) == pytest.approx(trapz, rel=1e-6)
 
@@ -249,7 +249,7 @@ class TestSqueezing:
         for omega_tau in np.linspace(2 * math.pi / 100, 2 * math.pi, 100):
             seq = MAKERS[kind](omega_tau / omega)
             exact = squeezing_parameter(seq, g, omega)
-            closed = zeta_closed_form(kind, g, omega, seq.tau)
+            closed = zeta_closed_form(kind, g, omega, seq.total_time)
             assert exact == pytest.approx(closed, rel=1e-10, abs=1e-18)
 
     def test_trivial_limits(self):
@@ -265,7 +265,7 @@ class TestSqueezing:
                         0, t, points=[p for p in seq.pulse_times if p < t])[0]
 
         expect = g**2 * quad(lambda t: sign_profile(seq, t) * inner(t),
-                             0, seq.tau, points=seq.pulse_times, limit=200)[0]
+                             0, seq.total_time, points=seq.pulse_times, limit=200)[0]
         assert squeezing_parameter(seq, g, omega) == pytest.approx(expect, rel=1e-4)
 
 
@@ -361,13 +361,11 @@ def _mp_functionals(seq, g, omega, force, points, mp):
 
 def _reference_deviations(seq, g, omega):
     """{name: (|value - reference|, |reference|, bound)} for kernel_l2, zeta,
-    Delta n, the magnus_phases force phase and phase_kernel (its largest
+    Delta n, the force_response phase and phase_kernel (its largest
     deviation over 17 points, against its largest value) at 40 digits; bound
     is the largest value the functional can take for a kernel of this norm:
     |zeta| <= g (tau int K^2)^1/2, |phi| <= (int K^2 int f^2)^1/2, Delta n <= g^2 tau^2."""
     mp = pytest.importorskip("mpmath")
-    from spinlev.dynamics import magnus_phases
-
     tau = seq.total_time
     force = ([0.0, 0.17 * tau, 0.5 * tau, 0.61 * tau, tau], [0.3, -0.2, 0.5, 0.1])
     points = np.linspace(0.0, tau, 17)
@@ -378,7 +376,7 @@ def _reference_deviations(seq, g, omega):
         "l2": (abs(kernel_l2(seq, g, omega) - l2), l2, l2),
         "zeta": (abs(squeezing_parameter(seq, g, omega) - zeta), abs(zeta), g * math.sqrt(tau * l2)),
         "dn": (abs(residual_displacement(seq, g, omega)[1] - dn), dn, g * g * tau * tau),
-        "phase": (abs(magnus_phases(seq, g, omega, force).force_phase_per_sz - phase), abs(phase),
+        "phase": (abs(pulses.force_response(seq, g, omega, force)[0] - phase), abs(phase),
                   math.sqrt(l2 * f2)),
         "kernel": (np.abs(phase_kernel(seq, g, omega, points) - kernel).max(), k_max, k_max),
     }
@@ -499,12 +497,12 @@ class TestOneCouplingDomain:
             seq, g, omega, np.array([0.0, 0.5, 30.0])),
         "dc_phase": dc_phase,
         "force_response": lambda seq, g, omega: pulses.force_response(seq, g, omega, _FORCE),
+        "delta_n_closed_form": lambda seq, g, omega: delta_n_closed_form(
+            "carr_purcell2", g, omega, seq.total_time),
+        "zeta_closed_form": lambda seq, g, omega: zeta_closed_form("carr_purcell2", g, omega, seq.total_time),
         "evolve_state": dynamics.evolve_state,
         "branch_evolution": lambda seq, g, omega: dynamics.branch_evolution(seq, g, omega, -1),
         "trajectory": lambda seq, g, omega: dynamics.trajectory(seq, g, omega, 0, 3),
-        "magnus_phases": dynamics.magnus_phases,
-        "magnus_phases_forced": lambda seq, g, omega: dynamics.magnus_phases(
-            seq, g, omega, ([0.0, 0.4], [0.2])),
     }
     BAD = [(g, 1.0) for g in (math.nan, math.inf, -math.inf)] + [
         (0.7, omega) for omega in (math.nan, math.inf, -math.inf, 0.0, -1.0)]
@@ -513,7 +511,8 @@ class TestOneCouplingDomain:
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_raises_what_check_coupling_raises(self, route, g, omega):
         # omega = 0 once reached a limit branch in residual_displacement and a
-        # third message ("omega must be > 0") in magnus_phases
+        # third message ("omega must be > 0") in the boxcar force route; the
+        # closed forms raised ZeroDivisionError there
         with pytest.raises(ValueError) as expected:
             pulses.check_coupling(g, omega)
         with pytest.raises(ValueError) as got:
@@ -530,9 +529,9 @@ class TestForceResponse:
         # phase: f times the nu = 0 transform of K; displacement:
         # +i int_0^tau e^{-i omega (tau - t)} f dt = f (1 - e^{-i omega tau})/omega
         seq, g, omega, f = custom(1.3, [0.2, 0.7, 0.9]), 0.7, 2.3, 0.4
-        phase, disp = pulses.force_response(seq, g, omega, ([0.0, seq.tau], [f]))
+        phase, disp = pulses.force_response(seq, g, omega, ([0.0, seq.total_time], [f]))
         assert phase == pytest.approx(f * dc_phase(seq, g, omega), rel=1e-13)
-        assert disp == pytest.approx(f * (1 - cmath.exp(-1j * omega * seq.tau)) / omega, rel=1e-13)
+        assert disp == pytest.approx(f * (1 - cmath.exp(-1j * omega * seq.total_time)) / omega, rel=1e-13)
 
     def test_zero_force_leaves_nothing(self):
         phase, disp = pulses.force_response(hahn_echo(1.0), 0.7, 2.3, ([0.0, 1.0], [0.0]))
@@ -547,7 +546,7 @@ class TestPulsesBoundary:
         for path in sorted(Path(pulses.__file__).parent.glob("*.py")):
             if path.name != "pulses.py":
                 reads += _pulses_reads(path)
-        assert ("dynamics.py", "force_response") in reads  # the walk sees the reads
+        assert ("sensing.py", "kernel_l2") in reads  # the walk sees the reads
         assert [r for r in reads if r[1].startswith("_")] == []
 
 

@@ -1,5 +1,6 @@
 """Noise budgets, SQL solvers, anchor sensitivities, squeezed readout."""
 
+import dataclasses
 import math
 import warnings
 
@@ -12,7 +13,6 @@ from spinlev.constants import GAMMA_E_DEFAULT, HBAR
 from spinlev.pulses import SequenceKind, carr_purcell2, custom, hahn_echo, ramsey
 from spinlev.sensing import (
     UnboundedCouplingError,
-    backaction_occupation,
     cooling_factor,
     force_sensitivity,
     force_sql,
@@ -46,16 +46,25 @@ class TestCoolingFactor:
         with pytest.raises(ValueError):
             cooling_factor(0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("name", ["gamma_c", "t_c"])
+    def test_argument_outside_domain_rejected_by_name(self, name, bad):
+        # only the product was tested: NaN returned nan
+        args = {"gamma_c": 1e3, "t_c": 1e-4, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {bad!r}$"):
+            cooling_factor(**args)
+
+    def test_two_negatives_rejected(self):
+        # their product is positive, and xi came back as 9.5
+        with pytest.raises(ValueError, match="^gamma_c must be finite and > 0"):
+            cooling_factor(-1e3, -1e-4)
+
     @given(x=st.floats(0.01, 10.0), scale=st.floats(1.01, 5.0))
     def test_monotone_decreasing(self, x, scale):
         assert cooling_factor(scale * x, 1.0) < cooling_factor(x, 1.0)
 
 
 class TestNoiseToSignal:
-    def test_backaction_occupation(self):
-        assert backaction_occupation(0.0, 3.0) == 0.0
-        assert backaction_occupation(2.0, 1.0) == 2.0
-
     def test_projection_only(self):
         assert noise_to_signal(2.0, 0.0, 1.0, 4.0, 0.0) == pytest.approx(
             1 / (4 * 4.0 * 4.0), rel=1e-14)
@@ -106,6 +115,12 @@ class TestThermalDephasing:
         v_kernel = thermal_phase_variance(ramsey(tau), g, omega, noq)
         assert v_kernel == pytest.approx(
             bath_deltas(lam, noq, omega, tau).dvar_sx / 4, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_bath_rejected(self, bad):
+        # NaN failed the sign test and returned nan, inf returned inf
+        with pytest.raises(ValueError, match=f"^nbar_over_q must be finite and >= 0, got {bad!r}$"):
+            thermal_phase_variance(hahn_echo(1.0), 0.5, 1.0, bad)
 
 
 class TestForceSql:
@@ -273,7 +288,7 @@ class TestSensitivitySweep:
 
     @pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
     def test_sweep_with_explicit_coupling(self, seq):
-        p = self.REF.with_(n_spins=3, nbar=None, temperature=0.0)
+        p = dataclasses.replace(self.REF, n_spins=3, nbar=None, temperature=0.0)
         sweep = sensitivity_spectrum(p, seq, self.NUS, coupling=2.5e3).points
         for nu, sp in zip(self.NUS, sweep):
             eta, terms = _pointwise_point(p, seq, nu, coupling=2.5e3)
@@ -290,10 +305,10 @@ class TestSensitivitySweep:
             force_sensitivity(self.REF, seq, bad)
 
     def test_infinite_thermal_variance_raises(self):
-        p = self.REF.with_(quality_factor=1e-300)  # nbar/Q = 1e306
+        p = dataclasses.replace(self.REF, quality_factor=1e-300)  # nbar/Q = 1e306
         with pytest.raises(ValueError, match="thermal phase variance is not finite"):
             sensitivity_spectrum(p, carr_purcell2(1e-4), [2 * math.pi * 10.0])
-        spec = sensitivity_spectrum(p.with_(nbar=0.0), carr_purcell2(1e-4), [2 * math.pi * 10.0])
+        spec = sensitivity_spectrum(dataclasses.replace(p, nbar=0.0), carr_purcell2(1e-4), [2 * math.pi * 10.0])
         assert math.isfinite(spec.eta[0])
 
 
@@ -311,7 +326,7 @@ class TestForceSqlZero:
 class TestUnderflowingCoolingFactor:
     def test_zero_xi_is_unbounded(self):
         # xi = e^(-1e303) underflows to 0: no backaction, so g* is unbounded
-        p = params_from_dict(REFERENCE_DEVICE).with_(cooling_time=1e300)
+        p = dataclasses.replace(params_from_dict(REFERENCE_DEVICE), cooling_time=1e300)
         xi = cooling_factor(p.cooling_rate, p.cooling_time)
         assert xi == 0.0
         with pytest.raises(UnboundedCouplingError, match="xi"):
