@@ -326,14 +326,14 @@ def moments_from_state(state: JointState) -> witness.MomentRecord:
     return _record_from_raw((sx, sy, mq, mp, mq2, mp2, mqp, syq, syp, szq, szp), sz)
 
 
-def _branch_raw_moments(alphas: np.ndarray, g: float, omega: float, t: float) -> np.ndarray:
-    """Raw per-alpha moments of the pulseless entangled state, closed form.
+def _branch_raw_moments(alphas: np.ndarray, g: float, omega: float, seq: PulseSequence) -> np.ndarray:
+    """Raw per-alpha moments of the two-branch state at the end of seq, closed form.
 
     Returns an (n, 11) array, one row (sx, sy, q, p, q2, p2, qp_sym, syq,
     syp, szq, szp) of raw (uncentered) expectation values of sigma-level
     operators per initial coherent amplitude in alphas.
     """
-    seq, alphas = pulses.ramsey(t), np.asarray(alphas, dtype=complex)
+    alphas = np.asarray(alphas, dtype=complex)
     th0, g0 = dynamics.branch_states(seq, g, omega, +1, alphas)[2][-1]
     th1, g1 = dynamics.branch_states(seq, g, omega, -1, alphas)[2][-1]
     phase = np.exp(1j * (th0 - th1))
@@ -376,29 +376,33 @@ class MomentEstimate:
 
 def witness_moments(
     natural: NaturalParams,
-    t: float,
+    seq: PulseSequence,
     cfg: OracleConfig = OracleConfig(),
     *,
     nbar: Optional[float] = None,
     coefficients: Optional[witness.WitnessCoefficients] = None,
 ) -> MomentEstimate:
-    """Witness moments of the pulseless evolution at time t.
+    """Witness moments of the two-branch state at the end of seq.
 
     nbar None or 0 uses exact truncated-Fock evolution of the vacuum start;
     nbar > 0 draws Glauber-P coherent samples (alpha ~ CN(0, nbar)) and
     averages the exact per-sample branch moments, with batched standard
     errors for the assembled witness value from the means of
-    max(2, min(20, n // 10)) batches of the n samples (20 from n = 200 on);
-    it raises ValueError for fewer samples than batches.
+    max(2, min(20, n // 10)) batches of the n samples (20 from n = 200 on).
+    Raises ValueError for a non-finite or negative nbar or fewer samples than batches.
     """
+    if not (nbar is None or math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar!r}")
     g, omega = natural.g, natural.omega
     lam = natural.lam
     if coefficients is None:
         coefficients = witness.halfperiod_coefficients(lam, 0.0 if not nbar else nbar)
     if not nbar:
-        seq = pulses.ramsey(t)
-        amax = (abs(2 * g / omega) + 1) ** 2
-        n_max = max(cfg.n_max, suggested_n_max(amax))
+        # on a piece of coefficient c from gamma_k, gamma circles -c/omega, so
+        # |gamma| <= |c/omega| + |gamma_k + c/omega| on both force-free branches
+        paths = [dynamics.branch_states(seq, g, omega, sign, 0j)[1:] for sign in (1, -1)]
+        b = max(abs(ck / omega) + abs(gk + ck / omega) for c, states in paths for ck, (_, gk) in zip(c, states))
+        n_max = max(cfg.n_max, suggested_n_max((b + 1) ** 2))
         st = evolve(initial_state(0j, n_max), natural, seq, None, replace(cfg, n_max=n_max))
         rec = moments_from_state(st)
         return MomentEstimate(rec, witness.witness_value(rec, coefficients), 0.0)
@@ -409,16 +413,12 @@ def witness_moments(
         raise ValueError(f"n_trajectories must be >= {n_batches} for a sampled witness, got {n}")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     draws = rng.normal(size=(n, 2)) * math.sqrt(nbar / 2.0)
-    raw = _branch_raw_moments(draws[:, 0] + 1j * draws[:, 1], g, omega, t)
-
-    batches = np.array_split(np.arange(n), n_batches)
-    w_vals = []
-    for idx in batches:
-        w_vals.append(_assemble_wen(raw[idx].mean(axis=0), coefficients))
-    w_en = _assemble_wen(raw.mean(axis=0), coefficients)
-    w_se = float(np.std(w_vals, ddof=1) / math.sqrt(len(w_vals)))
+    raw = _branch_raw_moments(draws[:, 0] + 1j * draws[:, 1], g, omega, seq)
+    w_vals = [witness.witness_value(_record_from_raw(batch.mean(axis=0)), coefficients)
+              for batch in np.array_split(raw, n_batches)]
     rec = _record_from_raw(raw.mean(axis=0))
-    return MomentEstimate(rec, w_en, w_se)
+    w_se = float(np.std(w_vals, ddof=1) / math.sqrt(len(w_vals)))
+    return MomentEstimate(rec, witness.witness_value(rec, coefficients), w_se)
 
 
 def _record_from_raw(m, sz: float = 0.0) -> witness.MomentRecord:
@@ -441,10 +441,6 @@ def _record_from_raw(m, sz: float = 0.0) -> witness.MomentRecord:
         cov_szq=szq / 2 - (sz / 2) * q,
         cov_szp=szp / 2 - (sz / 2) * p,
     )
-
-
-def _assemble_wen(raw_mean, c: witness.WitnessCoefficients) -> float:
-    return witness.witness_value(_record_from_raw(raw_mean), c)
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,10 @@ def noise_to_signal(
     thermal_var: float = 0.0,
 ):
     """(1/(4 N_s) + N_s Dn^2 xi + V_th) / phi^2 for a scalar or an array of phi;
-    inf where phi = 0."""
+    inf where phi^2 is 0, also when it underflows."""
     noise = 1.0 / (4 * n_spins) + n_spins * delta_n ** 2 * xi + thermal_var
-    if np.ndim(phi_per_f):
-        with np.errstate(divide="ignore"):
-            return noise / (phi_per_f * phi_per_f)
-    return math.inf if phi_per_f == 0.0 else noise / (phi_per_f * phi_per_f)
+    with np.errstate(divide="ignore"):
+        return noise / np.square(phi_per_f)
 
 
 def thermal_phase_variance(seq: PulseSequence, g: float, omega: float, nbar_over_q: float) -> float:

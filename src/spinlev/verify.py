@@ -103,12 +103,13 @@ def check_witness_identity(seed):
 def check_witness_oracle(seed):
     lam, omega = 0.5, 1.0
     g = lam * omega / 2
-    est = oracle.witness_moments(_nat(g, omega), math.pi / omega)
+    seq = pulses.ramsey(math.pi / omega)
+    est = oracle.witness_moments(_nat(g, omega), seq)
     pure_diff = abs(est.w_en - witness.thermal_wen(lam, 0.0, omega, math.pi / omega))
     worst_z = 0.0
     for nb in (0.5, 1.0, 2.0):
         cfg = oracle.OracleConfig(n_trajectories=10000, seed=seed)
-        mc = oracle.witness_moments(_nat(g, omega, nb), math.pi / omega, cfg, nbar=nb,
+        mc = oracle.witness_moments(_nat(g, omega, nb), seq, cfg, nbar=nb,
                                     coefficients=witness.halfperiod_coefficients(lam, nb))
         closed = witness.thermal_wen(lam, nb, omega, math.pi / omega)
         worst_z = max(worst_z, abs(mc.w_en - closed) / mc.w_en_se)

@@ -103,9 +103,17 @@ def _require_nonnegative(x, name: str) -> None:
         raise ValueError(f"{name} must be >= 0")
 
 
+def _finite(name: str, value, **inputs):
+    """value, or ValueError naming the inputs when a value in it is not finite."""
+    if not all(map(math.isfinite, vars(value).values() if isinstance(value, MomentRecord) else (value,))):
+        raise ValueError(f"{name} is not finite at " + ", ".join(f"{k} = {v!r}" for k, v in inputs.items()))
+    return value
+
+
 def noiseless_moments(lam: float, nbar: float, omega: float, omega_l: float, t: float) -> MomentRecord:
     """Exact moments of the conditionally displaced thermal state at time t."""
-    return _moments(lam, nbar, omega, omega_l, t, math)
+    return _finite("noiseless_moments", _moments(lam, nbar, omega, omega_l, t, math),
+                   lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
 
 
 def _moments(lam, nbar, omega, omega_l, t, xp=np) -> MomentRecord:
@@ -198,12 +206,14 @@ def _coefficients(m: MomentRecord) -> _GridCoefficients:
 
 def thermal_wb(lam: float, nbar: float, omega: float, omega_l: float, t: float) -> float:
     """Separable bound with the optimal coefficients, in closed form."""
-    return float(_thermal(lam, nbar, omega, omega_l, t, math)[0])
+    return _finite("thermal_wb", float(_thermal(lam, nbar, omega, omega_l, t, math)[0]),
+                   lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
 
 
 def thermal_wen(lam: float, nbar: float, omega: float, t: float) -> float:
     """Witness value on the entangled state at the optimal coefficients."""
-    return float(_thermal(lam, nbar, omega, 0.0, t, math)[1])
+    return _finite("thermal_wen", float(_thermal(lam, nbar, omega, 0.0, t, math)[1]),
+                   lam=lam, nbar=nbar, omega=omega, t=t)
 
 
 def _thermal(lam, nbar, omega, omega_l, t, xp=np):

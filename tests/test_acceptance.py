@@ -18,7 +18,6 @@ parameters rather than against a fixed number:
     1e-23 level belongs to parameters the repository does not hold.
 """
 
-import cmath
 import json
 import math
 import subprocess
@@ -100,12 +99,13 @@ def test_criterion_05_witness_oracle_agreement():
     lam, omega = 0.5, 1.0
     g = lam * omega / 2
     t = math.pi / omega
-    est = oracle.witness_moments(nat(g, omega), t)
+    seq = pulses.ramsey(t)
+    est = oracle.witness_moments(nat(g, omega), seq)
     assert abs(est.w_en - witness.thermal_wen(lam, 0.0, omega, t)) <= 1e-8
     for nbar in (0.5, 1.0, 2.0):
         cfg = oracle.OracleConfig(n_trajectories=10000, seed=SEED)
         mc = oracle.witness_moments(
-            nat(g, omega, nbar), t, cfg, nbar=nbar,
+            nat(g, omega, nbar), seq, cfg, nbar=nbar,
             coefficients=witness.halfperiod_coefficients(lam, nbar))
         closed = witness.thermal_wen(lam, nbar, omega, t)
         assert abs(mc.w_en - closed) <= 3 * mc.w_en_se, nbar
@@ -130,43 +130,18 @@ def test_criterion_06_bath_monte_carlo():
     assert time.monotonic() - start < 600.0
 
 
-def _branch_raw_moments(state):
-    """Raw moments (sigma_x, sigma_y, q, p, q^2, p^2, qp + pq, sigma_y q,
-    sigma_y p, sigma_z q, sigma_z p) of a two-branch coherent state, in the
-    order oracle._record_from_raw reads them."""
-    g0, g1 = state.branch0.alpha, state.branch1.alpha
-    z = cmath.exp(1j * state.relative_phase) * state.overlap()
-    r2 = math.sqrt(2)
-
-    def quad(gam):
-        x, y = r2 * gam.real, r2 * gam.imag
-        return np.array([x, y, x * x + 0.5, y * y + 0.5, 2 * x * y])
-
-    diag = (quad(g0) + quad(g1)) / 2
-    diff = (quad(g0) - quad(g1)) / 2
-    q_cross = (g0 + g1.conjugate()) / r2
-    p_cross = (g0 - g1.conjugate()) / (1j * r2)
-    return np.array([z.real, -z.imag, *diag,
-                     -(z * q_cross).imag, -(z * p_cross).imag, diff[0], diff[1]])
-
-
 def exact_echo_violation(g, omega, tau, nbar, n_nodes=40):
     """W_b - W_en at the end of the exact one-pulse echo, thermal start.
 
     The thermal state is the Glauber-P mixture of coherent starts
-    alpha ~ CN(0, nbar); each start is evolved exactly by
-    dynamics.evolve_state and the raw moments are averaged with an
-    n_nodes x n_nodes Gauss-Hermite rule.
+    alpha ~ CN(0, nbar). oracle._branch_raw_moments steps all the nodes of
+    an n_nodes x n_nodes Gauss-Hermite rule through the echo exactly in one
+    call, and the rule's weights average their raw moments.
     """
-    seq = pulses.hahn_echo(tau)
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-    scale = math.sqrt(nbar)
-    raw = np.zeros(11)
-    for x, wx in zip(nodes, weights):
-        for y, wy in zip(nodes, weights):
-            state = dynamics.evolve_state(seq, g, omega, complex(scale * x, scale * y))
-            raw += wx * wy * _branch_raw_moments(state)
-    m = oracle._record_from_raw(raw / math.pi)
+    alphas = math.sqrt(nbar) * (nodes[:, None] + 1j * nodes[None, :])
+    raw = oracle._branch_raw_moments(alphas.ravel(), g, omega, pulses.hahn_echo(tau))
+    m = oracle._record_from_raw(np.outer(weights, weights).ravel() @ raw / math.pi)
     c = witness.optimize_coefficients(m)
     return witness.separable_bound(c) - witness.witness_value(m, c)
 

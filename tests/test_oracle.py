@@ -482,7 +482,7 @@ class TestRealPropagator:
 
 class TestWitnessMoments:
     def test_product_state_cross_moments_vanish(self):
-        est = witness_moments(nat(0.0, 1.0), 1.0)
+        est = witness_moments(nat(0.0, 1.0), ramsey(1.0))
         m = est.record
         for field in ("cov_syq", "cov_syp", "cov_szq", "cov_szp"):
             assert getattr(m, field) == pytest.approx(0.0, abs=1e-12)
@@ -490,7 +490,7 @@ class TestWitnessMoments:
     def test_pure_wen_matches_closed_form(self):
         omega = 1.0
         for lam, t in [(0.5, math.pi), (0.3, 1.1), (1.0, math.pi)]:
-            est = witness_moments(nat(lam * omega / 2, omega), t)
+            est = witness_moments(nat(lam * omega / 2, omega), ramsey(t))
             m = est.record
             c = witness.optimize_coefficients(m)
             assert witness.witness_value(m, c) == pytest.approx(
@@ -499,32 +499,52 @@ class TestWitnessMoments:
     def test_thermal_wen_within_errorbars(self):
         omega, lam, t = 1.0, 0.5, math.pi
         cfg = OracleConfig(seed=20250826, n_trajectories=10000)
-        est = witness_moments(nat(lam * omega / 2, omega), t, cfg, nbar=1.0)
+        est = witness_moments(nat(lam * omega / 2, omega), ramsey(t), cfg, nbar=1.0)
         closed = witness.thermal_wen(lam, 1.0, omega, t)
         coeff = witness.halfperiod_coefficients(lam, 1.0)
-        est2 = witness_moments(nat(lam * omega / 2, omega), t, cfg, nbar=1.0,
+        est2 = witness_moments(nat(lam * omega / 2, omega), ramsey(t), cfg, nbar=1.0,
                                coefficients=coeff)
         assert abs(est2.w_en - closed) < 3 * est2.w_en_se
 
     def test_too_few_samples_for_the_batches_rejected(self):
         # one sample left the second of two batches empty: w_en_se was NaN
         with pytest.raises(ValueError, match="n_trajectories must be >= 2"):
-            witness_moments(nat(0.25, 1.0), math.pi, OracleConfig(n_trajectories=1, seed=1), nbar=1.0)
-        est = witness_moments(nat(0.25, 1.0), math.pi, OracleConfig(n_trajectories=2, seed=1), nbar=1.0)
+            witness_moments(nat(0.25, 1.0), ramsey(math.pi), OracleConfig(n_trajectories=1, seed=1), nbar=1.0)
+        est = witness_moments(nat(0.25, 1.0), ramsey(math.pi), OracleConfig(n_trajectories=2, seed=1), nbar=1.0)
         assert math.isfinite(est.w_en_se)
 
     def test_standard_error_below_200_samples_from_more_than_two_batches(self):
         # two batch means (one degree of freedom) gave w_en_se from 3.1e-5 to
         # 0.018 over these seeds, against a true spread of w_en of 0.0089
-        se = [witness_moments(nat(0.25, 1.0), math.pi, OracleConfig(seed=seed, n_trajectories=199),
+        se = [witness_moments(nat(0.25, 1.0), ramsey(math.pi), OracleConfig(seed=seed, n_trajectories=199),
                               nbar=1.0).w_en_se for seed in range(1, 61)]
         assert min(se) > 2e-3
 
     def test_seed_determinism(self):
         cfg = OracleConfig(seed=11, n_trajectories=500)
-        a = witness_moments(nat(0.25, 1.0), 1.0, cfg, nbar=0.5)
-        b = witness_moments(nat(0.25, 1.0), 1.0, cfg, nbar=0.5)
+        a = witness_moments(nat(0.25, 1.0), ramsey(1.0), cfg, nbar=0.5)
+        b = witness_moments(nat(0.25, 1.0), ramsey(1.0), cfg, nbar=0.5)
         assert a.record == b.record
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -1.0])
+    def test_nbar_outside_domain_rejected_by_name(self, nbar):
+        # NaN raised "b_y must be finite", inf "alpha must be finite" after a
+        # RuntimeWarning, and -1 with explicit coefficients "math domain error"
+        coeff = witness.halfperiod_coefficients(0.5, 1.0)
+        with pytest.raises(ValueError, match=r"^nbar must be finite and >= 0, got "):
+            witness_moments(nat(0.25, 1.0), ramsey(math.pi), OracleConfig(n_trajectories=100), nbar=nbar,
+                            coefficients=coeff)
+
+    @pytest.mark.parametrize("seq", [hahn_echo(2 * math.pi), carr_purcell2(2 * math.pi), OFF_GRID],
+                             ids=["hahn_echo", "carr_purcell2", "custom"])
+    def test_fock_route_matches_branch_moments_of_pulsed_sequences(self, seq):
+        # at g/omega = 2, omega tau = 2 pi the cutoff (|2g/omega| + 1)^2 raised
+        # CutoffError for echo and CP2; the bound from the branch states does not
+        omega = 2 * math.pi / seq.total_time
+        est = witness_moments(nat(2 * omega, omega), seq)
+        ref = oracle._record_from_raw(oracle._branch_raw_moments([0j], 2 * omega, omega, seq)[0])
+        for field in dataclasses.fields(ref):
+            assert getattr(est.record, field.name) == pytest.approx(getattr(ref, field.name), abs=1e-8), field.name
 
 
 class TestThermalTrajectories:
@@ -835,24 +855,26 @@ class TestLinearResponseEstimator:
 
 
 class TestVectorisedRawMoments:
-    def test_matches_per_alpha_evolve_state(self):
+    @pytest.mark.parametrize("seq", [ramsey(math.pi), ramsey(0.7), hahn_echo(2.0), carr_purcell2(2.0), OFF_GRID],
+                             ids=["ramsey_pi", "ramsey_0.7", "hahn_echo", "carr_purcell2", "custom"])
+    @pytest.mark.parametrize("g, omega", [(0.25, 1.0), (1.3, 2.0)])
+    def test_matches_per_alpha_evolve_state(self, seq, g, omega):
         rng = np.random.default_rng(11)
         alphas = rng.uniform(0.0, 5.0, 500) * np.exp(2j * math.pi * rng.uniform(size=500))
         r2 = math.sqrt(2)
-        for g, omega, t in ((0.25, 1.0, math.pi), (1.3, 2.0, 0.7)):
-            raw = oracle._branch_raw_moments(alphas, g, omega, t)
-            assert raw.shape == (500, 11)
-            for row, al in zip(raw, alphas):
-                st = dynamics.evolve_state(ramsey(t), g, omega, complex(al))
-                g0, g1 = st.branch0.alpha, st.branch1.alpha
-                z = cmath.exp(1j * st.relative_phase) * st.overlap()
-                q0, p0, q1, p1 = r2 * g0.real, r2 * g0.imag, r2 * g1.real, r2 * g1.imag
-                qc, pc = (g0 + g1.conjugate()) / r2, (g0 - g1.conjugate()) / (1j * r2)
-                expect = [z.real, -z.imag, (q0 + q1) / 2, (p0 + p1) / 2,
-                          (q0 * q0 + q1 * q1 + 1) / 2, (p0 * p0 + p1 * p1 + 1) / 2,
-                          q0 * p0 + q1 * p1, -(z * qc).imag, -(z * pc).imag,
-                          (q0 - q1) / 2, (p0 - p1) / 2]
-                assert np.max(np.abs(row - expect)) <= 1e-12
+        raw = oracle._branch_raw_moments(alphas, g, omega, seq)
+        assert raw.shape == (500, 11)
+        for row, al in zip(raw, alphas):
+            st = dynamics.evolve_state(seq, g, omega, complex(al))
+            g0, g1 = st.branch0.alpha, st.branch1.alpha
+            z = cmath.exp(1j * st.relative_phase) * st.overlap()
+            q0, p0, q1, p1 = r2 * g0.real, r2 * g0.imag, r2 * g1.real, r2 * g1.imag
+            qc, pc = (g0 + g1.conjugate()) / r2, (g0 - g1.conjugate()) / (1j * r2)
+            expect = [z.real, -z.imag, (q0 + q1) / 2, (p0 + p1) / 2,
+                      (q0 * q0 + q1 * q1 + 1) / 2, (p0 * p0 + p1 * p1 + 1) / 2,
+                      q0 * p0 + q1 * p1, -(z * qc).imag, -(z * pc).imag,
+                      (q0 - q1) / 2, (p0 - p1) / 2]
+            assert np.max(np.abs(row - expect)) <= 1e-12
 
 
 def test_import_leaves_scipy_unloaded(tmp_path, child_env):

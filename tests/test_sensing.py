@@ -74,8 +74,10 @@ class TestNoiseToSignal:
         assert noise_to_signal(phi, dn, xi, 1.0, 0.0) == pytest.approx(
             (0.25 + dn**2 * xi) / phi**2, rel=1e-14)
 
-    def test_zero_phase_is_infinite(self):
-        assert math.isinf(noise_to_signal(0.0, 0.1, 1.0, 1.0, 0.0))
+    @pytest.mark.parametrize("phi", [0.0, 1e-200])
+    def test_zero_phase_is_infinite(self, phi):
+        # phi^2 underflows to 0 at 1e-200, where the scalar path raised ZeroDivisionError
+        assert math.isinf(noise_to_signal(phi, 0.1, 1.0, 1.0, 0.0))
 
     def test_balance_at_optimal_coupling(self):
         omega, tau, xi, n = 1.0, 0.31, 0.8, 7.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,20 @@ class TestCoefficientValidation:
         # the one-point function raises, as optimize_coefficients does
         with pytest.raises(ValueError, match="^a_y must be finite$"):
             bath_witness(lam, nbar, 1e-3, 1.0, 0.0, 1.0, initial)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: thermal_wen(1e200, 0.0, 1.0, 1.0),
+         "thermal_wen is not finite at lam = 1e+200, nbar = 0.0, omega = 1.0, t = 1.0"),
+        (lambda: noiseless_moments(1e-200, 1e308, 1.0, 0.0, 1.0),
+         "noiseless_moments is not finite at lam = 1e-200, nbar = 1e+308, omega = 1.0, omega_l = 0.0, t = 1.0"),
+        (lambda: thermal_wb(math.inf, 0.0, 1.0, 0.0, 1.0),
+         "thermal_wb is not finite at lam = inf, nbar = 0.0, omega = 1.0, omega_l = 0.0, t = 1.0"),
+    ], ids=["thermal_wen", "noiseless_moments", "thermal_wb"])
+    def test_nonfinite_one_point_closed_forms_raise_naming_inputs(self, call, message):
+        # thermal_wen returned nan and noiseless_moments inf variances without a word;
+        # the grid kernels keep NaN, which violation_scan reports per grid point
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_fields_of_unequal_shapes(self):
         # tested one by one, as before they were tested together
