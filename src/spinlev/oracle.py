@@ -374,6 +374,13 @@ class MomentEstimate:
     w_en_se: float  # Monte Carlo standard error (0 for pure states)
 
 
+def _max_branch_amplitude(seq: PulseSequence, g: float, omega: float, force=None) -> float:
+    """Largest |gamma| either branch reaches from the vacuum: on a piece of coefficient c
+    from gamma_k, gamma circles -c/omega, so |gamma| <= |c/omega| + |gamma_k + c/omega|."""
+    paths = [dynamics.branch_states(seq, g, omega, sign, 0j, force)[1:] for sign in (1, -1)]
+    return max(abs(ck / omega) + abs(gk + ck / omega) for c, states in paths for ck, (_, gk) in zip(c, states))
+
+
 def witness_moments(
     natural: NaturalParams,
     seq: PulseSequence,
@@ -389,22 +396,18 @@ def witness_moments(
     averages the exact per-sample branch moments, with batched standard
     errors for the assembled witness value from the means of
     max(2, min(20, n // 10)) batches of the n samples (20 from n = 200 on).
+    coefficients None takes the Ramsey half-period ones (t = pi/omega); for
+    other sequences pass them, e.g. witness.optimize_coefficients(est.record).
     Raises ValueError for a non-finite or negative nbar or fewer samples than batches.
     """
     if not (nbar is None or math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"nbar must be finite and >= 0, got {nbar!r}")
     g, omega = natural.g, natural.omega
-    lam = natural.lam
     if coefficients is None:
-        coefficients = witness.halfperiod_coefficients(lam, 0.0 if not nbar else nbar)
+        coefficients = witness.halfperiod_coefficients(natural.lam, nbar or 0.0)
     if not nbar:
-        # on a piece of coefficient c from gamma_k, gamma circles -c/omega, so
-        # |gamma| <= |c/omega| + |gamma_k + c/omega| on both force-free branches
-        paths = [dynamics.branch_states(seq, g, omega, sign, 0j)[1:] for sign in (1, -1)]
-        b = max(abs(ck / omega) + abs(gk + ck / omega) for c, states in paths for ck, (_, gk) in zip(c, states))
-        n_max = max(cfg.n_max, suggested_n_max((b + 1) ** 2))
-        st = evolve(initial_state(0j, n_max), natural, seq, None, replace(cfg, n_max=n_max))
-        rec = moments_from_state(st)
+        n_max = max(cfg.n_max, suggested_n_max((_max_branch_amplitude(seq, g, omega) + 1) ** 2))
+        rec = moments_from_state(evolve(initial_state(0j, n_max), natural, seq, None, replace(cfg, n_max=n_max)))
         return MomentEstimate(rec, witness.witness_value(rec, coefficients), 0.0)
 
     n = cfg.n_trajectories

@@ -103,17 +103,17 @@ def _require_nonnegative(x, name: str) -> None:
         raise ValueError(f"{name} must be >= 0")
 
 
-def _finite(name: str, value, **inputs):
-    """value, or ValueError naming the inputs when a value in it is not finite."""
-    if not all(map(math.isfinite, vars(value).values() if isinstance(value, MomentRecord) else (value,))):
+def _finite(name: str, values, **inputs) -> None:
+    """ValueError naming the inputs when one of values is not finite."""
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} is not finite at " + ", ".join(f"{k} = {v!r}" for k, v in inputs.items()))
-    return value
 
 
 def noiseless_moments(lam: float, nbar: float, omega: float, omega_l: float, t: float) -> MomentRecord:
     """Exact moments of the conditionally displaced thermal state at time t."""
-    return _finite("noiseless_moments", _moments(lam, nbar, omega, omega_l, t, math),
-                   lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
+    m = _moments(lam, nbar, omega, omega_l, t, math)
+    _finite("noiseless_moments", vars(m).values(), lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
+    return m
 
 
 def _moments(lam, nbar, omega, omega_l, t, xp=np) -> MomentRecord:
@@ -206,14 +206,16 @@ def _coefficients(m: MomentRecord) -> _GridCoefficients:
 
 def thermal_wb(lam: float, nbar: float, omega: float, omega_l: float, t: float) -> float:
     """Separable bound with the optimal coefficients, in closed form."""
-    return _finite("thermal_wb", float(_thermal(lam, nbar, omega, omega_l, t, math)[0]),
-                   lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
+    w_b = float(_thermal(lam, nbar, omega, omega_l, t, math)[0])
+    _finite("thermal_wb", (w_b,), lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
+    return w_b
 
 
 def thermal_wen(lam: float, nbar: float, omega: float, t: float) -> float:
     """Witness value on the entangled state at the optimal coefficients."""
-    return _finite("thermal_wen", float(_thermal(lam, nbar, omega, 0.0, t, math)[1]),
-                   lam=lam, nbar=nbar, omega=omega, t=t)
+    w_en = float(_thermal(lam, nbar, omega, 0.0, t, math)[1])
+    _finite("thermal_wen", (w_en,), lam=lam, nbar=nbar, omega=omega, t=t)
+    return w_en
 
 
 def _thermal(lam, nbar, omega, omega_l, t, xp=np):

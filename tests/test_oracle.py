@@ -326,16 +326,8 @@ def piece_loop_evolve(state, natural, seq, force=None):
 
 
 def _max_alpha_sq(seq, g, omega, force):
-    """Largest |gamma|^2 either branch reaches: on a piece with coupling c,
-    gamma(t) = (gamma_a + c/omega) e^{-i omega t} - c/omega."""
-    worst = 0.0
-    for spin in (1, -1):
-        theta, gam = 0.0, 0j
-        for a, b, k, f in zip(*(x.tolist() for x in pulses.pieces(seq, force))):
-            c = spin * (-1) ** k * g - f
-            worst = max(worst, (abs(gam + c / omega) + abs(c / omega)) ** 2)
-            theta, gam = dynamics.segment_step(theta, gam, c, omega, b - a)
-    return worst
+    """Largest |gamma|^2 either branch reaches."""
+    return oracle._max_branch_amplitude(seq, g, omega, force) ** 2
 
 
 @st.composite
