@@ -33,8 +33,7 @@ import numpy as np
 
 from . import dynamics, pulses, sensing, verify, witness
 from .pulses import SequenceKind
-from .units import (_JSON_KEYS, REFERENCE_DEVICE, ParameterError, json_number, params_from_dict,
-                    to_natural)
+from .units import DEVICE_KEYS, REFERENCE_DEVICE, ParameterError, json_number, params_from_dict, to_natural
 
 FLOAT_FMT = "%.16e"
 
@@ -234,12 +233,8 @@ def _emit(header, columns, fmt, out):
 
 
 # Config keys each subcommand reads; any other key exits 2, so a typo cannot
-# silently fall back to a default. params_from_dict reads _JSON_KEYS plus
-# the frequency keys.
-_SENSITIVITY_KEYS = frozenset(_JSON_KEYS) | {
-    "freq_hz", "cooling_rate_hz", "larmor_hz",
-    "tau_s", "sequences", "nu_min_hz", "nu_max_hz", "n_points",
-}
+# silently fall back to a default.
+_SENSITIVITY_KEYS = DEVICE_KEYS | {"tau_s", "sequences", "nu_min_hz", "nu_max_hz", "n_points"}
 _WITNESS_KEYS = frozenset({
     "mode", "sweep", "freq_hz", "grid", "lam", "g_over_omega", "larmor_hz",
     "tau_s", "nbar", "nbar_over_q", "initial",

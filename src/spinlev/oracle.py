@@ -24,7 +24,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -47,21 +47,21 @@ class ResolutionError(RuntimeError):
     or a force grid too coarse for the noise fidelity."""
 
 
+_N_MAX_FLOOR = 64  # the smallest cutoff witness_moments evolves in
+_TAIL_TOLERANCE = 1e-8  # the top-4 Fock population JointState.check allows
+
+
 @dataclass(frozen=True)
 class OracleConfig:
-    n_max: int = 64
+    """The Monte Carlo routes' Philox seed and sample count."""
+
     seed: int = 0
     n_trajectories: int = 1000
-    tail_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
         # a Philox key; numpy would truncate a float seed without a word
         if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**128):
             raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
-        if self.n_max < 4:
-            raise ValueError("n_max must be >= 4")
-        if not 0 < self.tail_tolerance <= 1e-6:
-            raise ValueError("tail_tolerance must be in (0, 1e-6]")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
 
@@ -86,13 +86,13 @@ class JointState:
         top = self.coeff[:, -4:].ravel("K")
         return float(np.vdot(top, top).real), abs(self.norm() - 1.0)
 
-    def check(self, tail_tolerance: float) -> None:
+    def check(self) -> None:
         # check the tail first: truncation loss also shows up as norm drift,
         # and the actionable advice then is a larger n_max
         tail, drift = self.margins()
-        if tail >= tail_tolerance:
+        if tail >= _TAIL_TOLERANCE:
             raise CutoffError(
-                f"top-4 Fock population {tail:.3e} >= {tail_tolerance:.1e}; increase n_max"
+                f"top-4 Fock population {tail:.3e} >= {_TAIL_TOLERANCE:.1e}; increase n_max"
             )
         if drift > 1e-10:
             raise ResolutionError(f"norm drifted by {drift!r} from 1")
@@ -187,13 +187,7 @@ def _rotate(re: np.ndarray, flips, evecs: np.ndarray, phase: np.ndarray) -> None
         np.multiply(v, _MINUS_ONE, out=v)
 
 
-def evolve(
-    state: JointState,
-    natural: NaturalParams,
-    seq: PulseSequence,
-    force=None,
-    cfg: OracleConfig = OracleConfig(),
-) -> JointState:
+def evolve(state: JointState, natural: NaturalParams, seq: PulseSequence, force=None) -> JointState:
     """Truncated-Fock evolution under H = g sigma_z x + omega n - f(t) x.
 
     force is None or a piecewise-constant (times, values) series, checked by
@@ -266,7 +260,7 @@ def evolve(
                 evals_k, evecs = forced[abs(k)]
                 _rotate(half, (v,) if k < 0 else (), evecs, np.exp(-1j * omega * evals_k * d)[:, None])
         if check:
-            view.check(cfg.tail_tolerance)
+            view.check()
     product_s = time.perf_counter() - t1
     result = JointState(np.ascontiguousarray(psi.T))
     if _log.isEnabledFor(logging.DEBUG):
@@ -296,34 +290,37 @@ def branch_fidelity(closed: EntangledState, oracle: JointState) -> float:
 # Witness moments
 
 
-def _osc_ops(n_max: int):
-    n = n_max + 1
-    a = np.diag(np.sqrt(np.arange(1, n)), 1)
-    q = (a + a.T) / math.sqrt(2)
-    p = (a - a.T) / (1j * math.sqrt(2))
-    return q, p
-
-
 def moments_from_state(state: JointState) -> witness.MomentRecord:
-    """Exact witness moments of a joint pure state."""
-    c0, c1 = state.coeff
-    q, p = _osc_ops(state.n_max)
+    """Exact witness moments of a joint pure state.
+
+    a|c> and a^dag|c> of each spin column c are its sqrt(n)-weighted shifts
+    in the truncated basis, which give q|c> = (a + a^dag)|c>/sqrt2 and
+    p|c> = (a - a^dag)|c>/(i sqrt2). q and p are Hermitian there, so every
+    second moment is an overlap of two such vectors: <r r'> = <r c|r' c>.
+    """
+    c = state.coeff
+    root = np.sqrt(np.arange(1, c.shape[1]))
+    down = np.zeros_like(c)  # a|c>
+    down[:, :-1] = root * c[:, 1:]
+    up = np.zeros_like(c)  # a^dag|c>
+    up[:, 1:] = root * c[:, :-1]
+    q = (down + up) / math.sqrt(2)
+    p = (down - up) / (1j * math.sqrt(2))
+    (c0, c1), (q0, q1), (p0, p1) = c, q, p
     # sigma_x expectation = 2 Re <c1|c0>; S_x = sigma_x / 2
-    sx = 2 * float(np.real(np.vdot(c1, c0)))
-    sy = -2 * float(np.imag(np.vdot(c1, c0)))
+    overlap = np.vdot(c1, c0)
+    sx, sy = 2 * float(overlap.real), -2 * float(overlap.imag)
     sz = float(np.vdot(c0, c0).real - np.vdot(c1, c1).real)
-    mq = float(np.real(np.vdot(c0, q @ c0) + np.vdot(c1, q @ c1)))
-    mp = float(np.real(np.vdot(c0, p @ c0) + np.vdot(c1, p @ c1)))
-    mq2 = float(np.real(np.vdot(c0, q @ q @ c0) + np.vdot(c1, q @ q @ c1)))
-    mp2 = float(np.real(np.vdot(c0, p @ p @ c0) + np.vdot(c1, p @ p @ c1)))
-    qp = q @ p + p @ q
-    mqp = float(np.real(np.vdot(c0, qp @ c0) + np.vdot(c1, qp @ c1)))
+    mq0, mq1 = np.vdot(c0, q0).real, np.vdot(c1, q1).real  # <q> of each spin column
+    mp0, mp1 = np.vdot(c0, p0).real, np.vdot(c1, p1).real
     # sigma_y r cross moments: <sigma_y r> = -2 Im <c1| r |c0>
-    syq = -2 * float(np.imag(np.vdot(c1, q @ c0)))
-    syp = -2 * float(np.imag(np.vdot(c1, p @ c0)))
-    szq = float(np.real(np.vdot(c0, q @ c0) - np.vdot(c1, q @ c1)))
-    szp = float(np.real(np.vdot(c0, p @ c0) - np.vdot(c1, p @ c1)))
-    return _record_from_raw((sx, sy, mq, mp, mq2, mp2, mqp, syq, syp, szq, szp), sz)
+    syq = -2 * float(np.vdot(c1, q0).imag)
+    syp = -2 * float(np.vdot(c1, p0).imag)
+    # np.vdot flattens, so these sum over both spin columns
+    mq2, mp2 = float(np.vdot(q, q).real), float(np.vdot(p, p).real)
+    mqp = 2 * float(np.vdot(q, p).real)  # <qp + pq> = 2 Re <qc|pc>
+    return _record_from_raw((sx, sy, float(mq0 + mq1), float(mp0 + mp1), mq2, mp2, mqp, syq, syp,
+                             float(mq0 - mq1), float(mp0 - mp1)), sz)
 
 
 def _branch_raw_moments(alphas: np.ndarray, g: float, omega: float, seq: PulseSequence) -> np.ndarray:
@@ -406,8 +403,8 @@ def witness_moments(
     if coefficients is None:
         coefficients = witness.halfperiod_coefficients(natural.lam, nbar or 0.0)
     if not nbar:
-        n_max = max(cfg.n_max, suggested_n_max((_max_branch_amplitude(seq, g, omega) + 1) ** 2))
-        rec = moments_from_state(evolve(initial_state(0j, n_max), natural, seq, None, replace(cfg, n_max=n_max)))
+        n_max = max(_N_MAX_FLOOR, suggested_n_max((_max_branch_amplitude(seq, g, omega) + 1) ** 2))
+        rec = moments_from_state(evolve(initial_state(0j, n_max), natural, seq))
         return MomentEstimate(rec, witness.witness_value(rec, coefficients), 0.0)
 
     n = cfg.n_trajectories
@@ -452,30 +449,15 @@ def _record_from_raw(m, sz: float = 0.0) -> witness.MomentRecord:
 
 @dataclass(frozen=True)
 class BathStatistics:
-    """Empirical bath-induced moment shifts with standard errors."""
+    """Empirical bath-induced moment shifts with their standard errors."""
 
-    dvar_sx: float
-    dq2: float
-    dp2: float
-    dqp: float
-    dsyq: float
-    dsyp: float
-    se_dvar_sx: float
-    se_dq2: float
-    se_dp2: float
-    se_dqp: float
-    se_dsyq: float
-    se_dsyp: float
+    estimate: witness.BathDeltas
+    standard_error: witness.BathDeltas
 
     def as_pairs(self):
-        return (
-            ("dvar_sx", self.dvar_sx, self.se_dvar_sx),
-            ("dq2", self.dq2, self.se_dq2),
-            ("dp2", self.dp2, self.se_dp2),
-            ("dqp", self.dqp, self.se_dqp),
-            ("dsyq", self.dsyq, self.se_dsyq),
-            ("dsyp", self.dsyp, self.se_dsyp),
-        )
+        """(name, estimate, standard error) per statistic, in BathDeltas' field order."""
+        return tuple((f.name, getattr(self.estimate, f.name), getattr(self.standard_error, f.name))
+                     for f in fields(witness.BathDeltas))
 
 
 def _force_weights(seq: PulseSequence, g: float, omega: float, n_steps: int) -> np.ndarray:
@@ -639,7 +621,7 @@ def thermal_trajectories_batch(
         ])
         mean = per_traj.mean(axis=0)
         se = per_traj.std(axis=0, ddof=1) / math.sqrt(n)
-        out.append(BathStatistics(*mean, *se))
+        out.append(BathStatistics(witness.BathDeltas(*mean), witness.BathDeltas(*se)))
     return out
 
 
@@ -653,8 +635,8 @@ def bath_covariance(natural: NaturalParams, seq: PulseSequence, nbar_over_q: flo
     """
     w = _scaled_weights(natural, seq, nbar_over_q)
     c = w.T @ w  # var_f W^T W over (Phi, Q, P)
-    return BathStatistics(c[0, 0] / 4, c[1, 1], c[2, 2], 2 * c[1, 2], c[0, 1], c[0, 2],
-                          0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return BathStatistics(witness.BathDeltas(c[0, 0] / 4, c[1, 1], c[2, 2], 2 * c[1, 2], c[0, 1], c[0, 2]),
+                          witness.BathDeltas(*(0.0,) * 6))
 
 
 # ---------------------------------------------------------------------------

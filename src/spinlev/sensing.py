@@ -74,8 +74,15 @@ def noise_to_signal(
     thermal_var: float = 0.0,
 ):
     """(1/(4 N_s) + N_s Dn^2 xi + V_th) / phi^2 for a scalar or an array of phi;
-    inf where phi^2 is 0, also when it underflows."""
-    noise = 1.0 / (4 * n_spins) + n_spins * delta_n ** 2 * xi + thermal_var
+    inf where phi^2 is 0, also when it underflows. Raises ValueError naming
+    the inputs when the numerator is not finite."""
+    try:
+        noise = 1.0 / (4 * n_spins) + n_spins * delta_n ** 2 * xi + thermal_var
+    except OverflowError:  # a Python float Dn^2 past the float range
+        noise = math.inf
+    if not math.isfinite(noise):
+        raise ValueError(f"noise numerator is not finite at delta_n = {delta_n!r}, xi = {xi!r}, "
+                         f"n_spins = {n_spins!r}, thermal_var = {thermal_var!r}")
     with np.errstate(divide="ignore"):
         return noise / np.square(phi_per_f)
 

@@ -148,6 +148,8 @@ _JSON_KEYS = {
     "nbar": "nbar",
     "cooling_time_s": "cooling_time",
 }
+# Every key params_from_dict reads: _JSON_KEYS and the keys it converts itself.
+DEVICE_KEYS = frozenset(_JSON_KEYS) | {"freq_hz", "cooling_rate_hz", "larmor_hz"}
 
 
 def json_number(value, key: str) -> float:

@@ -270,6 +270,8 @@ def bath_deltas(lam: float, nbar_over_q: float, omega: float, t: float) -> BathD
 def _deltas(lam, nbar_over_q, omega, t, xp=np) -> BathDeltas:
     """bath_deltas, broadcasting over arrays of lam and t when xp is numpy."""
     _require_nonnegative(nbar_over_q, "nbar_over_q")
+    if not math.isfinite(nbar_over_q):
+        raise ValueError(f"nbar_over_q must be finite and >= 0, got {nbar_over_q!r}")
     th = omega * t
     k = nbar_over_q
     r2 = math.sqrt(2)

@@ -155,6 +155,14 @@ class TestSensitivityCommand:
         assert code == 2
         assert repr(key) in err and out == ""
 
+    def test_unknown_key_names_every_key_read(self, tmp_path, capsys):
+        code, _, err, _ = run_config(tmp_path, capsys, "sensitivity", {"bogus": 1.0})
+        assert code == 2
+        assert err.endswith(
+            "unknown config key(s) 'bogus'; this subcommand reads cooling_rate_hz, cooling_time_s, freq_hz, "
+            "gamma_e_rad_per_s_t, gradient_t_per_m, larmor_hz, mass_kg, n_points, n_spins, nbar, nu_max_hz, "
+            "nu_min_hz, q_factor, sequences, tau_s, temperature_k\n")
+
     def test_rows_do_not_depend_on_the_coupling_keys(self, tmp_path, capsys):
         # eta is evaluated at the balance coupling g*, so the gradient, gamma_e
         # and Larmor keys that set g leave every row as it is

@@ -74,6 +74,20 @@ class TestNoiseToSignal:
         assert noise_to_signal(phi, dn, xi, 1.0, 0.0) == pytest.approx(
             (0.25 + dn**2 * xi) / phi**2, rel=1e-14)
 
+    @pytest.mark.parametrize("delta_n,xi,thermal_var", [(1e200, 1.0, 0.0), (1e154, 1e300, 0.0),
+                                                        (math.inf, 1.0, 0.0), (0.3, math.nan, 0.0),
+                                                        (0.3, 1.0, math.inf)])
+    def test_non_finite_numerator_rejected_naming_inputs(self, delta_n, xi, thermal_var):
+        # 1e200 raised OverflowError from the float delta_n ** 2; the others returned inf or nan
+        with pytest.raises(ValueError, match=r"^noise numerator is not finite at delta_n = .*, xi = .*, "
+                                             r"n_spins = 1\.0, thermal_var = "):
+            noise_to_signal(1.0, delta_n, xi, 1.0, thermal_var)
+
+    @pytest.mark.parametrize("phi,dn,xi,n,v", [(0.5, 0.3, 2.0, 1.0, 0.0), (3.7e-7, 1e150, 1e-10, 3.0, 1e-3),
+                                               (2.0, 0.1, 0.25, 1e6, 0.7)])
+    def test_finite_numerator_keeps_its_bits(self, phi, dn, xi, n, v):
+        assert noise_to_signal(phi, dn, xi, n, v) == (1.0 / (4 * n) + n * dn ** 2 * xi + v) / np.square(phi)
+
     @pytest.mark.parametrize("phi", [0.0, 1e-200])
     def test_zero_phase_is_infinite(self, phi):
         # phi^2 underflows to 0 at 1e-200, where the scalar path raised ZeroDivisionError

@@ -146,6 +146,12 @@ class TestParamsFromDict:
         with pytest.raises(ParameterError, match=key):
             params_from_dict(d)
 
+    @pytest.mark.parametrize("key", sorted(units.DEVICE_KEYS))
+    def test_every_device_key_is_read(self, key):
+        d = {"mass_kg": 1e-15, "freq_hz": 1e3, key: "1"}
+        with pytest.raises(ParameterError, match=f"^{key} must be a number"):
+            params_from_dict(d)
+
     def test_integral_n_spins_is_an_int(self):
         p = params_from_dict({"mass_kg": 1e-15, "freq_hz": 1e3, "gradient_t_per_m": 1e5,
                               "n_spins": 3.0})

@@ -213,6 +213,17 @@ class TestBathDeltas:
         assert d.dqp == pytest.approx(0.0, abs=1e-12)
         assert d.dvar_sx == pytest.approx(0.5 * lam**2 * noq * 12 * math.pi, rel=1e-12)
 
+    @pytest.mark.parametrize("noq", [math.inf, math.nan])
+    def test_non_finite_bath_strength_rejected_by_name(self, noq):
+        # inf gave +-inf fields and nan gave nan fields
+        with pytest.raises(ValueError, match=r"^nbar_over_q must be finite and >= 0, got (inf|nan)$"):
+            bath_deltas(0.5, noq, 1.0, 1.0)
+
+    @pytest.mark.parametrize("noq", [-0.1, -math.inf])
+    def test_negative_bath_strength_keeps_its_message(self, noq):
+        with pytest.raises(ValueError, match=r"^nbar_over_q must be >= 0$"):
+            bath_deltas(0.5, noq, 1.0, 1.0)
+
     def test_linearity_in_bath_strength(self):
         a = bath_deltas(0.5, 1e-3, 1.0, 1.3)
         b = bath_deltas(0.5, 1.0, 1.0, 1.3)
