@@ -19,13 +19,16 @@ Three independent checks back the closed forms elsewhere in the package:
 from __future__ import annotations
 
 import cmath
+import importlib.machinery
+import importlib.util
 import logging
 import math
 import numbers
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -133,6 +136,58 @@ def initial_state(alpha: complex, n_max: int) -> JointState:
     return JointState(c)
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_path() -> Optional[str]:
+    """The file of scipy's LAPACK extension module, found without importing
+    scipy; None when scipy or the file is missing."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec.submodule_search_locations or ()) if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+@cache
+def _dstevd():
+    """scipy.linalg.lapack.dstevd, without the scipy.linalg package import
+    (about 0.3 s of a cold start on a 2-vCPU machine).
+
+    It is an attribute of the extension module scipy.linalg._flapack, reused
+    when already imported and otherwise loaded from its file on its own: the
+    same binary, so every result is the same bit for bit. The public import
+    is the fallback when the file is missing or does not load on its own.
+    One DEBUG record on the "spinlev.oracle" logger names the way taken
+    (record attribute dstevd_route: "sys.modules", "file" or "public").
+    """
+    module, route, source = sys.modules.get(_FLAPACK), "sys.modules", _FLAPACK
+    if module is None and (path := _flapack_path()) is not None:
+        loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+        try:
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+            loader.exec_module(module)
+        except ImportError:  # e.g. a library only the package import puts on the search path
+            module = None
+        else:
+            route, source = "file", path
+            # CPython files a single-phase extension in sys.modules; a later
+            # import of scipy.linalg binds it to the package only if it loads
+            # it itself (from the same binary)
+            if sys.modules.get(_FLAPACK) is module:
+                del sys.modules[_FLAPACK]
+    if module is None:
+        from scipy.linalg.lapack import dstevd
+
+        route, source = "public", "scipy.linalg.lapack"
+    else:
+        dstevd = module.dstevd
+    _log.debug("dstevd by %s from %s", route, source, extra={"dstevd_route": route})
+    return dstevd
+
+
 @lru_cache(maxsize=128)
 def _sector_eigensystem(n_max: int, kappa: float):
     """Eigendecomposition of n_hat + kappa x for kappa >= 0 (kappa = c/omega).
@@ -149,15 +204,13 @@ def _sector_eigensystem(n_max: int, kappa: float):
     dstevd returns NaN for it without an error, and LinAlgError when dstevd
     fails.
     """
-    from scipy.linalg.lapack import dstevd  # lazy: only the oracle needs scipy
-
     # dstevd takes at least one off-diagonal entry, unread for a 1 x 1 matrix
     top = max(n_max, 1)
     if not math.isfinite(kappa * math.sqrt(top)):  # the off-diagonal entry of largest magnitude
         raise ValueError(f"coupling kappa = {kappa!r} gives a non-finite tridiagonal at n_max = {n_max}")
     diag = np.arange(n_max + 1, dtype=float)
     off = kappa * np.sqrt(np.arange(1, top + 1))
-    evals, evecs, info = dstevd(diag, off)
+    evals, evecs, info = _dstevd()(diag, off)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstevd failed for kappa = {kappa!r}, n_max = {n_max}: info = {info}")
     return evals, evecs

@@ -31,7 +31,7 @@ import numpy as np
 from . import pulses
 from .constants import HBAR, KB
 from .pulses import PulseSequence
-from .units import PhysicalParams, to_natural
+from .units import PhysicalParams, _finite_nonnegative, _finite_positive, to_natural
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,30 @@ class SensitivityPoint:
 
 def cooling_factor(gamma_c: float, t_c: float) -> float:
     """xi = e^{-gamma_c t_c} / (1 - e^{-gamma_c t_c}) for finite gamma_c, t_c > 0."""
-    for name, value in (("gamma_c", gamma_c), ("t_c", t_c)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    _finite_positive("gamma_c", gamma_c)
+    _finite_positive("t_c", t_c)
     x = gamma_c * t_c
     if x <= 0:
         raise ValueError("gamma_c * t_c must be > 0 (xi diverges)")
     if x > 700.0:  # expm1 would overflow; xi is exp(-x) to double precision
         return math.exp(-x)
     return 1.0 / math.expm1(x)
+
+
+def _noise_budget(phi_per_f, delta_n: float, xi: float, n_spins: float, thermal_var: float):
+    """(NSR, 1/(4 N_s), N_s Dn^2 xi): noise_to_signal and the two noise terms
+    it is built from, each formed once."""
+    projection = 1.0 / (4 * n_spins)
+    try:
+        backaction = n_spins * delta_n ** 2 * xi
+    except OverflowError:  # a Python float Dn^2 past the float range
+        backaction = math.inf
+    noise = projection + backaction + thermal_var
+    if not math.isfinite(noise):
+        raise ValueError(f"noise numerator is not finite at delta_n = {delta_n!r}, xi = {xi!r}, "
+                         f"n_spins = {n_spins!r}, thermal_var = {thermal_var!r}")
+    with np.errstate(divide="ignore"):
+        return noise / np.square(phi_per_f), projection, backaction
 
 
 def noise_to_signal(
@@ -76,15 +91,7 @@ def noise_to_signal(
     """(1/(4 N_s) + N_s Dn^2 xi + V_th) / phi^2 for a scalar or an array of phi;
     inf where phi^2 is 0, also when it underflows. Raises ValueError naming
     the inputs when the numerator is not finite."""
-    try:
-        noise = 1.0 / (4 * n_spins) + n_spins * delta_n ** 2 * xi + thermal_var
-    except OverflowError:  # a Python float Dn^2 past the float range
-        noise = math.inf
-    if not math.isfinite(noise):
-        raise ValueError(f"noise numerator is not finite at delta_n = {delta_n!r}, xi = {xi!r}, "
-                         f"n_spins = {n_spins!r}, thermal_var = {thermal_var!r}")
-    with np.errstate(divide="ignore"):
-        return noise / np.square(phi_per_f)
+    return _noise_budget(phi_per_f, delta_n, xi, n_spins, thermal_var)[0]
 
 
 def thermal_phase_variance(seq: PulseSequence, g: float, omega: float, nbar_over_q: float) -> float:
@@ -95,8 +102,7 @@ def thermal_phase_variance(seq: PulseSequence, g: float, omega: float, nbar_over
     quarter of witness.bath_deltas(...).dvar_sx: the observable relative branch
     phase is Phi = -4 phi, and the spin variance grows by Var(Phi)/4 = 4 Var(phi).
     """
-    if not (nbar_over_q >= 0 and math.isfinite(nbar_over_q)):
-        raise ValueError(f"nbar_over_q must be finite and >= 0, got {nbar_over_q!r}")
+    _finite_nonnegative("nbar_over_q", nbar_over_q)
     return 2 * omega * nbar_over_q * pulses.kernel_l2(seq, g, omega)
 
 
@@ -145,19 +151,30 @@ def optimal_coupling(kind, omega: float, tau: float, xi: float, n_spins: float =
     return _balance_coupling(pulses.make_sequence(kind, tau), omega, xi, n_spins)
 
 
+def _positive_args(**args: float) -> None:
+    for name, value in args.items():
+        _finite_positive(name, value)
+
+
 def projection_limit_eta(mass: float, omega: float, gradient: float, t2_star: float, gamma_e: float) -> float:
-    """Spin-projection-limited sensitivity 2 m w^2 / (gamma_e dB sqrt(T2*))."""
+    """Spin-projection-limited sensitivity 2 m w^2 / (gamma_e dB sqrt(T2*));
+    every argument finite and > 0."""
+    _positive_args(mass=mass, omega=omega, gradient=gradient, t2_star=t2_star, gamma_e=gamma_e)
     return 2 * mass * omega ** 2 / (gamma_e * gradient * math.sqrt(t2_star))
 
 
 def thermal_limit_eta(mass: float, omega: float, q_factor: float, temperature: float) -> float:
-    """Thermal force noise floor sqrt(4 m (w/Q) k_B T)."""
+    """Thermal force noise floor sqrt(4 m (w/Q) k_B T); T finite and >= 0,
+    every other argument finite and > 0."""
+    _positive_args(mass=mass, omega=omega, q_factor=q_factor)
+    _finite_nonnegative("temperature", temperature)
     return math.sqrt(4 * mass * (omega / q_factor) * KB * temperature)
 
 
 def sql_gradient(mass: float, t_between: float, tau_precess: float, n_spins: float, gamma_e: float) -> float:
     """Optimal gradient at the position SQL: 1 / (gamma_e tau sqrt(N_s) dx_SQL),
-    dx_SQL = sqrt(hbar t / m)."""
+    dx_SQL = sqrt(hbar t / m); every argument finite and > 0."""
+    _positive_args(mass=mass, t_between=t_between, tau_precess=tau_precess, n_spins=n_spins, gamma_e=gamma_e)
     dx = math.sqrt(HBAR * t_between / mass)
     return 1.0 / (gamma_e * tau_precess * math.sqrt(n_spins) * dx)
 
@@ -215,10 +232,9 @@ def sensitivity_spectrum(
     nus = np.array(nus, dtype=float).reshape(-1)
     response = pulses.spectral_response(seq, g, omega, nus)
     phi_per_f = np.hypot(response.real, response.imag)  # abs() of each complex, to the bit
-    nsr = noise_to_signal(phi_per_f, delta_n, xi, params.n_spins, v_th)
+    nsr, projection_var, backaction_var = _noise_budget(phi_per_f, delta_n, xi, params.n_spins, v_th)
     eta = np.sqrt(nsr * (tau + params.cooling_time)) * HBAR / nat.x0
-    return SensitivitySpectrum(nus, eta, phi_per_f, 1.0 / (4 * params.n_spins),
-                               params.n_spins * delta_n ** 2 * xi, v_th)
+    return SensitivitySpectrum(nus, eta, phi_per_f, projection_var, backaction_var, v_th)
 
 
 def force_sensitivity(
@@ -236,8 +252,11 @@ def squeezed_rotation(n_spins: float, zeta: float):
     """Squeezing-readout rotation angle and spin shot-noise reduction factor.
 
     Returns (theta, factor) with theta = -arctan(4/kappa + kappa/2) and
-    factor = 1/sqrt(1 + (kappa/4)^2), kappa = N_s zeta.
+    factor = 1/sqrt(1 + (kappa/4)^2), kappa = N_s zeta, for N_s finite and
+    > 0 and zeta finite and >= 0.
     """
+    _finite_positive("n_spins", n_spins)
+    _finite_nonnegative("zeta", zeta)
     kappa = n_spins * zeta
     if abs(kappa) > math.sqrt(n_spins):
         warnings.warn(

@@ -31,6 +31,10 @@ def _finite_positive(name: str, value: float) -> None:
     _require(math.isfinite(value) and value > 0, f"{name} must be finite and > 0, got {value!r}")
 
 
+def _finite_nonnegative(name: str, value: float) -> None:
+    _require(math.isfinite(value) and value >= 0, f"{name} must be finite and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Laboratory-unit description of the device.
@@ -85,20 +89,29 @@ class NaturalParams:
 
     def __post_init__(self) -> None:
         _finite_positive("omega", self.omega)
-        _require(math.isfinite(self.g) and self.g >= 0, f"g must be finite and >= 0, got {self.g!r}")
+        _finite_nonnegative("g", self.g)
 
 
 def nbar_from_temperature(temperature: float, omega: float) -> float:
-    """Bose occupation 1/(exp(hbar omega / k_b T) - 1); returns 0 at T = 0."""
-    _require(math.isfinite(temperature) and temperature >= 0,
-             f"temperature must be finite and >= 0, got {temperature!r}")
+    """Bose occupation 1/(exp(hbar omega / k_b T) - 1); returns 0 at T = 0.
+
+    Raises ParameterError when the occupation overflows (k_b T / hbar omega
+    beyond the float range)."""
+    _finite_nonnegative("temperature", temperature)
     _finite_positive("omega", omega)
     if temperature == 0.0:
         return 0.0
-    x = HBAR * omega / (KB * temperature)
+    energy, thermal = HBAR * omega, KB * temperature
+    if energy > 0.0 and thermal > 0.0:
+        x = energy / thermal
+    else:  # a product underflows to 0; the two ratios keep x
+        x = (HBAR / KB) * (omega / temperature)
     if x > 700.0:  # expm1 would overflow; occupation is exp(-x) to double precision
         return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    nbar = 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    _require(math.isfinite(nbar), f"occupation nbar overflows at temperature {temperature!r} K, "
+                                  f"omega {omega!r} rad/s")
+    return nbar
 
 
 def oscillator_length(mass: float, omega: float) -> float:

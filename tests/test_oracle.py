@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import logging
 import math
+import os
 import subprocess
 import sys
 
@@ -429,12 +430,10 @@ class TestRealPropagator:
     def test_non_finite_coupling_rejected_before_lapack(self, n_max, kappa, monkeypatch):
         # dstevd returns NaN for an infinite off-diagonal without an error;
         # 1e308 sqrt(8) overflows although kappa is finite
-        import scipy.linalg.lapack
-
         def no_lapack(*args, **kwargs):
             raise AssertionError("dstevd was called")
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", no_lapack)
+        monkeypatch.setattr(oracle, "_dstevd", lambda: no_lapack)
         with pytest.raises(ValueError, match=r"coupling kappa = .* gives a non-finite tridiagonal"):
             oracle._sector_eigensystem.__wrapped__(n_max, kappa)
 
@@ -467,6 +466,60 @@ class TestRealPropagator:
         oracle._sector_eigensystem.cache_clear()
         evolve(initial_state(0, 40), nat(0.9, 1.0), carr_purcell2(2.0))
         assert oracle._sector_eigensystem.cache_info().misses == 1
+
+
+class TestDstevdLoader:
+    KAPPAS = (0.0, 0.7, 6.5)
+
+    @pytest.fixture(autouse=True)
+    def fresh_loader(self, monkeypatch):
+        # each test resolves dstevd anew, without the module scipy.linalg
+        # imported; later tests resolve it again
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        oracle._dstevd.cache_clear()
+        yield
+        oracle._dstevd.cache_clear()
+
+    def eigensystems(self):
+        return [oracle._sector_eigensystem.__wrapped__(n_max, kappa)
+                for n_max in (0, 64, 290) for kappa in self.KAPPAS]
+
+    def resolve(self, caplog):
+        """oracle._dstevd() and the route its one DEBUG record names."""
+        with caplog.at_level(logging.DEBUG, logger="spinlev.oracle"):
+            dstevd = oracle._dstevd()
+            oracle._dstevd()  # cached: no second record
+        (record,) = [r for r in caplog.records if r.name == "spinlev.oracle"]
+        assert record.levelno == logging.DEBUG and record.dstevd_route in record.getMessage()
+        return dstevd, record
+
+    def test_file_loaded_without_the_package(self, caplog):
+        dstevd, record = self.resolve(caplog)
+        path = oracle._flapack_path()
+        assert record.dstevd_route == "file" and path in record.getMessage()
+        assert os.path.basename(path).startswith("_flapack.")
+        assert "scipy.linalg._flapack" not in sys.modules  # left for the package to import
+
+    @pytest.mark.parametrize("probe", ["missing", "unloadable"])
+    def test_public_import_is_the_fallback(self, probe, monkeypatch, caplog, tmp_path):
+        direct = self.eigensystems()
+        oracle._dstevd.cache_clear()
+        fake = tmp_path / "_flapack.so"
+        fake.write_bytes(b"not a shared object")
+        monkeypatch.setattr(oracle, "_flapack_path", lambda: None if probe == "missing" else str(fake))
+        dstevd, record = self.resolve(caplog)
+        from scipy.linalg.lapack import dstevd as public
+
+        assert record.dstevd_route == "public" and dstevd is public
+        for (evals, evecs), (ref_evals, ref_evecs) in zip(self.eigensystems(), direct):
+            assert np.array_equal(evals, ref_evals) and np.array_equal(evecs, ref_evecs)
+
+    def test_imported_module_reused(self, monkeypatch, caplog):
+        import scipy.linalg.lapack
+
+        monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", scipy.linalg.lapack._flapack)
+        dstevd, record = self.resolve(caplog)
+        assert record.dstevd_route == "sys.modules" and dstevd is scipy.linalg.lapack.dstevd
 
 
 class TestWitnessMoments:
@@ -920,8 +973,28 @@ class TestVectorisedRawMoments:
             assert np.max(np.abs(row - expect)) <= 1e-12
 
 
+def test_verify_and_evolve_leave_scipy_linalg_unloaded(child_env):
+    # the oracle loads scipy's LAPACK extension on its own, not through the
+    # scipy.linalg package import; a later import of the package still works
+    # and runs the same dstevd
+    code = ("import sys, numpy as np\n"
+            "from spinlev import oracle, pulses, verify\n"
+            "from spinlev.units import NaturalParams\n"
+            "verify.run_checks()\n"
+            "natural = NaturalParams(g=0.9, omega=1.0, lam=1.8, nbar=0.0, gamma=1e-6, x0=1.0, larmor=0.0)\n"
+            "oracle.evolve(oracle.initial_state(0.3j, 60), natural, pulses.carr_purcell2(2.0))\n"
+            "print('scipy' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+            "import scipy.linalg\n"
+            "diag, off = np.arange(291.0), 0.7 * np.sqrt(np.arange(1.0, 291.0))\n"
+            "got, ref = oracle._dstevd()(diag, off), scipy.linalg.lapack.dstevd(diag, off)\n"
+            "print(all(np.array_equal(a, b) for a, b in zip(got, ref)), hasattr(scipy.linalg, '_flapack'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True", "True"]
+
+
 def test_import_leaves_scipy_unloaded(tmp_path, child_env):
-    # scipy is imported by the oracle's eigensolver on first use, so the
+    # scipy's LAPACK is loaded by the oracle's eigensolver on first use, so the
     # closed-form subcommands do not pay for it, at import or when they run
     code = ("import os, sys, spinlev, spinlev.cli\n"
             "for command in ('sensitivity', 'witness', 'table', 'trajectory'):\n"

@@ -187,6 +187,31 @@ class TestAnchors:
         quad_t = sql_gradient(n_spins=1, **{**args, "t_between": 4 * 300e-6})
         assert quad_t == pytest.approx(base / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("name,bad", [("gradient", 0.0), ("gradient", -1e4), ("mass", math.nan),
+                                          ("omega", math.inf), ("t2_star", 0.0), ("gamma_e", -1.0)])
+    def test_projection_limit_rejects_each_argument_by_name(self, name, bad):
+        # gradient = 0 raised ZeroDivisionError
+        args = dict(mass=1e-12, omega=2 * math.pi * 1e6, gradient=1e4, t2_star=1e-6, gamma_e=GAMMA_E_DEFAULT)
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {bad!r}$"):
+            projection_limit_eta(**{**args, name: bad})
+
+    @pytest.mark.parametrize("name,bad", [("temperature", math.nan), ("temperature", -1.0),
+                                          ("temperature", math.inf), ("mass", 0.0), ("q_factor", math.nan)])
+    def test_thermal_limit_rejects_each_argument_by_name(self, name, bad):
+        # temperature = nan returned nan
+        args = dict(mass=1e-14, omega=2 * math.pi * 100, q_factor=1e6, temperature=300.0)
+        bound = ">= 0" if name == "temperature" else "> 0"
+        with pytest.raises(ValueError, match=f"^{name} must be finite and {bound}, got {bad!r}$"):
+            thermal_limit_eta(**{**args, name: bad})
+
+    @pytest.mark.parametrize("name,bad", [("mass", 0.0), ("tau_precess", 0.0), ("t_between", 0.0),
+                                          ("n_spins", math.nan), ("gamma_e", math.inf)])
+    def test_sql_gradient_rejects_each_argument_by_name(self, name, bad):
+        # mass = 0 and tau_precess = 0 raised ZeroDivisionError
+        args = dict(mass=1.8e-15, t_between=300e-6, tau_precess=300e-6, n_spins=1.0, gamma_e=GAMMA_E_DEFAULT)
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {bad!r}$"):
+            sql_gradient(**{**args, name: bad})
+
 
 class TestForceSensitivity:
     def params(self, **kw):
@@ -251,6 +276,17 @@ class TestSqueezedRotation:
     def test_validity_warning(self):
         with pytest.warns(UserWarning):
             squeezed_rotation(4, 10.0)
+
+    @pytest.mark.parametrize("n_spins,zeta,message", [
+        (math.nan, 1.0, "n_spins must be finite and > 0, got nan"),
+        (0.0, 1.0, "n_spins must be finite and > 0, got 0.0"),
+        (4.0, math.nan, "zeta must be finite and >= 0, got nan"),
+        (4.0, -math.inf, "zeta must be finite and >= 0, got -inf"),
+    ])
+    def test_rejects_each_argument_by_name(self, n_spins, zeta, message):
+        # squeezed_rotation(nan, 1.0) returned (nan, nan)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            squeezed_rotation(n_spins, zeta)
 
 
 def _pointwise_point(params, seq, nu, coupling=None):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -105,6 +106,26 @@ class TestNbarFromTemperature:
     def test_monotone_in_t_and_omega(self, t, scale, omega):
         assert nbar_from_temperature(scale * t, omega) > nbar_from_temperature(t, omega)
         assert nbar_from_temperature(t, scale * omega) < nbar_from_temperature(t, omega)
+
+    def test_underflowing_energy_keeps_the_ratio(self):
+        # hbar omega underflows to 0 at omega = 1e-300; nbar depends on T/omega only
+        assert nbar_from_temperature(1e-300, 1e-300) == nbar_from_temperature(1.0, 1.0)
+        assert nbar_from_temperature(1e-300, 1e-300) == pytest.approx(KB / HBAR - 0.5, rel=1e-12)
+
+    def test_underflowing_thermal_energy_gives_zero(self):
+        # k_b T underflows to 0 at T = 1e-310; hbar omega / k_b T is far past 700
+        assert nbar_from_temperature(1e-310, 1.0) == 0.0
+
+    @pytest.mark.parametrize("temperature,omega", [(1e100, 1e-200), (1e300, 1e-300)])
+    def test_overflowing_occupation_rejected(self, temperature, omega):
+        # k_b T / hbar omega is beyond the float range: 1/expm1(x) was inf or 1/0
+        with pytest.raises(ParameterError, match=re.escape(f"nbar overflows at temperature {temperature!r} K")):
+            nbar_from_temperature(temperature, omega)
+
+    @given(t=st.floats(1e-30, 1e30), omega=st.floats(1e-30, 1e30))
+    def test_bits_unchanged_where_no_product_underflows(self, t, omega):
+        x = HBAR * omega / (KB * t)
+        assert nbar_from_temperature(t, omega) == (math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x))
 
 
 class TestOscillatorLength:
