@@ -149,8 +149,8 @@ def trajectory(
 ):
     """Sample (t, q, p) of one branch over [0, tau] with exact per-segment evolution.
 
-    The branch state is stored at each segment start; a sample at t takes one
-    step from the start of the last segment that begins before t.
+    Each sample takes one step from the start of the last piece of
+    branch_states that begins before it, all samples in one array pass.
     Quadratures are q = sqrt2 Re(gamma), p = sqrt2 Im(gamma). g, omega and
     alpha are checked as in branch_states.
     """
@@ -158,11 +158,19 @@ def trajectory(
         raise ValueError("n_samples must be >= 2")
     spin_sign = 1 - 2 * _branch_index(spin_branch, "spin_branch")
     t_b, c, states = branch_states(seq, g, omega, spin_sign, complex(alpha))
-    out = []
+    t_b, gamma = np.array(t_b), np.array([s[1] for s in states])
     ts = np.linspace(0.0, seq.total_time, n_samples)
-    for t, k in zip(ts.tolist(), np.searchsorted(t_b[:-1], ts).tolist()):  # k segments begin before t
-        gamma = states[0][1]
-        if k:
-            _, gamma = segment_step(*states[k - 1], c[k - 1], omega, min(t_b[k], t) - t_b[k - 1])
-        out.append((t, math.sqrt(2) * gamma.real, math.sqrt(2) * gamma.imag))
-    return out
+    k = np.searchsorted(t_b[:-1], ts)  # pieces that begin before each sample
+    stepped = k > 0
+    j = k[stepped] - 1  # the piece each stepped sample lies in
+    beta = np.array(c)[j] / omega
+    r = np.array([cmath.exp(-1j * omega * dt)
+                  for dt in (np.minimum(t_b[j + 1], ts[stepped]) - t_b[j]).tolist()])
+    # segment_step's (gamma + beta) r - beta, with the complex sum and product
+    # formed term by term as CPython forms them: numpy's complex multiply can
+    # fuse a multiply-add and round differently
+    x, y = gamma[j].real + beta, gamma[j].imag + 0.0
+    re, im = np.full(ts.shape, gamma[0].real), np.full(ts.shape, gamma[0].imag)  # alpha at t = 0
+    re[stepped] = (x * r.real - y * r.imag) - beta
+    im[stepped] = x * r.imag + y * r.real
+    return list(zip(ts.tolist(), (math.sqrt(2) * re).tolist(), (math.sqrt(2) * im).tolist()))

@@ -31,7 +31,7 @@ import numpy as np
 from . import pulses
 from .constants import HBAR, KB
 from .pulses import PulseSequence
-from .units import PhysicalParams, _finite_nonnegative, _finite_positive, to_natural
+from .units import PhysicalParams, _finite_nonnegative, _finite_positive, _require, to_natural
 
 
 @dataclass(frozen=True)
@@ -156,27 +156,48 @@ def _positive_args(**args: float) -> None:
         _finite_positive(name, value)
 
 
+def _in_range(name: str, formula, **args: float) -> float:
+    """formula(), a limit that is finite and > 0 at these checked arguments;
+    ParameterError naming them where its float value leaves the range: the
+    result or an intermediate overflows, or the result underflows to 0."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):  # float ** past the range, or a denominator underflowed to 0
+        value = math.inf
+    _require(0.0 < value < math.inf, f"{name} leaves the float range at "
+                                     + ", ".join(f"{k} = {v!r}" for k, v in args.items()))
+    return value
+
+
 def projection_limit_eta(mass: float, omega: float, gradient: float, t2_star: float, gamma_e: float) -> float:
     """Spin-projection-limited sensitivity 2 m w^2 / (gamma_e dB sqrt(T2*));
-    every argument finite and > 0."""
-    _positive_args(mass=mass, omega=omega, gradient=gradient, t2_star=t2_star, gamma_e=gamma_e)
-    return 2 * mass * omega ** 2 / (gamma_e * gradient * math.sqrt(t2_star))
+    every argument finite and > 0, and the result in the float range."""
+    args = dict(mass=mass, omega=omega, gradient=gradient, t2_star=t2_star, gamma_e=gamma_e)
+    _positive_args(**args)
+    return _in_range("projection_limit_eta",
+                     lambda: 2 * mass * omega ** 2 / (gamma_e * gradient * math.sqrt(t2_star)), **args)
 
 
 def thermal_limit_eta(mass: float, omega: float, q_factor: float, temperature: float) -> float:
     """Thermal force noise floor sqrt(4 m (w/Q) k_B T); T finite and >= 0,
-    every other argument finite and > 0."""
+    every other argument finite and > 0, and the result in the float range
+    (0 at T = 0)."""
     _positive_args(mass=mass, omega=omega, q_factor=q_factor)
     _finite_nonnegative("temperature", temperature)
-    return math.sqrt(4 * mass * (omega / q_factor) * KB * temperature)
+    if temperature == 0.0:
+        return 0.0
+    return _in_range("thermal_limit_eta", lambda: math.sqrt(4 * mass * (omega / q_factor) * KB * temperature),
+                     mass=mass, omega=omega, q_factor=q_factor, temperature=temperature)
 
 
 def sql_gradient(mass: float, t_between: float, tau_precess: float, n_spins: float, gamma_e: float) -> float:
     """Optimal gradient at the position SQL: 1 / (gamma_e tau sqrt(N_s) dx_SQL),
-    dx_SQL = sqrt(hbar t / m); every argument finite and > 0."""
-    _positive_args(mass=mass, t_between=t_between, tau_precess=tau_precess, n_spins=n_spins, gamma_e=gamma_e)
-    dx = math.sqrt(HBAR * t_between / mass)
-    return 1.0 / (gamma_e * tau_precess * math.sqrt(n_spins) * dx)
+    dx_SQL = sqrt(hbar t / m); every argument finite and > 0, and the result
+    in the float range."""
+    args = dict(mass=mass, t_between=t_between, tau_precess=tau_precess, n_spins=n_spins, gamma_e=gamma_e)
+    _positive_args(**args)
+    return _in_range("sql_gradient", lambda: 1.0 / (gamma_e * tau_precess * math.sqrt(n_spins)
+                                                     * math.sqrt(HBAR * t_between / mass)), **args)
 
 
 @dataclass(frozen=True)
@@ -253,16 +274,20 @@ def squeezed_rotation(n_spins: float, zeta: float):
 
     Returns (theta, factor) with theta = -arctan(4/kappa + kappa/2) and
     factor = 1/sqrt(1 + (kappa/4)^2), kappa = N_s zeta, for N_s finite and
-    > 0 and zeta finite and >= 0.
+    > 0 and zeta finite and >= 0; ParameterError where kappa overflows.
     """
     _finite_positive("n_spins", n_spins)
     _finite_nonnegative("zeta", zeta)
     kappa = n_spins * zeta
+    _require(math.isfinite(kappa), f"kappa = N_s zeta overflows at n_spins = {n_spins!r}, zeta = {zeta!r}")
     if abs(kappa) > math.sqrt(n_spins):
         warnings.warn(
             "N_s zeta exceeds sqrt(N_s); Gaussian squeezing treatment marginal",
             stacklevel=2,
         )
     theta = -math.pi / 2 if kappa == 0 else -math.atan(4.0 / kappa + kappa / 2.0)
-    factor = 1.0 / math.sqrt(1.0 + (kappa / 4.0) ** 2)
+    try:
+        factor = 1.0 / math.sqrt(1.0 + (kappa / 4.0) ** 2)
+    except OverflowError:  # (kappa/4)^2 past the float range, where 1 + (kappa/4)^2 rounds to it
+        factor = 4.0 / kappa
     return theta, factor

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .constants import GAMMA_E_DEFAULT, HBAR, KB
@@ -102,9 +103,9 @@ def nbar_from_temperature(temperature: float, omega: float) -> float:
     if temperature == 0.0:
         return 0.0
     energy, thermal = HBAR * omega, KB * temperature
-    if energy > 0.0 and thermal > 0.0:
+    if min(energy, thermal) >= sys.float_info.min:
         x = energy / thermal
-    else:  # a product underflows to 0; the two ratios keep x
+    else:  # a product underflows, to 0 or to a subnormal that lost digits; the two ratios keep x
         x = (HBAR / KB) * (omega / temperature)
     if x > 700.0:  # expm1 would overflow; occupation is exp(-x) to double precision
         return math.exp(-x)

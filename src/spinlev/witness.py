@@ -187,15 +187,20 @@ def _coefficients(m: MomentRecord) -> _GridCoefficients:
     The 2x2 systems are stacked, one LAPACK solve per grid point and spin
     component as in the one-point case, so each point's coefficients are
     bit-identical to solving that point alone. Raises
-    DegenerateMomentsError if the block is singular at any point.
+    DegenerateMomentsError if the block is singular at any point: its
+    eigenvalues (a + c)/2 -+ hypot((a - c)/2, b) are taken in closed form, and
+    np.linalg.eigh of the first singular block names the null direction.
+    An overflowed variance makes the small eigenvalue NaN (inf - inf), which
+    does not count as singular, as eigh's NaN eigenvalues did not.
     """
     var_q, cov_qp, var_p, syq, syp, szq, szp = np.broadcast_arrays(
         m.var_q, m.cov_qp, m.var_p, m.cov_syq, m.cov_syp, m.cov_szq, m.cov_szp)
     mat = np.stack([np.stack([var_q, cov_qp], -1), np.stack([cov_qp, var_p], -1)], -2)
-    evals, evecs = np.linalg.eigh(mat)
-    singular = evals[..., 0] <= 1e-14 * np.maximum(1.0, evals[..., -1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        mid, rad = (var_q + var_p) / 2, np.hypot((var_q - var_p) / 2, cov_qp)
+        singular = mid - rad <= 1e-14 * np.maximum(1.0, mid + rad)
     if np.any(singular):
-        null = evecs[singular][0][:, 0]
+        null = np.linalg.eigh(mat[singular][0])[1][:, 0]
         raise DegenerateMomentsError(
             f"quadrature covariance is singular along direction ({null[0]:+.4f} q, {null[1]:+.4f} p)"
         )
@@ -316,8 +321,8 @@ def _bath(lam, nbar, nbar_over_q, omega, omega_l, t, initial, xp=np):
     nbar_state = 0.0 if initial == "ground" else nbar
     m = _moments(lam, nbar_state, omega, omega_l, t, xp)
     c = _coefficients(m)
-    if xp is math:  # one point (bath_witness): non-finite coefficients raise, as in optimize_coefficients
-        c = WitnessCoefficients(*c)
+    if xp is math:  # one point (bath_witness): Python floats, checked as in optimize_coefficients
+        c = WitnessCoefficients(*map(float, c))
     d = _deltas(lam, nbar_over_q, omega, t, xp)
     w_en = witness_value(m, c) + (
         d.dvar_sx

@@ -274,6 +274,51 @@ class TestTrajectoryExact:
             assert got == _restepped_from_zero(seq, 1.3, 2.0, branch, n_samples, 0.2 - 0.1j)
 
 
+def _stepped_per_sample(seq, g, omega, spin_branch, n_samples, alpha):
+    """Trajectory samples by one segment_step call per sample from the piece
+    state of branch_states, the loop that trajectory's array pass replaced."""
+    t_b, c, states = dynamics.branch_states(seq, g, omega, 1 - 2 * spin_branch, complex(alpha))
+    out = []
+    ts = np.linspace(0.0, seq.total_time, n_samples)
+    for t, k in zip(ts.tolist(), np.searchsorted(t_b[:-1], ts).tolist()):  # k pieces begin before t
+        gamma = states[0][1]
+        if k:
+            _, gamma = dynamics.segment_step(*states[k - 1], c[k - 1], omega, min(t_b[k], t) - t_b[k - 1])
+        out.append((t, math.sqrt(2) * gamma.real, math.sqrt(2) * gamma.imag))
+    return out
+
+
+def _bits(rows):
+    """Rows of floats as hex strings, so -0.0 and 0.0 differ."""
+    return [tuple(x.hex() for x in row) for row in rows]
+
+
+@st.composite
+def _sampled_pulse_lists(draw):
+    """(sequence, n_samples): random pulse times in (0, tau), some of them on
+    sample times, so a sample can fall on a pulse edge as well as at tau."""
+    tau = draw(st.floats(1e-3, 50.0))
+    n_samples = draw(st.integers(2, 300))
+    inner = np.linspace(0.0, tau, n_samples).tolist()[1:-1]
+    on_samples = draw(st.lists(st.sampled_from(inner), max_size=4)) if inner else []
+    fractions = draw(st.lists(st.floats(1e-3, 1.0 - 1e-3), max_size=6))
+    return custom(tau, sorted({*on_samples, *(f * tau for f in fractions)})), n_samples
+
+
+class TestTrajectoryArrayPass:
+    @settings(max_examples=300, deadline=None)
+    @given(run=_sampled_pulse_lists(), g_over_omega=st.floats(-3.0, 3.0),
+           omega=st.floats(0.1, 1e3), branch=st.sampled_from([0, 1]),
+           re=st.floats(-3.0, 3.0), im=st.floats(-3.0, 3.0))
+    @example(run=(carr_purcell2(1.0), 9), g_over_omega=1.3, omega=2.0, branch=1, re=-0.0, im=-0.0)
+    def test_equals_per_sample_steps_bit_for_bit(self, run, g_over_omega, omega, branch, re, im):
+        seq, n_samples = run
+        g, alpha = g_over_omega * omega, complex(re, im)
+        got = trajectory(seq, g, omega, branch, n_samples, alpha)
+        assert _bits(got) == _bits(_stepped_per_sample(seq, g, omega, branch, n_samples, alpha))
+        assert got[-1][0] == seq.total_time
+
+
 class TestTrajectoryCoupling:
     """trajectory steps through branch_states; a bad g or omega raises the
     ValueError of branch_evolution instead of NaN rows or a ZeroDivisionError."""

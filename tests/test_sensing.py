@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from spinlev.sensing import (
     thermal_limit_eta,
     thermal_phase_variance,
 )
-from spinlev.units import REFERENCE_DEVICE, PhysicalParams, params_from_dict, to_natural
+from spinlev.units import REFERENCE_DEVICE, ParameterError, PhysicalParams, params_from_dict, to_natural
 from spinlev.witness import bath_deltas
 
 KINDS = [SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2]
@@ -212,6 +213,37 @@ class TestAnchors:
         with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {bad!r}$"):
             sql_gradient(**{**args, name: bad})
 
+    def test_overflowing_projection_limit_names_the_inputs(self):
+        # omega ** 2 raised OverflowError
+        with pytest.raises(ParameterError, match=re.escape(
+                "projection_limit_eta leaves the float range at mass = 1.0, omega = 1e+200, "
+                "gradient = 1.0, t2_star = 1.0, gamma_e = 1.0")):
+            projection_limit_eta(1.0, 1e200, 1.0, 1.0, 1.0)
+
+    def test_overflowing_thermal_limit_names_the_inputs(self):
+        # returned inf
+        with pytest.raises(ParameterError, match=re.escape(
+                "thermal_limit_eta leaves the float range at mass = 1e+300, omega = 1e+300, "
+                "q_factor = 1e-300, temperature = 1e+300")):
+            thermal_limit_eta(1e300, 1e300, 1e-300, 1e300)
+
+    def test_overflowing_sql_gradient_names_the_inputs(self):
+        # the denominator underflowed to 0: ZeroDivisionError
+        with pytest.raises(ParameterError, match=re.escape(
+                "sql_gradient leaves the float range at mass = 1e-300, t_between = 1e-300, "
+                "tau_precess = 1e-300, n_spins = 1e-300, gamma_e = 1e-300")):
+            sql_gradient(1e-300, 1e-300, 1e-300, 1e-300, 1e-300)
+
+    @pytest.mark.parametrize("call", [
+        lambda: projection_limit_eta(1e-300, 1e-200, 1.0, 1.0, 1.0),
+        lambda: thermal_limit_eta(1e-300, 1e-300, 1e300, 1e-300),
+        lambda: sql_gradient(1e300, 1e-300, 1e300, 1e300, 1e300),
+    ], ids=["projection", "thermal", "sql_gradient"])
+    def test_underflowing_limit_rejected(self, call):
+        # each true value is > 0 and below the float range; 0.0 came back
+        with pytest.raises(ParameterError, match="leaves the float range"):
+            call()
+
 
 class TestForceSensitivity:
     def params(self, **kw):
@@ -276,6 +308,18 @@ class TestSqueezedRotation:
     def test_validity_warning(self):
         with pytest.warns(UserWarning):
             squeezed_rotation(4, 10.0)
+
+    def test_large_kappa_factor_in_range(self):
+        # (kappa/4)^2 raised OverflowError; the factor 1/sqrt(1 + (kappa/4)^2) is 4/kappa there
+        with pytest.warns(UserWarning):
+            theta, factor = squeezed_rotation(1.0, 1e200)
+        assert (theta, factor) == (-math.pi / 2, 4e-200)
+
+    def test_overflowing_kappa_names_the_inputs(self):
+        # kappa = inf gave factor 0.0
+        with pytest.raises(ParameterError, match=re.escape(
+                "kappa = N_s zeta overflows at n_spins = 1e+300, zeta = 1e+300")):
+            squeezed_rotation(1e300, 1e300)
 
     @pytest.mark.parametrize("n_spins,zeta,message", [
         (math.nan, 1.0, "n_spins must be finite and > 0, got nan"),

@@ -112,6 +112,13 @@ class TestNbarFromTemperature:
         assert nbar_from_temperature(1e-300, 1e-300) == nbar_from_temperature(1.0, 1.0)
         assert nbar_from_temperature(1e-300, 1e-300) == pytest.approx(KB / HBAR - 0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("temperature,omega,scale", [(1e-289, 1e-289, 1e289), (1e-280, 1e-280, 1e280)])
+    def test_subnormal_energy_keeps_the_ratio(self, temperature, omega, scale):
+        # hbar omega (and at 1e-289 also k_b T) is subnormal, short of digits:
+        # (1e-289, 1e-289) gave 1.3972e11 against 1.3092e11 at (1, 1)
+        assert nbar_from_temperature(temperature, omega) == pytest.approx(
+            nbar_from_temperature(temperature * scale, omega * scale), rel=1e-12)
+
     def test_underflowing_thermal_energy_gives_zero(self):
         # k_b T underflows to 0 at T = 1e-310; hbar omega / k_b T is far past 700
         assert nbar_from_temperature(1e-310, 1.0) == 0.0

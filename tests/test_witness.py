@@ -485,6 +485,52 @@ class TestGridKernels:
             witness._coefficients(singular)
 
 
+def _rotated_block(hi, lo, angle):
+    """(var_q, cov_qp, var_p) of the 2x2 block with eigenvalues hi and lo, rotated by angle."""
+    c, s = math.cos(angle), math.sin(angle)
+    return hi * c * c + lo * s * s, (hi - lo) * c * s, hi * s * s + lo * c * c
+
+
+def _with_blocks(blocks):
+    """Grid moments whose quadrature covariance blocks are the given (var_q, cov_qp, var_p)."""
+    grid = witness._moments(0.5, 1.0, 1.0, 0.0, np.linspace(0.5, 2.0, len(blocks)))
+    var_q, cov_qp, var_p = (np.array(x) for x in zip(*blocks))
+    return dataclasses.replace(grid, var_q=var_q, cov_qp=cov_qp, var_p=var_p)
+
+
+class TestSingularBlocks:
+    """_coefficients decides singularity from the closed-form eigenvalues of each
+    2x2 block; np.linalg.eigh, which decided it before, agrees on either side
+    of the 1e-14 threshold."""
+
+    @pytest.mark.parametrize("hi", [0.5, 1.0, 7.0, 1e6])
+    @pytest.mark.parametrize("factor", [0.8, 1.25])  # just below and just above the threshold
+    def test_decision_matches_eigh(self, hi, factor):
+        lo = factor * 1e-14 * max(1.0, hi)
+        for angle in np.linspace(0.0, math.pi, 7).tolist():
+            block = _rotated_block(hi, lo, angle)
+            evals = np.linalg.eigh(np.array([block[:2], block[1:]]))[0]
+            by_eigh = bool(evals[0] <= 1e-14 * max(1.0, evals[-1]))
+            assert by_eigh == (factor < 1.0)
+            m = _with_blocks([_rotated_block(1.0, 0.5, 0.3), block])
+            if by_eigh:
+                with pytest.raises(DegenerateMomentsError):
+                    witness._coefficients(m)
+            else:
+                assert np.isfinite(witness._coefficients(m).a_y).all()
+
+    @pytest.mark.parametrize("blocks,direction", [
+        ([(0.6, 0.0, 0.7), (2.0, 2.0, 2.0), (0.0, 0.0, 0.0)], "(-0.7071 q, +0.7071 p)"),
+        ([(0.6, 0.0, 0.7), (0.0, 0.0, 0.0), (3.0, -1.0, 1 / 3)], "(+1.0000 q, +0.0000 p)"),
+        ([(0.6, 0.0, 0.7), (0.6, 0.0, 0.6), (3.0, -1.0, 1 / 3)], "(-0.3162 q, -0.9487 p)"),
+    ])
+    def test_message_names_the_first_singular_block(self, blocks, direction):
+        # the texts the stacked eigh of every block gave
+        with pytest.raises(DegenerateMomentsError) as err:
+            witness._coefficients(_with_blocks(blocks))
+        assert str(err.value) == f"quadrature covariance is singular along direction {direction}"
+
+
 # ---------------------------------------------------------------------------
 # Landmarks: the index searches on the w_ratio array against the scalar
 # loops over ScanPoint records that they replaced.
