@@ -36,7 +36,7 @@ import numpy as np
 from . import dynamics, pulses, witness
 from .dynamics import EntangledState
 from .pulses import PulseSequence
-from .units import NaturalParams
+from .units import NaturalParams, _finite_nonnegative
 
 _log = logging.getLogger(__name__)
 
@@ -450,8 +450,7 @@ def witness_moments(
     other sequences pass them, e.g. witness.optimize_coefficients(est.record).
     Raises ValueError for a non-finite or negative nbar or fewer samples than batches.
     """
-    if not (nbar is None or math.isfinite(nbar) and nbar >= 0):
-        raise ValueError(f"nbar must be finite and >= 0, got {nbar!r}")
+    _finite_nonnegative(nbar=nbar or 0.0)
     g, omega = natural.g, natural.omega
     if coefficients is None:
         coefficients = witness.halfperiod_coefficients(natural.lam, nbar or 0.0)
@@ -559,8 +558,7 @@ def _scaled_weights(natural: NaturalParams, seq: PulseSequence, nbar_over_q: flo
     Raises ValueError unless nbar_over_q is finite and >= 0, and
     ResolutionError when a step is too coarse for white-noise fidelity.
     """
-    if not (math.isfinite(nbar_over_q) and nbar_over_q >= 0):
-        raise ValueError(f"nbar_over_q must be finite and >= 0, got {nbar_over_q!r}")
+    _finite_nonnegative(nbar_over_q=nbar_over_q)
     omega = natural.omega
     dt = seq.total_time / _N_STEPS
     if omega * nbar_over_q * dt > 0.1:

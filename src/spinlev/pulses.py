@@ -32,6 +32,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .units import _finite, _finite_positive
+
 
 class SequenceKind(enum.Enum):
     RAMSEY = "ramsey"
@@ -50,8 +52,7 @@ class PulseSequence:
 
     def __post_init__(self) -> None:
         tau = self.total_time
-        if not (tau > 0 and math.isfinite(tau)):
-            raise ValueError(f"total_time must be finite and > 0, got {tau!r}")
+        _finite_positive(total_time=tau)
         times = self.pulse_times
         if any(not (0.0 < t < tau) for t in times):
             raise ValueError("pulse times must lie strictly inside (0, tau)")
@@ -186,11 +187,9 @@ def _checked_force(seq: PulseSequence, force) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_coupling(g: float, omega: float) -> None:
-    """Raise ValueError unless g is finite and omega finite and > 0."""
-    if not math.isfinite(g):
-        raise ValueError(f"g must be finite, got {g!r}")
-    if not (omega > 0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+    """Raise ParameterError unless g is finite and omega finite and > 0."""
+    _finite(g=g)
+    _finite_positive(omega=omega)
 
 
 def _kernel_ends(seq: PulseSequence, g: float, omega: float):

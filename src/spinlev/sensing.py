@@ -31,7 +31,7 @@ import numpy as np
 from . import pulses
 from .constants import HBAR, KB
 from .pulses import PulseSequence
-from .units import PhysicalParams, _finite_nonnegative, _finite_positive, _require, to_natural
+from .units import PhysicalParams, _finite_nonnegative, _finite_positive, _in_range, to_natural
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class NoiseBudget:
     signal_phase_per_force: float
 
     def __post_init__(self) -> None:
-        if min(self.projection_var, self.backaction_var, self.thermal_var) < 0:
-            raise ValueError("noise terms must be >= 0")
+        _finite_nonnegative(projection_var=self.projection_var, backaction_var=self.backaction_var,
+                            thermal_var=self.thermal_var)
 
 
 @dataclass(frozen=True)
@@ -55,28 +55,20 @@ class SensitivityPoint:
 
 def cooling_factor(gamma_c: float, t_c: float) -> float:
     """xi = e^{-gamma_c t_c} / (1 - e^{-gamma_c t_c}) for finite gamma_c, t_c > 0."""
-    _finite_positive("gamma_c", gamma_c)
-    _finite_positive("t_c", t_c)
+    _finite_positive(gamma_c=gamma_c, t_c=t_c)
     x = gamma_c * t_c
-    if x <= 0:
-        raise ValueError("gamma_c * t_c must be > 0 (xi diverges)")
     if x > 700.0:  # expm1 would overflow; xi is exp(-x) to double precision
         return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    return _in_range("cooling factor xi is not finite", lambda: 1.0 / math.expm1(x), gamma_c=gamma_c, t_c=t_c)
 
 
 def _noise_budget(phi_per_f, delta_n: float, xi: float, n_spins: float, thermal_var: float):
     """(NSR, 1/(4 N_s), N_s Dn^2 xi): noise_to_signal and the two noise terms
     it is built from, each formed once."""
     projection = 1.0 / (4 * n_spins)
-    try:
-        backaction = n_spins * delta_n ** 2 * xi
-    except OverflowError:  # a Python float Dn^2 past the float range
-        backaction = math.inf
-    noise = projection + backaction + thermal_var
-    if not math.isfinite(noise):
-        raise ValueError(f"noise numerator is not finite at delta_n = {delta_n!r}, xi = {xi!r}, "
-                         f"n_spins = {n_spins!r}, thermal_var = {thermal_var!r}")
+    backaction, noise = _in_range("noise numerator is not finite",
+                                  lambda: (b := n_spins * delta_n ** 2 * xi, projection + b + thermal_var),
+                                  delta_n=delta_n, xi=xi, n_spins=n_spins, thermal_var=thermal_var)
     with np.errstate(divide="ignore"):
         return noise / np.square(phi_per_f), projection, backaction
 
@@ -102,8 +94,10 @@ def thermal_phase_variance(seq: PulseSequence, g: float, omega: float, nbar_over
     quarter of witness.bath_deltas(...).dvar_sx: the observable relative branch
     phase is Phi = -4 phi, and the spin variance grows by Var(Phi)/4 = 4 Var(phi).
     """
-    _finite_nonnegative("nbar_over_q", nbar_over_q)
-    return 2 * omega * nbar_over_q * pulses.kernel_l2(seq, g, omega)
+    _finite_nonnegative(nbar_over_q=nbar_over_q)
+    return _in_range("thermal phase variance is not finite",
+                     lambda: 2 * omega * nbar_over_q * pulses.kernel_l2(seq, g, omega),
+                     g=g, omega=omega, nbar_over_q=nbar_over_q)
 
 
 class UnboundedCouplingError(ValueError):
@@ -151,42 +145,25 @@ def optimal_coupling(kind, omega: float, tau: float, xi: float, n_spins: float =
     return _balance_coupling(pulses.make_sequence(kind, tau), omega, xi, n_spins)
 
 
-def _positive_args(**args: float) -> None:
-    for name, value in args.items():
-        _finite_positive(name, value)
-
-
-def _in_range(name: str, formula, **args: float) -> float:
-    """formula(), a limit that is finite and > 0 at these checked arguments;
-    ParameterError naming them where its float value leaves the range: the
-    result or an intermediate overflows, or the result underflows to 0."""
-    try:
-        value = formula()
-    except (OverflowError, ZeroDivisionError):  # float ** past the range, or a denominator underflowed to 0
-        value = math.inf
-    _require(0.0 < value < math.inf, f"{name} leaves the float range at "
-                                     + ", ".join(f"{k} = {v!r}" for k, v in args.items()))
-    return value
-
-
 def projection_limit_eta(mass: float, omega: float, gradient: float, t2_star: float, gamma_e: float) -> float:
     """Spin-projection-limited sensitivity 2 m w^2 / (gamma_e dB sqrt(T2*));
     every argument finite and > 0, and the result in the float range."""
     args = dict(mass=mass, omega=omega, gradient=gradient, t2_star=t2_star, gamma_e=gamma_e)
-    _positive_args(**args)
-    return _in_range("projection_limit_eta",
-                     lambda: 2 * mass * omega ** 2 / (gamma_e * gradient * math.sqrt(t2_star)), **args)
+    _finite_positive(**args)
+    return _in_range("projection_limit_eta leaves the float range",
+                     lambda: 2 * mass * omega ** 2 / (gamma_e * gradient * math.sqrt(t2_star)), positive=True, **args)
 
 
 def thermal_limit_eta(mass: float, omega: float, q_factor: float, temperature: float) -> float:
     """Thermal force noise floor sqrt(4 m (w/Q) k_B T); T finite and >= 0,
     every other argument finite and > 0, and the result in the float range
     (0 at T = 0)."""
-    _positive_args(mass=mass, omega=omega, q_factor=q_factor)
-    _finite_nonnegative("temperature", temperature)
+    _finite_positive(mass=mass, omega=omega, q_factor=q_factor)
+    _finite_nonnegative(temperature=temperature)
     if temperature == 0.0:
         return 0.0
-    return _in_range("thermal_limit_eta", lambda: math.sqrt(4 * mass * (omega / q_factor) * KB * temperature),
+    return _in_range("thermal_limit_eta leaves the float range",
+                     lambda: math.sqrt(4 * mass * (omega / q_factor) * KB * temperature), positive=True,
                      mass=mass, omega=omega, q_factor=q_factor, temperature=temperature)
 
 
@@ -195,9 +172,9 @@ def sql_gradient(mass: float, t_between: float, tau_precess: float, n_spins: flo
     dx_SQL = sqrt(hbar t / m); every argument finite and > 0, and the result
     in the float range."""
     args = dict(mass=mass, t_between=t_between, tau_precess=tau_precess, n_spins=n_spins, gamma_e=gamma_e)
-    _positive_args(**args)
-    return _in_range("sql_gradient", lambda: 1.0 / (gamma_e * tau_precess * math.sqrt(n_spins)
-                                                     * math.sqrt(HBAR * t_between / mass)), **args)
+    _finite_positive(**args)
+    return _in_range("sql_gradient leaves the float range", lambda: 1.0 / (
+        gamma_e * tau_precess * math.sqrt(n_spins) * math.sqrt(HBAR * t_between / mass)), positive=True, **args)
 
 
 @dataclass(frozen=True)
@@ -248,8 +225,6 @@ def sensitivity_spectrum(
     delta_n = pulses.residual_displacement(seq, g, omega)[1]
     nbar_over_q = nat.nbar / params.quality_factor
     v_th = thermal_phase_variance(seq, g, omega, nbar_over_q)
-    if not math.isfinite(v_th):
-        raise ValueError(f"thermal phase variance is not finite ({v_th!r}) at nbar/Q = {nbar_over_q!r}")
     nus = np.array(nus, dtype=float).reshape(-1)
     response = pulses.spectral_response(seq, g, omega, nus)
     phi_per_f = np.hypot(response.real, response.imag)  # abs() of each complex, to the bit
@@ -276,10 +251,9 @@ def squeezed_rotation(n_spins: float, zeta: float):
     factor = 1/sqrt(1 + (kappa/4)^2), kappa = N_s zeta, for N_s finite and
     > 0 and zeta finite and >= 0; ParameterError where kappa overflows.
     """
-    _finite_positive("n_spins", n_spins)
-    _finite_nonnegative("zeta", zeta)
-    kappa = n_spins * zeta
-    _require(math.isfinite(kappa), f"kappa = N_s zeta overflows at n_spins = {n_spins!r}, zeta = {zeta!r}")
+    _finite_positive(n_spins=n_spins)
+    _finite_nonnegative(zeta=zeta)
+    kappa = _in_range("kappa = N_s zeta overflows", lambda: n_spins * zeta, n_spins=n_spins, zeta=zeta)
     if abs(kappa) > math.sqrt(n_spins):
         warnings.warn(
             "N_s zeta exceeds sqrt(N_s); Gaussian squeezing treatment marginal",

@@ -16,6 +16,8 @@ import numbers
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import GAMMA_E_DEFAULT, HBAR, KB
 
 
@@ -28,12 +30,40 @@ def _require(cond: bool, msg: str) -> None:
         raise ParameterError(msg)
 
 
-def _finite_positive(name: str, value: float) -> None:
-    _require(math.isfinite(value) and value > 0, f"{name} must be finite and > 0, got {value!r}")
+# One rule per domain. Each helper checks its keyword arguments in order and
+# builds its message only when one fails.
+def _finite(**args: float) -> None:
+    for name, value in args.items():
+        if not -math.inf < value < math.inf:
+            raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
-def _finite_nonnegative(name: str, value: float) -> None:
-    _require(math.isfinite(value) and value >= 0, f"{name} must be finite and >= 0, got {value!r}")
+def _finite_positive(**args: float) -> None:
+    for name, value in args.items():
+        if not 0 < value < math.inf:
+            raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _finite_nonnegative(**args: float) -> None:
+    for name, value in args.items():
+        if not 0 <= value < math.inf:
+            raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def _in_range(what: str, formula, /, positive: bool = False, **inputs):
+    """formula(), a number or a tuple of numbers or arrays, when every entry is
+    finite (and > 0 if positive). numpy's overflow warnings are silenced, and
+    a float ** or a division past the range counts as inf. Otherwise
+    ParameterError "<what> at <input> = <value>, ...", naming the inputs."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    entries = np.asarray(value)
+    if not (np.isfinite(entries).all() and (not positive or (entries > 0).all())):
+        raise ParameterError(f"{what} at " + ", ".join(f"{k} = {v!r}" for k, v in inputs.items()))
+    return value
 
 
 @dataclass(frozen=True)
@@ -56,24 +86,17 @@ class PhysicalParams:
     larmor_frequency: float = 0.0  # rad/s
 
     def __post_init__(self) -> None:
-        _finite_positive("mass", self.mass)
-        _finite_positive("trap_frequency", self.trap_frequency)
-        _finite_positive("quality_factor", self.quality_factor)
-        _require(math.isfinite(self.gradient) and self.gradient >= 0, "gradient must be >= 0")
-        for name, value in vars(self).items():  # every field that is set is finite
-            _require(value is None or math.isfinite(value), f"{name} must be finite, got {value!r}")
-        _require(self.gyromagnetic_ratio > 0, "gyromagnetic_ratio must be > 0")
+        _finite_positive(mass=self.mass, trap_frequency=self.trap_frequency, quality_factor=self.quality_factor)
+        _finite(**{name: value for name, value in vars(self).items() if value is not None})
+        _finite_positive(gyromagnetic_ratio=self.gyromagnetic_ratio, cooling_rate=self.cooling_rate,
+                         cooling_time=self.cooling_time)
+        # an unset (None) temperature or nbar passes as 0
+        _finite_nonnegative(gradient=self.gradient, temperature=self.temperature or 0.0, nbar=self.nbar or 0.0)
         _require(self.n_spins >= 1, "n_spins must be >= 1")
         _require(
             (self.temperature is None) != (self.nbar is None),
             "exactly one of temperature / nbar must be set",
         )
-        if self.temperature is not None:
-            _require(self.temperature >= 0, "temperature must be >= 0")
-        if self.nbar is not None:
-            _require(self.nbar >= 0, "nbar must be >= 0")
-        for name in ("cooling_rate", "cooling_time"):
-            _require(getattr(self, name) > 0, f"{name} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -89,8 +112,8 @@ class NaturalParams:
     larmor: float  # rad/s
 
     def __post_init__(self) -> None:
-        _finite_positive("omega", self.omega)
-        _finite_nonnegative("g", self.g)
+        _finite_positive(omega=self.omega)
+        _finite_nonnegative(g=self.g)
 
 
 def nbar_from_temperature(temperature: float, omega: float) -> float:
@@ -98,8 +121,8 @@ def nbar_from_temperature(temperature: float, omega: float) -> float:
 
     Raises ParameterError when the occupation overflows (k_b T / hbar omega
     beyond the float range)."""
-    _finite_nonnegative("temperature", temperature)
-    _finite_positive("omega", omega)
+    _finite_nonnegative(temperature=temperature)
+    _finite_positive(omega=omega)
     if temperature == 0.0:
         return 0.0
     energy, thermal = HBAR * omega, KB * temperature
@@ -118,8 +141,7 @@ def nbar_from_temperature(temperature: float, omega: float) -> float:
 def oscillator_length(mass: float, omega: float) -> float:
     """x0 = sqrt(hbar / (2 m omega)); raises ParameterError when x0 underflows
     to 0 or overflows (e.g. mass 1e300 kg)."""
-    _finite_positive("mass", mass)
-    _finite_positive("omega", omega)
+    _finite_positive(mass=mass, omega=omega)
     denom = 2.0 * mass * omega
     x0 = math.sqrt(HBAR / denom) if denom > 0 else math.inf
     _require(math.isfinite(x0) and x0 > 0, f"oscillator length x0 = {x0!r} m is not finite and > 0 "

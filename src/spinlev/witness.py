@@ -35,6 +35,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .units import _finite_nonnegative, _finite_positive, _in_range
+
 
 class DegenerateMomentsError(ValueError):
     """Raised when the quadrature covariance block is singular."""
@@ -98,27 +100,17 @@ def make_result(w_b: float, w_en: float) -> WitnessResult:
     return WitnessResult(w_b, w_en, ratio, n)
 
 
-def _require_nonnegative(x, name: str) -> None:
-    if np.any(np.less(x, 0)):
-        raise ValueError(f"{name} must be >= 0")
-
-
-def _finite(name: str, values, **inputs) -> None:
-    """ValueError naming the inputs when one of values is not finite."""
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{name} is not finite at " + ", ".join(f"{k} = {v!r}" for k, v in inputs.items()))
-
-
 def noiseless_moments(lam: float, nbar: float, omega: float, omega_l: float, t: float) -> MomentRecord:
     """Exact moments of the conditionally displaced thermal state at time t."""
+    _finite_nonnegative(nbar=nbar)
     m = _moments(lam, nbar, omega, omega_l, t, math)
-    _finite("noiseless_moments", vars(m).values(), lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
+    _in_range("noiseless_moments is not finite", lambda: tuple(vars(m).values()),
+              lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
     return m
 
 
 def _moments(lam, nbar, omega, omega_l, t, xp=np) -> MomentRecord:
     """noiseless_moments, broadcasting over arrays of lam, nbar and t when xp is numpy."""
-    _require_nonnegative(nbar, "nbar")
     th = omega * t
     u = 1.0 - xp.cos(th)
     s = xp.sin(th)
@@ -211,16 +203,16 @@ def _coefficients(m: MomentRecord) -> _GridCoefficients:
 
 def thermal_wb(lam: float, nbar: float, omega: float, omega_l: float, t: float) -> float:
     """Separable bound with the optimal coefficients, in closed form."""
-    w_b = float(_thermal(lam, nbar, omega, omega_l, t, math)[0])
-    _finite("thermal_wb", (w_b,), lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
-    return w_b
+    _finite_nonnegative(nbar=nbar)
+    return _in_range("thermal_wb is not finite", lambda: float(_thermal(lam, nbar, omega, omega_l, t, math)[0]),
+                     lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
 
 
 def thermal_wen(lam: float, nbar: float, omega: float, t: float) -> float:
     """Witness value on the entangled state at the optimal coefficients."""
-    w_en = float(_thermal(lam, nbar, omega, 0.0, t, math)[1])
-    _finite("thermal_wen", (w_en,), lam=lam, nbar=nbar, omega=omega, t=t)
-    return w_en
+    _finite_nonnegative(nbar=nbar)
+    return _in_range("thermal_wen is not finite", lambda: float(_thermal(lam, nbar, omega, 0.0, t, math)[1]),
+                     lam=lam, nbar=nbar, omega=omega, t=t)
 
 
 def _thermal(lam, nbar, omega, omega_l, t, xp=np):
@@ -228,7 +220,6 @@ def _thermal(lam, nbar, omega, omega_l, t, xp=np):
 
     Broadcasts over arrays of lam, nbar and t when xp is numpy.
     """
-    _require_nonnegative(nbar, "nbar")
     u = 1.0 - xp.cos(omega * t)
     n1 = 2 * nbar + 1
     e = xp.exp(-n1 * lam * lam * u)
@@ -240,8 +231,7 @@ def _thermal(lam, nbar, omega, omega_l, t, xp=np):
 
 def halfperiod_coefficients(lam: float, nbar: float) -> WitnessCoefficients:
     """Optimal coefficients at the half oscillator period (omega t = pi)."""
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
+    _finite_nonnegative(nbar=nbar)
     r2 = math.sqrt(2)
     return WitnessCoefficients(
         a_y=0.0,
@@ -269,14 +259,12 @@ class BathDeltas:
 
 
 def bath_deltas(lam: float, nbar_over_q: float, omega: float, t: float) -> BathDeltas:
+    _finite_nonnegative(nbar_over_q=nbar_over_q)
     return _deltas(lam, nbar_over_q, omega, t, math)
 
 
 def _deltas(lam, nbar_over_q, omega, t, xp=np) -> BathDeltas:
     """bath_deltas, broadcasting over arrays of lam and t when xp is numpy."""
-    _require_nonnegative(nbar_over_q, "nbar_over_q")
-    if not math.isfinite(nbar_over_q):
-        raise ValueError(f"nbar_over_q must be finite and >= 0, got {nbar_over_q!r}")
     th = omega * t
     k = nbar_over_q
     r2 = math.sqrt(2)
@@ -305,6 +293,7 @@ def bath_witness(
     protocol uses the nbar = 0 optimum, the thermal start uses the thermal
     optimum. The bath then shifts the evaluated moments but not the bound.
     """
+    _finite_nonnegative(nbar=nbar, nbar_over_q=nbar_over_q)
     w_b, w_en = _bath(lam, nbar, nbar_over_q, omega, omega_l, t, initial, math)
     return make_result(float(w_b), float(w_en))
 
@@ -411,6 +400,7 @@ def violation_scan(
     x = np.array(grid, dtype=float)
     if x.ndim != 1 or not x.size or not np.isfinite(x).all() or np.any(x[1:] <= x[:-1]):
         raise ValueError("grid must be nonempty, finite and sorted increasing")
+    _finite_nonnegative(nbar=nbar if sweep == "t" else x[0].item(), nbar_over_q=nbar_over_q)
 
     if mode == "pulsed":
         lam_eff = pulsed_effective_lambda(g, omega, x if sweep == "t" else tau)
@@ -462,9 +452,7 @@ def max_nbar_for_violation(
     """Largest nbar for which a pulsed-scheme tau exists with violation
     ratio >= threshold; found by bisection on nbar over a log tau grid,
     each step one numpy kernel call over the whole grid."""
-    for x, name in ((g, "g"), (omega, "omega")):
-        if not (math.isfinite(x) and x > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {x!r}")
+    _finite_positive(g=g, omega=omega)
     taus = np.sqrt(4 * np.geomspace(lam_range[0], lam_range[1], n_grid) / (omega * g))
     lam_eff = pulsed_effective_lambda(g, omega, taus)
 
