@@ -30,6 +30,7 @@ import numpy as np
 
 from . import pulses
 from .pulses import PulseSequence
+from .units import _finite, _finite_result
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,13 @@ def branch_states(
     (0, alpha). alpha is a finite complex or an array of them, stepped
     together. force is an optional (times, values) piecewise-constant series
     on a grid covering [0, tau]; spin_sign is +1 (branch 0) or -1 (branch 1);
-    g and omega pass pulses.check_coupling.
+    g and omega pass pulses.check_coupling, omega tau is finite, and so is the
+    final state.
     """
     if spin_sign not in (1, -1):
         raise ValueError(f"spin_sign must be +1 or -1, got {spin_sign!r}")
     pulses.check_coupling(g, omega)
+    _finite(omega_tau=omega * seq.total_time)  # every step's phase omega dt then is
     if not (np.isfinite(alpha).all() if isinstance(alpha, np.ndarray) else cmath.isfinite(alpha)):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     start, end, seg, f = (x.tolist() for x in pulses.pieces(seq, force))
@@ -106,6 +109,7 @@ def branch_states(
     states = [(0.0, alpha)]
     for a, b, ck in zip(start, end, c):
         states.append(segment_step(*states[-1], ck, omega, b - a))
+    _finite_result("branch state is not finite", states[-1], g=g, omega=omega, tau=seq.total_time)
     return [*start, seq.total_time], c, states
 
 

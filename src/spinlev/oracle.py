@@ -36,7 +36,7 @@ import numpy as np
 from . import dynamics, pulses, witness
 from .dynamics import EntangledState
 from .pulses import PulseSequence
-from .units import NaturalParams, _finite_nonnegative
+from .units import NaturalParams, _finite, _finite_nonnegative, _in_range
 
 _log = logging.getLogger(__name__)
 
@@ -97,7 +97,7 @@ class JointState:
             raise CutoffError(
                 f"top-4 Fock population {tail:.3e} >= {_TAIL_TOLERANCE:.1e}; increase n_max"
             )
-        if drift > 1e-10:
+        if not drift <= 1e-10:  # NaN included
             raise ResolutionError(f"norm drifted by {drift!r} from 1")
 
 
@@ -123,7 +123,8 @@ def coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
 
 
 def suggested_n_max(max_alpha_sq: float) -> int:
-    """Cutoff keeping the coherent-state tail far below 1e-8."""
+    """Cutoff keeping the coherent-state tail far below 1e-8, for |alpha|^2 finite and >= 0."""
+    _finite_nonnegative(max_alpha_sq=max_alpha_sq)
     return int(math.ceil(max_alpha_sq + 10 * math.sqrt(max_alpha_sq + 1) + 20))
 
 
@@ -262,6 +263,10 @@ def evolve(state: JointState, natural: NaturalParams, seq: PulseSequence, force=
     pulse rotations, which drop out of every fidelity and moment comparison
     made here.
 
+    A coupling |c|/omega whose tridiagonal is not finite raises ValueError
+    naming it as kappa, and a force-free phase omega E dt past the float
+    range ResolutionError (the state's norm is not finite).
+
     Each call logs one DEBUG record on the "spinlev.oracle" logger, with
     record attributes n_pieces, cache_misses (of the shared cache),
     forced_decompositions, decompose_s, product_s (the propagation, from
@@ -272,7 +277,8 @@ def evolve(state: JointState, natural: NaturalParams, seq: PulseSequence, force=
     start, end, seg, f = pulses.pieces(seq, force)
     n_max = state.n_max
     sg = np.where(seg % 2, -g, g)  # (-1)**seg g, the coupling of spin 0
-    kappas = np.column_stack(((sg - f) / omega, (-sg - f) / omega))
+    with np.errstate(over="ignore"):  # a kappa that overflows is named by _sector_eigensystem
+        kappas = np.column_stack(((sg - f) / omega, (-sg - f) / omega))
     dt = end - start
     free = f == 0
     t0 = time.perf_counter()
@@ -292,7 +298,8 @@ def evolve(state: JointState, natural: NaturalParams, seq: PulseSequence, force=
     if free.any():
         # one column per spin sector, so the product with the (n_max + 1, 2)
         # block of the state runs over contiguous rows
-        table = np.exp(-1j * omega * evals * dt[free][:, None])
+        with np.errstate(over="ignore", invalid="ignore"):  # phases past the float range: a NaN norm
+            table = np.exp(-1j * omega * evals * dt[free][:, None])
         phases = iter(np.stack((table, table), axis=-1))
     psi = np.array(state.coeff.T, dtype=complex, order="C")
     re = psi.view(float)
@@ -465,7 +472,8 @@ def witness_moments(
         raise ValueError(f"n_trajectories must be >= {n_batches} for a sampled witness, got {n}")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     draws = rng.normal(size=(n, 2)) * math.sqrt(nbar / 2.0)
-    raw = _branch_raw_moments(draws[:, 0] + 1j * draws[:, 1], g, omega, seq)
+    raw = _in_range("sampled branch moments are not finite",
+                    lambda: _branch_raw_moments(draws[:, 0] + 1j * draws[:, 1], g, omega, seq), nbar=nbar)
     w_vals = [witness.witness_value(_record_from_raw(batch.mean(axis=0)), coefficients)
               for batch in np.array_split(raw, n_batches)]
     rec = _record_from_raw(raw.mean(axis=0))
@@ -700,9 +708,12 @@ def gaussian_noise_factor(n_spins: float, zeta: float, theta: float) -> float:
     Bosonized collective spin: normalized quadratures (z, y) with unit
     variance; the J_z^2 unitary shears y -> y + (kappa/4) z with
     kappa = N_s zeta; the readout rotates by theta about x and measures the
-    rotated y. Returns sqrt of the measured variance (unsqueezed -> 1).
+    rotated y. Returns sqrt of the measured variance (unsqueezed -> 1), for
+    finite arguments and a finite result.
     """
+    _finite(n_spins=n_spins, zeta=zeta, theta=theta)
     k = n_spins * zeta / 4.0
     cov = np.array([[1.0, k], [k, 1.0 + k * k]])  # (z, y') covariance
     direction = np.array([math.sin(theta), math.cos(theta)])
-    return math.sqrt(float(direction @ cov @ direction))
+    return _in_range("gaussian_noise_factor is not finite", lambda: math.sqrt(float(direction @ cov @ direction)),
+                     n_spins=n_spins, zeta=zeta, theta=theta)

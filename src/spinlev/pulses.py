@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .units import _finite, _finite_positive
+from .units import _finite, _finite_positive, _finite_result, _in_range
 
 
 class SequenceKind(enum.Enum):
@@ -198,8 +198,10 @@ def _kernel_ends(seq: PulseSequence, g: float, omega: float):
     K(tau) = K'(tau) = 0 over each segment (sign s, end b, th = omega (b - x)):
     K = K_b cos th - p_b sin th + s (1 - cos th)/omega, p = K_b sin th
     + p_b cos th - s sin th/omega, with no term that cancels at small omega tau.
-    Scaling by g afterwards keeps Delta n, zeta and int K^2 exactly homogeneous in g."""
+    Scaling by g afterwards keeps Delta n, zeta and int K^2 exactly homogeneous in g;
+    omega tau must be finite, so every segment phase is."""
     check_coupling(g, omega)
+    _finite(omega_tau=omega * seq.total_time)
     t = (0.0, *seq.pulse_times, seq.total_time)
     k, p = [0.0] * len(t), [0.0] * len(t)
     for j in range(len(t) - 2, -1, -1):
@@ -270,14 +272,18 @@ def residual_displacement(seq: PulseSequence, g: float, omega: float) -> tuple[c
     |beta|^2, with beta = g e^{-i omega tau} (K(0) + i K'(0)/omega)."""
     k0, p0 = (float(x[0]) for x in _kernel_ends(seq, g, omega)[1:])
     beta = g * cmath.exp(-1j * omega * seq.total_time) * complex(k0, p0)
-    return beta, g * g * (k0 * k0 + p0 * p0)
+    return _finite_result("residual_displacement is not finite", (beta, g * g * (k0 * k0 + p0 * p0)),
+                          g=g, omega=omega, tau=seq.total_time)
 
 
 def delta_n_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) -> float:
-    """Closed-form Delta n for the named sequence kinds; (g, omega) pass check_coupling."""
+    """Closed-form Delta n for the named sequence kinds; (g, omega) pass check_coupling,
+    tau is finite and > 0, and the result is finite."""
     closed = _named(kind, "no closed form for custom sequences").delta_n
     check_coupling(g, omega)
-    return closed(g * g / (omega * omega), omega * tau)
+    _finite_positive(tau=tau)
+    return _in_range("delta_n_closed_form is not finite", lambda: closed(g * g / (omega * omega), omega * tau),
+                     g=g, omega=omega, tau=tau)
 
 
 def phase_kernel(seq: PulseSequence, g: float, omega: float, s):
@@ -307,11 +313,14 @@ def force_response(seq: PulseSequence, g: float, omega: float, force) -> tuple[f
             raise ValueError(f"force series under-sampled: step {steps.max():.3g} exceeds {limit:.3g}")
     a, b, k, f = (x[f != 0] for x in (start, end, seg, f))
     half = 0.5 * omega * (b - a)
-    kb, pb = _kernel_at(ends, omega, k, b)
-    phase = g * float(f @ _kernel_integral(kb, pb, 1.0 - 2.0 * (k % 2), omega, 2.0 * half))
-    # each piece leaves e^{i omega (a+b)/2} 2 sin(omega (b-a)/2)/omega, rotated to tau
-    return phase, (2j / omega) * cmath.exp(-1j * omega * seq.total_time) * complex(
-        np.sum(f * np.sin(half) * np.exp(0.5j * omega * (a + b))))
+
+    def response():
+        kb, pb = _kernel_at(ends, omega, k, b)
+        phase = g * float(f @ _kernel_integral(kb, pb, 1.0 - 2.0 * (k % 2), omega, 2.0 * half))
+        # each piece leaves e^{i omega (a+b)/2} 2 sin(omega (b-a)/2)/omega, rotated to tau
+        return phase, (2j / omega) * cmath.exp(-1j * omega * seq.total_time) * complex(
+            np.sum(f * np.sin(half) * np.exp(0.5j * omega * (a + b))))
+    return _in_range("force_response is not finite", response, g=g, omega=omega, tau=seq.total_time)
 
 
 @functools.lru_cache(maxsize=None)
@@ -429,6 +438,7 @@ def spectral_response(seq: PulseSequence, g: float, omega: float, nu):
         a, b = np.concatenate((x, [omega], x - omega)), np.concatenate((x, [omega], x + omega))
     if not math.isfinite(xv * tau):
         raise ValueError(f"signal frequency nu must be finite, with |nu| tau finite, got {nu!r}")
+    _finite(omega_tau=omega * tau)
     n = x.size
     c = _phasor_sums(a, b, half_t, w)
     c_w = c[n]
@@ -441,16 +451,19 @@ def spectral_response(seq: PulseSequence, g: float, omega: float, nu):
             return -g * ((cs - c_w.conjugate()) / (xs + omega) + (cs - c[n + 1:][sel]) / omega)
         return (-2.0 * g) * (omega * cs - (omega * c_w.real + 1j * xs * c_w.imag)) / (omega * omega - xs * xs)
 
+    def checked(values):  # nu_max: the largest |nu|
+        return _in_range("spectral_response is not finite", values, g=g, omega=omega, tau=tau, nu_max=xv)
+
     if nus.ndim == 0:
         which = 0 if xv * tau <= 1.0 and omega * tau <= 1.0 else 1 if xv <= 2.0 * omega else 2
-        value = complex(route(slice(None), which)[0])
+        value = checked(lambda: complex(route(slice(None), which)[0]))
         return value if nus < 0 else value.conjugate()
     series = (x * tau <= 1.0) & (omega * tau <= 1.0)
     pole = ~series & (x <= 2.0 * omega)
     out = np.empty(n, dtype=complex)
     for which, mask in enumerate((series, pole, ~(series | pole))):
         if mask.any():
-            out[mask] = route(mask, which)
+            out[mask] = checked(lambda: route(mask, which))
     pos = nus.ravel() >= 0
     out[pos] = out[pos].conjugate()
     return out.reshape(nus.shape)
@@ -465,22 +478,27 @@ def kernel_l2(seq: PulseSequence, g: float, omega: float) -> float:
     """int_0^tau K(s)^2 ds, closed form per segment."""
     t, k, p = _kernel_ends(seq, g, omega)
     s = 1.0 - 2.0 * (np.arange(t.size - 1) % 2)
-    return g * g * float(_kernel_square_integral(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1])).sum())
+    return _in_range("kernel_l2 is not finite", lambda: g * g * float(
+        _kernel_square_integral(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1])).sum()),
+        g=g, omega=omega, tau=seq.total_time)
 
 
 def squeezing_parameter(seq: PulseSequence, g: float, omega: float) -> float:
     """zeta = int_0^tau int_0^t sin(omega(t-t')) G(t) G(t') dt' dt = int_0^tau G K ds."""
     t, k, p = _kernel_ends(seq, g, omega)
     s = 1.0 - 2.0 * (np.arange(t.size - 1) % 2)
-    return g * g * float(s @ _kernel_integral(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1])))
+    return _in_range("squeezing_parameter is not finite", lambda: g * g * float(
+        s @ _kernel_integral(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1]))), g=g, omega=omega, tau=seq.total_time)
 
 
 def zeta_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) -> float:
     """Column-2 closed forms for the named kinds (signed as the canonical integral);
-    (g, omega) pass check_coupling."""
+    (g, omega) pass check_coupling, tau is finite and > 0, and the result is finite."""
     closed = _named(kind, "no closed form for custom sequences").zeta
     check_coupling(g, omega)
-    return closed(g * g / (omega * omega), omega * tau)
+    _finite_positive(tau=tau)
+    return _in_range("zeta_closed_form is not finite", lambda: closed(g * g / (omega * omega), omega * tau),
+                     g=g, omega=omega, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -495,14 +513,11 @@ class LeadingOrderRow:
 
 
 def leading_order_row(kind: SequenceKind, omega: float, tau: float) -> LeadingOrderRow:
-    """Leading-order row values; flags out-of-regime omega tau instead of erroring,
-    but raises ValueError where a scaling overflows (omega tau near 0 or huge)."""
+    """Leading-order row values for omega and tau finite and > 0; flags
+    out-of-regime omega tau instead of erroring, but raises ValueError where a
+    scaling overflows (omega tau near 0 or huge)."""
     scalings = _named(kind, "leading-order rows exist only for the named kinds").leading
-    try:
-        values = [scaling(omega, tau) for scaling in scalings]
-    except (ZeroDivisionError, OverflowError):
-        values = [math.inf]
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"leading-order {SequenceKind(kind).value} scalings are not finite at "
-                         f"omega_tau = {omega * tau!r}")
+    _finite_positive(omega=omega, tau=tau)
+    values = _in_range(f"leading-order {SequenceKind(kind).value} scalings are not finite",
+                       lambda: [scaling(omega, tau) for scaling in scalings], omega_tau=omega * tau)
     return LeadingOrderRow(*values, in_regime=omega * tau < 0.5)

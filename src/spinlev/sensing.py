@@ -23,6 +23,7 @@ depend on it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -31,7 +32,8 @@ import numpy as np
 from . import pulses
 from .constants import HBAR, KB
 from .pulses import PulseSequence
-from .units import PhysicalParams, _finite_nonnegative, _finite_positive, _in_range, to_natural
+from .units import (PhysicalParams, _finite, _finite_nonnegative, _finite_positive, _finite_result, _in_range,
+                    to_natural)
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,7 @@ class NoiseBudget:
     def __post_init__(self) -> None:
         _finite_nonnegative(projection_var=self.projection_var, backaction_var=self.backaction_var,
                             thermal_var=self.thermal_var)
+        _finite(signal_phase_per_force=self.signal_phase_per_force)
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ def _noise_budget(phi_per_f, delta_n: float, xi: float, n_spins: float, thermal_
     backaction, noise = _in_range("noise numerator is not finite",
                                   lambda: (b := n_spins * delta_n ** 2 * xi, projection + b + thermal_var),
                                   delta_n=delta_n, xi=xi, n_spins=n_spins, thermal_var=thermal_var)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return noise / np.square(phi_per_f), projection, backaction
 
 
@@ -80,10 +83,15 @@ def noise_to_signal(
     n_spins: float = 1.0,
     thermal_var: float = 0.0,
 ):
-    """(1/(4 N_s) + N_s Dn^2 xi + V_th) / phi^2 for a scalar or an array of phi;
-    inf where phi^2 is 0, also when it underflows. Raises ValueError naming
-    the inputs when the numerator is not finite."""
-    return _noise_budget(phi_per_f, delta_n, xi, n_spins, thermal_var)[0]
+    """(1/(4 N_s) + N_s Dn^2 xi + V_th) / phi^2 for a scalar or an array of
+    finite phi; inf where phi^2 is 0, also when it underflows. N_s is finite
+    and > 0. Raises ValueError naming the inputs when the numerator is not
+    finite, and then naming Dn, xi or V_th where one is < 0."""
+    _finite_positive(n_spins=n_spins)
+    _finite(phi_per_f=np.max(np.abs(phi_per_f), initial=0.0).item())  # NaN or inf where an entry is
+    nsr = _noise_budget(phi_per_f, delta_n, xi, n_spins, thermal_var)[0]
+    _finite_nonnegative(delta_n=delta_n, xi=xi, thermal_var=thermal_var)
+    return nsr
 
 
 def thermal_phase_variance(seq: PulseSequence, g: float, omega: float, nbar_over_q: float) -> float:
@@ -95,9 +103,9 @@ def thermal_phase_variance(seq: PulseSequence, g: float, omega: float, nbar_over
     phase is Phi = -4 phi, and the spin variance grows by Var(Phi)/4 = 4 Var(phi).
     """
     _finite_nonnegative(nbar_over_q=nbar_over_q)
-    return _in_range("thermal phase variance is not finite",
-                     lambda: 2 * omega * nbar_over_q * pulses.kernel_l2(seq, g, omega),
-                     g=g, omega=omega, nbar_over_q=nbar_over_q)
+    v_th = 2 * omega * nbar_over_q * pulses.kernel_l2(seq, g, omega)
+    return _finite_result("thermal phase variance is not finite", v_th,
+                          g=g, omega=omega, tau=seq.total_time, nbar_over_q=nbar_over_q)
 
 
 class UnboundedCouplingError(ValueError):
@@ -121,8 +129,10 @@ def force_sql(kind, omega: float, tau: float, xi: float) -> float:
 
     g-independent by construction; at small omega*tau proportional to the
     leading-order scalings 6/(w t^2), 2/t, w for the three named sequences.
-    Raises UnboundedCouplingError where Dn = 0, like optimal_coupling.
+    Raises UnboundedCouplingError where Dn = 0, like optimal_coupling; xi is
+    finite and >= 0.
     """
+    _finite_nonnegative(xi=xi)
     seq = pulses.make_sequence(kind, tau)
     a = _backaction_per_g2(seq, omega)
     phi_per_gf = abs(pulses.dc_phase(seq, 1.0, omega))  # |phi / (g f)|
@@ -137,11 +147,16 @@ def _balance_coupling(seq: PulseSequence, omega: float, xi: float, n_spins: floa
     if xi == 0.0:
         raise UnboundedCouplingError(
             "cooling factor xi is 0 (no backaction); optimal coupling is unbounded")
-    return 1.0 / math.sqrt(2.0 * n_spins * _backaction_per_g2(seq, omega) * math.sqrt(xi))
+    a = _backaction_per_g2(seq, omega)
+    return _in_range("optimal coupling is not finite", lambda: 1.0 / math.sqrt(2.0 * n_spins * a * math.sqrt(xi)),
+                     omega=omega, xi=xi, n_spins=n_spins)
 
 
 def optimal_coupling(kind, omega: float, tau: float, xi: float, n_spins: float = 1.0) -> float:
-    """Balance point of projection and backaction noise: g* = 1/sqrt(2 N_s (Dn/g^2) sqrt(xi))."""
+    """Balance point of projection and backaction noise: g* = 1/sqrt(2 N_s (Dn/g^2) sqrt(xi)),
+    for xi finite and >= 0 and N_s finite and > 0."""
+    _finite_nonnegative(xi=xi)
+    _finite_positive(n_spins=n_spins)
     return _balance_coupling(pulses.make_sequence(kind, tau), omega, xi, n_spins)
 
 
@@ -150,8 +165,14 @@ def projection_limit_eta(mass: float, omega: float, gradient: float, t2_star: fl
     every argument finite and > 0, and the result in the float range."""
     args = dict(mass=mass, omega=omega, gradient=gradient, t2_star=t2_star, gamma_e=gamma_e)
     _finite_positive(**args)
-    return _in_range("projection_limit_eta leaves the float range",
-                     lambda: 2 * mass * omega ** 2 / (gamma_e * gradient * math.sqrt(t2_star)), positive=True, **args)
+
+    def eta():
+        num, den = 2 * mass * omega ** 2, gamma_e * gradient * math.sqrt(t2_star)
+        if min(num, den) >= sys.float_info.min:
+            return num / den
+        # a product underflows, to 0 or to a subnormal that lost digits; the ratios keep them
+        return 2 * (mass / gamma_e) * (omega / gradient) * (omega / math.sqrt(t2_star))
+    return _in_range("projection_limit_eta leaves the float range", eta, positive=True, **args)
 
 
 def thermal_limit_eta(mass: float, omega: float, q_factor: float, temperature: float) -> float:
@@ -215,8 +236,10 @@ def sensitivity_spectrum(
     projection/backaction balance point unless given explicitly. Only the
     spectral response depends on nu: the coupling, backaction and thermal
     variance are computed once for the sequence, and |T(nu)| for the whole
-    array in one pulses.spectral_response call. Raises ValueError for a
-    non-finite nu and when the thermal variance is not finite (e.g. Q = 1e-300).
+    array in one pulses.spectral_response call. eta is inf where the signal
+    phase is 0 (coupling 0, or |T(nu)| below the float range). Raises
+    ValueError for a non-finite nu and when the thermal variance is not
+    finite (e.g. Q = 1e-300).
     """
     nat = to_natural(params)
     omega, tau = nat.omega, seq.total_time
@@ -253,7 +276,7 @@ def squeezed_rotation(n_spins: float, zeta: float):
     """
     _finite_positive(n_spins=n_spins)
     _finite_nonnegative(zeta=zeta)
-    kappa = _in_range("kappa = N_s zeta overflows", lambda: n_spins * zeta, n_spins=n_spins, zeta=zeta)
+    kappa = _finite_result("kappa = N_s zeta overflows", n_spins * zeta, n_spins=n_spins, zeta=zeta)
     if abs(kappa) > math.sqrt(n_spins):
         warnings.warn(
             "N_s zeta exceeds sqrt(N_s); Gaussian squeezing treatment marginal",

@@ -11,9 +11,11 @@ and the mechanical damping rate is gamma = omega / Q.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import sys
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,20 +52,37 @@ def _finite_nonnegative(**args: float) -> None:
             raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def _in_range(what: str, formula, /, positive: bool = False, **inputs):
-    """formula(), a number or a tuple of numbers or arrays, when every entry is
-    finite (and > 0 if positive). numpy's overflow warnings are silenced, and
-    a float ** or a division past the range counts as inf. Otherwise
+def _finite_result(what: str, value, /, positive: bool = False, **inputs):
+    """value, a number, a tuple or list of numbers or arrays, or a record of
+    numbers, when every entry is finite (and > 0 if positive); otherwise
     ParameterError "<what> at <input> = <value>, ...", naming the inputs."""
+    entries = (value if isinstance(value, (tuple, list))
+               else vars(value).values() if dataclasses.is_dataclass(value) else (value,))
+    if not all(_entry_in_range(v, positive) for v in entries):
+        raise ParameterError(f"{what} at " + ", ".join(f"{k} = {v!r}" for k, v in inputs.items()))
+    return value
+
+
+def _in_range(what: str, formula, /, positive: bool = False, **inputs):
+    """_finite_result of formula(), evaluated with numpy's overflow warnings
+    silenced. A float ** or a division past the range counts as inf, as does
+    a math function given an intermediate that left it (math domain error,
+    e.g. sin(inf))."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             value = formula()
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        if isinstance(exc, ValueError) and exc.args != ("math domain error",):
+            raise
         value = math.inf
-    entries = np.asarray(value)
-    if not (np.isfinite(entries).all() and (not positive or (entries > 0).all())):
-        raise ParameterError(f"{what} at " + ", ".join(f"{k} = {v!r}" for k, v in inputs.items()))
-    return value
+    return _finite_result(what, value, positive, **inputs)
+
+
+def _entry_in_range(v, positive: bool) -> bool:
+    """Is v, a number or an array, finite everywhere (and > 0 if positive)?"""
+    if isinstance(v, np.ndarray):
+        return bool(np.isfinite(v).all() and (not positive or (v > 0).all()))
+    return cmath.isfinite(v) and (not positive or v > 0)
 
 
 @dataclass(frozen=True)
@@ -101,7 +120,10 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class NaturalParams:
-    """Natural-unit parameters: everything the physics modules consume."""
+    """Natural-unit parameters: everything the physics modules consume.
+
+    Every field is finite, g and nbar >= 0 and omega > 0, except lam =
+    2 g / omega, which is not NaN but may overflow to inf."""
 
     g: float  # rad/s
     omega: float  # rad/s
@@ -113,7 +135,9 @@ class NaturalParams:
 
     def __post_init__(self) -> None:
         _finite_positive(omega=self.omega)
-        _finite_nonnegative(g=self.g)
+        _finite_nonnegative(g=self.g, nbar=self.nbar)
+        _finite(gamma=self.gamma, x0=self.x0, larmor=self.larmor)
+        _require(not math.isnan(self.lam), "lam must not be NaN")  # 2 g / omega may overflow to inf
 
 
 def nbar_from_temperature(temperature: float, omega: float) -> float:

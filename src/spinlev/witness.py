@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .units import _finite_nonnegative, _finite_positive, _in_range
+from .units import _finite, _finite_nonnegative, _finite_positive, _finite_result, _in_range
 
 
 class DegenerateMomentsError(ValueError):
@@ -95,18 +95,29 @@ class MomentRecord:
 
 
 def make_result(w_b: float, w_en: float) -> WitnessResult:
-    ratio = (w_b - w_en) / w_b
+    """The violation ratio and shot count of a bound w_b (finite and > 0) and a
+    witness value w_en (finite); the ratio must be finite too."""
+    _finite_positive(w_b=w_b)
+    _finite(w_en=w_en)
+    ratio = _finite_result("w_ratio is not finite", (w_b - w_en) / w_b, w_b=w_b, w_en=w_en)
     n = math.ceil(ratio ** -2) if ratio > 0 else None
     return WitnessResult(w_b, w_en, ratio, n)
 
 
+def _point(omega: float, t: float, omega_l: float = 0.0, **nonnegative: float) -> None:
+    """The domain of the one-point closed forms: omega_l finite, omega finite
+    and > 0, t and each of nonnegative (nbar, nbar_over_q) finite and >= 0.
+    Their result checks name a lam that is not finite."""
+    _finite(omega_l=omega_l)
+    _finite_positive(omega=omega)
+    _finite_nonnegative(t=t, **nonnegative)
+
+
 def noiseless_moments(lam: float, nbar: float, omega: float, omega_l: float, t: float) -> MomentRecord:
     """Exact moments of the conditionally displaced thermal state at time t."""
-    _finite_nonnegative(nbar=nbar)
-    m = _moments(lam, nbar, omega, omega_l, t, math)
-    _in_range("noiseless_moments is not finite", lambda: tuple(vars(m).values()),
-              lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
-    return m
+    _point(omega, t, omega_l, nbar=nbar)
+    return _in_range("noiseless_moments is not finite", lambda: _moments(lam, nbar, omega, omega_l, t, math),
+                     lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
 
 
 def _moments(lam, nbar, omega, omega_l, t, xp=np) -> MomentRecord:
@@ -203,14 +214,14 @@ def _coefficients(m: MomentRecord) -> _GridCoefficients:
 
 def thermal_wb(lam: float, nbar: float, omega: float, omega_l: float, t: float) -> float:
     """Separable bound with the optimal coefficients, in closed form."""
-    _finite_nonnegative(nbar=nbar)
+    _point(omega, t, omega_l, nbar=nbar)
     return _in_range("thermal_wb is not finite", lambda: float(_thermal(lam, nbar, omega, omega_l, t, math)[0]),
                      lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
 
 
 def thermal_wen(lam: float, nbar: float, omega: float, t: float) -> float:
     """Witness value on the entangled state at the optimal coefficients."""
-    _finite_nonnegative(nbar=nbar)
+    _point(omega, t, nbar=nbar)
     return _in_range("thermal_wen is not finite", lambda: float(_thermal(lam, nbar, omega, 0.0, t, math)[1]),
                      lam=lam, nbar=nbar, omega=omega, t=t)
 
@@ -233,16 +244,24 @@ def halfperiod_coefficients(lam: float, nbar: float) -> WitnessCoefficients:
     """Optimal coefficients at the half oscillator period (omega t = pi)."""
     _finite_nonnegative(nbar=nbar)
     r2 = math.sqrt(2)
-    return WitnessCoefficients(
-        a_y=0.0,
-        b_y=r2 * lam * math.exp(-2 * (2 * nbar + 1) * lam * lam),
-        a_z=r2 * lam / (1 + 2 * nbar + 4 * lam * lam),
-        b_z=0.0,
-    )
+    b_y, a_z = _finite_result("halfperiod_coefficients is not finite", (
+        r2 * lam * math.exp(-2 * (2 * nbar + 1) * lam * lam), r2 * lam / (1 + 2 * nbar + 4 * lam * lam)),
+        lam=lam, nbar=nbar)
+    return WitnessCoefficients(a_y=0.0, b_y=b_y, a_z=a_z, b_z=0.0)
 
 
 def pulsed_effective_lambda(g: float, omega: float, tau: float) -> float:
-    """Effective conditional-displacement strength of the one-pulse echo."""
+    """Effective conditional-displacement strength of the one-pulse echo, for
+    g finite, omega finite and > 0 and a tau or an array of them; the result
+    must be finite."""
+    _finite(g=g)
+    _finite_positive(omega=omega)
+    return _in_range("pulsed_effective_lambda is not finite", lambda: _effective_lambda(g, omega, tau),
+                     g=g, omega=omega, tau=tau)
+
+
+def _effective_lambda(g, omega, tau):
+    """pulsed_effective_lambda, omega g tau^2 / 4, unchecked, as the grid kernels take it."""
     return omega * g * tau * tau / 4.0
 
 
@@ -259,8 +278,9 @@ class BathDeltas:
 
 
 def bath_deltas(lam: float, nbar_over_q: float, omega: float, t: float) -> BathDeltas:
-    _finite_nonnegative(nbar_over_q=nbar_over_q)
-    return _deltas(lam, nbar_over_q, omega, t, math)
+    _point(omega, t, nbar_over_q=nbar_over_q)
+    return _in_range("bath_deltas is not finite", lambda: _deltas(lam, nbar_over_q, omega, t, math),
+                     lam=lam, nbar_over_q=nbar_over_q, omega=omega, t=t)
 
 
 def _deltas(lam, nbar_over_q, omega, t, xp=np) -> BathDeltas:
@@ -292,9 +312,13 @@ def bath_witness(
     Coefficients are frozen at their closed-system optimum: the ground-start
     protocol uses the nbar = 0 optimum, the thermal start uses the thermal
     optimum. The bath then shifts the evaluated moments but not the bound.
+    A coefficient that overflows raises ValueError naming it, and a singular
+    quadrature block DegenerateMomentsError, as in optimize_coefficients.
     """
-    _finite_nonnegative(nbar=nbar, nbar_over_q=nbar_over_q)
-    w_b, w_en = _bath(lam, nbar, nbar_over_q, omega, omega_l, t, initial, math)
+    _point(omega, t, omega_l, nbar=nbar, nbar_over_q=nbar_over_q)
+    w_b, w_en = _in_range("bath_witness is not finite", lambda: _bath(
+        lam, nbar, nbar_over_q, omega, omega_l, t, initial, math), lam=lam, nbar=nbar, nbar_over_q=nbar_over_q,
+        omega=omega, omega_l=omega_l, t=t)
     return make_result(float(w_b), float(w_en))
 
 
@@ -388,9 +412,13 @@ def violation_scan(
     float64 array per ScanPoint field (`points` builds the records on
     demand); log10_w_ratio is math.log10 of each positive ratio and -inf
     elsewhere. The landmarks are found by index searches on w_ratio and
-    interpolated in Python floats between the two bracketing points. Inputs
-    so large that the kernels overflow give NaN or inf entries, not an
-    error; callers that need finite output check the arrays.
+    interpolated in Python floats between the two bracketing points.
+
+    lam, g, omega_l and tau are finite, omega finite and > 0, and nbar (or
+    the nbar grid) and nbar_over_q finite and >= 0. Inputs so large that the
+    kernels overflow give NaN or inf entries, not an error; callers that need
+    finite output check the arrays. With a bath, a singular quadrature block
+    at any grid point raises DegenerateMomentsError.
     """
     if mode not in ("pulseless", "pulsed"):
         raise ValueError("mode must be 'pulseless' or 'pulsed'")
@@ -400,10 +428,12 @@ def violation_scan(
     x = np.array(grid, dtype=float)
     if x.ndim != 1 or not x.size or not np.isfinite(x).all() or np.any(x[1:] <= x[:-1]):
         raise ValueError("grid must be nonempty, finite and sorted increasing")
+    _finite(lam=lam, g=g, omega_l=omega_l, tau=tau)
+    _finite_positive(omega=omega)
     _finite_nonnegative(nbar=nbar if sweep == "t" else x[0].item(), nbar_over_q=nbar_over_q)
 
     if mode == "pulsed":
-        lam_eff = pulsed_effective_lambda(g, omega, x if sweep == "t" else tau)
+        lam_eff = _effective_lambda(g, omega, x if sweep == "t" else tau)
         t = math.pi / omega
     else:
         lam_eff = lam
@@ -439,7 +469,8 @@ def violation_scan(
 
 def t_fixed_pulseless(omega: float) -> float:
     """Half oscillator period, the default witness readout time for nbar sweeps."""
-    return math.pi / omega
+    _finite_positive(omega=omega)
+    return _finite_result("t_fixed_pulseless is not finite", math.pi / omega, omega=omega)
 
 
 def max_nbar_for_violation(
@@ -453,8 +484,10 @@ def max_nbar_for_violation(
     ratio >= threshold; found by bisection on nbar over a log tau grid,
     each step one numpy kernel call over the whole grid."""
     _finite_positive(g=g, omega=omega)
-    taus = np.sqrt(4 * np.geomspace(lam_range[0], lam_range[1], n_grid) / (omega * g))
-    lam_eff = pulsed_effective_lambda(g, omega, taus)
+    _finite(threshold=threshold)
+    taus = _in_range("the tau grid is not finite", lambda: np.sqrt(
+        4 * np.geomspace(lam_range[0], lam_range[1], n_grid) / (omega * g)), g=g, omega=omega)
+    lam_eff = _effective_lambda(g, omega, taus)
 
     def peak_ratio(nb: float) -> float:
         w_b, w_en = _thermal(lam_eff, nb, omega, 0.0, math.pi / omega)
@@ -464,7 +497,8 @@ def max_nbar_for_violation(
     while peak_ratio(hi) >= threshold:
         lo, hi = hi, hi * 2
         if hi > 1e6:
-            raise ValueError("violation persists to unphysically large nbar")
+            raise ValueError(f"violation persists to unphysically large nbar at g = {g!r}, "
+                             f"omega = {omega!r}, threshold = {threshold!r}")
     return float(_bisect(lambda nb: peak_ratio(nb) >= threshold, lo, hi))
 
 

@@ -244,6 +244,10 @@ class TestAnchors:
         with pytest.raises(ParameterError, match="leaves the float range"):
             call()
 
+    def test_subnormal_products_keep_their_digits(self):
+        # 2 m w^2 and gamma_e dB are subnormal: 20000222658.8 came back, 1.1e-5 off
+        assert projection_limit_eta(1e-310, 1.0, 1e-160, 1.0, 1e-160) == pytest.approx(2e10, rel=1e-12)
+
 
 class TestForceSensitivity:
     def params(self, **kw):
