@@ -12,10 +12,10 @@ and the mechanical damping rate is gamma = omega / Q.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import numbers
 import sys
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
