@@ -16,8 +16,9 @@ s_k is the pulse sign profile and f an optional piecewise-constant force
 (bath sign convention H ~ (g sigma_z + f)(a + a^dag); an external sensing
 force enters with f = -f_ext).
 
-Every route checks g and omega (pulses.check_coupling) and alpha in
-branch_states. The force phase and displacement are pulses.force_response.
+branch_states steps both branches in one walk; every route goes through it,
+so (g, omega, tau) are checked once (pulses.check_coupling), and so is
+alpha. The force phase and displacement are pulses.force_response.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import pulses
 from .pulses import PulseSequence
-from .units import _finite, _finite_result
+from .units import _finite_result
 
 
 @dataclass(frozen=True)
@@ -79,50 +80,31 @@ def _branch_index(branch: int, name: str) -> int:
     return int(branch)
 
 
-def branch_states(
-    seq: PulseSequence,
-    g: float,
-    omega: float,
-    spin_sign: int,
-    alpha,
-    force=None,
-):
-    """One spin branch stepped piece by piece through pulses.pieces(seq, force).
+def branch_states(seq: PulseSequence, g: float, omega: float, alpha, force=None):
+    """Both spin branches stepped piece by piece through one walk of
+    pulses.pieces(seq, force).
 
-    Returns (t, c, states): the piece boundaries t (0, ..., tau), the drive
-    coefficient c = spin_sign (-1)^seg g - f of each piece (Hamiltonian term
-    -f (a + a^dag)), and the (theta, gamma) at every boundary, starting from
-    (0, alpha). alpha is a finite complex or an array of them, stepped
-    together. force is an optional (times, values) piecewise-constant series
-    on a grid covering [0, tau]; spin_sign is +1 (branch 0) or -1 (branch 1);
-    g and omega pass pulses.check_coupling, omega tau is finite, and so is the
-    final state.
+    Returns (t, (c0, c1), (states0, states1)): the piece boundaries t
+    (0, ..., tau), the drive coefficients of each piece, c0 = (-1)^seg g - f
+    for branch 0 and c1 = -(-1)^seg g - f for branch 1 (Hamiltonian term
+    -f (a + a^dag)), and each branch's (theta, gamma) at every boundary,
+    starting from (0, alpha). alpha is a finite complex or an array of them,
+    stepped together. force is an optional (times, values) piecewise-constant
+    series on a grid covering [0, tau]; (g, omega, tau) pass
+    pulses.check_coupling, and so are the final states.
     """
-    if spin_sign not in (1, -1):
-        raise ValueError(f"spin_sign must be +1 or -1, got {spin_sign!r}")
-    pulses.check_coupling(g, omega)
-    _finite(omega_tau=omega * seq.total_time)  # every step's phase omega dt then is
+    pulses.check_coupling(g, omega, seq.total_time)  # every step's phase omega dt is then finite
     if not (np.isfinite(alpha).all() if isinstance(alpha, np.ndarray) else cmath.isfinite(alpha)):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     start, end, seg, f = (x.tolist() for x in pulses.pieces(seq, force))
-    c = [spin_sign * (-1) ** k * g - fk for k, fk in zip(seg, f)]
-    states = [(0.0, alpha)]
-    for a, b, ck in zip(start, end, c):
-        states.append(segment_step(*states[-1], ck, omega, b - a))
-    _finite_result("branch state is not finite", states[-1], g=g, omega=omega, tau=seq.total_time)
+    c = ([(-1) ** k * g - fk for k, fk in zip(seg, f)], [-(-1) ** k * g - fk for k, fk in zip(seg, f)])
+    states = ([(0.0, alpha)], [(0.0, alpha)])
+    for a, b, c0, c1 in zip(start, end, *c):
+        states[0].append(segment_step(*states[0][-1], c0, omega, b - a))
+        states[1].append(segment_step(*states[1][-1], c1, omega, b - a))
+    _finite_result("branch state is not finite", (*states[0][-1], *states[1][-1]),
+                   g=g, omega=omega, tau=seq.total_time)
     return [*start, seq.total_time], c, states
-
-
-def branch_evolution(
-    seq: PulseSequence,
-    g: float,
-    omega: float,
-    spin_sign: int,
-    alpha: complex = 0j,
-    force=None,
-):
-    """Final (theta, gamma) for one spin branch, checked as in branch_states."""
-    return branch_states(seq, g, omega, spin_sign, complex(alpha), force)[2][-1]
 
 
 def evolve_state(
@@ -133,8 +115,7 @@ def evolve_state(
     force=None,
 ) -> EntangledState:
     """Evolve (|0> + |1>)/sqrt2 x |alpha> through the sequence."""
-    t0, g0 = branch_evolution(seq, g, omega, +1, alpha, force)
-    t1, g1 = branch_evolution(seq, g, omega, -1, alpha, force)
+    (t0, g0), (t1, g1) = (s[-1] for s in branch_states(seq, g, omega, complex(alpha), force)[2])
     w = 1.0 / math.sqrt(2.0)
     return EntangledState(
         Branch(w * cmath.exp(1j * t0), g0),
@@ -160,8 +141,9 @@ def trajectory(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    spin_sign = 1 - 2 * _branch_index(spin_branch, "spin_branch")
-    t_b, c, states = branch_states(seq, g, omega, spin_sign, complex(alpha))
+    branch = _branch_index(spin_branch, "spin_branch")
+    t_b, c, states = branch_states(seq, g, omega, complex(alpha))
+    c, states = c[branch], states[branch]
     t_b, gamma = np.array(t_b), np.array([s[1] for s in states])
     ts = np.linspace(0.0, seq.total_time, n_samples)
     k = np.searchsorted(t_b[:-1], ts)  # pieces that begin before each sample

@@ -391,8 +391,7 @@ def _branch_raw_moments(alphas: np.ndarray, g: float, omega: float, seq: PulseSe
     operators per initial coherent amplitude in alphas.
     """
     alphas = np.asarray(alphas, dtype=complex)
-    th0, g0 = dynamics.branch_states(seq, g, omega, +1, alphas)[2][-1]
-    th1, g1 = dynamics.branch_states(seq, g, omega, -1, alphas)[2][-1]
+    (th0, g0), (th1, g1) = (s[-1] for s in dynamics.branch_states(seq, g, omega, alphas)[2])
     phase = np.exp(1j * (th0 - th1))
     ov = np.exp(-np.abs(g0) ** 2 / 2 - np.abs(g1) ** 2 / 2 + np.conj(g1) * g0)
     z = phase * ov  # e^{i(theta0-theta1)} <g1|g0>
@@ -434,8 +433,9 @@ class MomentEstimate:
 def _max_branch_amplitude(seq: PulseSequence, g: float, omega: float, force=None) -> float:
     """Largest |gamma| either branch reaches from the vacuum: on a piece of coefficient c
     from gamma_k, gamma circles -c/omega, so |gamma| <= |c/omega| + |gamma_k + c/omega|."""
-    paths = [dynamics.branch_states(seq, g, omega, sign, 0j, force)[1:] for sign in (1, -1)]
-    return max(abs(ck / omega) + abs(gk + ck / omega) for c, states in paths for ck, (_, gk) in zip(c, states))
+    _, cs, paths = dynamics.branch_states(seq, g, omega, 0j, force)
+    return max(abs(ck / omega) + abs(gk + ck / omega)
+               for c, states in zip(cs, paths) for ck, (_, gk) in zip(c, states))
 
 
 def witness_moments(

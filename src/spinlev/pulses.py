@@ -18,7 +18,7 @@ The three functionals:
 * squeezing parameter  zeta = int_0^tau int_0^t sin(omega(t-t')) G(t) G(t') dt' dt.
 
 All but T(nu), force_response's force functionals included, take K from one
-backward recursion, _kernel_ends; every one checks (g, omega) by check_coupling.
+backward recursion, _kernel_ends; every one checks (g, omega, tau) by check_coupling.
 """
 
 from __future__ import annotations
@@ -186,10 +186,11 @@ def _checked_force(seq: PulseSequence, force) -> tuple[np.ndarray, np.ndarray]:
     return times, values
 
 
-def check_coupling(g: float, omega: float) -> None:
-    """Raise ParameterError unless g is finite and omega finite and > 0."""
-    _finite(g=g)
-    _finite_positive(omega=omega)
+def check_coupling(g: float, omega: float, tau: float) -> None:
+    """Raise ParameterError unless omega and tau are finite and > 0, and g and
+    omega tau finite (so every segment phase is), checked in that order."""
+    _finite_positive(omega=omega, tau=tau)
+    _finite(g=g, omega_tau=omega * tau)
 
 
 def _kernel_ends(seq: PulseSequence, g: float, omega: float):
@@ -198,10 +199,8 @@ def _kernel_ends(seq: PulseSequence, g: float, omega: float):
     K(tau) = K'(tau) = 0 over each segment (sign s, end b, th = omega (b - x)):
     K = K_b cos th - p_b sin th + s (1 - cos th)/omega, p = K_b sin th
     + p_b cos th - s sin th/omega, with no term that cancels at small omega tau.
-    Scaling by g afterwards keeps Delta n, zeta and int K^2 exactly homogeneous in g;
-    omega tau must be finite, so every segment phase is."""
-    check_coupling(g, omega)
-    _finite(omega_tau=omega * seq.total_time)
+    Scaling by g afterwards keeps Delta n, zeta and int K^2 exactly homogeneous in g."""
+    check_coupling(g, omega, seq.total_time)
     t = (0.0, *seq.pulse_times, seq.total_time)
     k, p = [0.0] * len(t), [0.0] * len(t)
     for j in range(len(t) - 2, -1, -1):
@@ -277,11 +276,10 @@ def residual_displacement(seq: PulseSequence, g: float, omega: float) -> tuple[c
 
 
 def delta_n_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) -> float:
-    """Closed-form Delta n for the named sequence kinds; (g, omega) pass check_coupling,
-    tau is finite and > 0, and the result is finite."""
+    """Closed-form Delta n for the named sequence kinds; (g, omega, tau) pass
+    check_coupling, and the result is finite."""
     closed = _named(kind, "no closed form for custom sequences").delta_n
-    check_coupling(g, omega)
-    _finite_positive(tau=tau)
+    check_coupling(g, omega, tau)
     return _in_range("delta_n_closed_form is not finite", lambda: closed(g * g / (omega * omega), omega * tau),
                      g=g, omega=omega, tau=tau)
 
@@ -423,10 +421,10 @@ def spectral_response(seq: PulseSequence, g: float, omega: float, nu):
     evaluation it stays within 1e-12 relative (1 Hz - 100 kHz at the
     reference device, and random pulse lists with 0 - 64 pulses).
     """
-    check_coupling(g, omega)
+    tau = seq.total_time
+    check_coupling(g, omega, tau)
     nus = np.asarray(nu, dtype=float)
     half_t, w = _edges(seq)
-    tau = seq.total_time
     # rows: C(x) for each x, C(omega) for J, and the shifted sums of the pole route
     if nus.ndim == 0:
         xv = abs(float(nus))
@@ -438,7 +436,6 @@ def spectral_response(seq: PulseSequence, g: float, omega: float, nu):
         a, b = np.concatenate((x, [omega], x - omega)), np.concatenate((x, [omega], x + omega))
     if not math.isfinite(xv * tau):
         raise ValueError(f"signal frequency nu must be finite, with |nu| tau finite, got {nu!r}")
-    _finite(omega_tau=omega * tau)
     n = x.size
     c = _phasor_sums(a, b, half_t, w)
     c_w = c[n]
@@ -493,10 +490,9 @@ def squeezing_parameter(seq: PulseSequence, g: float, omega: float) -> float:
 
 def zeta_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) -> float:
     """Column-2 closed forms for the named kinds (signed as the canonical integral);
-    (g, omega) pass check_coupling, tau is finite and > 0, and the result is finite."""
+    (g, omega, tau) pass check_coupling, and the result is finite."""
     closed = _named(kind, "no closed form for custom sequences").zeta
-    check_coupling(g, omega)
-    _finite_positive(tau=tau)
+    check_coupling(g, omega, tau)
     return _in_range("zeta_closed_form is not finite", lambda: closed(g * g / (omega * omega), omega * tau),
                      g=g, omega=omega, tau=tau)
 

@@ -101,7 +101,7 @@ TABLE = {
                                 {"total_time": (1.0, POS)}),
     "pulses.custom": Row(lambda tau: pulses.custom(tau, [0.5]), TAU, NAMED_TAU),
     "pulses.make_sequence": Row(lambda tau: pulses.make_sequence("carr_purcell2", tau), TAU, NAMED_TAU),
-    "pulses.check_coupling": Row(pulses.check_coupling, COUPLING),
+    "pulses.check_coupling": Row(pulses.check_coupling, ECHO),
     "pulses.residual_displacement": Row(lambda tau, **kw: pulses.residual_displacement(hahn_echo(tau), **kw),
                                         ECHO, NAMED_TAU),
     "pulses.kernel_l2": Row(lambda tau, **kw: pulses.kernel_l2(hahn_echo(tau), **kw), ECHO, NAMED_TAU),
@@ -121,10 +121,8 @@ TABLE = {
     "pulses.leading_order_row": Row(lambda **kw: pulses.leading_order_row("hahn_echo", **kw),
                                     {"omega": W, **TAU}),
     # dynamics
-    "dynamics.branch_states": Row(
-        lambda tau, **kw: dynamics.branch_states(hahn_echo(tau), spin_sign=-1, alpha=0.3j, **kw), ECHO, NAMED_TAU),
-    "dynamics.branch_evolution": Row(lambda tau, **kw: dynamics.branch_evolution(hahn_echo(tau), spin_sign=1, **kw),
-                                     ECHO, NAMED_TAU),
+    "dynamics.branch_states": Row(lambda tau, **kw: dynamics.branch_states(hahn_echo(tau), alpha=0.3j, **kw),
+                                  ECHO, NAMED_TAU),
     "dynamics.evolve_state": Row(lambda tau, **kw: dynamics.evolve_state(hahn_echo(tau), alpha=0.5, **kw),
                                  ECHO, NAMED_TAU),
     "dynamics.trajectory": Row(

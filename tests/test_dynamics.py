@@ -80,9 +80,9 @@ class TestBranchStates:
         # the first half ends after one pulse, so the remainder starts with
         # the opposite toggling-frame sign
         rest = pulses.custom(tau / 2, [0.2])
-        for spin, sign in ((0, +1), (1, -1)):
-            b = first.branch(spin)
-            theta, gamma = dynamics.branch_evolution(rest, g, omega, -sign, b.alpha)
+        for spin in (0, 1):
+            # the other branch of the walk from this branch's state takes the flipped sign
+            theta, gamma = dynamics.branch_states(rest, g, omega, first.branch(spin).alpha)[2][1 - spin][-1]
             assert gamma == pytest.approx(full.branch(spin).alpha, rel=1e-12, abs=1e-12)
 
     def test_echo_refocusing_order(self):
@@ -277,7 +277,8 @@ class TestTrajectoryExact:
 def _stepped_per_sample(seq, g, omega, spin_branch, n_samples, alpha):
     """Trajectory samples by one segment_step call per sample from the piece
     state of branch_states, the loop that trajectory's array pass replaced."""
-    t_b, c, states = dynamics.branch_states(seq, g, omega, 1 - 2 * spin_branch, complex(alpha))
+    t_b, c, states = dynamics.branch_states(seq, g, omega, complex(alpha))
+    c, states = c[spin_branch], states[spin_branch]
     out = []
     ts = np.linspace(0.0, seq.total_time, n_samples)
     for t, k in zip(ts.tolist(), np.searchsorted(t_b[:-1], ts).tolist()):  # k pieces begin before t
@@ -321,14 +322,14 @@ class TestTrajectoryArrayPass:
 
 class TestTrajectoryCoupling:
     """trajectory steps through branch_states; a bad g or omega raises the
-    ValueError of branch_evolution instead of NaN rows or a ZeroDivisionError."""
+    ValueError of branch_states instead of NaN rows or a ZeroDivisionError."""
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_g(self, bad):
         with pytest.raises(ValueError, match="g must be finite") as traj:
             trajectory(hahn_echo(1.0), bad, 1.0, 0, 3)
         with pytest.raises(ValueError) as branch:
-            dynamics.branch_evolution(hahn_echo(1.0), bad, 1.0, +1)
+            dynamics.branch_states(hahn_echo(1.0), bad, 1.0, 0j)
         assert str(traj.value) == str(branch.value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -336,7 +337,7 @@ class TestTrajectoryCoupling:
         with pytest.raises(ValueError, match="omega must be finite and > 0") as traj:
             trajectory(hahn_echo(1.0), 0.5, bad, 1, 3)
         with pytest.raises(ValueError) as branch:
-            dynamics.branch_evolution(hahn_echo(1.0), 0.5, bad, -1)
+            dynamics.branch_states(hahn_echo(1.0), 0.5, bad, 0j)
         assert str(traj.value) == str(branch.value)
 
     def test_zero_coupling_still_allowed(self):
@@ -344,13 +345,8 @@ class TestTrajectoryCoupling:
 
 
 class TestBranchLabels:
-    """A branch is 0 or 1 and a spin sign +1 or -1; any other label raises
-    instead of scaling the coupling or falling back to branch 1."""
-
-    @pytest.mark.parametrize("sign", [2, 0, -2])
-    def test_spin_sign(self, sign):
-        with pytest.raises(ValueError, match="spin_sign must be"):
-            dynamics.branch_evolution(hahn_echo(1.0), 0.5, 1.0, sign)
+    """A branch is 0 or 1; any other label raises instead of falling back
+    to branch 1."""
 
     @pytest.mark.parametrize("branch", [7, -1, 2])
     def test_trajectory_branch(self, branch):
@@ -381,13 +377,12 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
     def test_evolve_state_alpha(self, alpha):
-        # one check in branch_states; trajectory returned NaN rows and
-        # branch_evolution (nan, nan+nanj)
+        # one check in branch_states; trajectory returned NaN rows
         seq = hahn_echo(1.0)
         for route in (lambda: evolve_state(seq, 0.5, 1.0, alpha),
                       lambda: trajectory(seq, 0.5, 1.0, 0, 3, alpha=alpha),
-                      lambda: dynamics.branch_evolution(seq, 0.5, 1.0, +1, alpha),
-                      lambda: dynamics.branch_states(seq, 0.5, 1.0, -1, np.array([0.5, alpha]))):
+                      lambda: dynamics.branch_states(seq, 0.5, 1.0, alpha),
+                      lambda: dynamics.branch_states(seq, 0.5, 1.0, np.array([0.5, alpha]))):
             with pytest.raises(ValueError, match="alpha must be finite"):
                 route()
 
@@ -512,6 +507,27 @@ def _forced_runs(draw):
     n_values = len(knots) - 1 + draw(st.integers(0, 1))
     values = draw(st.lists(_FORCE, min_size=n_values, max_size=n_values))
     return seq, (knots, values)
+
+
+def _hex(x):
+    """A float or complex as the hex strings of its parts, so -0.0 and 0.0 differ."""
+    return (x.real.hex(), x.imag.hex()) if isinstance(x, complex) else x.hex()
+
+
+class TestOneWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(run=_forced_runs(), g=st.floats(-5.0, 5.0), omega=st.floats(0.1, 10.0),
+           re=st.floats(-3.0, 3.0), im=st.floats(-3.0, 3.0))
+    @example(run=(hahn_echo(1.0), ([0.0, 0.4, 1.0], [0.2, -0.1])), g=0.0, omega=1.0, re=-0.0, im=0.0)
+    def test_branch_one_is_branch_zero_at_minus_g(self, run, g, omega, re, im):
+        # -(-1)^k g and (-1)^k (-g) round the same, so the walk's branch 1
+        # is branch 0 of the walk at -g, force or not, bit for bit
+        seq, force = run
+        t, c, states = dynamics.branch_states(seq, g, omega, complex(re, im), force)
+        t_neg, c_neg, states_neg = dynamics.branch_states(seq, -g, omega, complex(re, im), force)
+        assert list(map(_hex, t)) == list(map(_hex, t_neg))
+        assert list(map(_hex, c[1])) == list(map(_hex, c_neg[0]))
+        assert [tuple(map(_hex, s)) for s in states[1]] == [tuple(map(_hex, s)) for s in states_neg[0]]
 
 
 class TestPieces:

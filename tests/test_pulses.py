@@ -483,7 +483,7 @@ _FORCE = ([0.0, 0.4, 1.0], [0.2, -0.1])  # a force series in the form pieces che
 
 
 class TestOneCouplingDomain:
-    """Every kernel functional and exact route takes (g, omega) through
+    """Every kernel functional and exact route takes (g, omega, tau) through
     pulses.check_coupling: g finite, omega finite and > 0, one rule and one
     message on every route."""
 
@@ -501,7 +501,6 @@ class TestOneCouplingDomain:
             "carr_purcell2", g, omega, seq.total_time),
         "zeta_closed_form": lambda seq, g, omega: zeta_closed_form("carr_purcell2", g, omega, seq.total_time),
         "evolve_state": dynamics.evolve_state,
-        "branch_evolution": lambda seq, g, omega: dynamics.branch_evolution(seq, g, omega, -1),
         "trajectory": lambda seq, g, omega: dynamics.trajectory(seq, g, omega, 0, 3),
     }
     BAD = [(g, 1.0) for g in (math.nan, math.inf, -math.inf)] + [
@@ -514,7 +513,7 @@ class TestOneCouplingDomain:
         # third message ("omega must be > 0") in the boxcar force route; the
         # closed forms raised ZeroDivisionError there
         with pytest.raises(ValueError) as expected:
-            pulses.check_coupling(g, omega)
+            pulses.check_coupling(g, omega, 1.0)
         with pytest.raises(ValueError) as got:
             self.ROUTES[route](carr_purcell2(1.0), g, omega)
         assert str(got.value) == str(expected.value)
