@@ -318,7 +318,7 @@ def cmd_sensitivity(args) -> int:
     if "temperature_k" in cfg and "nbar" not in cfg:
         merged.pop("nbar", None)
     params = params_from_dict(merged)
-    tau = json_number(cfg.get("tau_s", 1e-4), "tau_s")
+    tau = _finite(cfg.get("tau_s", 1e-4), "tau_s", positive=True)
     nu_min = json_number(cfg.get("nu_min_hz", 1.0), "nu_min_hz")
     nu_max = json_number(cfg.get("nu_max_hz", 1e5), "nu_max_hz")
     if not (math.isfinite(nu_min) and math.isfinite(nu_max) and 0 < nu_min < nu_max):
@@ -357,7 +357,7 @@ def cmd_witness(args) -> int:
     lam = _finite(cfg.get("lam", 0.5), "lam")
     g = _scaled(cfg.get("g_over_omega", 1.0), omega, "g_over_omega")
     omega_l = _scaled(cfg.get("larmor_hz", 0.0), 2 * math.pi, "larmor_hz")
-    tau = _finite(cfg.get("tau_s", 0.1 * math.pi / omega), "tau_s")
+    tau = _finite(cfg.get("tau_s", 0.1 * math.pi / omega), "tau_s", positive=True)
     _scaled(tau, omega, "tau_s")
     nbar = _finite(cfg.get("nbar", 0.0), "nbar")
     nbar_over_q = _finite(cfg.get("nbar_over_q", 0.0), "nbar_over_q")
@@ -391,7 +391,7 @@ def cmd_witness(args) -> int:
 def cmd_table(args) -> int:
     cfg = _load_config(args.config, _TABLE_KEYS)
     omega = 1.0
-    wt = json_number(cfg.get("omega_tau", 0.1), "omega_tau")
+    wt = _finite(cfg.get("omega_tau", 0.1), "omega_tau", positive=True)
     tau = wt / omega
     labels, quantities, values = [], [], []
     for kind in pulses.NAMED_KINDS:
@@ -425,7 +425,7 @@ def cmd_trajectory(args) -> int:
     cfg = _load_config(args.config, _TRAJECTORY_KEYS)
     omega = _scaled(cfg.get("freq_hz", 100.0), 2 * math.pi, "freq_hz", positive=True)
     g = _scaled(cfg.get("g_over_omega", 1.0), omega, "g_over_omega")
-    tau = _finite(cfg.get("tau_s", 0.2 * math.pi / omega), "tau_s")
+    tau = _finite(cfg.get("tau_s", 0.2 * math.pi / omega), "tau_s", positive=True)
     _scaled(tau, omega, "tau_s")
     n_samples = _count(cfg.get("n_samples", 200), "n_samples")
     labels, branches, samples = [], [], []

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import pulses
 from .pulses import PulseSequence
-from .units import _finite_result
+from .units import _in_range
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,8 @@ def branch_states(seq: PulseSequence, g: float, omega: float, alpha, force=None)
     starting from (0, alpha). alpha is a finite complex or an array of them,
     stepped together. force is an optional (times, values) piecewise-constant
     series on a grid covering [0, tau]; (g, omega, tau) pass
-    pulses.check_coupling, and so are the final states.
+    pulses.check_coupling, and the final states are finite (an overflow in
+    the walk raises ParameterError, not a numpy warning).
     """
     pulses.check_coupling(g, omega, seq.total_time)  # every step's phase omega dt is then finite
     if not (np.isfinite(alpha).all() if isinstance(alpha, np.ndarray) else cmath.isfinite(alpha)):
@@ -99,11 +100,13 @@ def branch_states(seq: PulseSequence, g: float, omega: float, alpha, force=None)
     start, end, seg, f = (x.tolist() for x in pulses.pieces(seq, force))
     c = ([(-1) ** k * g - fk for k, fk in zip(seg, f)], [-(-1) ** k * g - fk for k, fk in zip(seg, f)])
     states = ([(0.0, alpha)], [(0.0, alpha)])
-    for a, b, c0, c1 in zip(start, end, *c):
-        states[0].append(segment_step(*states[0][-1], c0, omega, b - a))
-        states[1].append(segment_step(*states[1][-1], c1, omega, b - a))
-    _finite_result("branch state is not finite", (*states[0][-1], *states[1][-1]),
-                   g=g, omega=omega, tau=seq.total_time)
+
+    def walk():
+        for a, b, c0, c1 in zip(start, end, *c):
+            states[0].append(segment_step(*states[0][-1], c0, omega, b - a))
+            states[1].append(segment_step(*states[1][-1], c1, omega, b - a))
+        return (*states[0][-1], *states[1][-1])
+    _in_range("branch state is not finite", walk, g=g, omega=omega, tau=seq.total_time)
     return [*start, seq.total_time], c, states
 
 

@@ -264,8 +264,8 @@ def evolve(state: JointState, natural: NaturalParams, seq: PulseSequence, force=
     made here.
 
     A coupling |c|/omega whose tridiagonal is not finite raises ValueError
-    naming it as kappa, and a force-free phase omega E dt past the float
-    range ResolutionError (the state's norm is not finite).
+    naming it as kappa, and a phase omega E dt past the float range, forced
+    or not, ResolutionError (the state's norm is not finite).
 
     Each call logs one DEBUG record on the "spinlev.oracle" logger, with
     record attributes n_pieces, cache_misses (of the shared cache),
@@ -295,32 +295,32 @@ def evolve(state: JointState, natural: NaturalParams, seq: PulseSequence, force=
         evals, free_evecs = _sector_eigensystem(n_max, abs(kappas[free][0, 0].item()))
         misses = _sector_eigensystem.cache_info().misses - before
     t1 = time.perf_counter()
-    if free.any():
-        # one column per spin sector, so the product with the (n_max + 1, 2)
-        # block of the state runs over contiguous rows
-        with np.errstate(over="ignore", invalid="ignore"):  # phases past the float range: a NaN norm
-            table = np.exp(-1j * omega * evals * dt[free][:, None])
-        phases = iter(np.stack((table, table), axis=-1))
     psi = np.array(state.coeff.T, dtype=complex, order="C")
     re = psi.view(float)
     halves = (re[:, :2], re[:, 2:])
     odd = (psi[1::2, 0], psi[1::2, 1])
     view = JointState(psi.T)  # psi changes in place, so one wrapper serves every check
     last = np.append(seg[1:] != seg[:-1], True)  # the last piece of each pulse segment
-    for (k0, k1), d, is_free, check in zip(kappas.tolist(), dt.tolist(), free.tolist(), last.tolist()):
-        if abs(k0) == abs(k1):  # one product for both sectors, as on every force-free piece
-            if is_free:
-                evecs, phase = free_evecs, next(phases)
+    with np.errstate(over="ignore", invalid="ignore"):  # phases past the float range: a NaN norm
+        if free.any():
+            # one column per spin sector, so the product with the (n_max + 1, 2)
+            # block of the state runs over contiguous rows
+            table = np.exp(-1j * omega * evals * dt[free][:, None])
+            phases = iter(np.stack((table, table), axis=-1))
+        for (k0, k1), d, is_free, check in zip(kappas.tolist(), dt.tolist(), free.tolist(), last.tolist()):
+            if abs(k0) == abs(k1):  # one product for both sectors, as on every force-free piece
+                if is_free:
+                    evecs, phase = free_evecs, next(phases)
+                else:
+                    evals_k, evecs = forced[abs(k0)]
+                    phase = np.exp(-1j * omega * evals_k * d)[:, None]
+                _rotate(re, [v for k, v in zip((k0, k1), odd) if k < 0], evecs, phase)
             else:
-                evals_k, evecs = forced[abs(k0)]
-                phase = np.exp(-1j * omega * evals_k * d)[:, None]
-            _rotate(re, [v for k, v in zip((k0, k1), odd) if k < 0], evecs, phase)
-        else:
-            for k, half, v in zip((k0, k1), halves, odd):
-                evals_k, evecs = forced[abs(k)]
-                _rotate(half, (v,) if k < 0 else (), evecs, np.exp(-1j * omega * evals_k * d)[:, None])
-        if check:
-            view.check()
+                for k, half, v in zip((k0, k1), halves, odd):
+                    evals_k, evecs = forced[abs(k)]
+                    _rotate(half, (v,) if k < 0 else (), evecs, np.exp(-1j * omega * evals_k * d)[:, None])
+            if check:
+                view.check()
     product_s = time.perf_counter() - t1
     result = JointState(np.ascontiguousarray(psi.T))
     if _log.isEnabledFor(logging.DEBUG):

@@ -65,13 +65,14 @@ def cooling_factor(gamma_c: float, t_c: float) -> float:
     return _in_range("cooling factor xi is not finite", lambda: 1.0 / math.expm1(x), gamma_c=gamma_c, t_c=t_c)
 
 
-def _noise_budget(phi_per_f, delta_n: float, xi: float, n_spins: float, thermal_var: float):
+def _noise_budget(phi_per_f, delta_n: float, xi: float, n_spins: float, thermal_var: float, **caller):
     """(NSR, 1/(4 N_s), N_s Dn^2 xi): noise_to_signal and the two noise terms
-    it is built from, each formed once."""
+    it is built from, each formed once. A numerator that is not finite names
+    the caller's inputs (e.g. the coupling), then these arguments."""
     projection = 1.0 / (4 * n_spins)
     backaction, noise = _in_range("noise numerator is not finite",
                                   lambda: (b := n_spins * delta_n ** 2 * xi, projection + b + thermal_var),
-                                  delta_n=delta_n, xi=xi, n_spins=n_spins, thermal_var=thermal_var)
+                                  **caller, delta_n=delta_n, xi=xi, n_spins=n_spins, thermal_var=thermal_var)
     with np.errstate(divide="ignore", over="ignore"):
         return noise / np.square(phi_per_f), projection, backaction
 
@@ -183,8 +184,14 @@ def thermal_limit_eta(mass: float, omega: float, q_factor: float, temperature: f
     _finite_nonnegative(temperature=temperature)
     if temperature == 0.0:
         return 0.0
-    return _in_range("thermal_limit_eta leaves the float range",
-                     lambda: math.sqrt(4 * mass * (omega / q_factor) * KB * temperature), positive=True,
+
+    def eta():
+        rate = 4 * mass * (omega / q_factor) * KB
+        if min(omega / q_factor, rate, rate * temperature) >= sys.float_info.min:
+            return math.sqrt(rate * temperature)
+        # a product underflows, to 0 or to a subnormal that lost digits; the square roots keep them
+        return 2 * math.sqrt(mass) * (math.sqrt(omega) / math.sqrt(q_factor)) * math.sqrt(KB) * math.sqrt(temperature)
+    return _in_range("thermal_limit_eta leaves the float range", eta, positive=True,
                      mass=mass, omega=omega, q_factor=q_factor, temperature=temperature)
 
 
@@ -194,8 +201,15 @@ def sql_gradient(mass: float, t_between: float, tau_precess: float, n_spins: flo
     in the float range."""
     args = dict(mass=mass, t_between=t_between, tau_precess=tau_precess, n_spins=n_spins, gamma_e=gamma_e)
     _finite_positive(**args)
-    return _in_range("sql_gradient leaves the float range", lambda: 1.0 / (
-        gamma_e * tau_precess * math.sqrt(n_spins) * math.sqrt(HBAR * t_between / mass)), positive=True, **args)
+
+    def gradient():
+        rate, spread = gamma_e * tau_precess * math.sqrt(n_spins), HBAR * t_between / mass  # spread: dx_SQL^2
+        den = rate * math.sqrt(spread)
+        if min(gamma_e * tau_precess, rate, HBAR * t_between, spread, den) >= sys.float_info.min:
+            return 1.0 / den
+        # a product underflows, to 0 or to a subnormal that lost digits; the ratios keep them
+        return math.sqrt(mass) / gamma_e / tau_precess / math.sqrt(n_spins) / (math.sqrt(HBAR) * math.sqrt(t_between))
+    return _in_range("sql_gradient leaves the float range", gradient, positive=True, **args)
 
 
 @dataclass(frozen=True)
@@ -251,7 +265,7 @@ def sensitivity_spectrum(
     nus = np.array(nus, dtype=float).reshape(-1)
     response = pulses.spectral_response(seq, g, omega, nus)
     phi_per_f = np.hypot(response.real, response.imag)  # abs() of each complex, to the bit
-    nsr, projection_var, backaction_var = _noise_budget(phi_per_f, delta_n, xi, params.n_spins, v_th)
+    nsr, projection_var, backaction_var = _noise_budget(phi_per_f, delta_n, xi, params.n_spins, v_th, coupling=g)
     eta = np.sqrt(nsr * (tau + params.cooling_time)) * HBAR / nat.x0
     return SensitivitySpectrum(nus, eta, phi_per_f, projection_var, backaction_var, v_th)
 

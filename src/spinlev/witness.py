@@ -252,10 +252,11 @@ def halfperiod_coefficients(lam: float, nbar: float) -> WitnessCoefficients:
 
 def pulsed_effective_lambda(g: float, omega: float, tau: float) -> float:
     """Effective conditional-displacement strength of the one-pulse echo, for
-    g finite, omega finite and > 0 and a tau or an array of them; the result
-    must be finite."""
+    g finite, omega finite and > 0 and a tau >= 0 or an array of them; the
+    result must be finite."""
     _finite(g=g)
     _finite_positive(omega=omega)
+    _finite_nonnegative(tau=np.min(tau, initial=0.0).item())  # the least tau; an inf one leaves the result inf
     return _in_range("pulsed_effective_lambda is not finite", lambda: _effective_lambda(g, omega, tau),
                      g=g, omega=omega, tau=tau)
 
@@ -414,10 +415,10 @@ def violation_scan(
     elsewhere. The landmarks are found by index searches on w_ratio and
     interpolated in Python floats between the two bracketing points.
 
-    lam, g, omega_l and tau are finite, omega finite and > 0, and nbar (or
-    the nbar grid) and nbar_over_q finite and >= 0. Inputs so large that the
-    kernels overflow give NaN or inf entries, not an error; callers that need
-    finite output check the arrays. With a bath, a singular quadrature block
+    lam, g and omega_l are finite, omega finite and > 0, and nbar (or the
+    nbar grid), the t grid, tau and nbar_over_q finite and >= 0. Inputs so
+    large that the kernels overflow give NaN or inf entries, not an error;
+    callers that need finite output check the arrays. With a bath, a singular quadrature block
     at any grid point raises DegenerateMomentsError.
     """
     if mode not in ("pulseless", "pulsed"):
@@ -428,9 +429,10 @@ def violation_scan(
     x = np.array(grid, dtype=float)
     if x.ndim != 1 or not x.size or not np.isfinite(x).all() or np.any(x[1:] <= x[:-1]):
         raise ValueError("grid must be nonempty, finite and sorted increasing")
-    _finite(lam=lam, g=g, omega_l=omega_l, tau=tau)
+    _finite(lam=lam, g=g, omega_l=omega_l)
     _finite_positive(omega=omega)
-    _finite_nonnegative(nbar=nbar if sweep == "t" else x[0].item(), nbar_over_q=nbar_over_q)
+    # the grid is sorted, so its first point is its least
+    _finite_nonnegative(**{"nbar": nbar, sweep: x[0].item()}, tau=tau, nbar_over_q=nbar_over_q)
 
     if mode == "pulsed":
         lam_eff = _effective_lambda(g, omega, x if sweep == "t" else tau)

@@ -360,6 +360,29 @@ class TestTableTinyOmegaTau:
         assert out == ""
 
 
+class TestConfigTimesPositive:
+    """A sequence length or a witness time below 0 exits 2 naming its key;
+    a negative tau_s once gave the scan at |tau_s|, or a message naming
+    total_time, which no config key is called."""
+
+    @pytest.mark.parametrize("sub,key", [("sensitivity", "tau_s"), ("witness", "tau_s"),
+                                         ("trajectory", "tau_s"), ("table", "omega_tau")])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.inf])
+    def test_not_positive_exits_2_naming_the_key(self, tmp_path, capsys, sub, key, value):
+        body = {key: value, "mode": "pulsed", "sweep": "nbar"} if sub == "witness" else {key: value}
+        code, out, err, caught = run_config(tmp_path, capsys, sub, body)
+        assert code == 2
+        assert err == f"error: {key} must be finite and > 0, got {value!r}\n"
+        assert out == "" and not caught
+
+    def test_negative_t_grid_exits_2(self, tmp_path, capsys):
+        code, out, err, caught = run_config(tmp_path, capsys, "witness",
+                                            {"grid": {"min": -0.05, "max": 0.05, "n": 5}})
+        assert code == 2
+        assert err == "error: t must be finite and >= 0, got -0.05\n"
+        assert out == "" and not caught
+
+
 class TestConfigNonFinite:
     @pytest.mark.parametrize("sub,key", [
         ("witness", "lam"), ("witness", "g_over_omega"), ("witness", "larmor_hz"),

@@ -74,8 +74,8 @@ COUPLING = {"g": G, "omega": W}
 TAU = {"tau": (1.0, POS)}
 ECHO = {**COUPLING, **TAU}  # the arguments of a function of hahn_echo(tau), g and omega
 NAMED_TAU = {"tau": ("tau", "total_time")}  # PulseSequence names its time total_time
-# the kernels name the coupling g, and the noise numerator the delta_n it gives
-COUPLING_NAMES = {"coupling": ("coupling", "g", "delta_n")}
+# the kernels name the coupling g
+COUPLING_NAMES = {"coupling": ("coupling", "g")}
 NOT_NAN = Domain("not NaN (2 g / omega may overflow)", lambda x: not math.isnan(x))
 
 
@@ -140,7 +140,7 @@ TABLE = {
     "witness.halfperiod_coefficients": Row(witness.halfperiod_coefficients,
                                            {"lam": (0.5, REAL), "nbar": (0.3, NONNEG)}),
     "witness.pulsed_effective_lambda": Row(witness.pulsed_effective_lambda,
-                                           {"g": (0.7, REAL), "omega": (1.0, POS), "tau": (1.0, REAL)}),
+                                           {"g": (0.7, REAL), "omega": (1.0, POS), "tau": (1.0, NONNEG)}),
     "witness.bath_deltas": Row(witness.bath_deltas, {
         "lam": (0.5, REAL), "nbar_over_q": (1e-3, NONNEG), "omega": (1.0, POS), "t": (2.0, NONNEG)}),
     # a coefficient that overflows raises as optimize_coefficients does, naming the coefficient,
@@ -154,7 +154,7 @@ TABLE = {
                                              documented=lambda r: True, raises=(witness.DegenerateMomentsError,),
                                              silent=True),
     "witness.violation_scan(pulsed)": Row(lambda **kw: _scan(mode="pulsed", **kw),
-                                          {**_SCAN_ARGS, "g": (0.7, REAL), "tau": (1.0, REAL)},
+                                          {**_SCAN_ARGS, "g": (0.7, REAL), "tau": (1.0, NONNEG)},
                                           documented=lambda r: True, raises=(witness.DegenerateMomentsError,),
                                           silent=True),
     "witness.t_fixed_pulseless": Row(witness.t_fixed_pulseless, {"omega": (1.0, POS)}),

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from spinlev import dynamics, pulses
 from spinlev.dynamics import evolve_state, trajectory
 from spinlev.pulses import carr_purcell2, custom, force_response, hahn_echo, ramsey
+from spinlev.units import ParameterError
 
 
 def _pulseless_branches(alpha, g, omega, tau):
@@ -385,6 +386,14 @@ class TestNonFiniteInput:
                       lambda: dynamics.branch_states(seq, 0.5, 1.0, np.array([0.5, alpha]))):
             with pytest.raises(ValueError, match="alpha must be finite"):
                 route()
+
+    @pytest.mark.parametrize("alpha", [1e308 + 0j, np.array([1e308 + 0j]), np.array([0.5, 1e308j])])
+    def test_overflow_in_the_walk(self, alpha):
+        # an array of alpha overflowed with a numpy RuntimeWarning before the
+        # final-state check; now it raises as a scalar alpha does
+        with pytest.raises(ParameterError, match=r"^branch state is not finite at g = 10\.0, omega = 1\.0, "
+                                                 r"tau = 1\.0$"):
+            dynamics.branch_states(hahn_echo(1.0), 10.0, 1.0, alpha)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["g", "omega"])

@@ -29,7 +29,7 @@ from spinlev.oracle import (
     witness_moments,
 )
 from spinlev.pulses import carr_purcell2, hahn_echo, ramsey
-from spinlev.units import NaturalParams
+from spinlev.units import NaturalParams, ParameterError
 
 
 def nat(g, omega, nbar=0.0, q=1e6):
@@ -357,6 +357,20 @@ def mixed_runs(draw):
         knots, values = force
         force = (knots, [0.0 if draw(st.booleans()) else v for v in values])
     return seq, 0.0 if draw(st.integers(0, 4)) == 0 else g, force
+
+
+class TestPhasesPastTheFloatRange:
+    """A forced phase omega E dt past the float range leaves a NaN norm, which
+    the segment check rejects as ResolutionError with no numpy warning, as it
+    does a force-free one."""
+
+    NATURAL = NaturalParams(g=0.5, omega=1e300, lam=1e-300, nbar=0.0, gamma=1.0, x0=1.0, larmor=0.0)
+
+    @pytest.mark.parametrize("force", [([0.0, 1e10], [0.1]), ([0.0, 2e9, 1e10], [0.0, 0.1])],
+                             ids=["forced", "mixed"])
+    def test_resolution_error_only(self, force):
+        with pytest.raises(ResolutionError, match="norm drifted by nan"):
+            evolve(initial_state(0j, 40), self.NATURAL, pulses.custom(1e10, [5e9]), force)
 
 
 class TestRealPropagator:
@@ -971,6 +985,12 @@ class TestVectorisedRawMoments:
                       q0 * p0 + q1 * p1, -(z * qc).imag, -(z * pc).imag,
                       (q0 - q1) / 2, (p0 - p1) / 2]
             assert np.max(np.abs(row - expect)) <= 1e-12
+
+    def test_overflow_in_the_walk_raises(self):
+        # the sampled amplitudes are stepped as one array; an overflow there
+        # raised numpy's RuntimeWarning before the final-state check
+        with pytest.raises(ParameterError, match="^branch state is not finite at g = 10.0, "):
+            oracle._branch_raw_moments(np.array([0.5, 1e308 + 0j]), 10.0, 1.0, hahn_echo(1.0))
 
 
 def test_verify_and_evolve_leave_scipy_linalg_unloaded(child_env):

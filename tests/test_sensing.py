@@ -1,6 +1,7 @@
 """Noise budgets, SQL solvers, anchor sensitivities, squeezed readout."""
 
 import dataclasses
+import decimal
 import math
 import re
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinlev import pulses, sensing
-from spinlev.constants import GAMMA_E_DEFAULT, HBAR
+from spinlev.constants import GAMMA_E_DEFAULT, HBAR, KB
 from spinlev.pulses import SequenceKind, carr_purcell2, custom, hahn_echo, ramsey
 from spinlev.sensing import (
     UnboundedCouplingError,
@@ -248,6 +249,23 @@ class TestAnchors:
         # 2 m w^2 and gamma_e dB are subnormal: 20000222658.8 came back, 1.1e-5 off
         assert projection_limit_eta(1e-310, 1.0, 1e-160, 1.0, 1e-160) == pytest.approx(2e10, rel=1e-12)
 
+    def test_underflowing_products_keep_an_in_range_result(self):
+        # 4 m (w/Q) k_B and gamma_e tau underflowed to 0, and both raised
+        # "leaves the float range" for a result well inside it
+        d = decimal.Context(prec=40)
+        thermal = (4 * d.create_decimal(1e-310) * d.create_decimal(KB) * 10 ** 10).sqrt(d)
+        assert thermal_limit_eta(1e-310, 1.0, 1.0, 1e10) == pytest.approx(float(thermal), rel=1e-14)
+        spread = d.create_decimal(HBAR) * 10 ** 10 / d.create_decimal(1e-300)  # dx_SQL^2
+        sql = 1 / (d.create_decimal(1e-200) ** 2 * spread.sqrt(d))
+        assert sql_gradient(1e-300, 1e10, 1e-200, 1.0, 1e-200) == pytest.approx(float(sql), rel=1e-14)
+
+    def test_subnormal_spin_product_keeps_its_digits(self):
+        # gamma_e tau sqrt(N_s) = 1e-315 is subnormal: the result came back 1.5e-9 off
+        d = decimal.Context(prec=40)
+        spread = d.create_decimal(HBAR) * 10 ** 100 / d.create_decimal(1e-234)  # dx_SQL^2
+        sql = 1 / (d.create_decimal(1e-150) ** 2 * d.create_decimal(1e-30).sqrt(d) * spread.sqrt(d))
+        assert sql_gradient(1e-234, 1e100, 1e-150, 1e-30, 1e-150) == pytest.approx(float(sql), rel=1e-14)
+
 
 class TestForceSensitivity:
     def params(self, **kw):
@@ -450,6 +468,11 @@ class TestSensitivitySpectrum:
         for sp in spec.points:
             assert (sp.budget.projection_var, sp.budget.backaction_var, sp.budget.thermal_var) == (
                 spec.projection_var, spec.backaction_var, spec.thermal_var)
+
+    def test_overflowing_numerator_names_the_coupling(self):
+        # the message named only delta_n, which the caller did not pass
+        with pytest.raises(ParameterError, match=r"^noise numerator is not finite at coupling = 1e\+100, delta_n = "):
+            sensing.sensitivity_spectrum(self.REF, carr_purcell2(1e-4), [1.0], coupling=1e100)
 
     def test_empty_grid(self):
         spec = sensing.sensitivity_spectrum(self.REF, carr_purcell2(1e-4), [])

@@ -296,6 +296,23 @@ class TestViolationScan:
             with pytest.raises(ValueError, match="finite"):
                 violation_scan("pulseless", "t", grid, lam=0.5)
 
+    @pytest.mark.parametrize("mode,kw", [("pulseless", {"lam": 0.5}), ("pulsed", {"g": 1.0})])
+    def test_negative_times_rejected(self, mode, kw):
+        # a t grid below 0 returned ratios (the one-point functions reject t < 0)
+        with pytest.raises(ValueError, match=r"^t must be finite and >= 0, got -1\.0$"):
+            violation_scan(mode, "t", [-1.0, 0.5], **kw)
+        assert violation_scan(mode, "t", [0.0, 0.5], **kw).sweep_value.tolist() == [0.0, 0.5]
+
+    @pytest.mark.parametrize("call", [
+        lambda: pulsed_effective_lambda(1.0, 1.0, -0.3),
+        lambda: pulsed_effective_lambda(1.0, 1.0, np.array([0.3, -0.3])),
+        lambda: violation_scan("pulsed", "nbar", [0.0, 1.0], g=1.0, tau=-0.3),
+    ], ids=["scalar", "array", "scan"])
+    def test_negative_tau_rejected(self, call):
+        # the scan at tau = -0.3 equalled the one at +0.3
+        with pytest.raises(ValueError, match=r"^tau must be finite and >= 0, got -0\.3$"):
+            call()
+
     def test_t_fixed_pulseless(self):
         assert t_fixed_pulseless(2.0) == pytest.approx(math.pi / 2.0)
 
