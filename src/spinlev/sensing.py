@@ -23,7 +23,6 @@ depend on it.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ from . import pulses
 from .constants import HBAR, KB
 from .pulses import PulseSequence
 from .units import (PhysicalParams, _finite, _finite_nonnegative, _finite_positive, _finite_result, _in_range,
-                    to_natural)
+                    _rescaled, to_natural)
 
 
 @dataclass(frozen=True)
@@ -166,14 +165,9 @@ def projection_limit_eta(mass: float, omega: float, gradient: float, t2_star: fl
     every argument finite and > 0, and the result in the float range."""
     args = dict(mass=mass, omega=omega, gradient=gradient, t2_star=t2_star, gamma_e=gamma_e)
     _finite_positive(**args)
-
-    def eta():
-        num, den = 2 * mass * omega ** 2, gamma_e * gradient * math.sqrt(t2_star)
-        if min(num, den) >= sys.float_info.min:
-            return num / den
-        # a product underflows, to 0 or to a subnormal that lost digits; the ratios keep them
-        return 2 * (mass / gamma_e) * (omega / gradient) * (omega / math.sqrt(t2_star))
-    return _in_range("projection_limit_eta leaves the float range", eta, positive=True, **args)
+    return _in_range("projection_limit_eta leaves the float range", lambda: _rescaled(
+        lambda m, w, db, t2, ge: 2 * m * (w * w) / (ge * db * math.sqrt(t2)),
+        (1, 2, -1, -0.5, -1), mass, omega, gradient, t2_star, gamma_e), positive=True, **args)
 
 
 def thermal_limit_eta(mass: float, omega: float, q_factor: float, temperature: float) -> float:
@@ -184,15 +178,10 @@ def thermal_limit_eta(mass: float, omega: float, q_factor: float, temperature: f
     _finite_nonnegative(temperature=temperature)
     if temperature == 0.0:
         return 0.0
-
-    def eta():
-        rate = 4 * mass * (omega / q_factor) * KB
-        if min(omega / q_factor, rate, rate * temperature) >= sys.float_info.min:
-            return math.sqrt(rate * temperature)
-        # a product underflows, to 0 or to a subnormal that lost digits; the square roots keep them
-        return 2 * math.sqrt(mass) * (math.sqrt(omega) / math.sqrt(q_factor)) * math.sqrt(KB) * math.sqrt(temperature)
-    return _in_range("thermal_limit_eta leaves the float range", eta, positive=True,
-                     mass=mass, omega=omega, q_factor=q_factor, temperature=temperature)
+    return _in_range("thermal_limit_eta leaves the float range", lambda: _rescaled(
+        lambda m, w, q, t: math.sqrt(4 * m * (w / q) * KB * t),
+        (0.5, 0.5, -0.5, 0.5), mass, omega, q_factor, temperature), positive=True,
+        mass=mass, omega=omega, q_factor=q_factor, temperature=temperature)
 
 
 def sql_gradient(mass: float, t_between: float, tau_precess: float, n_spins: float, gamma_e: float) -> float:
@@ -201,15 +190,9 @@ def sql_gradient(mass: float, t_between: float, tau_precess: float, n_spins: flo
     in the float range."""
     args = dict(mass=mass, t_between=t_between, tau_precess=tau_precess, n_spins=n_spins, gamma_e=gamma_e)
     _finite_positive(**args)
-
-    def gradient():
-        rate, spread = gamma_e * tau_precess * math.sqrt(n_spins), HBAR * t_between / mass  # spread: dx_SQL^2
-        den = rate * math.sqrt(spread)
-        if min(gamma_e * tau_precess, rate, HBAR * t_between, spread, den) >= sys.float_info.min:
-            return 1.0 / den
-        # a product underflows, to 0 or to a subnormal that lost digits; the ratios keep them
-        return math.sqrt(mass) / gamma_e / tau_precess / math.sqrt(n_spins) / (math.sqrt(HBAR) * math.sqrt(t_between))
-    return _in_range("sql_gradient leaves the float range", gradient, positive=True, **args)
+    return _in_range("sql_gradient leaves the float range", lambda: _rescaled(
+        lambda m, t, tau, n, ge: 1.0 / (ge * tau * math.sqrt(n) * math.sqrt(HBAR * t / m)),  # HBAR t / m: dx_SQL^2
+        (0.5, -0.5, -1, -0.5, -1), mass, t_between, tau_precess, n_spins, gamma_e), positive=True, **args)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import cmath
 import dataclasses
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +84,22 @@ def _entry_in_range(v, positive: bool) -> bool:
     return cmath.isfinite(v) and (not positive or v > 0)
 
 
+def _rescaled(formula, powers, *args) -> float:
+    """formula(*args) for a formula that is a constant times the product of
+    args[i] ** powers[i], every arg > 0 and every power a multiple of 1/2.
+    It runs on the frexp mantissas of args, taken in [0.5, 2) with an even
+    exponent, and one ldexp adds the exponents back. So no intermediate
+    leaves the normal range, the result rounds once (OverflowError past the
+    range, a subnormal or 0 below it), and where formula(*args) has only
+    normal intermediates its bits are kept, as power-of-two scaling is exact."""
+    mantissas, exponent = [], 0
+    for arg, power in zip(args, powers, strict=True):
+        m, e = math.frexp(arg)
+        mantissas.append(m * 2.0 if e % 2 else m)
+        exponent += int(power * (e - e % 2))
+    return math.ldexp(formula(*mantissas), exponent)
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Laboratory-unit description of the device.
@@ -149,11 +164,10 @@ def nbar_from_temperature(temperature: float, omega: float) -> float:
     _finite_positive(omega=omega)
     if temperature == 0.0:
         return 0.0
-    energy, thermal = HBAR * omega, KB * temperature
-    if min(energy, thermal) >= sys.float_info.min:
-        x = energy / thermal
-    else:  # a product underflows, to 0 or to a subnormal that lost digits; the two ratios keep x
-        x = (HBAR / KB) * (omega / temperature)
+    try:
+        x = _rescaled(lambda w, t: HBAR * w / (KB * t), (1, -1), omega, temperature)
+    except OverflowError:  # hbar omega / k_b T is past the float range: the occupation underflows to 0
+        return 0.0
     if x > 700.0:  # expm1 would overflow; occupation is exp(-x) to double precision
         return math.exp(-x)
     nbar = 1.0 / math.expm1(x) if x > 0.0 else math.inf
@@ -164,12 +178,10 @@ def nbar_from_temperature(temperature: float, omega: float) -> float:
 
 def oscillator_length(mass: float, omega: float) -> float:
     """x0 = sqrt(hbar / (2 m omega)); raises ParameterError when x0 underflows
-    to 0 or overflows (e.g. mass 1e300 kg)."""
+    to 0."""
     _finite_positive(mass=mass, omega=omega)
-    denom = 2.0 * mass * omega
-    x0 = math.sqrt(HBAR / denom) if denom > 0 else math.inf
-    _require(math.isfinite(x0) and x0 > 0, f"oscillator length x0 = {x0!r} m is not finite and > 0 "
-                                           f"at mass {mass!r} kg, omega {omega!r} rad/s")
+    x0 = _rescaled(lambda m, w: math.sqrt(HBAR / (2.0 * m * w)), (-0.5, -0.5), mass, omega)
+    _require(x0 > 0, f"oscillator length x0 = {x0!r} m is not > 0 at mass {mass!r} kg, omega {omega!r} rad/s")
     return x0
 
 

@@ -795,10 +795,18 @@ class TestOutputFileMode:
 
 class TestSensitivityExtremeDevice:
     def test_mass_underflowing_x0_exits_2(self, tmp_path, capsys):
-        code, out, err, caught = run_config(tmp_path, capsys, "sensitivity", {"mass_kg": 1e300})
+        # x0 = 1e-325 rounds to 0
+        code, out, err, caught = run_config(tmp_path, capsys, "sensitivity", {"mass_kg": 1e308, "freq_hz": 1e307})
         assert code == 2
         assert "x0" in err and "mass" in err and "Traceback" not in err
         assert out == "" and not caught
+
+    def test_heavy_mass_writes_rows(self, tmp_path, capsys):
+        # x0 = 2.9e-169 is in range; its product 2 m omega overflowed, and this exited 2
+        code, out, err, caught = run_config(tmp_path, capsys, "sensitivity", {"mass_kg": 1e300})
+        assert code == 0 and err == "" and not caught
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(math.isfinite(float(r["eta_n_per_sqrt_hz"])) for r in rows)
 
     def test_infinite_thermal_variance_exits_2(self, tmp_path, capsys):
         code, out, err, caught = run_config(tmp_path, capsys, "sensitivity", {"q_factor": 1e-300})

@@ -4,11 +4,12 @@ import dataclasses
 import decimal
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinlev import pulses, sensing
 from spinlev.constants import GAMMA_E_DEFAULT, HBAR, KB
@@ -27,7 +28,8 @@ from spinlev.sensing import (
     thermal_limit_eta,
     thermal_phase_variance,
 )
-from spinlev.units import REFERENCE_DEVICE, ParameterError, PhysicalParams, params_from_dict, to_natural
+from spinlev.units import (REFERENCE_DEVICE, ParameterError, PhysicalParams, nbar_from_temperature, oscillator_length,
+                           params_from_dict, to_natural)
 from spinlev.witness import bath_deltas
 
 KINDS = [SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2]
@@ -265,6 +267,81 @@ class TestAnchors:
         spread = d.create_decimal(HBAR) * 10 ** 100 / d.create_decimal(1e-234)  # dx_SQL^2
         sql = 1 / (d.create_decimal(1e-150) ** 2 * d.create_decimal(1e-30).sqrt(d) * spread.sqrt(d))
         assert sql_gradient(1e-234, 1e100, 1e-150, 1e-30, 1e-150) == pytest.approx(float(sql), rel=1e-14)
+
+
+def _exact_formula(name, args):
+    """The 40-digit value of a range-sensitive formula at float args."""
+    D = decimal.Decimal
+    hbar, kb = D(HBAR), D(KB)
+    with decimal.localcontext(decimal.Context(prec=40)):
+        a = [D(x) for x in args]
+        if name == "nbar_from_temperature":
+            t, w = a
+            x = hbar * w / (kb * t)
+            if x > 100000:  # the occupation is below 1e-43000
+                return D(0)
+            return 1 / (x * (1 + x / 2 + x * x / 6 + x ** 3 / 24) if x < D("1e-5") else x.exp() - 1)
+        if name == "oscillator_length":
+            m, w = a
+            return (hbar / (2 * m * w)).sqrt()
+        if name == "projection_limit_eta":
+            m, w, db, t2, ge = a
+            return 2 * m * w * w / (ge * db * t2.sqrt())
+        if name == "thermal_limit_eta":
+            m, w, q, t = a
+            return (4 * m * w / q * kb * t).sqrt()
+        m, t, tau, n, ge = a
+        return (m / (hbar * t)).sqrt() / (ge * tau * n.sqrt())
+
+
+_FORMULAS = {"nbar_from_temperature": (nbar_from_temperature, 2), "oscillator_length": (oscillator_length, 2),
+             "projection_limit_eta": (projection_limit_eta, 5), "thermal_limit_eta": (thermal_limit_eta, 4),
+             "sql_gradient": (sql_gradient, 5)}
+_SMALLEST = 2.0 ** -1074  # one ulp of the subnormals
+_DECADES = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_NEAR_ONE = st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e)
+
+
+class TestFormulasOverTheFloatRange:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from(sorted(_FORMULAS)), st.lists(_DECADES, min_size=5, max_size=5))
+    # intermediates past the range raised although the result is in range
+    @example("projection_limit_eta", [1e300, 1e10, 1e300, 1.0, 1e10])
+    @example("sql_gradient", [1e-300, 1e300, 1e-100, 1e300, 1e-100])
+    @example("oscillator_length", [1e-300, 1e-300])
+    @example("oscillator_length", [1e300, 2 * math.pi * 100])
+    @example("sql_gradient", [1e300, 1e-280, 1e200, 1.0, 1e-200])  # a ratio overflowed
+    @example("projection_limit_eta", [1e300, 1e-160, 1e-300, 1.0, 1e10])  # a subnormal omega^2, 1.1e-5 off
+    def test_matches_40_digits_or_raises_naming_the_inputs(self, name, args):
+        # within 1e-15 relative (for nbar times the condition number of
+        # 1/expm1(x), below 1 + x) or one subnormal ulp, whichever is more, and a
+        # ParameterError naming the inputs where the value rounds past the range
+        # (or, below it, to 0, except for nbar, which is 0 there)
+        function, arity = _FORMULAS[name]
+        args = args[:arity]
+        exact = _exact_formula(name, args)
+        tol = 1e-15
+        if name == "nbar_from_temperature":  # x = hbar omega / k_b T, capped where nbar is 0
+            tol *= min(max(1.0, HBAR / KB * (args[1] / args[0])), 1e6)
+        big = decimal.Decimal(sys.float_info.max)
+        try:
+            got = function(*args)
+        except ParameterError as exc:
+            assert exact > big * (1 - decimal.Decimal(tol)) or exact < _SMALLEST, (exact, exc)
+            assert all(repr(a) in str(exc) for a in args), str(exc)
+            return
+        assert exact < big * (1 + decimal.Decimal(tol)), got
+        assert abs(decimal.Decimal(got) - exact) <= max(decimal.Decimal(tol) * exact, decimal.Decimal(_SMALLEST))
+
+    @given(st.sampled_from(["projection_limit_eta", "thermal_limit_eta", "sql_gradient"]),
+           st.lists(_NEAR_ONE, min_size=5, max_size=5))
+    def test_bits_unchanged_where_no_product_underflows(self, name, args):
+        m, a, b, c, d = args
+        plain = {"projection_limit_eta": lambda: 2 * m * (a * a) / (d * b * math.sqrt(c)),
+                 "thermal_limit_eta": lambda: math.sqrt(4 * m * (a / b) * KB * c),
+                 "sql_gradient": lambda: 1.0 / (d * b * math.sqrt(c) * math.sqrt(HBAR * a / m))}[name]
+        function, arity = _FORMULAS[name]
+        assert function(*args[:arity]) == plain()
 
 
 class TestForceSensitivity:

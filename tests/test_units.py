@@ -147,11 +147,16 @@ class TestOscillatorLength:
             oscillator_length(1e-15, 1.0) / 2, rel=1e-14
         )
 
-    @pytest.mark.parametrize("mass,omega", [(1e300, 2 * math.pi * 100), (1e-300, 1e-300)])
-    def test_underflow_or_overflow_raises(self, mass, omega):
-        # hbar / (2 m omega) underflows to 0 (and sqrt(0) = 0) or overflows to inf
-        with pytest.raises(ParameterError, match="x0"):
-            oscillator_length(mass, omega)
+    def test_underflow_raises(self):
+        # x0 = 1e-325 rounds to 0; for finite m, omega > 0 it cannot overflow.
+        # (1e300, 2 pi 100) and (1e-300, 1e-300), where 2 m omega left the range
+        # and this raised, are in-range examples of the 40-digit test in test_sensing.
+        with pytest.raises(ParameterError, match=r"x0 = 0\.0 m .* at mass 1e\+308 kg, omega 1e\+308 "):
+            oscillator_length(1e308, 1e308)
+
+    @given(mass=st.floats(1e-30, 1e30), omega=st.floats(1e-30, 1e30))
+    def test_bits_unchanged_where_no_product_underflows(self, mass, omega):
+        assert oscillator_length(mass, omega) == math.sqrt(HBAR / (2.0 * mass * omega))
 
 
 class TestParamsFromDict:
