@@ -352,7 +352,7 @@ def cmd_witness(args) -> int:
     if sweep == "t":  # the kernels read the times as phases omega t
         _scaled(lo, omega, "grid.min")
         _scaled(hi, omega, "grid.max")
-    n = _count(grid_cfg.get("n", 2000), "grid.n")
+    n = _count(grid_cfg.get("n", 2000), "grid.n", minimum=1)
     grid = np.linspace(lo, hi, n)
     lam = _finite(cfg.get("lam", 0.5), "lam")
     g = _scaled(cfg.get("g_over_omega", 1.0), omega, "g_over_omega")
@@ -361,23 +361,10 @@ def cmd_witness(args) -> int:
     _scaled(tau, omega, "tau_s")
     nbar = _finite(cfg.get("nbar", 0.0), "nbar")
     nbar_over_q = _finite(cfg.get("nbar_over_q", 0.0), "nbar_over_q")
-    try:
-        with np.errstate(all="ignore"):  # overflow shows as non-finite output, checked below
-            scan = witness.violation_scan(
-                mode, sweep, grid, lam=lam, g=g, omega=omega, omega_l=omega_l, tau=tau,
-                nbar=nbar, nbar_over_q=nbar_over_q, initial=cfg.get("initial", "ground"),
-            )
-            bad = ~(np.isfinite(scan.w_b) & np.isfinite(scan.w_en) & np.isfinite(scan.w_ratio))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if bad.any():
-        inputs = {"mode": mode, "sweep": sweep, "lam": lam, "g_over_omega": cfg.get("g_over_omega", 1.0),
-                  "nbar": nbar, "nbar_over_q": nbar_over_q, "larmor_hz": cfg.get("larmor_hz", 0.0),
-                  "tau_s": tau}
-        raise ConfigError(
-            f"witness scan is not finite at {int(bad.sum())} of {bad.size} grid points "
-            f"(first at {sweep} = {scan.sweep_value[bad][0].item()!r}); the kernels overflow at "
-            + ", ".join(f"{k} = {v!r}" for k, v in inputs.items()))
+    scan = witness.violation_scan(
+        mode, sweep, grid, lam=lam, g=g, omega=omega, omega_l=omega_l, tau=tau,
+        nbar=nbar, nbar_over_q=nbar_over_q, initial=cfg.get("initial", "ground"),
+    )
     header = ["sweep_name", "sweep_value", "w_b", "w_en", "w_ratio", "log10_w_ratio"]
     _emit(header, [[scan.sweep_name] * len(grid), scan.sweep_value, scan.w_b, scan.w_en, scan.w_ratio,
                    scan.log10_w_ratio], args.format, args.out)

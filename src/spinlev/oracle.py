@@ -443,12 +443,12 @@ def witness_moments(
     seq: PulseSequence,
     cfg: OracleConfig = OracleConfig(),
     *,
-    nbar: Optional[float] = None,
+    nbar: float = 0.0,
     coefficients: Optional[witness.WitnessCoefficients] = None,
 ) -> MomentEstimate:
     """Witness moments of the two-branch state at the end of seq.
 
-    nbar None or 0 uses exact truncated-Fock evolution of the vacuum start;
+    nbar 0 uses exact truncated-Fock evolution of the vacuum start;
     nbar > 0 draws Glauber-P coherent samples (alpha ~ CN(0, nbar)) and
     averages the exact per-sample branch moments, with batched standard
     errors for the assembled witness value from the means of
@@ -457,10 +457,10 @@ def witness_moments(
     other sequences pass them, e.g. witness.optimize_coefficients(est.record).
     Raises ValueError for a non-finite or negative nbar or fewer samples than batches.
     """
-    _finite_nonnegative(nbar=nbar or 0.0)
+    _finite_nonnegative(nbar=nbar)
     g, omega = natural.g, natural.omega
     if coefficients is None:
-        coefficients = witness.halfperiod_coefficients(natural.lam, nbar or 0.0)
+        coefficients = witness.halfperiod_coefficients(natural.lam, nbar)
     if not nbar:
         n_max = max(_N_MAX_FLOOR, suggested_n_max((_max_branch_amplitude(seq, g, omega) + 1) ** 2))
         rec = moments_from_state(evolve(initial_state(0j, n_max), natural, seq))

@@ -58,8 +58,13 @@ def _finite_result(what: str, value, /, positive: bool = False, **inputs):
     entries = (value if isinstance(value, (tuple, list))
                else vars(value).values() if dataclasses.is_dataclass(value) else (value,))
     if not all(_entry_in_range(v, positive) for v in entries):
-        raise ParameterError(f"{what} at " + ", ".join(f"{k} = {v!r}" for k, v in inputs.items()))
+        raise _not_finite(what, **inputs)
     return value
+
+
+def _not_finite(what: str, /, **inputs) -> ParameterError:
+    """ParameterError "<what> at <input> = <value>, ...", naming the inputs."""
+    return ParameterError(f"{what} at " + ", ".join(f"{k} = {v!r}" for k, v in inputs.items()))
 
 
 def _in_range(what: str, formula, /, positive: bool = False, **inputs):

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .units import _finite, _finite_nonnegative, _finite_positive, _finite_result, _in_range
+from .units import _finite, _finite_nonnegative, _finite_positive, _finite_result, _in_range, _not_finite
 
 
 class DegenerateMomentsError(ValueError):
@@ -58,7 +58,7 @@ class WitnessCoefficients:
                 raise ValueError(f"{name} must be finite")
 
 
-# The coefficients as the grid kernels hold them: unchecked, so an overflow shows as NaN.
+# The coefficients as the kernels hold them: unchecked, so an overflow shows as NaN in the result.
 _GridCoefficients = namedtuple("_GridCoefficients", "a_y b_y a_z b_z")
 
 
@@ -313,8 +313,9 @@ def bath_witness(
     Coefficients are frozen at their closed-system optimum: the ground-start
     protocol uses the nbar = 0 optimum, the thermal start uses the thermal
     optimum. The bath then shifts the evaluated moments but not the bound.
-    A coefficient that overflows raises ValueError naming it, and a singular
-    quadrature block DegenerateMomentsError, as in optimize_coefficients.
+    A result that is not finite (an overflowing coefficient included) raises
+    ParameterError naming the inputs, and a singular quadrature block
+    DegenerateMomentsError, as in optimize_coefficients.
     """
     _point(omega, t, omega_l, nbar=nbar, nbar_over_q=nbar_over_q)
     w_b, w_en = _in_range("bath_witness is not finite", lambda: _bath(
@@ -335,8 +336,6 @@ def _bath(lam, nbar, nbar_over_q, omega, omega_l, t, initial, xp=np):
     nbar_state = 0.0 if initial == "ground" else nbar
     m = _moments(lam, nbar_state, omega, omega_l, t, xp)
     c = _coefficients(m)
-    if xp is math:  # one point (bath_witness): Python floats, checked as in optimize_coefficients
-        c = WitnessCoefficients(*map(float, c))
     d = _deltas(lam, nbar_over_q, omega, t, xp)
     w_en = witness_value(m, c) + (
         d.dvar_sx
@@ -417,9 +416,10 @@ def violation_scan(
 
     lam, g and omega_l are finite, omega finite and > 0, and nbar (or the
     nbar grid), the t grid, tau and nbar_over_q finite and >= 0. Inputs so
-    large that the kernels overflow give NaN or inf entries, not an error;
-    callers that need finite output check the arrays. With a bath, a singular quadrature block
-    at any grid point raises DegenerateMomentsError.
+    large that the kernels overflow at some grid point raise ParameterError
+    naming how many points are not finite, the first of them and the inputs.
+    With a bath, a singular quadrature block at any grid point raises
+    DegenerateMomentsError.
     """
     if mode not in ("pulseless", "pulsed"):
         raise ValueError("mode must be 'pulseless' or 'pulsed'")
@@ -441,13 +441,19 @@ def violation_scan(
         lam_eff = lam
         t = x if sweep == "t" else t_fixed_pulseless(omega)
     nb = nbar if sweep == "t" else x
-    if nbar_over_q > 0:
-        w_b, w_en = _bath(lam_eff, nb, nbar_over_q, omega, omega_l, t, initial)
-    else:
-        w_b, w_en = _thermal(lam_eff, nb, omega, omega_l, t)
-    # a ground-start nbar sweep is one point
-    w_b, w_en = (np.broadcast_to(np.asarray(w, dtype=float), x.shape).copy() for w in (w_b, w_en))
-    ratio = (w_b - w_en) / w_b
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        if nbar_over_q > 0:
+            w_b, w_en = _bath(lam_eff, nb, nbar_over_q, omega, omega_l, t, initial)
+        else:
+            w_b, w_en = _thermal(lam_eff, nb, omega, omega_l, t)
+        # a ground-start nbar sweep is one point
+        w_b, w_en = (np.broadcast_to(np.asarray(w, dtype=float), x.shape).copy() for w in (w_b, w_en))
+        ratio = (w_b - w_en) / w_b
+    bad = ~(np.isfinite(w_b) & np.isfinite(w_en) & np.isfinite(ratio))
+    if bad.any():
+        raise _not_finite(f"violation_scan is not finite on {np.count_nonzero(bad)} of {bad.size} grid points "
+                          f"(first {sweep} = {x[bad][0].item()!r})", lam=lam, g=g, omega=omega, omega_l=omega_l,
+                          tau=tau, nbar=nbar, nbar_over_q=nbar_over_q)
     positive = ratio > 0
     log10_ratio = np.full(x.shape, -math.inf)
     # math.log10, not np.log10: numpy rounds the last bit differently for some ratios
@@ -515,8 +521,8 @@ def _bisect(inside, lo, hi, steps: int = 60):
 
 
 def _asymptote(x, positive) -> Optional[float]:
-    """Sign change on the grid: the first point with w_ratio not > 0 (NaN
-    included) after a positive one; an identically nonpositive scan has none."""
+    """Sign change on the grid: the first point with w_ratio <= 0 after a
+    positive one; an identically nonpositive scan has none."""
     first = int(np.argmax(positive))
     if not positive[first]:
         return None

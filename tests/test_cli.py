@@ -313,6 +313,9 @@ class TestConfigCounts:
         ("sensitivity", {"n_points": 2.5}, "n_points"),
         ("witness", {"grid": {"n": math.inf}}, "grid.n"),
         ("witness", {"grid": {"min": 0.0, "max": 0.01, "n": 2.5}}, "grid.n"),
+        # n = 0 failed as an empty grid and n = -5 with numpy's message, neither naming the key
+        ("witness", {"grid": {"n": 0}}, "grid.n"),
+        ("witness", {"grid": {"n": -5}}, "grid.n"),
         ("trajectory", {"n_samples": math.inf}, "n_samples"),
         ("trajectory", {"n_samples": math.nan}, "n_samples"),
         ("trajectory", {"n_samples": 2.5}, "n_samples"),
@@ -733,21 +736,22 @@ class TestColumnarOutputBytes:
 class TestWitnessOverflow:
     """Finite inputs whose witness kernels overflow to NaN or inf."""
 
-    @pytest.mark.parametrize("body,key", [
-        ({"lam": 1e200}, "lam"),
-        ({"nbar": 1e308}, "nbar"),
-        ({"nbar_over_q": 1e308}, "nbar_over_q"),
-        ({"mode": "pulsed", "g_over_omega": 1e300}, "g_over_omega"),
+    @pytest.mark.parametrize("body,named", [
+        ({"lam": 1e200}, "lam = 1e+200"),
+        ({"nbar": 1e308}, "nbar = 1e+308"),
+        ({"nbar_over_q": 1e308}, "nbar_over_q = 1e+308"),
+        # violation_scan names the natural-unit coupling g = g_over_omega * 2 pi freq_hz
+        ({"mode": "pulsed", "g_over_omega": 1e300}, "g = 6.283185307179587e+302"),
         # with a bath the coefficients overflow too; they once raised "a_y must be finite"
-        ({"lam": 1e200, "nbar_over_q": 1e-3}, "lam"),
-        ({"nbar": 1e308, "nbar_over_q": 1e-3, "initial": "thermal"}, "nbar"),
-        ({"mode": "pulsed", "g_over_omega": 1e300, "nbar_over_q": 1e-3}, "g_over_omega"),
-    ])
-    def test_non_finite_scan_exits_2(self, tmp_path, capsys, body, key):
+        ({"lam": 1e200, "nbar_over_q": 1e-3}, "lam = 1e+200"),
+        ({"nbar": 1e308, "nbar_over_q": 1e-3, "initial": "thermal"}, "nbar = 1e+308"),
+        ({"mode": "pulsed", "g_over_omega": 1e300, "nbar_over_q": 1e-3}, "g = 6.283185307179587e+302"),
+    ], ids=["lam", "nbar", "nbar_over_q", "g", "lam-bath", "nbar-bath", "g-bath"])
+    def test_non_finite_scan_exits_2(self, tmp_path, capsys, body, named):
         code, out, err, caught = run_config(tmp_path, capsys, "witness", body)
         assert code == 2
-        assert err.startswith("error:") and "not finite" in err
-        assert f"{key} = {body[key]!r}" in err
+        assert err.startswith("error: violation_scan is not finite on ")
+        assert named in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert out == "" and not caught
 

@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spinlev import witness
+from spinlev.units import ParameterError
 from spinlev.witness import (
     DegenerateMomentsError,
     WitnessCoefficients,
@@ -63,9 +65,10 @@ class TestCoefficientValidation:
 
     @pytest.mark.parametrize("lam,nbar,initial", [(1e200, 0.0, "ground"), (0.5, 1e308, "thermal")])
     def test_overflowing_one_point_bath_witness_raises(self, lam, nbar, initial):
-        # a scan keeps such coefficients as NaN and reports the grid point;
-        # the one-point function raises, as optimize_coefficients does
-        with pytest.raises(ValueError, match="^a_y must be finite$"):
+        # the coefficients overflow; the result check names the inputs, as a scan's does
+        message = (f"bath_witness is not finite at lam = {lam!r}, nbar = {nbar!r}, nbar_over_q = 0.001, "
+                   "omega = 1.0, omega_l = 0.0, t = 1.0")
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             bath_witness(lam, nbar, 1e-3, 1.0, 0.0, 1.0, initial)
 
     @pytest.mark.parametrize("call,message", [
@@ -78,7 +81,7 @@ class TestCoefficientValidation:
     ], ids=["thermal_wen", "noiseless_moments", "thermal_wb"])
     def test_nonfinite_one_point_closed_forms_raise_naming_inputs(self, call, message):
         # thermal_wen returned nan and noiseless_moments inf variances without a word;
-        # the grid kernels keep NaN, which violation_scan reports per grid point
+        # the grid kernels keep NaN, which violation_scan counts and raises on
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
@@ -312,6 +315,31 @@ class TestViolationScan:
         # the scan at tau = -0.3 equalled the one at +0.3
         with pytest.raises(ValueError, match=r"^tau must be finite and >= 0, got -0\.3$"):
             call()
+
+    @pytest.mark.parametrize("mode,kw,key", [
+        ("pulseless", {"lam": 1e200}, "lam"),
+        ("pulseless", {"lam": 1e200, "nbar_over_q": 1e-3}, "lam"),
+        ("pulseless", {"lam": 0.5, "nbar": 1e308}, "nbar"),
+        ("pulseless", {"lam": 0.5, "nbar": 1e308, "nbar_over_q": 1e-3, "initial": "thermal"}, "nbar"),
+        ("pulseless", {"lam": 0.5, "nbar_over_q": 1e308}, "nbar_over_q"),
+        ("pulseless", {"lam": 0.5, "nbar_over_q": 1e308, "initial": "thermal"}, "nbar_over_q"),
+        ("pulsed", {"g": 1e300}, "g"),
+        ("pulsed", {"g": 1e300, "nbar_over_q": 1e-3}, "g"),
+    ])
+    def test_overflowing_scan_raises_naming_the_input(self, mode, kw, key):
+        # these scans returned NaN or inf entries, with numpy RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"^violation_scan is not finite on \d of 4 grid points") as exc:
+                violation_scan(mode, "t", [0.1, 0.5, 2.0, 3.0], omega=1.0, **kw)
+        assert f"{key} = {kw[key]!r}" in str(exc.value)
+
+    def test_overflowing_scan_counts_the_points_and_names_the_first(self):
+        # omega g t^2 / 4 squared overflows from t = 2 on
+        message = ("violation_scan is not finite on 2 of 4 grid points (first t = 2.0) at lam = 0.0, "
+                   "g = 1e+155, omega = 1.0, omega_l = 0.0, tau = 0.0, nbar = 0.0, nbar_over_q = 0.0")
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            violation_scan("pulsed", "t", [0.1, 0.5, 2.0, 3.0], g=1e155)
 
     def test_t_fixed_pulseless(self):
         assert t_fixed_pulseless(2.0) == pytest.approx(math.pi / 2.0)
