@@ -32,7 +32,6 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import dynamics, pulses, sensing, verify, witness
-from .pulses import SequenceKind
 from .units import DEVICE_KEYS, REFERENCE_DEVICE, ParameterError, json_number, params_from_dict, to_natural
 
 FLOAT_FMT = "%.16e"
@@ -298,17 +297,10 @@ def _scaled(value, scale: float, key: str, positive: bool = False) -> float:
 def _sequences(cfg, tau: float):
     """(name, PulseSequence) for each name in the config's "sequences" list,
     by default the named kinds; anything but a list of known names exits 2."""
-    names = cfg.get("sequences", [k.value for k in pulses.NAMED_KINDS])
+    names = cfg.get("sequences", list(pulses.NAMED_KINDS))
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ConfigError(f"sequences must be a list of sequence names, got {names!r}")
-    out = []
-    for name in names:
-        try:
-            kind = SequenceKind(name)
-        except ValueError as exc:
-            raise ConfigError(f"unknown sequence {name!r}") from exc
-        out.append((name, pulses.make_sequence(kind, tau)))
-    return out
+    return [(name, pulses.make_sequence(name, tau)) for name in names]
 
 
 def cmd_sensitivity(args) -> int:
@@ -368,10 +360,10 @@ def cmd_witness(args) -> int:
     header = ["sweep_name", "sweep_value", "w_b", "w_en", "w_ratio", "log10_w_ratio"]
     _emit(header, [[scan.sweep_name] * len(grid), scan.sweep_value, scan.w_b, scan.w_en, scan.w_ratio,
                    scan.log10_w_ratio], args.format, args.out)
-    landmarks = {"tau_asymp": scan.tau_asymp, "tau_star": scan.tau_star,
-                 "max_nbar": scan.max_nbar}
-    text = json.dumps(landmarks, indent=2, sort_keys=True) + "\n"
-    _write(args.out and args.out + ".landmarks.json", text)
+    if args.out:  # stdout holds the table alone, so it stays one csv or json document
+        landmarks = {"tau_asymp": scan.tau_asymp, "tau_star": scan.tau_star,
+                     "max_nbar": scan.max_nbar}
+        _write(args.out + ".landmarks.json", json.dumps(landmarks, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -397,7 +389,7 @@ def cmd_table(args) -> int:
             ("g_star_scale", lead.g_star_scale,
              sensing.optimal_coupling(kind, omega, tau, 0.25)),
         ):
-            labels.append(kind.value)
+            labels.append(kind)
             quantities.append(quantity)
             values.append((float(leading), float(exact),
                            float(exact / leading) if leading else float("nan")))

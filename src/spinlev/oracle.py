@@ -65,8 +65,8 @@ class OracleConfig:
         # a Philox key; numpy would truncate a float seed without a word
         if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**128):
             raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
-        if self.n_trajectories < 1:
-            raise ValueError("n_trajectories must be >= 1")
+        if not (isinstance(self.n_trajectories, numbers.Integral) and self.n_trajectories >= 1):
+            raise ValueError(f"n_trajectories must be an integer >= 1, got {self.n_trajectories!r}")
 
 
 @dataclass
@@ -245,7 +245,7 @@ def evolve(state: JointState, natural: NaturalParams, seq: PulseSequence, force=
     """Truncated-Fock evolution under H = g sigma_z x + omega n - f(t) x.
 
     force is None or a piecewise-constant (times, values) series, checked by
-    dynamics.pieces before any eigensystem is computed. On each of its
+    pulses.pieces before any eigensystem is computed. On each of its
     pieces the Hamiltonian is constant and each spin sector is propagated
     exactly, e^{-i (omega n + c x) dt}: force knots are honoured exactly and
     there is no time step. The state is checked at the end of each pulse

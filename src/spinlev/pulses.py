@@ -35,13 +35,6 @@ import numpy as np
 from .units import _finite, _finite_positive, _finite_result, _in_range
 
 
-class SequenceKind(enum.Enum):
-    RAMSEY = "ramsey"
-    HAHN_ECHO = "hahn_echo"
-    CARR_PURCELL2 = "carr_purcell2"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class PulseSequence:
     """A total free-evolution time plus an ordered list of pi-pulse times;
@@ -87,9 +80,9 @@ class _Named(NamedTuple):
     leading: tuple[Callable[[float, float], float], ...]
 
 
-# One entry per kind with a fixed pulse list, in the order tables and sweeps list them.
+# One entry per kind with a fixed pulse list, keyed by its name, in the order tables and sweeps list them.
 _NAMED = {
-    SequenceKind.RAMSEY: _Named(
+    "ramsey": _Named(
         ramsey,
         lambda r, th: 4.0 * r * math.sin(th / 2) ** 2,
         lambda r, th: r * (th - math.sin(th)),
@@ -98,7 +91,7 @@ _NAMED = {
          lambda w, t: 6.0 / (w * t**2),
          lambda w, t: 1.0 / t),
     ),
-    SequenceKind.HAHN_ECHO: _Named(
+    "hahn_echo": _Named(
         hahn_echo,
         lambda r, th: 16.0 * r * math.sin(th / 4) ** 4,
         lambda r, th: r * (th - 4.0 * math.sin(th / 2) + math.sin(th)),
@@ -107,7 +100,7 @@ _NAMED = {
          lambda w, t: 2.0 / t,
          lambda w, t: 4.0 / (w * t**2)),
     ),
-    SequenceKind.CARR_PURCELL2: _Named(
+    "carr_purcell2": _Named(
         carr_purcell2,
         lambda r, th: r * 2**6 * math.sin(th / 8) ** 4 * math.sin(th / 4) ** 2,
         lambda r, th: r * (th - 4.0 * math.sin(th / 4) - 4.0 * math.sin(th / 2)
@@ -121,25 +114,36 @@ _NAMED = {
 NAMED_KINDS = tuple(_NAMED)
 
 
-def _named(kind: SequenceKind | str, missing: str) -> _Named:
-    """The table entry of a kind; ValueError(missing) for CUSTOM or an unknown name."""
+class _Name(str, enum.Enum):
+    """An enum whose members are their value strings, and print as them."""
+
+    __str__ = str.__str__
+    __format__ = str.__format__
+
+
+# The named kinds plus "custom"; each member equals its name, so either may be passed as a kind.
+SequenceKind = _Name("SequenceKind", [(n.upper(), n) for n in (*NAMED_KINDS, "custom")], module=__name__)
+
+
+def _named(kind: str, missing: str) -> _Named:
+    """The table entry of a kind; ValueError(missing) for custom or an unknown name."""
     try:
-        return _NAMED[SequenceKind(kind)]
-    except (KeyError, ValueError):
+        return _NAMED[kind]
+    except (KeyError, TypeError):
         raise ValueError(missing) from None
 
 
-def make_sequence(kind: SequenceKind | str, tau: float, pulse_times=None) -> PulseSequence:
+def make_sequence(kind: str, tau: float, pulse_times=None) -> PulseSequence:
     """The sequence of a kind at total time tau: a named kind builds its own
     pulse list, so it takes no pulse_times; custom needs them."""
-    kind = SequenceKind(kind) if not isinstance(kind, SequenceKind) else kind
-    if kind is SequenceKind.CUSTOM:
+    if kind == "custom":
         if pulse_times is None:
             raise ValueError("a custom sequence needs its pulse_times")
         return custom(tau, pulse_times)
+    make = _named(kind, f"unknown sequence {kind!r}").make
     if pulse_times is not None:
-        raise ValueError(f"{kind.value} builds its own pulse times; got pulse_times={pulse_times!r}")
-    return _NAMED[kind].make(tau)
+        raise ValueError(f"{kind} builds its own pulse times; got pulse_times={pulse_times!r}")
+    return make(tau)
 
 
 def segment_index(seq: PulseSequence, t):
@@ -275,7 +279,7 @@ def residual_displacement(seq: PulseSequence, g: float, omega: float) -> tuple[c
                           g=g, omega=omega, tau=seq.total_time)
 
 
-def delta_n_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) -> float:
+def delta_n_closed_form(kind: str, g: float, omega: float, tau: float) -> float:
     """Closed-form Delta n for the named sequence kinds; (g, omega, tau) pass
     check_coupling, and the result is finite."""
     closed = _named(kind, "no closed form for custom sequences").delta_n
@@ -488,7 +492,7 @@ def squeezing_parameter(seq: PulseSequence, g: float, omega: float) -> float:
         s @ _kernel_integral(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1]))), g=g, omega=omega, tau=seq.total_time)
 
 
-def zeta_closed_form(kind: SequenceKind, g: float, omega: float, tau: float) -> float:
+def zeta_closed_form(kind: str, g: float, omega: float, tau: float) -> float:
     """Column-2 closed forms for the named kinds (signed as the canonical integral);
     (g, omega, tau) pass check_coupling, and the result is finite."""
     closed = _named(kind, "no closed form for custom sequences").zeta
@@ -508,12 +512,12 @@ class LeadingOrderRow:
     in_regime: bool
 
 
-def leading_order_row(kind: SequenceKind, omega: float, tau: float) -> LeadingOrderRow:
+def leading_order_row(kind: str, omega: float, tau: float) -> LeadingOrderRow:
     """Leading-order row values for omega and tau finite and > 0; flags
     out-of-regime omega tau instead of erroring, but raises ValueError where a
     scaling overflows (omega tau near 0 or huge)."""
     scalings = _named(kind, "leading-order rows exist only for the named kinds").leading
     _finite_positive(omega=omega, tau=tau)
-    values = _in_range(f"leading-order {SequenceKind(kind).value} scalings are not finite",
+    values = _in_range(f"leading-order {kind} scalings are not finite",
                        lambda: [scaling(omega, tau) for scaling in scalings], omega_tau=omega * tau)
     return LeadingOrderRow(*values, in_regime=omega * tau < 0.5)

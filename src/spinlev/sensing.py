@@ -124,7 +124,7 @@ def _backaction_per_g2(seq: PulseSequence, omega: float) -> float:
     return a
 
 
-def force_sql(kind, omega: float, tau: float, xi: float) -> float:
+def force_sql(kind: str, omega: float, tau: float, xi: float) -> float:
     """Optimal-coupling noise-to-signal at unit force, sqrt(sqrt(xi) Dn/g^2) / |phi/(g f)|.
 
     g-independent by construction; at small omega*tau proportional to the
@@ -152,7 +152,7 @@ def _balance_coupling(seq: PulseSequence, omega: float, xi: float, n_spins: floa
                      omega=omega, xi=xi, n_spins=n_spins)
 
 
-def optimal_coupling(kind, omega: float, tau: float, xi: float, n_spins: float = 1.0) -> float:
+def optimal_coupling(kind: str, omega: float, tau: float, xi: float, n_spins: float = 1.0) -> float:
     """Balance point of projection and backaction noise: g* = 1/sqrt(2 N_s (Dn/g^2) sqrt(xi)),
     for xi finite and >= 0 and N_s finite and > 0."""
     _finite_nonnegative(xi=xi)

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import dynamics, oracle, pulses, sensing, witness
 from .constants import GAMMA_E_DEFAULT
-from .pulses import SequenceKind
 from .units import REFERENCE_DEVICE, NaturalParams, PhysicalParams, params_from_dict, to_natural
 
 DEFAULT_SEED = 20250826
@@ -79,7 +78,7 @@ def check_backaction_zeros(seed):
     worst_cp = 0.0
     for wt in np.linspace(0.05, 2 * math.pi, 60):
         dn = pulses.residual_displacement(pulses.carr_purcell2(float(wt)), 1.0, 1.0)[1]
-        closed = pulses.delta_n_closed_form(SequenceKind.CARR_PURCELL2, 1.0, 1.0, float(wt))
+        closed = pulses.delta_n_closed_form("carr_purcell2", 1.0, 1.0, float(wt))
         if closed > 1e-20:
             worst_cp = max(worst_cp, abs(dn - closed) / closed)
     ok = worst_zero < 1e-12 and worst_cp <= 1e-10
@@ -180,8 +179,8 @@ def check_sensitivity_shape(seed):
         seq = pulses.make_sequence(kind, tau)
         e1 = sensing.force_sensitivity(p, seq, 2 * math.pi * 1.0).eta
         e10 = sensing.force_sensitivity(p, seq, 2 * math.pi * 10.0).eta
-        flatness[kind.value] = abs(e1 / e10 - 1)
-    dc = {k.value: abs(pulses.dc_phase(pulses.make_sequence(k, tau), 1.0, omega))
+        flatness[kind] = abs(e1 / e10 - 1)
+    dc = {k: abs(pulses.dc_phase(pulses.make_sequence(k, tau), 1.0, omega))
           for k in pulses.NAMED_KINDS}
     ordering = dc["carr_purcell2"] < dc["hahn_echo"] < dc["ramsey"]
     flat = all(v < 0.01 for v in flatness.values())

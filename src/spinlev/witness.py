@@ -485,22 +485,26 @@ def max_nbar_for_violation(
     g: float,
     omega: float,
     threshold: float = RATIO_THRESHOLD,
-    lam_range=(1e-3, 4.0),
     n_grid: int = 2000,
 ) -> float:
     """Largest nbar for which a pulsed-scheme tau exists with violation
     ratio >= threshold; found by bisection on nbar over a log tau grid,
-    each step one numpy kernel call over the whole grid."""
+    each step one numpy kernel call over the whole grid. ValueError where
+    no nbar reaches threshold (it exceeds the peak ratio at nbar = 0)."""
     _finite_positive(g=g, omega=omega)
     _finite(threshold=threshold)
     taus = _in_range("the tau grid is not finite", lambda: np.sqrt(
-        4 * np.geomspace(lam_range[0], lam_range[1], n_grid) / (omega * g)), g=g, omega=omega)
+        4 * np.geomspace(1e-3, 4.0, n_grid) / (omega * g)), g=g, omega=omega)
     lam_eff = _effective_lambda(g, omega, taus)
 
     def peak_ratio(nb: float) -> float:
         w_b, w_en = _thermal(lam_eff, nb, omega, 0.0, math.pi / omega)
-        return np.max((w_b - w_en) / w_b)
+        return float(np.max((w_b - w_en) / w_b))
 
+    peak = peak_ratio(0.0)
+    if not peak >= threshold:
+        raise ValueError(f"no nbar reaches threshold = {threshold!r}: the peak ratio at nbar = 0 is "
+                         f"{peak!r} at g = {g!r}, omega = {omega!r}")
     lo, hi = 0.0, 1.0
     while peak_ratio(hi) >= threshold:
         lo, hi = hi, hi * 2

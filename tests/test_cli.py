@@ -106,9 +106,19 @@ class TestWitnessCommand:
         }))
         code, out, _ = run_cli(["witness", "--config", str(cfg)], capsys)
         assert code == 0
-        csv_part = out.split("{")[0]
-        rows = list(csv.DictReader(io.StringIO(csv_part)))
+        rows = list(csv.DictReader(io.StringIO(out)))
         assert all(float(r["w_ratio"]) == 0.0 for r in rows)
+
+    def test_stdout_is_the_table_alone(self, tmp_path, capsys):
+        # the landmarks go to a sidecar of --out only, so stdout stays one json document
+        cfg = tmp_path / "w.json"
+        cfg.write_text(json.dumps({"grid": {"n": 30}}))
+        code, out, _ = run_cli(["witness", "--config", str(cfg), "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 30 and rows[0].keys() == {"sweep_name", "sweep_value", "w_b", "w_en",
+                                                      "w_ratio", "log10_w_ratio"}
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = tmp_path / "w.json"

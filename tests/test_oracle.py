@@ -101,6 +101,13 @@ class TestStateConstruction:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(n_trajectories=0)
+        assert OracleConfig(n_trajectories=np.int64(150)).n_trajectories == 150
+
+    @pytest.mark.parametrize("n", [150.5, 100.0, 0, -3, math.nan])
+    def test_n_trajectories_must_be_a_positive_integer(self, n):
+        # a float count once got through and failed inside numpy's sampling
+        with pytest.raises(ValueError, match="n_trajectories must be an integer >= 1"):
+            OracleConfig(n_trajectories=n)
 
     @pytest.mark.parametrize("seed", [-1, 2**128, math.nan, 1.7, 2.0])
     def test_seed_outside_philox_key_range(self, seed):

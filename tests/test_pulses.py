@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from spinlev import dynamics, pulses
+from spinlev import dynamics, pulses, sensing
 from spinlev.pulses import (
     SequenceKind,
     carr_purcell2,
@@ -120,6 +120,22 @@ class TestSequenceConstruction:
 
     def test_named_kinds_order(self):
         assert pulses.NAMED_KINDS == tuple(KINDS)
+
+    @pytest.mark.parametrize("name", ["ramsey", "hahn_echo", "carr_purcell2"])
+    def test_a_kind_is_its_name(self, name):
+        member = SequenceKind[name.upper()]
+        assert member == name and f"{member}" == str(member) == name
+        assert pulses.NAMED_KINDS == ("ramsey", "hahn_echo", "carr_purcell2")
+        assert all(type(k) is str for k in pulses.NAMED_KINDS)
+        assert list(SequenceKind) == [*pulses.NAMED_KINDS, "custom"]
+        omega, tau = 2 * math.pi * 100, 1e-4
+        for call in (lambda k: make_sequence(k, tau),
+                     lambda k: delta_n_closed_form(k, 0.7, omega, tau),
+                     lambda k: zeta_closed_form(k, 0.7, omega, tau),
+                     lambda k: leading_order_row(k, omega, tau),
+                     lambda k: sensing.force_sql(k, omega, tau, 0.25),
+                     lambda k: sensing.optimal_coupling(k, omega, tau, 0.25)):
+            assert repr(call(name)) == repr(call(member))  # float repr round-trips: same bits
 
     def test_custom_has_no_closed_forms(self):
         for closed_form in (delta_n_closed_form, zeta_closed_form):

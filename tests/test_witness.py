@@ -512,6 +512,14 @@ class TestGridKernels:
         with pytest.raises(ValueError, match="unphysically large"):
             witness.max_nbar_for_violation(1.0, 1.0, threshold=-1.0)
 
+    @pytest.mark.parametrize("threshold", [0.5, 0.9, 5.0])
+    def test_max_nbar_threshold_above_the_ground_state_peak_raises(self, threshold):
+        # the peak ratio at nbar = 0 is 0.3272 for every g and omega; above it no nbar
+        # qualifies, and the bisection once returned its lower end, ~4e-19
+        with pytest.raises(ValueError, match=rf"threshold = {threshold!r}.*0\.3272.*g = 1\.0, omega = 1\.0"):
+            witness.max_nbar_for_violation(1.0, 1.0, threshold=threshold)
+        assert witness.max_nbar_for_violation(1.0, 1.0, threshold=0.3) > 0.01
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("arg", ["g", "omega"])
     def test_max_nbar_rejects_nonpositive_or_non_finite(self, arg, bad):
