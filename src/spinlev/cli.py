@@ -6,7 +6,8 @@ Subcommands: sensitivity, witness, table, trajectory, verify. Global flags:
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 All output goes through one writer, _write: stdout, or with --out an
 atomic write (temp file + rename) whose file takes the mode open() would
-give it under the umask. Floats are serialized losslessly.
+give it under the umask; an existing path that is not a regular file (a
+FIFO, a device) is written in place. Floats are serialized losslessly.
 
 csv writes each float as FLOAT_FMT ('%.16e') would, byte for byte, and
 json as float.__repr__ would (NaN and +-Infinity as json spells them), but
@@ -38,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import dynamics, pulses, sensing, verify, witness
+from . import dynamics, pulses, sensing, units, verify, witness
 from .units import DEVICE_KEYS, REFERENCE_DEVICE, ParameterError, json_number, params_from_dict, to_natural
 
 FLOAT_FMT = "%.16e"
@@ -50,9 +51,15 @@ class ConfigError(ValueError):
 
 def _write(out, text: str) -> None:
     """Write text to stdout, or atomically to the path out (a temporary file
-    renamed over it) with the mode open(out, "w") gives: 0o666 less the umask."""
+    renamed over it) with the mode open(out, "w") gives: 0o666 less the umask.
+    An existing out that is not a regular file is opened and written in
+    place, so a FIFO or a device is not replaced by a file."""
     if not out:
         sys.stdout.write(text)
+        return
+    if os.path.exists(out) and not os.path.isfile(out):
+        with open(out, "w") as fh:
+            fh.write(text)
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".spinlev-")
     try:
@@ -312,19 +319,16 @@ def _float_cells(cols, kernel):
 
 
 def _cells(col, fmt):
-    """One non-float64-array output column as a list of csv or json cell
-    strings: a float gets FLOAT_FMT in csv, anything else str(); json cells
-    are json.dumps of the value. Columns of only str or only int take that
-    rule in one map call. (float64 arrays go through _float_cells.)"""
-    vals = col.tolist() if isinstance(col, np.ndarray) else list(col)
-    types = set(map(type, vals))
+    """A list of str or of int as csv or json cell strings: str as it is in
+    csv and json-quoted in json, int by its repr in both; any other column
+    raises TypeError. (float64 arrays go through _float_cells.)"""
+    types = set(map(type, col))
     if types <= {str}:
-        return vals if fmt == "csv" else list(map(encode_basestring_ascii, vals))
+        return col if fmt == "csv" else list(map(encode_basestring_ascii, col))
     if types <= {int}:
-        return list(map(int.__repr__, vals))
-    if fmt == "csv":
-        return [FLOAT_FMT % v if isinstance(v, float) else str(v) for v in vals]
-    return list(map(json.dumps, vals))
+        return list(map(int.__repr__, col))
+    raise TypeError(f"an output column must be a float64 array or a list of str or of int, "
+                    f"got one of {', '.join(sorted(t.__name__ for t in types))}")
 
 
 def _block_bytes(cols, fmt):
@@ -344,8 +348,8 @@ def _block_bytes(cols, fmt):
 def _emit(header, columns, fmt, out):
     """Write a table given as one column per header name.
 
-    Float columns are float64 arrays; other columns are sequences of
-    scalars (str, int). Both formats are built the same way, _BLOCK_ROWS
+    Float columns are float64 arrays; other columns are lists of str or of
+    int (_cells). Both formats are built the same way, _BLOCK_ROWS
     rows at a time: every column becomes a 0xFF-padded byte matrix (floats
     from one kernel call per block: _float_bytes in csv, _repr_bytes in
     json; others through _cells and _text_bytes), the matrices and the
@@ -439,10 +443,10 @@ def _count(value, key: str, minimum=None) -> int:
 
 
 def _finite(value, key: str, positive: bool = False) -> float:
-    """A finite float config value (and > 0 if positive); anything else exits 2 naming the key."""
+    """A finite float config value (and > 0 if positive) by the units rule;
+    anything else exits 2 naming the key."""
     x = json_number(value, key)
-    if not math.isfinite(x) or (positive and x <= 0):
-        raise ConfigError(f"{key} must be finite{' and > 0' if positive else ''}, got {value!r}")
+    (units._finite_positive if positive else units._finite)(**{key: x})
     return x
 
 

@@ -48,19 +48,10 @@ class EntangledState:
     branch1: Branch
     relative_phase: float  # theta0 - theta1 (global-phase part only)
 
-    def branch(self, spin: int) -> Branch:
-        """branch0 for spin 0, branch1 for spin 1."""
-        return (self.branch0, self.branch1)[_branch_index(spin, "spin")]
-
     def observable_phase(self) -> float:
         """Full coherence phase between branches, including the overlap phase."""
         g0, g1 = self.branch0.alpha, self.branch1.alpha
         return self.relative_phase + (np.conj(g1) * g0).imag
-
-    def overlap(self) -> complex:
-        """<branch1 | branch0> coherent-state overlap."""
-        g0, g1 = self.branch0.alpha, self.branch1.alpha
-        return cmath.exp(-abs(g0) ** 2 / 2 - abs(g1) ** 2 / 2 + np.conj(g1) * g0)
 
 
 def segment_step(theta: float, gamma: complex, c: float, omega: float, dt: float):

@@ -288,14 +288,6 @@ def delta_n_closed_form(kind: str, g: float, omega: float, tau: float) -> float:
                      g=g, omega=omega, tau=tau)
 
 
-def phase_kernel(seq: PulseSequence, g: float, omega: float, s):
-    """K(s) = int_s^tau G(t) sin(omega (t-s)) dt, vectorized over s."""
-    s = np.asarray(s, dtype=float)
-    if not np.all((s >= 0) & (s <= seq.total_time)):  # NaN is not in [0, tau] either
-        raise ValueError("s outside [0, tau]")
-    return g * _kernel_at(_kernel_ends(seq, g, omega), omega, segment_index(seq, s), s)[0]
-
-
 def force_response(seq: PulseSequence, g: float, omega: float, force) -> tuple[float, complex]:
     """(phase, displacement) of a force series (times, values) as pieces takes it:
     int K(s) f(s) ds per (sigma_z/2), and the final displacement
@@ -462,9 +454,13 @@ def spectral_response(seq: PulseSequence, g: float, omega: float, nu):
     series = (x * tau <= 1.0) & (omega * tau <= 1.0)
     pole = ~series & (x <= 2.0 * omega)
     out = np.empty(n, dtype=complex)
-    for which, mask in enumerate((series, pole, ~(series | pole))):
-        if mask.any():
-            out[mask] = checked(lambda: route(mask, which))
+
+    def fill():
+        for which, mask in enumerate((series, pole, ~(series | pole))):
+            if mask.any():
+                out[mask] = route(mask, which)
+        return out
+    checked(fill)
     pos = nus.ravel() >= 0
     out[pos] = out[pos].conjugate()
     return out.reshape(nus.shape)

@@ -210,14 +210,6 @@ class SensitivitySpectrum:
     backaction_var: float
     thermal_var: float
 
-    @property
-    def points(self) -> list[SensitivityPoint]:
-        """One SensitivityPoint of Python floats per frequency."""
-        return [SensitivityPoint(nu, eta, NoiseBudget(self.projection_var, self.backaction_var,
-                                                      self.thermal_var, phi))
-                for nu, eta, phi in zip(self.nus.tolist(), self.eta.tolist(),
-                                        self.signal_phase_per_force.tolist())]
-
 
 def sensitivity_spectrum(
     params: PhysicalParams,
@@ -261,7 +253,10 @@ def force_sensitivity(
     coupling: float | None = None,
 ) -> SensitivityPoint:
     """Force sensitivity at one angular signal frequency: the spectrum at one nu."""
-    return sensitivity_spectrum(params, seq, [nu], coupling=coupling).points[0]
+    spec = sensitivity_spectrum(params, seq, [nu], coupling=coupling)
+    budget = NoiseBudget(spec.projection_var, spec.backaction_var, spec.thermal_var,
+                         float(spec.signal_phase_per_force[0]))
+    return SensitivityPoint(float(spec.nus[0]), float(spec.eta[0]), budget)
 
 
 def squeezed_rotation(n_spins: float, zeta: float):

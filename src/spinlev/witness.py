@@ -17,13 +17,12 @@ Each closed form is written once, in a kernel that takes the elementary
 functions as a namespace `xp`: with numpy (the default) it broadcasts over
 arrays of lam, nbar and t, which is how violation_scan and
 max_nbar_for_violation evaluate a whole grid in one call; the public
-one-point functions (thermal_wb, thermal_wen, noiseless_moments,
-bath_deltas, bath_witness) evaluate the same expressions with `math`. The
-two agree to within 1e-13 relative (about 1e-15 is the largest difference
-seen), not bit for bit: numpy's exp differs from libm's in the last bit for
-a few percent of arguments. The `math` evaluation keeps the one-point
-values, and so the `verify` report, exactly as the libm closed forms give
-them.
+one-point functions (thermal_wb, thermal_wen, bath_deltas, bath_witness)
+evaluate the same expressions with `math`. The two agree to within 1e-13
+relative (about 1e-15 is the largest difference seen), not bit for bit:
+numpy's exp differs from libm's in the last bit for a few percent of
+arguments. The `math` evaluation keeps the one-point values, and so the
+`verify` report, exactly as the libm closed forms give them.
 """
 
 from __future__ import annotations
@@ -113,15 +112,9 @@ def _point(omega: float, t: float, omega_l: float = 0.0, **nonnegative: float) -
     _finite_nonnegative(t=t, **nonnegative)
 
 
-def noiseless_moments(lam: float, nbar: float, omega: float, omega_l: float, t: float) -> MomentRecord:
-    """Exact moments of the conditionally displaced thermal state at time t."""
-    _point(omega, t, omega_l, nbar=nbar)
-    return _in_range("noiseless_moments is not finite", lambda: _moments(lam, nbar, omega, omega_l, t, math),
-                     lam=lam, nbar=nbar, omega=omega, omega_l=omega_l, t=t)
-
-
 def _moments(lam, nbar, omega, omega_l, t, xp=np) -> MomentRecord:
-    """noiseless_moments, broadcasting over arrays of lam, nbar and t when xp is numpy."""
+    """Exact moments of the conditionally displaced thermal state at time t,
+    broadcasting over arrays of lam, nbar and t when xp is numpy."""
     th = omega * t
     u = 1.0 - xp.cos(th)
     s = xp.sin(th)
@@ -348,22 +341,10 @@ def _bath(lam, nbar, nbar_over_q, omega, omega_l, t, initial, xp=np):
     return separable_bound(c), w_en
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    sweep_value: float
-    w_b: float
-    w_en: float
-    w_ratio: float
-    log10_w_ratio: float
-
-
-_SCAN_FIELDS = ("sweep_value", "w_b", "w_en", "w_ratio", "log10_w_ratio")
-
-
 @dataclass(frozen=True, eq=False)
 class ScanResult:
-    """A violation scan: one read-only float64 array per ScanPoint field, and
-    the landmarks as Python floats (None where the scan has none)."""
+    """A violation scan: one read-only float64 array per column, and the
+    landmarks as Python floats (None where the scan has none)."""
 
     sweep_name: str
     sweep_value: np.ndarray
@@ -374,11 +355,6 @@ class ScanResult:
     tau_asymp: Optional[float]  # first grid point with w_ratio <= 0 after a positive one
     tau_star: Optional[float]  # interpolated crossing of w_ratio = 1e-3
     max_nbar: Optional[float]  # tau_star alias for nbar sweeps
-
-    @property
-    def points(self) -> tuple:
-        """The scan as a tuple of ScanPoint records of Python floats."""
-        return tuple(map(ScanPoint, *(getattr(self, f).tolist() for f in _SCAN_FIELDS)))
 
 
 RATIO_THRESHOLD = 1e-3
@@ -409,9 +385,8 @@ def violation_scan(
     The whole grid is one call of the numpy kernel, so each point agrees
     with the one-point functions (thermal_wb, thermal_wen, bath_witness)
     to within 1e-13 relative rather than bit for bit. The result holds one
-    float64 array per ScanPoint field (`points` builds the records on
-    demand); log10_w_ratio is math.log10 of each positive ratio and -inf
-    elsewhere. The landmarks are found by index searches on w_ratio and
+    float64 array per column; log10_w_ratio is math.log10 of each positive
+    ratio and -inf elsewhere. The landmarks are found by index searches on w_ratio and
     interpolated in Python floats between the two bracketing points.
 
     lam, g and omega_l are finite, omega finite and > 0, and nbar (or the

@@ -1,10 +1,18 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 
 import os
 
 import pytest
 
 import spinlev
+from spinlev import pulses
+
+
+def kernel_at(seq, g, omega, s):
+    """K(s) = int_s^tau G(t) sin(omega (t - s)) dt at the points s (a float
+    or an array in [0, tau]), from the kernel recursion pulses._kernel_ends
+    evaluated at each point by pulses._kernel_at."""
+    return g * pulses._kernel_at(pulses._kernel_ends(seq, g, omega), omega, pulses.segment_index(seq, s), s)[0]
 
 
 @pytest.fixture

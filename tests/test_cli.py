@@ -12,6 +12,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -391,6 +392,11 @@ class TestConfigTimesPositive:
         assert err == f"error: {key} must be finite and > 0, got {value!r}\n"
         assert out == "" and not caught
 
+    def test_integer_value_is_reported_as_the_float_read(self, tmp_path, capsys):
+        code, out, err, caught = run_config(tmp_path, capsys, "trajectory", {"tau_s": -1})
+        assert (code, err) == (2, "error: tau_s must be finite and > 0, got -1.0\n")
+        assert out == "" and not caught
+
     def test_negative_t_grid_exits_2(self, tmp_path, capsys):
         code, out, err, caught = run_config(tmp_path, capsys, "witness",
                                             {"grid": {"min": -0.05, "max": 0.05, "n": 5}})
@@ -540,7 +546,7 @@ class TestEmitColumns:
     def test_matches_row_dict_writer(self, data, header, n, fmt):
         columns, values = [], []
         for _ in header:
-            kind = data.draw(st.sampled_from(["float", "float runs", "int", "str", "mixed"]))
+            kind = data.draw(st.sampled_from(["float", "float runs", "int", "str"]))
             if kind == "float":
                 vals = data.draw(st.lists(FLOATS, min_size=n, max_size=n))
                 columns.append(np.array(vals, dtype=float))
@@ -553,7 +559,7 @@ class TestEmitColumns:
                     vals += [value] * min(length, n - len(vals))
                 columns.append(np.array(vals, dtype=float))
             else:
-                cell = {"int": INTS, "str": TEXTS, "mixed": st.one_of(FLOATS, INTS, TEXTS)}[kind]
+                cell = {"int": INTS, "str": TEXTS}[kind]
                 vals = data.draw(st.lists(cell, min_size=n, max_size=n))
                 columns.append(vals)
             values.append(vals)
@@ -569,13 +575,22 @@ class TestEmitColumns:
     ], ids=["signed_zeros", "non_finite", "one_run", "two_runs"])
     def test_float_runs_match_cell_by_cell(self, vals, fmt):
         # a column of few runs is formatted once per run; the text is unchanged
-        assert cli._cells(np.array(vals), fmt) == [cli._cells(np.array([v]), fmt)[0] for v in vals]
+        kernel = cli._float_bytes if fmt == "csv" else cli._repr_bytes
+        (mat,), _ = cli._float_cells([np.array(vals)], kernel)
+        assert np.array_equal(mat, np.concatenate([kernel(np.array([v]))[0] for v in vals]))
         rows = [{"x": v} for v in vals]
         assert emit_text(["x"], [np.array(vals)], fmt) == reference_emit(rows, ["x"], fmt)
 
     @pytest.mark.parametrize("fmt,text", [("csv", "a,b\n"), ("json", "[]\n")])
     def test_empty_table(self, fmt, text):
         assert emit_text(["a", "b"], [np.array([]), []], fmt) == text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("col", [[1.5, 2.5], ["a", 1], [True, False], [1, None]])
+    def test_other_columns_raise(self, col, fmt):
+        # every column a command writes is a float64 array or a list of str or of int
+        with pytest.raises(TypeError, match="float64 array or a list of str or of int"):
+            emit_text(["x"], [col], fmt)
 
     def test_ragged_columns_raise(self):
         with pytest.raises(ValueError, match="length"):
@@ -802,12 +817,12 @@ def reference_rows(sub):
         rows = []
         for kind in KINDS:
             seq = pulses.make_sequence(kind, cfg["tau_s"])
-            points = sensing.sensitivity_spectrum(params, seq, [2 * math.pi * nu for nu in nus]).points
-            rows += [{"sweep_name": "nu_hz", "sweep_value": nu, "eta_n_per_sqrt_hz": sp.eta,
-                      "projection_var": sp.budget.projection_var,
-                      "backaction_var": sp.budget.backaction_var,
-                      "thermal_var": sp.budget.thermal_var, "sequence": kind,
-                      "nbar_over_q": nbar_over_q} for nu, sp in zip(nus, points)]
+            spec = sensing.sensitivity_spectrum(params, seq, [2 * math.pi * nu for nu in nus])
+            rows += [{"sweep_name": "nu_hz", "sweep_value": nu, "eta_n_per_sqrt_hz": eta,
+                      "projection_var": spec.projection_var,
+                      "backaction_var": spec.backaction_var,
+                      "thermal_var": spec.thermal_var, "sequence": kind,
+                      "nbar_over_q": nbar_over_q} for nu, eta in zip(nus, spec.eta.tolist())]
         header = ["sweep_name", "sweep_value", "eta_n_per_sqrt_hz", "projection_var",
                   "backaction_var", "thermal_var", "sequence", "nbar_over_q"]
         return rows, header, None
@@ -819,10 +834,9 @@ def reference_rows(sub):
             cfg["mode"], cfg["sweep"], grid, lam=cfg["lam"], g=omega, omega=omega,
             omega_l=2 * math.pi * cfg["larmor_hz"], tau=0.1 * math.pi / omega, nbar=cfg["nbar"],
             nbar_over_q=cfg["nbar_over_q"], initial=cfg["initial"])
-        rows = [{"sweep_name": scan.sweep_name, "sweep_value": p.sweep_value, "w_b": p.w_b,
-                 "w_en": p.w_en, "w_ratio": p.w_ratio, "log10_w_ratio": p.log10_w_ratio}
-                for p in scan.points]
         header = ["sweep_name", "sweep_value", "w_b", "w_en", "w_ratio", "log10_w_ratio"]
+        rows = [{"sweep_name": scan.sweep_name, **dict(zip(header[1:], values))}
+                for values in zip(*(getattr(scan, key).tolist() for key in header[1:]))]
         landmarks = {"tau_asymp": scan.tau_asymp, "tau_star": scan.tau_star,
                      "max_nbar": scan.max_nbar}
         return rows, header, landmarks
@@ -937,6 +951,21 @@ class TestOutputFileMode:
         finally:
             os.umask(old)
         assert stat.S_IMODE((tmp_path / "v.json").stat().st_mode) == 0o640
+
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        # --out once renamed a temporary file over whatever it named, so a
+        # FIFO (or a device) became a regular file and its reader got nothing
+        code, table, _ = run_cli(["table"], capsys)
+        fifo = tmp_path / "t.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run_cli(["table", "--out", str(fifo)], capsys)[0] == code == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive() and got == [table.encode()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 class TestSensitivityExtremeDevice:

@@ -13,6 +13,8 @@ from spinlev.dynamics import evolve_state, trajectory
 from spinlev.pulses import carr_purcell2, custom, force_response, hahn_echo, ramsey
 from spinlev.units import ParameterError
 
+from conftest import kernel_at
+
 
 def _pulseless_branches(alpha, g, omega, tau):
     """Free evolution for tau, branches 0 and 1:
@@ -44,15 +46,15 @@ class TestBranchStates:
     def test_single_pulse_closed_forms(self, alpha, g, omega, tau):
         for seq, closed in ((ramsey(tau), _pulseless_branches), (hahn_echo(tau), _pulsed_branches)):
             st = evolve_state(seq, g, omega, alpha)
-            for spin, expect in enumerate(closed(alpha, g, omega, tau)):
-                assert st.branch(spin).alpha == pytest.approx(expect, rel=1e-12, abs=1e-15)
+            for branch, expect in zip((st.branch0, st.branch1), closed(alpha, g, omega, tau)):
+                assert branch.alpha == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
     def test_zero_coupling_free_rotation(self):
         alpha, omega, tau = 0.8 + 0.3j, 2.0, 1.3
         st = evolve_state(ramsey(tau), 0.0, omega, alpha)
         expect = alpha * cmath.exp(-1j * omega * tau)
-        for spin in (0, 1):
-            assert st.branch(spin).alpha == pytest.approx(expect, rel=1e-14)
+        for branch in (st.branch0, st.branch1):
+            assert branch.alpha == pytest.approx(expect, rel=1e-14)
         assert st.observable_phase() == pytest.approx(0.0, abs=1e-14)
 
     def test_pulseless_circular_arc(self):
@@ -62,8 +64,8 @@ class TestBranchStates:
         centers = {0: -d, 1: +d}
         for tau in np.linspace(0.1, 6.0, 7):
             st = evolve_state(ramsey(tau), g, omega, alpha)
-            for spin in (0, 1):
-                r = abs(st.branch(spin).alpha - centers[spin])
+            for spin, branch in enumerate((st.branch0, st.branch1)):
+                r = abs(branch.alpha - centers[spin])
                 assert r == pytest.approx(abs(alpha - centers[spin]), rel=1e-12)
 
     def test_equal_branch_weights(self):
@@ -81,10 +83,10 @@ class TestBranchStates:
         # the first half ends after one pulse, so the remainder starts with
         # the opposite toggling-frame sign
         rest = pulses.custom(tau / 2, [0.2])
-        for spin in (0, 1):
+        for spin, (start, end) in enumerate(((first.branch0, full.branch0), (first.branch1, full.branch1))):
             # the other branch of the walk from this branch's state takes the flipped sign
-            theta, gamma = dynamics.branch_states(rest, g, omega, first.branch(spin).alpha)[2][1 - spin][-1]
-            assert gamma == pytest.approx(full.branch(spin).alpha, rel=1e-12, abs=1e-12)
+            theta, gamma = dynamics.branch_states(rest, g, omega, start.alpha)[2][1 - spin][-1]
+            assert gamma == pytest.approx(end.alpha, rel=1e-12, abs=1e-12)
 
     def test_echo_refocusing_order(self):
         # spin-conditioned displacement: Ramsey O(wt), echo O((wt)^2)
@@ -110,10 +112,10 @@ class TestTrajectory:
     def test_endpoint_matches_state(self):
         g, omega, tau = 1.1, 2.0, 0.9
         st = evolve_state(hahn_echo(tau), g, omega, 0)
-        for spin in (0, 1):
+        for spin, branch in enumerate((st.branch0, st.branch1)):
             pts = trajectory(hahn_echo(tau), g, omega, spin, 50)
             t, x, p = pts[-1]
-            gamma = st.branch(spin).alpha
+            gamma = branch.alpha
             assert t == tau
             assert x == pytest.approx(math.sqrt(2) * gamma.real, abs=1e-12)
             assert p == pytest.approx(math.sqrt(2) * gamma.imag, abs=1e-12)
@@ -160,7 +162,7 @@ class TestForceFunctionals:
         seq = hahn_echo(1.0)
         a, b = 0.2, 0.7
         phase, _ = force_response(seq, g, omega, _boxcar(seq, ([a, b], [f])))
-        expect = f * quad(lambda s: pulses.phase_kernel(seq, g, omega, s),
+        expect = f * quad(lambda s: kernel_at(seq, g, omega, s),
                           a, b, points=[0.5])[0]
         assert phase == pytest.approx(expect, rel=1e-9)
 
@@ -353,12 +355,6 @@ class TestBranchLabels:
     def test_trajectory_branch(self, branch):
         with pytest.raises(ValueError, match="spin_branch must be 0 or 1"):
             trajectory(hahn_echo(1.0), 0.5, 1.0, branch, 3)
-
-    @pytest.mark.parametrize("spin", [7, -1])
-    def test_state_branch(self, spin):
-        st = dynamics.evolve_state(hahn_echo(1.0), 0.5, 1.0)
-        with pytest.raises(ValueError, match="spin must be 0 or 1"):
-            st.branch(spin)
 
 
 class TestNonFiniteInput:

@@ -984,7 +984,8 @@ class TestVectorisedRawMoments:
         for row, al in zip(raw, alphas):
             st = dynamics.evolve_state(seq, g, omega, complex(al))
             g0, g1 = st.branch0.alpha, st.branch1.alpha
-            z = cmath.exp(1j * st.relative_phase) * st.overlap()
+            overlap = cmath.exp(-abs(g0) ** 2 / 2 - abs(g1) ** 2 / 2 + g1.conjugate() * g0)  # <branch1|branch0>
+            z = cmath.exp(1j * st.relative_phase) * overlap
             q0, p0, q1, p1 = r2 * g0.real, r2 * g0.imag, r2 * g1.real, r2 * g1.imag
             qc, pc = (g0 + g1.conjugate()) / r2, (g0 - g1.conjugate()) / (1j * r2)
             expect = [z.real, -z.imag, (q0 + q1) / 2, (p0 + p1) / 2,

@@ -21,7 +21,6 @@ from spinlev.pulses import (
     kernel_l2,
     leading_order_row,
     make_sequence,
-    phase_kernel,
     ramsey,
     residual_displacement,
     segment_index,
@@ -29,6 +28,8 @@ from spinlev.pulses import (
     squeezing_parameter,
     zeta_closed_form,
 )
+
+from conftest import kernel_at
 
 KINDS = [SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2]
 MAKERS = {SequenceKind.RAMSEY: ramsey, SequenceKind.HAHN_ECHO: hahn_echo,
@@ -227,14 +228,14 @@ class TestResponseKernel:
         g, omega = 0.6, 1.4
         seq = hahn_echo(2.0)
         ss = np.linspace(0, seq.total_time, 20001)
-        trapz = np.trapezoid(phase_kernel(seq, g, omega, ss), ss)
+        trapz = np.trapezoid(kernel_at(seq, g, omega, ss), ss)
         assert dc_phase(seq, g, omega) == pytest.approx(trapz, rel=1e-6)
 
     def test_kernel_l2(self):
         g, omega = 0.6, 1.4
         seq = carr_purcell2(2.0)
         ss = np.linspace(0, seq.total_time, 40001)
-        trapz = np.trapezoid(phase_kernel(seq, g, omega, ss) ** 2, ss)
+        trapz = np.trapezoid(kernel_at(seq, g, omega, ss) ** 2, ss)
         assert kernel_l2(seq, g, omega) == pytest.approx(trapz, rel=1e-6)
 
 
@@ -377,7 +378,7 @@ def _mp_functionals(seq, g, omega, force, points, mp):
 
 def _reference_deviations(seq, g, omega):
     """{name: (|value - reference|, |reference|, bound)} for kernel_l2, zeta,
-    Delta n, the force_response phase and phase_kernel (its largest
+    Delta n, the force_response phase and K at points (its largest
     deviation over 17 points, against its largest value) at 40 digits; bound
     is the largest value the functional can take for a kernel of this norm:
     |zeta| <= g (tau int K^2)^1/2, |phi| <= (int K^2 int f^2)^1/2, Delta n <= g^2 tau^2."""
@@ -394,7 +395,7 @@ def _reference_deviations(seq, g, omega):
         "dn": (abs(residual_displacement(seq, g, omega)[1] - dn), dn, g * g * tau * tau),
         "phase": (abs(pulses.force_response(seq, g, omega, force)[0] - phase), abs(phase),
                   math.sqrt(l2 * f2)),
-        "kernel": (np.abs(phase_kernel(seq, g, omega, points) - kernel).max(), k_max, k_max),
+        "kernel": (np.abs(kernel_at(seq, g, omega, points) - kernel).max(), k_max, k_max),
     }
 
 
@@ -477,7 +478,6 @@ class TestNonFiniteCoupling:
         "residual_displacement": residual_displacement,
         "kernel_l2": kernel_l2,
         "squeezing_parameter": squeezing_parameter,
-        "phase_kernel": lambda seq, g, omega: phase_kernel(seq, g, omega, [0.3]),
         "spectral_response": lambda seq, g, omega: pulses.spectral_response(seq, g, omega, 0.5),
         "dc_phase": dc_phase,
     }
@@ -507,7 +507,6 @@ class TestOneCouplingDomain:
         "residual_displacement": residual_displacement,
         "kernel_l2": kernel_l2,
         "squeezing_parameter": squeezing_parameter,
-        "phase_kernel": lambda seq, g, omega: phase_kernel(seq, g, omega, [0.3]),
         "spectral_response": lambda seq, g, omega: spectral_response(seq, g, omega, 0.5),
         "spectral_response_array": lambda seq, g, omega: spectral_response(
             seq, g, omega, np.array([0.0, 0.5, 30.0])),
@@ -581,18 +580,6 @@ def _pulses_reads(path):
                     and node.value.id in aliases]
 
 
-class TestPhaseKernelDomain:
-    @pytest.mark.parametrize("s", [[math.nan], [0.2, math.nan], [-1e-12], [1.0 + 1e-12], [math.inf]])
-    def test_points_outside_zero_tau_raise(self, s):
-        # NaN fails every comparison, so it is rejected as "not in [0, tau]"
-        with pytest.raises(ValueError, match=r"s outside \[0, tau\]"):
-            phase_kernel(hahn_echo(1.0), 0.5, 1.0, s)
-
-    def test_interval_ends_accepted(self):
-        k = phase_kernel(hahn_echo(1.0), 0.5, 1.0, [0.0, 1.0])
-        assert np.isfinite(k).all() and k[1] == 0.0
-
-
 @st.composite
 def spectral_cases(draw):
     """A pulse list with 0-64 pulses, omega tau from 1e-3 to 1e2, and an array of
@@ -655,10 +642,10 @@ class TestKernelContinuity:
            g=st.floats(0.1, 3.0), omega=st.floats(0.05, 20.0))
     def test_kernel_continuous_at_pulse_edges(self, seq, g, omega):
         # K(s) = int_s^tau G(t) sin(omega (t - s)) dt has no jump where G does:
-        # phase_kernel just before each pulse (the segment that ends there) and
+        # K just before each pulse (the segment that ends there) and
         # at it (the segment that starts there) agree, and K(tau) = 0
         scale = g / omega * (2 + len(seq.pulse_times))
         for t in seq.pulse_times:
-            left, right = phase_kernel(seq, g, omega, [math.nextafter(t, 0.0), t])
+            left, right = kernel_at(seq, g, omega, np.array([math.nextafter(t, 0.0), t]))
             assert abs(left - right) <= 1e-13 * scale
-        assert phase_kernel(seq, g, omega, [seq.total_time])[0] == 0.0
+        assert kernel_at(seq, g, omega, seq.total_time) == 0.0

@@ -472,25 +472,23 @@ class TestSensitivitySweep:
 
     @pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
     def test_sweep_equals_pointwise(self, seq):
-        sweep = sensitivity_spectrum(self.REF, seq, self.NUS).points
-        assert sweep == [force_sensitivity(self.REF, seq, nu) for nu in self.NUS]
-        for nu, sp in zip(self.NUS, sweep):
+        spec = sensitivity_spectrum(self.REF, seq, self.NUS)
+        for nu, got_nu, got_eta, phi in zip(self.NUS, spec.nus.tolist(), spec.eta.tolist(),
+                                            spec.signal_phase_per_force.tolist()):
             eta, terms = _pointwise_point(self.REF, seq, nu)
-            b = sp.budget
-            assert sp.sweep_value == nu
-            assert sp.eta == eta
-            assert (b.projection_var, b.backaction_var, b.thermal_var,
-                    b.signal_phase_per_force) == terms
+            assert got_nu == nu
+            assert got_eta == eta
+            assert (spec.projection_var, spec.backaction_var, spec.thermal_var, phi) == terms
 
     @pytest.mark.parametrize("seq", SEQS, ids=SEQ_IDS)
     def test_sweep_with_explicit_coupling(self, seq):
         p = dataclasses.replace(self.REF, n_spins=3, nbar=None, temperature=0.0)
-        sweep = sensitivity_spectrum(p, seq, self.NUS, coupling=2.5e3).points
-        for nu, sp in zip(self.NUS, sweep):
+        spec = sensitivity_spectrum(p, seq, self.NUS, coupling=2.5e3)
+        assert spec.thermal_var == 0.0
+        for nu, got_eta, phi in zip(self.NUS, spec.eta.tolist(), spec.signal_phase_per_force.tolist()):
             eta, terms = _pointwise_point(p, seq, nu, coupling=2.5e3)
-            assert sp.eta == eta
-            assert sp.budget.thermal_var == 0.0
-            assert sp.budget.signal_phase_per_force == terms[3]
+            assert got_eta == eta
+            assert phi == terms[3]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_nu_rejected(self, bad):
@@ -542,10 +540,16 @@ class TestSensitivitySpectrum:
     def test_arrays_hold_the_sweep(self, seq):
         spec = sensing.sensitivity_spectrum(self.REF, seq, self.NUS)
         assert spec.nus.dtype == spec.eta.dtype == spec.signal_phase_per_force.dtype == np.float64
-        assert spec.points == [force_sensitivity(self.REF, seq, nu) for nu in self.NUS]
-        for sp in spec.points:
-            assert (sp.budget.projection_var, sp.budget.backaction_var, sp.budget.thermal_var) == (
-                spec.projection_var, spec.backaction_var, spec.thermal_var)
+        # force_sensitivity is element i of the spectrum, bit for bit
+        for i, nu in enumerate(self.NUS):
+            sp = force_sensitivity(self.REF, seq, nu)
+            b = sp.budget
+            got = (sp.sweep_value, sp.eta, b.signal_phase_per_force, b.projection_var, b.backaction_var,
+                   b.thermal_var)
+            want = (spec.nus[i], spec.eta[i], spec.signal_phase_per_force[i], spec.projection_var,
+                    spec.backaction_var, spec.thermal_var)
+            assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+            assert all(type(x) is float for x in got[:3])
 
     def test_overflowing_numerator_names_the_coupling(self):
         # the message named only delta_n, which the caller did not pass
@@ -554,7 +558,7 @@ class TestSensitivitySpectrum:
 
     def test_empty_grid(self):
         spec = sensing.sensitivity_spectrum(self.REF, carr_purcell2(1e-4), [])
-        assert spec.eta.shape == (0,) and spec.points == []
+        assert spec.nus.shape == spec.eta.shape == spec.signal_phase_per_force.shape == (0,)
 
     def test_noise_to_signal_array_equals_scalar(self):
         phis = np.array([0.0, 1e-9, 3.7e-7, 2.0, 1e150])

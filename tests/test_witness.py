@@ -18,7 +18,6 @@ from spinlev.witness import (
     bath_witness,
     halfperiod_coefficients,
     make_result,
-    noiseless_moments,
     optimize_coefficients,
     pulsed_effective_lambda,
     separable_bound,
@@ -74,13 +73,11 @@ class TestCoefficientValidation:
     @pytest.mark.parametrize("call,message", [
         (lambda: thermal_wen(1e200, 0.0, 1.0, 1.0),
          "thermal_wen is not finite at lam = 1e+200, nbar = 0.0, omega = 1.0, t = 1.0"),
-        (lambda: noiseless_moments(1e-200, 1e308, 1.0, 0.0, 1.0),
-         "noiseless_moments is not finite at lam = 1e-200, nbar = 1e+308, omega = 1.0, omega_l = 0.0, t = 1.0"),
         (lambda: thermal_wb(math.inf, 0.0, 1.0, 0.0, 1.0),
          "thermal_wb is not finite at lam = inf, nbar = 0.0, omega = 1.0, omega_l = 0.0, t = 1.0"),
-    ], ids=["thermal_wen", "noiseless_moments", "thermal_wb"])
+    ], ids=["thermal_wen", "thermal_wb"])
     def test_nonfinite_one_point_closed_forms_raise_naming_inputs(self, call, message):
-        # thermal_wen returned nan and noiseless_moments inf variances without a word;
+        # thermal_wen returned nan without a word;
         # the grid kernels keep NaN, which violation_scan counts and raises on
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
@@ -145,13 +142,13 @@ class TestClosedForms:
 
 class TestWitnessValue:
     def test_product_state_value(self):
-        m = noiseless_moments(0.0, 0.0, 1.0, 0.0, 1.0)
+        m = witness._moments(0.0, 0.0, 1.0, 0.0, 1.0, math)
         assert witness_value(m, WitnessCoefficients(0, 0, 0, 0)) == pytest.approx(0.5)
 
     def test_matches_thermal_wen_at_optimum(self):
         omega, t = 1.0, math.pi / 1.0
         for lam, nbar in [(0.3, 0.0), (0.5, 1.0), (1.0, 2.5)]:
-            m = noiseless_moments(lam, nbar, omega, 0.0, t)
+            m = witness._moments(lam, nbar, omega, 0.0, t, math)
             c = optimize_coefficients(m)
             assert witness_value(m, c) == pytest.approx(
                 thermal_wen(lam, nbar, omega, t), rel=1e-12)
@@ -165,14 +162,14 @@ class TestWitnessValue:
 
 class TestOptimizeCoefficients:
     def test_product_state_zero_coefficients(self):
-        m = noiseless_moments(0.0, 0.0, 1.0, 0.0, 0.7)
+        m = witness._moments(0.0, 0.0, 1.0, 0.0, 0.7, math)
         c = optimize_coefficients(m)
         assert (c.a_y, c.b_y, c.a_z, c.b_z) == pytest.approx((0, 0, 0, 0), abs=1e-14)
 
     def test_recovers_halfperiod_coefficients(self):
         omega = 1.0
         for lam, nbar in [(0.4, 0.0), (0.7, 1.5)]:
-            m = noiseless_moments(lam, nbar, omega, 0.0, math.pi / omega)
+            m = witness._moments(lam, nbar, omega, 0.0, math.pi / omega, math)
             c = optimize_coefficients(m)
             ref = halfperiod_coefficients(lam, nbar)
             assert c.a_y == pytest.approx(ref.a_y, abs=1e-10)
@@ -182,7 +179,7 @@ class TestOptimizeCoefficients:
 
     def test_beats_grid_search(self):
         rng = np.random.default_rng(7)
-        m = noiseless_moments(0.35, 0.2, 1.0, 0.0, 2.1)
+        m = witness._moments(0.35, 0.2, 1.0, 0.0, 2.1, math)
         c = optimize_coefficients(m)
         best = witness_value(m, c)
         for _ in range(200):
@@ -190,7 +187,7 @@ class TestOptimizeCoefficients:
             assert witness_value(m, trial) >= best - 1e-12
 
     def test_degenerate_moments_raise(self):
-        m = noiseless_moments(0.0, 0.0, 1.0, 0.0, 2 * math.pi)
+        m = witness._moments(0.0, 0.0, 1.0, 0.0, 2 * math.pi, math)
         degenerate = witness.MomentRecord(
             **{f: getattr(m, f) for f in m.__dataclass_fields__})
         object.__setattr__(degenerate, "var_q", 0.0)
@@ -262,13 +259,13 @@ class TestViolationScan:
     def test_zero_lambda_no_landmarks(self):
         res = violation_scan("pulsed", "t", list(np.linspace(1e-4, 1e-2, 50)),
                              g=0.0, omega=2 * math.pi * 100)
-        assert all(p.w_ratio == 0.0 for p in res.points)
+        assert all(r == 0.0 for r in res.w_ratio.tolist())
         assert res.tau_asymp is None and res.tau_star is None
 
     def test_pulseless_nbar_sweep_monotone(self):
         res = violation_scan("pulseless", "nbar", list(np.linspace(0, 3, 60)),
                              lam=0.5, omega=1.0)
-        ratios = [p.w_ratio for p in res.points]
+        ratios = res.w_ratio.tolist()
         assert all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
         assert ratios[0] > 0
 
@@ -478,26 +475,15 @@ class TestGridKernels:
         kw = dict(lam=lam, g=g_over_omega * omega, omega=omega, omega_l=wl * omega,
                   tau=w_tau / omega, nbar=nbar, nbar_over_q=noq, initial=initial)
         res = violation_scan(mode, sweep, grid, **kw)
-        assert [p.sweep_value for p in res.points] == grid
-        for p in res.points:
-            w_b, w_en = ref_scan_point(mode, sweep, p.sweep_value, **kw)
-            assert p.w_b == pytest.approx(w_b, rel=GRID_TOL, abs=0)
-            assert p.w_en == pytest.approx(w_en, rel=GRID_TOL, abs=0)
+        assert res.sweep_value.tolist() == grid
+        for x, got_b, got_en, ratio, log10_ratio in zip(*(a.tolist() for a in (
+                res.sweep_value, res.w_b, res.w_en, res.w_ratio, res.log10_w_ratio))):
+            w_b, w_en = ref_scan_point(mode, sweep, x, **kw)
+            assert got_b == pytest.approx(w_b, rel=GRID_TOL, abs=0)
+            assert got_en == pytest.approx(w_en, rel=GRID_TOL, abs=0)
             # absolute near the zero crossing, relative where |w_ratio| > 1
-            assert p.w_ratio == pytest.approx((w_b - w_en) / w_b, rel=GRID_TOL, abs=GRID_TOL)
-            assert p.log10_w_ratio == (math.log10(p.w_ratio) if p.w_ratio > 0 else -math.inf)
-
-    @pytest.mark.parametrize("mode,sweep,noq", [
-        ("pulseless", "t", 0.0), ("pulsed", "t", 1e-3), ("pulseless", "nbar", 1e-3),
-        ("pulsed", "nbar", 0.0),
-    ])
-    def test_scan_points_are_python_floats(self, mode, sweep, noq):
-        grid = np.linspace(0.1, 2.0, 7)  # numpy floats in, Python floats out
-        res = violation_scan(mode, sweep, grid, lam=0.5, g=1.0, omega=1.0, tau=0.5,
-                             nbar_over_q=noq, initial="thermal")
-        for p in res.points:
-            for v in (p.sweep_value, p.w_b, p.w_en, p.w_ratio, p.log10_w_ratio):
-                assert type(v) is float
+            assert ratio == pytest.approx((w_b - w_en) / w_b, rel=GRID_TOL, abs=GRID_TOL)
+            assert log10_ratio == (math.log10(ratio) if ratio > 0 else -math.inf)
 
     @pytest.mark.parametrize("omega", [1.0, 2 * math.pi * 100, 2 * math.pi * 1e4])
     def test_max_nbar_matches_reference_bisection(self, omega):
@@ -587,24 +573,24 @@ class TestSingularBlocks:
 
 # ---------------------------------------------------------------------------
 # Landmarks: the index searches on the w_ratio array against the scalar
-# loops over ScanPoint records that they replaced.
+# loops over (sweep_value, w_ratio) pairs that they replaced.
 
 
 def ref_asymptote(points):
     seen_positive = False
-    for p in points:
-        if p.w_ratio > 0:
+    for x, ratio in points:
+        if ratio > 0:
             seen_positive = True
         elif seen_positive:
-            return p.sweep_value
+            return x
     return None
 
 
 def ref_first_crossing(points, level):
-    for p0, p1 in zip(points, points[1:]):
-        if p0.w_ratio > level >= p1.w_ratio:
-            frac = (p0.w_ratio - level) / (p0.w_ratio - p1.w_ratio)
-            return p0.sweep_value + frac * (p1.sweep_value - p0.sweep_value)
+    for (x0, r0), (x1, r1) in zip(points, points[1:]):
+        if r0 > level >= r1:
+            frac = (r0 - level) / (r0 - r1)
+            return x0 + frac * (x1 - x0)
     return None
 
 
@@ -627,7 +613,7 @@ class TestScanLandmarks:
         x = start + np.cumsum(steps)
         assume(np.all(np.diff(x) > 0))
         ratio = np.array(ratios)
-        points = [witness.ScanPoint(xv, 1.0, 1.0, r, 0.0) for xv, r in zip(x.tolist(), ratios)]
+        points = list(zip(x.tolist(), ratios))
         assert witness._asymptote(x, ratio > 0) == ref_asymptote(points)
         got = witness._first_crossing(x, ratio, witness.RATIO_THRESHOLD)
         ref = ref_first_crossing(points, witness.RATIO_THRESHOLD)
@@ -647,24 +633,19 @@ class TestScanLandmarks:
         assume(np.all(np.diff(grid) > 0))
         res = violation_scan(mode, sweep, grid, lam=lam, g=g_over_omega, omega=1.0,
                              tau=w_tau, nbar=nbar, nbar_over_q=noq, initial=initial)
-        points = res.points
+        points = list(zip(res.sweep_value.tolist(), res.w_ratio.tolist()))
         assert res.tau_asymp == ref_asymptote(points)
         star = ref_first_crossing(points, witness.RATIO_THRESHOLD)
         assert (res.tau_star, res.max_nbar) == ((star, None) if sweep == "t" else (None, star))
 
     @pytest.mark.parametrize("sweep,noq,initial", [("t", 0.0, "ground"), ("nbar", 1e-3, "ground"),
                                                    ("nbar", 1e-3, "thermal")])
-    def test_points_are_python_floats_equal_to_arrays(self, sweep, noq, initial):
+    def test_arrays_are_read_only_float64(self, sweep, noq, initial):
         res = violation_scan("pulseless", sweep, np.linspace(0.0, 4.0, 40), lam=0.5,
                              nbar_over_q=noq, initial=initial)
-        points = res.points
-        assert isinstance(points, tuple) and len(points) == 40
         for field in ("sweep_value", "w_b", "w_en", "w_ratio", "log10_w_ratio"):
             arr = getattr(res, field)
             assert arr.dtype == np.float64 and arr.shape == (40,) and not arr.flags.writeable
-            vals = [getattr(p, field) for p in points]
-            assert all(type(v) is float for v in vals)
-            assert vals == arr.tolist()
 
     def test_one_point_ground_nbar_sweep(self):
         # the ground-start bath kernel does not depend on nbar: one value for the grid
