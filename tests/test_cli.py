@@ -392,10 +392,28 @@ class TestConfigTimesPositive:
         assert err == f"error: {key} must be finite and > 0, got {value!r}\n"
         assert out == "" and not caught
 
-    def test_integer_value_is_reported_as_the_float_read(self, tmp_path, capsys):
-        code, out, err, caught = run_config(tmp_path, capsys, "trajectory", {"tau_s": -1})
-        assert (code, err) == (2, "error: tau_s must be finite and > 0, got -1.0\n")
+    @pytest.mark.parametrize("sub,key", [("sensitivity", "tau_s"), ("witness", "tau_s"),
+                                         ("trajectory", "tau_s"), ("table", "omega_tau")])
+    @pytest.mark.parametrize("value", [-1, 0])
+    def test_integer_value_is_reported_as_the_float_read(self, tmp_path, capsys, sub, key, value):
+        # a JSON integer goes through the units rule as the float read
+        body = {key: value, "mode": "pulsed", "sweep": "nbar"} if sub == "witness" else {key: value}
+        code, out, err, caught = run_config(tmp_path, capsys, sub, body)
+        assert (code, err) == (2, f"error: {key} must be finite and > 0, got {float(value)!r}\n")
         assert out == "" and not caught
+
+    @pytest.mark.parametrize("body", [{"lam": 1}, {"nbar": 1}, {"nbar_over_q": 0},
+                                      {"sweep": "nbar", "grid": {"min": 0, "max": 2, "n": 5}},
+                                      {"grid": {"max": 1, "n": 5}}],
+                             ids=["lam", "nbar", "nbar_over_q", "grid.min", "grid.max"])
+    def test_integer_value_gives_the_float_output(self, tmp_path, capsys, body):
+        # a JSON integer is read as its float: the same table as the float value
+        def floats(d):
+            return {k: floats(v) if isinstance(v, dict) else float(v) if type(v) is int and k != "n" else v
+                    for k, v in d.items()}
+        got = run_config(tmp_path, capsys, "witness", body)
+        want = run_config(tmp_path, capsys, "witness", floats(body))
+        assert got[0] == 0 and got[1] and got == want
 
     def test_negative_t_grid_exits_2(self, tmp_path, capsys):
         code, out, err, caught = run_config(tmp_path, capsys, "witness",

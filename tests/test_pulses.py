@@ -470,6 +470,9 @@ class TestHomogeneousInG:
             assert abs(f(g) - expect) <= math.ulp(expect)
 
 
+_FORCE = ([0.0, 0.4, 1.0], [0.2, -0.1])  # a force series in the form pieces checks
+
+
 class TestNonFiniteCoupling:
     """A NaN or infinite g or omega raises a ValueError naming it, instead
     of returning NaN."""
@@ -480,6 +483,8 @@ class TestNonFiniteCoupling:
         "squeezing_parameter": squeezing_parameter,
         "spectral_response": lambda seq, g, omega: pulses.spectral_response(seq, g, omega, 0.5),
         "dc_phase": dc_phase,
+        # K at points: the kernel route of the force phase
+        "force_response": lambda seq, g, omega: pulses.force_response(seq, g, omega, _FORCE),
     }
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -493,9 +498,6 @@ class TestNonFiniteCoupling:
     def test_omega(self, route, bad):
         with pytest.raises(ValueError, match="omega must be finite"):
             self.ROUTES[route](carr_purcell2(1.0), 0.7, bad)
-
-
-_FORCE = ([0.0, 0.4, 1.0], [0.2, -0.1])  # a force series in the form pieces checks
 
 
 class TestOneCouplingDomain:
@@ -515,6 +517,7 @@ class TestOneCouplingDomain:
         "delta_n_closed_form": lambda seq, g, omega: delta_n_closed_form(
             "carr_purcell2", g, omega, seq.total_time),
         "zeta_closed_form": lambda seq, g, omega: zeta_closed_form("carr_purcell2", g, omega, seq.total_time),
+        "branch_states": lambda seq, g, omega: dynamics.branch_states(seq, g, omega, 0j),
         "evolve_state": dynamics.evolve_state,
         "trajectory": lambda seq, g, omega: dynamics.trajectory(seq, g, omega, 0, 3),
     }

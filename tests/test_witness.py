@@ -485,6 +485,19 @@ class TestGridKernels:
             assert ratio == pytest.approx((w_b - w_en) / w_b, rel=GRID_TOL, abs=GRID_TOL)
             assert log10_ratio == (math.log10(ratio) if ratio > 0 else -math.inf)
 
+    @pytest.mark.parametrize("mode,sweep,noq", [
+        ("pulseless", "t", 0.0), ("pulsed", "t", 1e-3), ("pulseless", "nbar", 1e-3),
+        ("pulsed", "nbar", 0.0),
+    ])
+    def test_scan_arrays_are_read_only_float64(self, mode, sweep, noq):
+        grid = np.linspace(0.1, 2.0, 7)  # numpy floats in, the grid's values out
+        res = violation_scan(mode, sweep, grid, lam=0.5, g=1.0, omega=1.0, tau=0.5,
+                             nbar_over_q=noq, initial="thermal")
+        for field in ("sweep_value", "w_b", "w_en", "w_ratio", "log10_w_ratio"):
+            arr = getattr(res, field)
+            assert arr.dtype == np.float64 and arr.shape == (7,) and not arr.flags.writeable
+        assert res.sweep_value.tolist() == grid.tolist()
+
     @pytest.mark.parametrize("omega", [1.0, 2 * math.pi * 100, 2 * math.pi * 1e4])
     def test_max_nbar_matches_reference_bisection(self, omega):
         # the full g/omega grid on a 250-point tau grid, one default 2000-point call
