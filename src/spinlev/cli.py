@@ -3,7 +3,7 @@ r"""Command-line interface.
 Subcommands: sensitivity, witness, table, trajectory, verify. Global flags:
 --config <path> (JSON parameters), --out <path>, --format csv|json,
 --seed <u64> (read by verify only).
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure, 2 usage, config or --out error.
 All output goes through one writer, _write: stdout, or with --out an
 atomic write (temp file + rename) whose file takes the mode open() would
 give it under the umask; an existing path that is not a regular file (a
@@ -20,8 +20,9 @@ rare value a few ulps from a power of ten are formatted by FLOAT_FMT or
 float.__repr__ itself: about 2 % of random values in csv, 1 % in json. So
 is every json float of a block of rows that holds fewer than 128 of them,
 and every value where long double is no wider than double. Both formats
-lay each block of rows out as one byte matrix. Config values that must be
-numbers go through units.json_number, so a JSON boolean or string exits 2.
+lay each block of rows out as one byte matrix and format each run of
+equal cells in a column once. Config values that must be numbers go
+through units.json_number, so a JSON boolean or string exits 2.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import functools
 import json
 import logging
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -45,34 +47,36 @@ from .units import DEVICE_KEYS, REFERENCE_DEVICE, ParameterError, json_number, p
 FLOAT_FMT = "%.16e"
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _write(out, text: str) -> None:
     """Write text to stdout, or atomically to the path out (a temporary file
     renamed over it) with the mode open(out, "w") gives: 0o666 less the umask.
     An existing out that is not a regular file is opened and written in
-    place, so a FIFO or a device is not replaced by a file."""
+    place, so a FIFO or a device is not replaced by a file. An out that
+    cannot be written raises ParameterError naming it and leaves no
+    temporary file; a BrokenPipeError (a FIFO's reader left) passes."""
     if not out:
         sys.stdout.write(text)
         return
-    if os.path.exists(out) and not os.path.isfile(out):
-        with open(out, "w") as fh:
-            fh.write(text)
-        return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".spinlev-")
+    tmp = None
     try:
+        if os.path.exists(out) and not os.path.isfile(out):
+            with open(out, "w") as fh:
+                fh.write(text)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".spinlev-")
         with os.fdopen(fd, "w") as fh:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    except BrokenPipeError:
         raise
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -147,16 +151,23 @@ def _repr_positions():
 
 
 def _runs(col):
-    """(start, length) arrays of the runs of equal values in a float64
-    column, or None unless there are at most n/2 runs (a per-sequence term
-    repeated on every row). Values are compared by their bits, so 0.0 and
-    -0.0 stay apart."""
-    bits = col.view(np.int64)
-    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if 2 * (starts.size + 1) > col.size:
+    """(firsts, lengths): the first cell and length of each run of equal cells
+    in a column, or None unless there are at most n/2 runs (a per-sequence
+    term or label repeated on every row). float64 cells are compared by their
+    bits, so 0.0 and -0.0 stay apart; list cells by value, if all are str or
+    all int, so a list of mixed types (1 == True) reaches _cells whole."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        bits = col.view(np.int64)
+        starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    elif set(map(type, col)) in ({str}, {int}):
+        starts = np.flatnonzero(np.fromiter(map(operator.ne, col[1:], col[:-1]), bool, len(col) - 1)) + 1
+    else:
+        return None
+    if 2 * (starts.size + 1) > len(col):
         return None
     starts = np.concatenate(([0], starts))
-    return starts, np.diff(starts, append=col.size)
+    firsts = col[starts] if isinstance(col, np.ndarray) else [col[i] for i in starts.tolist()]
+    return firsts, np.diff(starts, append=len(col))
 
 
 def _text_bytes(cells):
@@ -205,11 +216,6 @@ def _cell_words(col, d, e, width):
     return words
 
 
-def _fmt_cells(vals):
-    """FLOAT_FMT of each float in a list."""
-    return list(map(FLOAT_FMT.__mod__, vals))
-
-
 def _repr_cells(vals):
     """float.__repr__ of each float in a list, with NaN and +-inf spelled as
     json writes them."""
@@ -237,7 +243,7 @@ def _float_bytes(col):
     carry = d >= 10**17  # the significand rounds up to 10.000... (or y is out of range)
     d[carry] = 10**16
     e += carry
-    return _patch(_cell_words(col, d, e, 6).view(np.uint8), col, ~ok, _fmt_cells)
+    return _patch(_cell_words(col, d, e, 6).view(np.uint8), col, ~ok, lambda vals: map(FLOAT_FMT.__mod__, vals))
 
 
 def _repr_bytes(col):
@@ -304,24 +310,10 @@ def _repr_block(col, out):
     return _patch(out, col, ~ok, _repr_cells)[1]
 
 
-def _float_cells(cols, kernel):
-    """The byte matrices of float64 columns from one kernel call over all of
-    them, each column collapsed to its runs first (_runs), and the number of
-    cells the kernel's fallback formatted."""
-    vals, lengths = [], []
-    for col in cols:
-        runs = _runs(col)
-        vals.append(col if runs is None else col[runs[0]])
-        lengths.append(None if runs is None else runs[1])
-    mat, slow = kernel(np.concatenate(vals))
-    mats = np.split(mat, np.cumsum([v.size for v in vals[:-1]]))
-    return [m if k is None else np.repeat(m, k, axis=0) for m, k in zip(mats, lengths)], slow
-
-
 def _cells(col, fmt):
     """A list of str or of int as csv or json cell strings: str as it is in
     csv and json-quoted in json, int by its repr in both; any other column
-    raises TypeError. (float64 arrays go through _float_cells.)"""
+    raises TypeError. (float64 arrays go through _float_bytes/_repr_bytes.)"""
     types = set(map(type, col))
     if types <= {str}:
         return col if fmt == "csv" else list(map(encode_basestring_ascii, col))
@@ -333,16 +325,19 @@ def _cells(col, fmt):
 
 def _block_bytes(cols, fmt):
     """One block of rows as a 0xFF-padded byte matrix per column, and the
-    number of float cells the kernels' fallback formatted. The float64
-    arrays share one kernel call (_float_cells)."""
+    number of float cells the kernels' fallback formatted. Each run of equal
+    cells (_runs) is formatted once and its bytes repeated: float64 cells by
+    one kernel call over all the columns (_float_bytes in csv, _repr_bytes in
+    json), list cells through _cells and _text_bytes."""
+    runs = [_runs(c) or (c, None) for c in cols]
     floats = [j for j, c in enumerate(cols) if isinstance(c, np.ndarray) and c.dtype == np.float64]
-    mats = [None if j in floats else _text_bytes(_cells(c, fmt)) for j, c in enumerate(cols)]
-    if not floats:
-        return mats, 0
-    cells, slow = _float_cells([cols[j] for j in floats], _float_bytes if fmt == "csv" else _repr_bytes)
-    for j, m in zip(floats, cells):
-        mats[j] = m
-    return mats, slow
+    mats, slow = {}, 0
+    if floats:
+        vals = [runs[j][0] for j in floats]
+        mat, slow = (_float_bytes if fmt == "csv" else _repr_bytes)(np.concatenate(vals))
+        mats = dict(zip(floats, np.split(mat, np.cumsum([v.size for v in vals[:-1]]))))
+    mats = [mats[j] if j in mats else _text_bytes(_cells(v, fmt)) for j, (v, _) in enumerate(runs)]
+    return [m if k is None else np.repeat(m, k, axis=0) for m, (_, k) in zip(mats, runs)], slow
 
 
 def _emit(header, columns, fmt, out):
@@ -350,13 +345,12 @@ def _emit(header, columns, fmt, out):
 
     Float columns are float64 arrays; other columns are lists of str or of
     int (_cells). Both formats are built the same way, _BLOCK_ROWS
-    rows at a time: every column becomes a 0xFF-padded byte matrix (floats
-    from one kernel call per block: _float_bytes in csv, _repr_bytes in
-    json; others through _cells and _text_bytes), the matrices and the
-    literal text between them are laid side by side, and the padding is
-    dropped before the block is decoded once. The text is byte-identical to
-    formatting the equivalent row dicts cell by cell (csv) or with
-    json.dumps(rows, indent=2, sort_keys=True) (json). One DEBUG record on
+    rows at a time: every column becomes a 0xFF-padded byte matrix in which
+    each run of equal cells is formatted once and repeated (_block_bytes),
+    the matrices and the literal text between them are laid side by side,
+    and the padding is dropped before the block is decoded once. The text
+    is byte-identical to formatting the equivalent row dicts cell by cell
+    (csv) or with json.dumps(rows, indent=2, sort_keys=True) (json). One DEBUG record on
     the spinlev.cli logger reports the format, rows, fallback_cells and
     seconds of each table as attributes.
     """
@@ -410,11 +404,11 @@ _TRAJECTORY_KEYS = frozenset({"freq_hz", "g_over_omega", "tau_s", "n_samples", "
 
 def _check_keys(cfg, allowed, where="config"):
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be a JSON object")
+        raise ParameterError(f"{where} must be a JSON object")
     unknown = sorted(set(cfg) - allowed)
     if unknown:
-        raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
-                          f"this subcommand reads {', '.join(sorted(allowed)) or 'none'}")
+        raise ParameterError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                             f"this subcommand reads {', '.join(sorted(allowed)) or 'none'}")
     return cfg
 
 
@@ -425,7 +419,7 @@ def _load_config(path, allowed=frozenset()):
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ParameterError(f"cannot read config {path}: {exc}") from exc
     return _check_keys(cfg, allowed)
 
 
@@ -438,7 +432,7 @@ def _count(value, key: str, minimum=None) -> int:
         x = math.nan
     if not (math.isfinite(x) and x == int(x) and (minimum is None or x >= minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
+        raise ParameterError(f"{key} must be an integer{bound}, got {value!r}")
     return int(x)
 
 
@@ -455,7 +449,7 @@ def _scaled(value, scale: float, key: str, positive: bool = False) -> float:
     overflows once scaled to natural units exits 2 naming the key."""
     x = _finite(value, key, positive) * scale
     if not math.isfinite(x):
-        raise ConfigError(f"{key} = {value!r} overflows to {x!r} once scaled by {scale!r}")
+        raise ParameterError(f"{key} = {value!r} overflows to {x!r} once scaled by {scale!r}")
     return x
 
 
@@ -464,7 +458,7 @@ def _sequences(cfg, tau: float):
     by default the named kinds; anything but a list of known names exits 2."""
     names = cfg.get("sequences", list(pulses.NAMED_KINDS))
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ConfigError(f"sequences must be a list of sequence names, got {names!r}")
+        raise ParameterError(f"sequences must be a list of sequence names, got {names!r}")
     return [(name, pulses.make_sequence(name, tau)) for name in names]
 
 
@@ -479,8 +473,8 @@ def cmd_sensitivity(args) -> int:
     nu_min = json_number(cfg.get("nu_min_hz", 1.0), "nu_min_hz")
     nu_max = json_number(cfg.get("nu_max_hz", 1e5), "nu_max_hz")
     if not (math.isfinite(nu_min) and math.isfinite(nu_max) and 0 < nu_min < nu_max):
-        raise ConfigError("nu_min_hz and nu_max_hz must be finite with 0 < nu_min_hz < nu_max_hz, "
-                          f"got {nu_min!r} and {nu_max!r}")
+        raise ParameterError("nu_min_hz and nu_max_hz must be finite with 0 < nu_min_hz < nu_max_hz, "
+                             f"got {nu_min!r} and {nu_max!r}")
     n_points = _count(cfg.get("n_points", 200), "n_points", minimum=1)
     nbar_over_q = to_natural(params).nbar / params.quality_factor
     nus = np.geomspace(nu_min, nu_max, n_points)
@@ -588,7 +582,7 @@ def cmd_trajectory(args) -> int:
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else verify.DEFAULT_SEED
     if not 0 <= seed < 2**64:
-        raise ConfigError(f"--seed must be in [0, 2**64), got {seed}")
+        raise ParameterError(f"--seed must be in [0, 2**64), got {seed}")
     _load_config(args.config)  # verify reads no config key
     report = verify.run_checks(seed=seed)
     _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -622,11 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main() uses, built on its first call: parse_args keeps no
-    state in the parser, so one serves every call in a process."""
-    return build_parser()
+# built on first use; parse_args keeps no state in it, so one serves every call
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
@@ -635,7 +626,7 @@ def main(argv=None) -> int:
         # looked up at call time, so a wrapped or patched cmd_* function
         # takes effect although the parser was built before
         return globals()[f"cmd_{args.command}"](args)
-    except (ConfigError, ParameterError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

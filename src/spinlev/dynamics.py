@@ -64,13 +64,6 @@ def segment_step(theta: float, gamma: complex, c: float, omega: float, dt: float
     return theta + c * c * dt / omega + phase1 + phase2, g2 - beta
 
 
-def _branch_index(branch: int, name: str) -> int:
-    """A branch label 0 or 1; anything else raises ValueError naming the argument."""
-    if branch not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {branch!r}")
-    return int(branch)
-
-
 def branch_states(seq: PulseSequence, g: float, omega: float, alpha, force=None):
     """Both spin branches stepped piece by piece through one walk of
     pulses.pieces(seq, force).
@@ -135,9 +128,10 @@ def trajectory(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    branch = _branch_index(spin_branch, "spin_branch")
+    if spin_branch not in (0, 1):
+        raise ValueError(f"spin_branch must be 0 or 1, got {spin_branch!r}")
     t_b, c, states = branch_states(seq, g, omega, complex(alpha))
-    c, states = c[branch], states[branch]
+    c, states = c[int(spin_branch)], states[int(spin_branch)]
     t_b, gamma = np.array(t_b), np.array([s[1] for s in states])
     ts = np.linspace(0.0, seq.total_time, n_samples)
     k = np.searchsorted(t_b[:-1], ts)  # pieces that begin before each sample

@@ -332,17 +332,11 @@ def evolve(state: JointState, natural: NaturalParams, seq: PulseSequence, force=
     return result
 
 
-def closed_form_vector(state: EntangledState, n_max: int) -> np.ndarray:
-    """Fock representation of an EntangledState."""
-    c = np.zeros((2, n_max + 1), dtype=complex)
-    c[0] = state.branch0.amplitude * coherent_vector(state.branch0.alpha, n_max)
-    c[1] = state.branch1.amplitude * coherent_vector(state.branch1.alpha, n_max)
-    return c
-
-
 def branch_fidelity(closed: EntangledState, oracle: JointState) -> float:
-    """|<closed|oracle>|^2 over the joint spin-oscillator space."""
-    ref = closed_form_vector(closed, oracle.n_max)
+    """|<closed|oracle>|^2 over the joint spin-oscillator space, each branch
+    of closed taken to Fock space as its amplitude times its coherent state."""
+    ref = np.array([b.amplitude * coherent_vector(b.alpha, oracle.n_max)
+                    for b in (closed.branch0, closed.branch1)])
     return float(abs(np.vdot(ref, oracle.coeff)) ** 2)
 
 

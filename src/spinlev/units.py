@@ -23,7 +23,7 @@ from .constants import GAMMA_E_DEFAULT, HBAR, KB
 
 
 class ParameterError(ValueError):
-    """Raised when a physical or natural parameter is out of domain."""
+    """Raised when an input is out of domain: a parameter, a config or a CLI value."""
 
 
 def _require(cond: bool, msg: str) -> None:

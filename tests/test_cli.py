@@ -594,10 +594,32 @@ class TestEmitColumns:
     def test_float_runs_match_cell_by_cell(self, vals, fmt):
         # a column of few runs is formatted once per run; the text is unchanged
         kernel = cli._float_bytes if fmt == "csv" else cli._repr_bytes
-        (mat,), _ = cli._float_cells([np.array(vals)], kernel)
+        (mat,), _ = cli._block_bytes([np.array(vals)], fmt)
         assert np.array_equal(mat, np.concatenate([kernel(np.array([v]))[0] for v in vals]))
         rows = [{"x": v} for v in vals]
         assert emit_text(["x"], [np.array(vals)], fmt) == reference_emit(rows, ["x"], fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("col,lengths", [
+        (["t"] * 1024, [1]),
+        ([0] * 600 + [1] * 424, [2]),
+        (["naïve", "two\nlines", "two\nlines", "a,b"] * 256, [1024]),  # 768 runs: passed whole
+    ], ids=["one_text_run", "two_int_runs", "many_runs"])
+    def test_text_and_int_runs_reach_cells_once(self, monkeypatch, col, lengths, fmt):
+        # str and int columns follow the float rule: one _cells value per run, not per row
+        seen, cells = [], cli._cells
+        monkeypatch.setattr(cli, "_cells", lambda c, f: seen.append(len(c)) or cells(c, f))
+        text = emit_text(["x"], [col], fmt)
+        assert seen == lengths
+        assert text == reference_emit([{"x": v} for v in col], ["x"], fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("col", [[1, True], [1, 1.0], [0, False, 0]],
+                             ids=["int_bool", "int_float", "int_bool_int"])
+    def test_equal_cells_of_other_types_raise(self, col, fmt):
+        # 1 == True == 1.0: collapsing such a column by value alone wrote it as ints
+        with pytest.raises(TypeError, match="float64 array or a list of str or of int"):
+            emit_text(["x"], [col], fmt)
 
     @pytest.mark.parametrize("fmt,text", [("csv", "a,b\n"), ("json", "[]\n")])
     def test_empty_table(self, fmt, text):
@@ -984,6 +1006,28 @@ class TestOutputFileMode:
         assert not reader.is_alive() and got == [table.encode()]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+class TestUnwritableOut:
+    # an unwritable --out once ended in a traceback and exit 1, the code of a
+    # verification failure, and a missing directory named the temporary file
+    @pytest.mark.parametrize("name", ["", "missing/x.csv"], ids=["directory", "missing_directory"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, name):
+        out = str(tmp_path / name) if name else str(tmp_path)
+        code, stdout, err = run_cli(["table", "--out", out], capsys)
+        assert code == 2 and stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out}: ")
+        assert ".spinlev-" not in err and list(tmp_path.iterdir()) == []
+
+    def test_closed_pipe_exits_0_quietly(self, child_env):
+        # a reader that stops after 10 bytes (as head -c 10 does) is not an error
+        proc = subprocess.Popen([sys.executable, "-m", "spinlev.cli", "witness"], env=child_env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert len(head) == 10 and err == b""
 
 
 class TestSensitivityExtremeDevice:
