@@ -4,10 +4,9 @@ Subcommands: sensitivity, witness, table, trajectory, verify. Global flags:
 --config <path> (JSON parameters), --out <path>, --format csv|json,
 --seed <u64> (read by verify only).
 Exit codes: 0 success, 1 verification failure, 2 usage, config or --out error.
-All output goes through one writer, _write: stdout, or with --out an
-atomic write (temp file + rename) whose file takes the mode open() would
-give it under the umask; an existing path that is not a regular file (a
-FIFO, a device) is written in place. Floats are serialized losslessly.
+All output goes through one writer, _write: stdout, or with --out the file
+open(out, "w") would write, replaced atomically. Floats are serialized
+losslessly.
 
 csv writes each float as FLOAT_FMT ('%.16e') would, byte for byte, and
 json as float.__repr__ would (NaN and +-Infinity as json spells them), but
@@ -18,11 +17,11 @@ error bound of a rounding tie or (json) of the edge of their rounding
 interval, powers of two, subnormals and the largest double (json), and the
 rare value a few ulps from a power of ten are formatted by FLOAT_FMT or
 float.__repr__ itself: about 2 % of random values in csv, 1 % in json. So
-is every json float of a block of rows that holds fewer than 128 of them,
-and every value where long double is no wider than double. Both formats
-lay each block of rows out as one byte matrix and format each run of
-equal cells in a column once. Config values that must be numbers go
-through units.json_number, so a JSON boolean or string exits 2.
+is every value where long double is no wider than double. Both formats lay
+each block of _BLOCK_ROWS rows out as one byte matrix and format each run
+of equal cells in a column once, the float runs of a block in one kernel
+call. Config values that must be numbers go through units.json_number, so
+a JSON boolean or string exits 2.
 """
 
 from __future__ import annotations
@@ -48,28 +47,32 @@ FLOAT_FMT = "%.16e"
 
 
 def _write(out, text: str) -> None:
-    """Write text to stdout, or atomically to the path out (a temporary file
-    renamed over it) with the mode open(out, "w") gives: 0o666 less the umask.
-    An existing out that is not a regular file is opened and written in
-    place, so a FIFO or a device is not replaced by a file. An out that
-    cannot be written raises ParameterError naming it and leaves no
-    temporary file; a BrokenPipeError (a FIFO's reader left) passes."""
+    """Write text to stdout, or atomically (a temporary file renamed over it)
+    to the file open(out, "w") would write: a symlink's target, with the
+    permission bits of an existing file or else 0o666 less the umask. A
+    rename makes a new file, so the owner and the hard links of an existing
+    file are not kept. An existing out that is not a regular file is opened
+    and written in place, so a FIFO or a device is not replaced by a file.
+    An out that cannot be written raises ParameterError naming it and leaves
+    no temporary file; a BrokenPipeError (a FIFO's reader left) passes."""
     if not out:
         sys.stdout.write(text)
         return
+    target = os.path.realpath(out)
     tmp = None
     try:
-        if os.path.exists(out) and not os.path.isfile(out):
+        if os.path.exists(target) and not os.path.isfile(target):
             with open(out, "w") as fh:
                 fh.write(text)
             return
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)), prefix=".spinlev-")
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = os.stat(target).st_mode & 0o777 if os.path.exists(target) else 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".spinlev-")
         with os.fdopen(fd, "w") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
-        os.replace(tmp, out)
+        os.replace(tmp, target)
     except BrokenPipeError:
         raise
     except OSError as exc:
@@ -87,7 +90,7 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # (eps + eps^2/4) * exact, about eps * y (y * 1.1e-19 with the x87 64-bit
 # significand, at most 0.011). Where the fraction of y is further than
 # _TIE_MARGIN * y (twice that bound) from 1/2, the nearest integer to y holds
-# the 17 digits FLOAT_FMT prints; _repr_block reads the shortest digits off
+# the 17 digits FLOAT_FMT prints; _repr_bytes reads the shortest digits off
 # the same y. Zeros, non-finite values, near-ties and the rare value whose
 # floor(log10) is one off (within a few ulps of a power of ten) are formatted
 # by FLOAT_FMT or float.__repr__ itself; where long double is a plain double
@@ -95,9 +98,7 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _TIE_MARGIN = 2 * float(np.finfo(np.longdouble).eps)
 _E_MIN, _E_MAX = -324, 308  # floor(log10|x|) of any double
 _PAD = 0xFF  # padding byte of the byte matrices; UTF-8 never produces it
-_KERNEL_BLOCK = 2048  # values per _repr_block call, which bounds its index arrays
-_KERNEL_MIN = 128  # fewer json float values than this go to _repr_cells directly
-_BLOCK_ROWS = 1024  # rows per block of assembled output text
+_BLOCK_ROWS = 1024  # rows per block of output, which bounds every kernel call and byte matrix
 _ZERO_WORD = np.frombuffer(b"0\xff\xff\xff", np.uint32)[0]  # '0' and padding
 
 _log = logging.getLogger(__name__)
@@ -152,19 +153,15 @@ def _repr_positions():
 
 def _runs(col):
     """(firsts, lengths): the first cell and length of each run of equal cells
-    in a column, or None unless there are at most n/2 runs (a per-sequence
-    term or label repeated on every row). float64 cells are compared by their
-    bits, so 0.0 and -0.0 stay apart; list cells by value, if all are str or
-    all int, so a list of mixed types (1 == True) reaches _cells whole."""
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+    in a nonempty column (a per-sequence term or label repeated on every row
+    is one run; a column with no two equal neighbours is n runs of 1).
+    float64 cells are compared by their bits, so 0.0 and -0.0 stay apart;
+    list cells, all str or all int (_emit checks), by value."""
+    if isinstance(col, np.ndarray):
         bits = col.view(np.int64)
         starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    elif set(map(type, col)) in ({str}, {int}):
-        starts = np.flatnonzero(np.fromiter(map(operator.ne, col[1:], col[:-1]), bool, len(col) - 1)) + 1
     else:
-        return None
-    if 2 * (starts.size + 1) > len(col):
-        return None
+        starts = np.flatnonzero(np.fromiter(map(operator.ne, col[1:], col[:-1]), bool, len(col) - 1)) + 1
     starts = np.concatenate(([0], starts))
     firsts = col[starts] if isinstance(col, np.ndarray) else [col[i] for i in starts.tolist()]
     return firsts, np.diff(starts, append=len(col))
@@ -249,21 +246,10 @@ def _float_bytes(col):
 def _repr_bytes(col):
     """A float64 column as an (n, 24) uint8 matrix of its json cells, each
     row padded with 0xFF and equal to _repr_cells of its value, and how many
-    of them _repr_cells formatted itself: every one of a column shorter than
-    _KERNEL_MIN, or where long double is no wider than double; else those
-    _repr_block cannot vouch for."""
-    out = np.empty((col.size, 24), np.uint8)
-    if col.size < _KERNEL_MIN or _TIE_MARGIN * 1e17 >= 0.5:
-        return _patch(out, col, np.ones(col.size, bool), _repr_cells)
-    slow = 0
-    for i in range(0, col.size, _KERNEL_BLOCK):
-        slow += _repr_block(col[i:i + _KERNEL_BLOCK], out[i:i + _KERNEL_BLOCK])
-    return out, slow
-
-
-def _repr_block(col, out):
-    """Write the json cells of a float64 column into the rows of out, and
-    return how many of them _repr_cells formatted.
+    of them _repr_cells formatted itself: every one where long double is no
+    wider than double (there the margin exceeds 1/2, and _scaled_digits'
+    10^(16 - e) overflows for subnormals); else those the kernel below
+    cannot vouch for.
 
     float.__repr__ prints the shortest decimal that reads back as x, the
     nearest one where there are several. In the units of d, x reads back
@@ -280,6 +266,8 @@ def _repr_block(col, out):
     is laid out by one gather from the FLOAT_FMT cell of its digits
     (_repr_positions).
     """
+    if _TIE_MARGIN * 1e17 >= 0.5:
+        return _patch(np.empty((col.size, 24), np.uint8), col, np.ones(col.size, bool), _repr_cells)
     ok, a, e, d, frac = _scaled_digits(col)
     df = d.astype(np.float64)
     margin = _TIE_MARGIN * df
@@ -306,53 +294,46 @@ def _repr_block(col, out):
     p[short] = 17 - (src[short, 18:1:-1] != ord("0")).argmax(axis=1)
     at = np.take(_repr_positions(), np.where((e >= -4) & (e <= 15), (e + 4) * 17, 340) + p - 1, axis=0)
     at += np.arange(0, src.size, 28)[:, None]  # each row's start in src
-    out[:] = src.ravel()[at]
-    return _patch(out, col, ~ok, _repr_cells)[1]
+    return _patch(src.ravel()[at], col, ~ok, _repr_cells)
 
 
 def _cells(col, fmt):
-    """A list of str or of int as csv or json cell strings: str as it is in
-    csv and json-quoted in json, int by its repr in both; any other column
-    raises TypeError. (float64 arrays go through _float_bytes/_repr_bytes.)"""
-    types = set(map(type, col))
-    if types <= {str}:
-        return col if fmt == "csv" else list(map(encode_basestring_ascii, col))
-    if types <= {int}:
+    """A nonempty list of str or of int as csv or json cell strings: str as
+    it is in csv and json-quoted in json, int by its repr in both.
+    (float64 arrays go through _float_bytes/_repr_bytes.)"""
+    if type(col[0]) is int:
         return list(map(int.__repr__, col))
-    raise TypeError(f"an output column must be a float64 array or a list of str or of int, "
-                    f"got one of {', '.join(sorted(t.__name__ for t in types))}")
+    return col if fmt == "csv" else list(map(encode_basestring_ascii, col))
 
 
 def _block_bytes(cols, fmt):
-    """One block of rows as a 0xFF-padded byte matrix per column, and the
-    number of float cells the kernels' fallback formatted. Each run of equal
-    cells (_runs) is formatted once and its bytes repeated: float64 cells by
-    one kernel call over all the columns (_float_bytes in csv, _repr_bytes in
-    json), list cells through _cells and _text_bytes."""
-    runs = [_runs(c) or (c, None) for c in cols]
-    floats = [j for j, c in enumerate(cols) if isinstance(c, np.ndarray) and c.dtype == np.float64]
-    mats, slow = {}, 0
-    if floats:
-        vals = [runs[j][0] for j in floats]
-        mat, slow = (_float_bytes if fmt == "csv" else _repr_bytes)(np.concatenate(vals))
-        mats = dict(zip(floats, np.split(mat, np.cumsum([v.size for v in vals[:-1]]))))
-    mats = [mats[j] if j in mats else _text_bytes(_cells(v, fmt)) for j, (v, _) in enumerate(runs)]
-    return [m if k is None else np.repeat(m, k, axis=0) for m, (_, k) in zip(mats, runs)], slow
+    """One nonempty block of rows as a 0xFF-padded byte matrix per column,
+    and the number of float run cells the kernels' fallback formatted. Each
+    run of equal cells (_runs) is formatted once and its bytes repeated:
+    float64 runs by one kernel call over all the columns (_float_bytes in
+    csv, _repr_bytes in json), list runs through _cells and _text_bytes."""
+    runs = [_runs(c) for c in cols]
+    floats = [v for v, _ in runs if isinstance(v, np.ndarray)]
+    mat, slow = (_float_bytes if fmt == "csv" else _repr_bytes)(np.concatenate([np.empty(0), *floats]))
+    mats = iter(np.split(mat, np.cumsum([v.size for v in floats])))
+    mats = [next(mats) if isinstance(v, np.ndarray) else _text_bytes(_cells(v, fmt)) for v, _ in runs]
+    return [np.repeat(m, k, axis=0) for m, (_, k) in zip(mats, runs)], slow
 
 
 def _emit(header, columns, fmt, out):
     """Write a table given as one column per header name.
 
     Float columns are float64 arrays; other columns are lists of str or of
-    int (_cells). Both formats are built the same way, _BLOCK_ROWS
-    rows at a time: every column becomes a 0xFF-padded byte matrix in which
-    each run of equal cells is formatted once and repeated (_block_bytes),
-    the matrices and the literal text between them are laid side by side,
-    and the padding is dropped before the block is decoded once. The text
-    is byte-identical to formatting the equivalent row dicts cell by cell
-    (csv) or with json.dumps(rows, indent=2, sort_keys=True) (json). One DEBUG record on
-    the spinlev.cli logger reports the format, rows, fallback_cells and
-    seconds of each table as attributes.
+    int, and any other column raises TypeError. Both formats are built the
+    same way, _BLOCK_ROWS rows at a time: every column becomes a 0xFF-padded
+    byte matrix in which each run of equal cells is formatted once and
+    repeated (_block_bytes), the matrices and the literal text between them
+    are laid side by side, and the padding is dropped before the block is
+    decoded once. The text is byte-identical to formatting the equivalent
+    row dicts cell by cell (csv) or with json.dumps(rows, indent=2,
+    sort_keys=True) (json). One DEBUG record on the spinlev.cli logger
+    reports the format, rows, fallback_cells (float run cells the kernels'
+    fallback formatted) and seconds of each table as attributes.
     """
     start = time.perf_counter()
     if not header or len(columns) != len(header):
@@ -360,6 +341,11 @@ def _emit(header, columns, fmt, out):
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    for col in columns:
+        types = set() if isinstance(col, np.ndarray) and col.dtype == np.float64 else set(map(type, col))
+        if types not in (set(), {str}, {int}):
+            raise TypeError(f"an output column must be a float64 array or a list of str or of int, "
+                            f"got one of {', '.join(sorted(t.__name__ for t in types))}")
     if fmt == "csv":
         order = range(len(header))
         seps = [""] + [","] * (len(header) - 1) + ["\n"]
@@ -630,8 +616,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # downstream reader (e.g. head) closed the pipe; not an error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader of stdout (e.g. head) or of an --out FIFO left; not an error.
+        # A broken stdout goes to /dev/null, so its flush at exit cannot fail.
+        if not args.out:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 0
 
 

@@ -600,10 +600,21 @@ class TestEmitColumns:
         assert emit_text(["x"], [np.array(vals)], fmt) == reference_emit(rows, ["x"], fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_column_without_runs_is_formatted_once_per_row(self, monkeypatch, fmt):
+        # no two equal neighbours: n runs of 1, across a block boundary
+        vals = np.random.default_rng(2).standard_normal(cli._BLOCK_ROWS + 300) * 1e3
+        name = "_float_bytes" if fmt == "csv" else "_repr_bytes"
+        seen, kernel = [], getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda c: seen.append(c.size) or kernel(c))
+        text = emit_text(["x"], [vals], fmt)
+        assert seen == [cli._BLOCK_ROWS, 300]
+        assert text == reference_emit([{"x": v} for v in vals.tolist()], ["x"], fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("col,lengths", [
         (["t"] * 1024, [1]),
         ([0] * 600 + [1] * 424, [2]),
-        (["naïve", "two\nlines", "two\nlines", "a,b"] * 256, [1024]),  # 768 runs: passed whole
+        (["naïve", "two\nlines", "two\nlines", "a,b"] * 256, [768]),  # 768 runs of 1024 rows
     ], ids=["one_text_run", "two_int_runs", "many_runs"])
     def test_text_and_int_runs_reach_cells_once(self, monkeypatch, col, lengths, fmt):
         # str and int columns follow the float rule: one _cells value per run, not per row
@@ -763,16 +774,15 @@ class TestJsonFloatKernel:
         assert cells == [json.dumps(v) for v in bits.tolist()]
         assert slow < 0.05 * bits.size
 
-    def test_short_columns_take_repr(self):
-        vals = np.random.default_rng(5).standard_normal(cli._KERNEL_MIN)
-        assert repr_cells(vals[:-1])[1] == vals.size - 1
-        cells, slow = repr_cells(vals)
-        assert cells == list(map(repr, vals.tolist())) and slow < vals.size
-
-    @pytest.mark.parametrize("n", [cli._KERNEL_BLOCK - 1, cli._KERNEL_BLOCK, cli._KERNEL_BLOCK + 1])
-    def test_kernel_blocks(self, n):
+    # 46 values: a default table's three float columns and its omega_tau run;
+    # 5120: a full block of a witness table's five float columns
+    @pytest.mark.parametrize("n", [0, 1, 46, 127, 128, 5120])
+    def test_every_column_length_takes_the_kernel(self, n):
+        # a json block of fewer than 128 floats once went to float.__repr__ whole
         vals = np.random.default_rng(n).standard_normal(n) * 10.0 ** (np.arange(n) % 40 - 20)
-        assert repr_cells(vals)[0] == list(map(repr, vals.tolist()))
+        cells, slow = repr_cells(vals)
+        assert cells == list(map(repr, vals.tolist()))
+        assert slow < max(n, 1)  # the kernel formatted the rest
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
@@ -822,8 +832,9 @@ class TestEmitLogging:
         (record,) = caplog.records
         assert (record.name, record.levelno, record.format, record.rows) == ("spinlev.cli", logging.DEBUG, fmt,
                                                                             vals.size)
+        # fallback_cells counts formatted run cells: the three trailing NaNs are one
         kernel = cli._float_bytes if fmt == "csv" else cli._repr_bytes
-        assert record.fallback_cells == kernel(vals)[1] > 0
+        assert record.fallback_cells == kernel(vals[:-2])[1] > 0
         assert 0 < record.seconds < 60
 
     def test_stdout_is_unchanged(self, capsys, caplog):
@@ -992,6 +1003,29 @@ class TestOutputFileMode:
             os.umask(old)
         assert stat.S_IMODE((tmp_path / "v.json").stat().st_mode) == 0o640
 
+    def test_existing_file_keeps_its_mode(self, tmp_path, capsys):
+        # the rename once gave an existing private file 0o666 less the umask
+        out = tmp_path / "t.csv"
+        out.write_text("old\n")
+        out.chmod(0o600)
+        old = os.umask(0o022)
+        try:
+            assert run_cli(["table", "--out", str(out)], capsys)[0] == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert out.read_text() == run_cli(["table"], capsys)[1]
+
+    def test_symlink_writes_its_target(self, tmp_path, capsys):
+        # the rename once replaced the link by a file and left its target stale
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        link.symlink_to(real.name)
+        assert run_cli(["table", "--out", str(link)], capsys)[0] == 0
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_text() == run_cli(["table"], capsys)[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
     def test_fifo_is_written_in_place(self, tmp_path, capsys):
         # --out once renamed a temporary file over whatever it named, so a
         # FIFO (or a device) became a regular file and its reader got nothing
@@ -1018,6 +1052,24 @@ class TestUnwritableOut:
         assert code == 2 and stdout == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out}: ")
         assert ".spinlev-" not in err and list(tmp_path.iterdir()) == []
+
+    def test_closed_out_fifo_keeps_stdout(self, tmp_path, capfd):
+        # a broken --out FIFO once pointed the caller's stdout at /dev/null
+        fifo = tmp_path / "w.csv"
+        os.mkfifo(fifo)
+        got = []
+
+        def read_10_bytes():
+            with open(fifo, "rb", buffering=0) as fh:
+                got.append(fh.read(10))
+
+        reader = threading.Thread(target=read_10_bytes, daemon=True)
+        reader.start()
+        assert cli.main(["witness", "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive() and len(got[0]) == 10
+        print("still here")
+        assert capfd.readouterr().out == "still here\n"
 
     def test_closed_pipe_exits_0_quietly(self, child_env):
         # a reader that stops after 10 bytes (as head -c 10 does) is not an error
