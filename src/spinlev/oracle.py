@@ -23,7 +23,6 @@ import importlib.machinery
 import importlib.util
 import logging
 import math
-import numbers
 import os
 import sys
 import time
@@ -36,7 +35,7 @@ import numpy as np
 from . import dynamics, pulses, witness
 from .dynamics import EntangledState
 from .pulses import PulseSequence
-from .units import NaturalParams, _finite, _finite_nonnegative, _in_range
+from .units import NaturalParams, _finite, _finite_nonnegative, _in_range, _is_integer
 
 _log = logging.getLogger(__name__)
 
@@ -63,9 +62,9 @@ class OracleConfig:
 
     def __post_init__(self) -> None:
         # a Philox key; numpy would truncate a float seed without a word
-        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**128):
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**128):
             raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
-        if not (isinstance(self.n_trajectories, numbers.Integral) and self.n_trajectories >= 1):
+        if not (_is_integer(self.n_trajectories) and self.n_trajectories >= 1):
             raise ValueError(f"n_trajectories must be an integer >= 1, got {self.n_trajectories!r}")
 
 
@@ -104,13 +103,15 @@ class JointState:
 def coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
     """Fock coefficients of |alpha>, c_n = e^{-|alpha|^2/2} prod_{k<=n} alpha/sqrt(k).
 
-    Raises ValueError for a non-finite alpha and ResolutionError when the
-    vacuum amplitude e^{-|alpha|^2/2} leaves the normal float range
-    (|alpha|^2 above about 1416), where the state would come out with lost
-    precision or as all zeros.
+    Raises ValueError for a non-finite alpha or an n_max that is not an
+    integer >= 0, and ResolutionError when the vacuum amplitude
+    e^{-|alpha|^2/2} leaves the normal float range (|alpha|^2 above about
+    1416), where the state would come out with lost precision or as all zeros.
     """
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
+    if not (_is_integer(n_max) and n_max >= 0):
+        raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
     vacuum = math.exp(-abs(alpha) ** 2 / 2)
     if vacuum < sys.float_info.min:
         raise ResolutionError(

@@ -4,7 +4,8 @@ readout.
 
 Phase conventions: the signal phase is phi = int K(s) f(s) ds with K the
 sequence response kernel and f the force in natural units (Hamiltonian term
--f (a + a^dag)). The per-shot noise-to-signal ratio at force f = 1 is
+-f (a + a^dag)). The per-shot noise-to-signal ratio at force f = 1, formed in
+sensitivity_spectrum alone, is
 
     NSR = (1/(4 N_s) + N_s Dn^2 xi + V_th) / phi^2,
 
@@ -62,36 +63,6 @@ def cooling_factor(gamma_c: float, t_c: float) -> float:
     if x > 700.0:  # expm1 would overflow; xi is exp(-x) to double precision
         return math.exp(-x)
     return _in_range("cooling factor xi is not finite", lambda: 1.0 / math.expm1(x), gamma_c=gamma_c, t_c=t_c)
-
-
-def _noise_budget(phi_per_f, delta_n: float, xi: float, n_spins: float, thermal_var: float, **caller):
-    """(NSR, 1/(4 N_s), N_s Dn^2 xi): noise_to_signal and the two noise terms
-    it is built from, each formed once. A numerator that is not finite names
-    the caller's inputs (e.g. the coupling), then these arguments."""
-    projection = 1.0 / (4 * n_spins)
-    backaction, noise = _in_range("noise numerator is not finite",
-                                  lambda: (b := n_spins * delta_n ** 2 * xi, projection + b + thermal_var),
-                                  **caller, delta_n=delta_n, xi=xi, n_spins=n_spins, thermal_var=thermal_var)
-    with np.errstate(divide="ignore", over="ignore"):
-        return noise / np.square(phi_per_f), projection, backaction
-
-
-def noise_to_signal(
-    phi_per_f,
-    delta_n: float,
-    xi: float,
-    n_spins: float = 1.0,
-    thermal_var: float = 0.0,
-):
-    """(1/(4 N_s) + N_s Dn^2 xi + V_th) / phi^2 for a scalar or an array of
-    finite phi; inf where phi^2 is 0, also when it underflows. N_s is finite
-    and > 0. Raises ValueError naming the inputs when the numerator is not
-    finite, and then naming Dn, xi or V_th where one is < 0."""
-    _finite_positive(n_spins=n_spins)
-    _finite(phi_per_f=np.max(np.abs(phi_per_f), initial=0.0).item())  # NaN or inf where an entry is
-    nsr = _noise_budget(phi_per_f, delta_n, xi, n_spins, thermal_var)[0]
-    _finite_nonnegative(delta_n=delta_n, xi=xi, thermal_var=thermal_var)
-    return nsr
 
 
 def thermal_phase_variance(seq: PulseSequence, g: float, omega: float, nbar_over_q: float) -> float:
@@ -227,8 +198,8 @@ def sensitivity_spectrum(
     variance are computed once for the sequence, and |T(nu)| for the whole
     array in one pulses.spectral_response call. eta is inf where the signal
     phase is 0 (coupling 0, or |T(nu)| below the float range). Raises
-    ValueError for a non-finite nu and when the thermal variance is not
-    finite (e.g. Q = 1e-300).
+    ValueError for a non-finite nu, and naming the inputs when the thermal
+    variance (e.g. Q = 1e-300) or the noise numerator is not finite.
     """
     nat = to_natural(params)
     omega, tau = nat.omega, seq.total_time
@@ -240,7 +211,12 @@ def sensitivity_spectrum(
     nus = np.array(nus, dtype=float).reshape(-1)
     response = pulses.spectral_response(seq, g, omega, nus)
     phi_per_f = np.hypot(response.real, response.imag)  # abs() of each complex, to the bit
-    nsr, projection_var, backaction_var = _noise_budget(phi_per_f, delta_n, xi, params.n_spins, v_th, coupling=g)
+    n_spins, projection_var = params.n_spins, 1.0 / (4 * params.n_spins)
+    backaction_var, noise = _in_range("noise numerator is not finite",
+                                      lambda: (b := n_spins * delta_n ** 2 * xi, projection_var + b + v_th),
+                                      coupling=g, delta_n=delta_n, xi=xi, n_spins=n_spins, thermal_var=v_th)
+    with np.errstate(divide="ignore", over="ignore"):
+        nsr = noise / np.square(phi_per_f)
     eta = np.sqrt(nsr * (tau + params.cooling_time)) * HBAR / nat.x0
     return SensitivitySpectrum(nus, eta, phi_per_f, projection_var, backaction_var, v_th)
 

@@ -51,6 +51,11 @@ def _finite_nonnegative(**args: float) -> None:
             raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def _is_integer(value) -> bool:
+    """Is value an integer (an int or a numpy integer, not a bool)?"""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _finite_result(what: str, value, /, positive: bool = False, **inputs):
     """value, a number, a tuple or list of numbers or arrays, or a record of
     numbers, when every entry is finite (and > 0 if positive); otherwise
@@ -125,6 +130,7 @@ class PhysicalParams:
     larmor_frequency: float = 0.0  # rad/s
 
     def __post_init__(self) -> None:
+        _require(_is_integer(self.n_spins), f"n_spins must be an integer, got {self.n_spins!r}")
         _finite_positive(mass=self.mass, trap_frequency=self.trap_frequency, quality_factor=self.quality_factor)
         _finite(**{name: value for name, value in vars(self).items() if value is not None})
         _finite_positive(gyromagnetic_ratio=self.gyromagnetic_ratio, cooling_rate=self.cooling_rate,
@@ -254,8 +260,7 @@ def params_from_dict(d: dict) -> PhysicalParams:
     for key, field in _JSON_KEYS.items():
         if key in d:
             kwargs[field] = json_number(d[key], key)
-    if "n_spins" in kwargs:
-        _require(kwargs["n_spins"].is_integer(), f"n_spins must be an integer, got {d['n_spins']!r}")
+    if "n_spins" in kwargs and kwargs["n_spins"].is_integer():  # PhysicalParams rejects any other
         kwargs["n_spins"] = int(kwargs["n_spins"])
     kwargs["trap_frequency"] = 2.0 * math.pi * json_number(d["freq_hz"], "freq_hz")
     if "cooling_rate_hz" in d:

@@ -465,8 +465,10 @@ def max_nbar_for_violation(
     """Largest nbar for which a pulsed-scheme tau exists with violation
     ratio >= threshold; found by bisection on nbar over a log tau grid,
     each step one numpy kernel call over the whole grid. ValueError where
-    no nbar reaches threshold (it exceeds the peak ratio at nbar = 0)."""
+    no nbar reaches threshold (it exceeds the peak ratio at nbar = 0), and
+    naming g and omega where omega g overflows or underflows to 0."""
     _finite_positive(g=g, omega=omega)
+    _in_range("omega g leaves the float range", lambda: omega * g, positive=True, g=g, omega=omega)
     _finite(threshold=threshold)
     taus = _in_range("the tau grid is not finite", lambda: np.sqrt(
         4 * np.geomspace(1e-3, 4.0, n_grid) / (omega * g)), g=g, omega=omega)

@@ -160,10 +160,6 @@ TABLE = {
         "projection_var": (0.25, NONNEG), "backaction_var": (0.1, NONNEG), "thermal_var": (0.0, NONNEG),
         "signal_phase_per_force": (0.3, REAL)}),
     "sensing.cooling_factor": Row(sensing.cooling_factor, {"gamma_c": (1e3, POS), "t_c": (1e-4, POS)}),
-    # 1/phi^2 is inf where phi^2 is 0, also when it underflows
-    "sensing.noise_to_signal": Row(sensing.noise_to_signal, {
-        "phi_per_f": (0.5, REAL), "delta_n": (0.3, NONNEG), "xi": (2.0, NONNEG), "n_spins": (3.0, POS),
-        "thermal_var": (1e-3, NONNEG)}, documented=lambda r: r == math.inf),
     "sensing.thermal_phase_variance": Row(lambda tau, **kw: sensing.thermal_phase_variance(hahn_echo(tau), **kw),
                                           {**ECHO, "nbar_over_q": (1e-3, NONNEG)}, NAMED_TAU),
     "sensing.force_sql": Row(lambda **kw: sensing.force_sql("carr_purcell2", **kw),

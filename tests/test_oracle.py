@@ -68,6 +68,12 @@ class TestStateConstruction:
         with pytest.raises(ValueError, match="alpha must be finite"):
             coherent_vector(alpha, 16)
 
+    @pytest.mark.parametrize("n_max", [-1, 2.5, 3.0, True, False, "3", None])
+    def test_coherent_vector_n_max_must_be_a_nonnegative_integer(self, n_max):
+        # -1 raised IndexError, 2.5 a numpy TypeError, and True gave a 2-entry state
+        with pytest.raises(ValueError, match="^n_max must be an integer >= 0, got "):
+            coherent_vector(0.5, n_max)
+
     def test_margins_report_tail_and_norm_drift(self):
         c = np.zeros((2, 11), dtype=complex)
         # 0.1 at the fourth-highest level counts, 0.05 at the fifth does not
@@ -93,6 +99,12 @@ class TestStateConstruction:
         assert st.coeff.shape == (2, 33)
         assert np.linalg.norm(st.coeff) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n_max", [-3, 2.5, True])
+    def test_initial_state_n_max_must_be_a_nonnegative_integer(self, n_max):
+        # -3 raised numpy's "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match="^n_max must be an integer >= 0, got "):
+            initial_state(0j, n_max)
+
     def test_cutoff_error_for_tiny_basis(self):
         st = initial_state(3.0, 12)
         with pytest.raises(CutoffError):
@@ -103,13 +115,13 @@ class TestStateConstruction:
             OracleConfig(n_trajectories=0)
         assert OracleConfig(n_trajectories=np.int64(150)).n_trajectories == 150
 
-    @pytest.mark.parametrize("n", [150.5, 100.0, 0, -3, math.nan])
+    @pytest.mark.parametrize("n", [150.5, 100.0, 0, -3, math.nan, True])
     def test_n_trajectories_must_be_a_positive_integer(self, n):
         # a float count once got through and failed inside numpy's sampling
         with pytest.raises(ValueError, match="n_trajectories must be an integer >= 1"):
             OracleConfig(n_trajectories=n)
 
-    @pytest.mark.parametrize("seed", [-1, 2**128, math.nan, 1.7, 2.0])
+    @pytest.mark.parametrize("seed", [-1, 2**128, math.nan, 1.7, 2.0, True, False])
     def test_seed_outside_philox_key_range(self, seed):
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
             OracleConfig(seed=seed)

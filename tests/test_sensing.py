@@ -19,7 +19,6 @@ from spinlev.sensing import (
     cooling_factor,
     force_sensitivity,
     force_sql,
-    noise_to_signal,
     optimal_coupling,
     projection_limit_eta,
     sensitivity_spectrum,
@@ -68,35 +67,7 @@ class TestCoolingFactor:
         assert cooling_factor(scale * x, 1.0) < cooling_factor(x, 1.0)
 
 
-class TestNoiseToSignal:
-    def test_projection_only(self):
-        assert noise_to_signal(2.0, 0.0, 1.0, 4.0, 0.0) == pytest.approx(
-            1 / (4 * 4.0 * 4.0), rel=1e-14)
-
-    def test_single_spin_decomposition(self):
-        phi, dn, xi = 0.5, 0.3, 2.0
-        assert noise_to_signal(phi, dn, xi, 1.0, 0.0) == pytest.approx(
-            (0.25 + dn**2 * xi) / phi**2, rel=1e-14)
-
-    @pytest.mark.parametrize("delta_n,xi,thermal_var", [(1e200, 1.0, 0.0), (1e154, 1e300, 0.0),
-                                                        (math.inf, 1.0, 0.0), (0.3, math.nan, 0.0),
-                                                        (0.3, 1.0, math.inf)])
-    def test_non_finite_numerator_rejected_naming_inputs(self, delta_n, xi, thermal_var):
-        # 1e200 raised OverflowError from the float delta_n ** 2; the others returned inf or nan
-        with pytest.raises(ValueError, match=r"^noise numerator is not finite at delta_n = .*, xi = .*, "
-                                             r"n_spins = 1\.0, thermal_var = "):
-            noise_to_signal(1.0, delta_n, xi, 1.0, thermal_var)
-
-    @pytest.mark.parametrize("phi,dn,xi,n,v", [(0.5, 0.3, 2.0, 1.0, 0.0), (3.7e-7, 1e150, 1e-10, 3.0, 1e-3),
-                                               (2.0, 0.1, 0.25, 1e6, 0.7)])
-    def test_finite_numerator_keeps_its_bits(self, phi, dn, xi, n, v):
-        assert noise_to_signal(phi, dn, xi, n, v) == (1.0 / (4 * n) + n * dn ** 2 * xi + v) / np.square(phi)
-
-    @pytest.mark.parametrize("phi", [0.0, 1e-200])
-    def test_zero_phase_is_infinite(self, phi):
-        # phi^2 underflows to 0 at 1e-200, where the scalar path raised ZeroDivisionError
-        assert math.isinf(noise_to_signal(phi, 0.1, 1.0, 1.0, 0.0))
-
+class TestOptimalCoupling:
     def test_balance_at_optimal_coupling(self):
         omega, tau, xi, n = 1.0, 0.31, 0.8, 7.0
         for kind in KINDS:
@@ -447,9 +418,11 @@ def _pointwise_point(params, seq, nu, coupling=None):
     phi = abs(pulses.spectral_response(seq, g, omega, nu))
     noq = nat.nbar / params.quality_factor
     v_th = thermal_phase_variance(seq, g, omega, noq)
-    nsr = noise_to_signal(phi, delta_n, xi, params.n_spins, v_th)
+    projection, backaction = 1.0 / (4 * params.n_spins), params.n_spins * delta_n ** 2 * xi
+    with np.errstate(divide="ignore"):  # inf where phi^2 is 0
+        nsr = (projection + backaction + v_th) / np.square(phi)
     eta = math.sqrt(nsr * (seq.total_time + params.cooling_time)) * HBAR / nat.x0
-    return eta, (1.0 / (4 * params.n_spins), params.n_spins * delta_n ** 2 * xi, v_th, phi)
+    return eta, (projection, backaction, v_th, phi)
 
 
 class TestSensitivitySweep:
@@ -560,11 +533,25 @@ class TestSensitivitySpectrum:
         spec = sensing.sensitivity_spectrum(self.REF, carr_purcell2(1e-4), [])
         assert spec.nus.shape == spec.eta.shape == spec.signal_phase_per_force.shape == (0,)
 
-    def test_noise_to_signal_array_equals_scalar(self):
-        phis = np.array([0.0, 1e-9, 3.7e-7, 2.0, 1e150])
-        got = noise_to_signal(phis, 0.3, 0.25, 2.0, 1e-3)
-        assert got.tolist() == [noise_to_signal(p, 0.3, 0.25, 2.0, 1e-3) for p in phis.tolist()]
-        assert got[0] == math.inf
+    @pytest.mark.parametrize("n_spins,coupling", [(1, None), (3, 1e75), (10 ** 6, 2.5e3)])
+    def test_finite_numerator_keeps_its_bits(self, n_spins, coupling):
+        # delta_n about 1.5e134, whose square is still finite, and 1e6 spins
+        p = dataclasses.replace(self.REF, n_spins=n_spins)
+        seq, nu = carr_purcell2(1e-4), 2 * math.pi * 10.0
+        spec = sensing.sensitivity_spectrum(p, seq, [nu], coupling=coupling)
+        assert spec.eta.tolist() == [_pointwise_point(p, seq, nu, coupling)[0]]
+
+    @pytest.mark.parametrize("coupling", [0.0, 1e-200])
+    def test_zero_phase_is_infinite(self, coupling):
+        # phi^2 is 0 at coupling 0 and underflows to 0 at 1e-200
+        spec = sensing.sensitivity_spectrum(self.REF, carr_purcell2(1e-4), self.NUS, coupling=coupling)
+        assert spec.eta.tolist() == [math.inf] * len(self.NUS)
+
+    def test_overflowing_numerator_at_the_balance_coupling(self):
+        # xi = e^-740, about 4.2e-322, puts the balance coupling where delta_n^2 overflows
+        p = dataclasses.replace(self.REF, cooling_rate=7.4e6)
+        with pytest.raises(ParameterError, match=r"^noise numerator is not finite at coupling = "):
+            sensing.sensitivity_spectrum(p, carr_purcell2(1e-4), [1.0])
 
 
 class TestCustomKindHasNoSql:

@@ -38,6 +38,12 @@ class TestPhysicalParams:
         with pytest.raises(ParameterError):
             base_params(trap_frequency=-1.0)
 
+    @pytest.mark.parametrize("n_spins", [2.5, 3.0, True, math.nan])
+    def test_n_spins_must_be_an_integer(self, n_spins):
+        # only params_from_dict checked it: 2.5, 3.0 and True reached the balance coupling
+        with pytest.raises(ParameterError, match=f"^n_spins must be an integer, got {re.escape(repr(n_spins))}$"):
+            base_params(n_spins=n_spins)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["gyromagnetic_ratio", "temperature", "nbar", "cooling_rate",
                                        "cooling_time", "larmor_frequency"])

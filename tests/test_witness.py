@@ -527,6 +527,16 @@ class TestGridKernels:
         with pytest.raises(ValueError, match=f"{arg} must be finite and > 0"):
             witness.max_nbar_for_violation(**kwargs)
 
+    @pytest.mark.parametrize("g,omega", [(1e300, 1e10), (1e200, 1e200), (1e-200, 1e-200)])
+    def test_max_nbar_rejects_omega_g_outside_the_float_range(self, g, omega):
+        # omega g overflowing to inf or underflowing to 0 warned from numpy, then blamed
+        # the threshold for the NaN peak ratio
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="^" + re.escape(
+                    f"omega g leaves the float range at g = {g!r}, omega = {omega!r}") + "$"):
+                witness.max_nbar_for_violation(g, omega)
+
     def test_degenerate_grid_point_raises(self):
         grid = witness._moments(0.5, 1.0, 1.0, 0.0, np.array([0.5, 1.0, 2.0]))
         ok = witness._coefficients(grid)
