@@ -8,7 +8,8 @@ Three independent checks back the closed forms elsewhere in the package:
   white-noise forces, with counter-based per-trajectory seeding so results
   are bit-identical for a fixed seed regardless of scheduling: trajectory i
   reads the Philox stream at counter i << 64 of the seed's key, reached by
-  re-seeking one generator per call, not by building one per trajectory;
+  re-seeking one generator per drawing thread, not by building one per
+  trajectory, and the rows of each block are drawn on every usable CPU;
   the bath estimators are linear in the force path, so a batch of sequences
   and bath strengths shares one draw of each path
   (thermal_trajectories_batch), and their exact expectations need no
@@ -25,6 +26,7 @@ import logging
 import math
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, fields
 from functools import cache, lru_cache
@@ -555,6 +557,51 @@ _N_STEPS = 4096  # force grid of the bath Monte Carlo and of bath_covariance
 _FORCE_ROWS = 32  # force paths drawn per block: 32 x 4096 float64 bounds the block at 1 MB
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS
+        return os.cpu_count() or 1
+
+
+@cache
+def _openblas_threads_local():
+    """OpenBLAS's openblas_set_num_threads_local, which sets the calling
+    thread's BLAS thread count and returns the previous one, looked up in
+    numpy's extension module (dlsym also searches its dependencies, numpy's
+    bundled OpenBLAS among them); None where it does not resolve, as for
+    another BLAS."""
+    import ctypes
+
+    try:
+        fn = ctypes.CDLL(np._core._multiarray_umath.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):
+        return None
+    fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+    return fn
+
+
+def _stream_filler(seed: int):
+    """fill(rows, start) that draws row j of rows from the Philox stream
+    i = start + j, the stream Philox(key=seed, counter=i << 64) starts: one
+    generator, re-seeked per row to counter words (0, i, 0, 0) and an empty
+    buffer, so nothing left from the previous stream leaks in."""
+    bit_gen = np.random.Philox(key=seed)
+    rng = np.random.Generator(bit_gen)
+    state = bit_gen.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    counter = state["state"]["counter"]
+
+    def fill(rows: np.ndarray, start: int) -> None:
+        for i, row in enumerate(rows, start):
+            counter[1] = i
+            bit_gen.state = state
+            rng.standard_normal(out=row)
+
+    return fill
+
+
 def _scaled_weights(natural: NaturalParams, seq: PulseSequence, nbar_over_q: float) -> np.ndarray:
     """sd_f * W on the force grid, so (Phi, Q, P) = z @ (sd_f W) for unit normals z.
 
@@ -590,8 +637,9 @@ def thermal_trajectories_batch(
     Each trajectory samples a piecewise-constant force with per-step variance
     2 omega (nbar/Q) / dt on a 4096-step grid, drawn from its own
     counter-based Philox stream: trajectory i reads the stream that
-    Philox(key=cfg.seed, counter=i << 64) starts, and the call builds one
-    generator and re-seeks it to the start of each stream (counter and
+    Philox(key=cfg.seed, counter=i << 64) starts, so its bytes do not
+    depend on which thread draws it. The call keeps one generator per
+    drawing thread and re-seeks it to the start of each stream (counter and
     buffer), so no generator is built per trajectory. The estimators are
     the force-linear functionals whose statistics give the bath-induced
     moment shifts: the relative branch phase Phi and the common
@@ -614,8 +662,21 @@ def thermal_trajectories_batch(
     another only by its force scale sd_f and its weights, so every case sees
     the same unit-normal paths z: each block of z is drawn once and
     multiplied by the stacked 4096 x 3k matrix of sd_f W. Every case is
-    validated before the generator is built, and its statistics equal those
+    validated before any generator is built, and its statistics equal those
     of a batch of one up to the rounding of the matrix product.
+
+    The paths are drawn in blocks of _FORCE_ROWS rows. Each block is split
+    into contiguous slices, one per drawing thread (one per usable CPU, at
+    most _FORCE_ROWS), and the calling thread fills the first slice; once
+    every slice is filled, the calling thread alone multiplies the block by
+    the weights. The draws release the interpreter lock, so the threads run
+    in parallel. For the whole call the calling thread's OpenBLAS is held to
+    one thread (openblas_set_num_threads_local(1), restored on return):
+    otherwise each product wakes an OpenBLAS worker that spins on a CPU after
+    the product returns, and a second drawing thread finds no free CPU.
+    Where that function does not resolve, one thread draws every row. The
+    statistics do not depend on the thread count: the rows are the same
+    bytes and every product is the same call on the same block.
 
     At a fixed seed the draws are fixed, but the statistics are bit-stable
     only for one BLAS build, thread count and block size (_FORCE_ROWS = 32
@@ -626,7 +687,7 @@ def thermal_trajectories_batch(
 
     The seconds spent drawing and in the products are logged at DEBUG on the
     "spinlev.oracle" logger (record attributes n_trajectories, n_cases,
-    draw_s and product_s), never returned.
+    draw_threads, blas_scoped, draw_s and product_s), never returned.
     """
     if cfg.n_trajectories < 100:
         raise ValueError("n_trajectories must be >= 100")
@@ -634,34 +695,69 @@ def thermal_trajectories_batch(
         raise ValueError("cases must not be empty")
     weights = np.hstack([_scaled_weights(natural, seq, noq) for seq, noq in cases])
 
-    bit_gen = np.random.Philox(key=cfg.seed)
-    rng = np.random.Generator(bit_gen)
-    # the start of stream i: counter words (0, i, 0, 0), as Philox(counter=i << 64)
-    # sets them, and an empty buffer, so nothing left from stream i - 1 leaks in
-    state = bit_gen.state
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-    counter = state["state"]["counter"]
-
     n = cfg.n_trajectories
+    set_local = _openblas_threads_local()
+    scoped = set_local is not None
+    n_threads = min(_usable_cpus(), _FORCE_ROWS) if scoped else 1
+    fills = [_stream_filler(cfg.seed) for _ in range(n_threads)]
     samples = np.empty((n, weights.shape[1]))  # (Phi, Q, P) per trajectory and case
     forces = np.empty((min(_FORCE_ROWS, n), _N_STEPS))
+    blocks = range(0, n, _FORCE_ROWS)
+
+    def fill_slice(k: int, start: int) -> None:
+        """Thread k's contiguous share of the block of rows from start."""
+        m = min(_FORCE_ROWS, n - start)
+        lo, hi = m * k // n_threads, m * (k + 1) // n_threads
+        fills[k](forces[lo:hi], start + lo)
+
+    # the block is free to fill at the first wait of a round and filled at
+    # the second; the calling thread multiplies it between rounds
+    barrier = threading.Barrier(n_threads)
+    failures = []
+
+    def work(k: int) -> None:
+        try:
+            for start in blocks:
+                barrier.wait()
+                fill_slice(k, start)
+                barrier.wait()
+        except threading.BrokenBarrierError:  # the call is ending early
+            pass
+        except BaseException as exc:  # re-raised by the calling thread
+            failures.append(exc)
+            barrier.abort()
+
+    workers = []
+    previous = set_local(1) if scoped else None
     draw_s = product_s = 0.0
-    for start in range(0, n, _FORCE_ROWS):
-        stop = min(start + _FORCE_ROWS, n)
-        z = forces[:stop - start]
-        t0 = time.perf_counter()
-        for i, row in enumerate(z, start):
-            counter[1] = i
-            bit_gen.state = state
-            rng.standard_normal(out=row)
-        t1 = time.perf_counter()
-        samples[start:stop] = z @ weights
-        draw_s += t1 - t0
-        product_s += time.perf_counter() - t1
-    _log.debug("%d trajectories x %d cases: draws %.6f s, products %.6f s",
-               n, len(cases), draw_s, product_s,
-               extra={"n_trajectories": n, "n_cases": len(cases),
-                      "draw_s": draw_s, "product_s": product_s})
+    try:
+        for k in range(1, n_threads):
+            worker = threading.Thread(target=work, args=(k,))
+            worker.start()
+            workers.append(worker)
+        for start in blocks:
+            t0 = time.perf_counter()
+            barrier.wait()
+            fill_slice(0, start)
+            barrier.wait()
+            t1 = time.perf_counter()
+            stop = min(start + _FORCE_ROWS, n)
+            samples[start:stop] = forces[:stop - start] @ weights
+            draw_s += t1 - t0
+            product_s += time.perf_counter() - t1
+    except threading.BrokenBarrierError:
+        raise failures[0] from None
+    finally:
+        barrier.abort()
+        for worker in workers:
+            worker.join()
+        if scoped:
+            set_local(previous)
+    _log.debug("%d trajectories x %d cases on %d drawing threads (BLAS scoped: %s): "
+               "draws %.6f s, products %.6f s",
+               n, len(cases), n_threads, scoped, draw_s, product_s,
+               extra={"n_trajectories": n, "n_cases": len(cases), "draw_threads": n_threads,
+                      "blas_scoped": scoped, "draw_s": draw_s, "product_s": product_s})
 
     out = []
     for phi, qq, pp in samples.reshape(n, -1, 3).transpose(1, 2, 0):

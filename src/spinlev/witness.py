@@ -34,7 +34,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .units import _finite, _finite_nonnegative, _finite_positive, _finite_result, _in_range, _not_finite
+from .units import (_finite, _finite_nonnegative, _finite_positive, _finite_result, _in_range, _is_integer,
+                    _not_finite)
 
 
 class DegenerateMomentsError(ValueError):
@@ -466,7 +467,10 @@ def max_nbar_for_violation(
     ratio >= threshold; found by bisection on nbar over a log tau grid,
     each step one numpy kernel call over the whole grid. ValueError where
     no nbar reaches threshold (it exceeds the peak ratio at nbar = 0), and
-    naming g and omega where omega g overflows or underflows to 0."""
+    naming g and omega where omega g overflows or underflows to 0, or
+    naming n_grid, the size of the tau grid, unless it is an integer >= 2."""
+    if not (_is_integer(n_grid) and n_grid >= 2):
+        raise ValueError(f"n_grid must be an integer >= 2, got {n_grid!r}")
     _finite_positive(g=g, omega=omega)
     _in_range("omega g leaves the float range", lambda: omega * g, positive=True, g=g, omega=omega)
     _finite(threshold=threshold)

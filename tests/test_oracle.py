@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -824,19 +825,22 @@ class TestThermalTrajectoriesBatch:
 
 
 class TestStreamReseek:
-    """thermal_trajectories_batch builds one Philox per call and re-seeks it to
-    each trajectory's stream instead of building a generator per trajectory."""
+    """thermal_trajectories_batch builds one Philox per drawing thread and
+    re-seeks it to each trajectory's stream instead of building a generator
+    per trajectory."""
 
     @pytest.fixture
     def rows(self, monkeypatch):
-        """The force rows the call draws, in order."""
+        """The force rows the call draws, keyed by stream index: counter word 1
+        of the drawing generator's Philox, read just before the row is drawn."""
         drawn = []
 
         class Recording(np.random.Generator):
             def standard_normal(self, size=None, dtype=np.float64, out=None):
+                stream = self.bit_generator.state["state"]["counter"][1]
                 result = super().standard_normal(size, dtype, out)
                 if out is not None:
-                    drawn.append(out.copy())
+                    drawn.append((int(stream), out.copy()))
                 return result
 
         monkeypatch.setattr(np.random, "Generator", Recording)
@@ -847,12 +851,13 @@ class TestStreamReseek:
     def test_rows_are_fresh_streams(self, rows, seed, n):
         oracle.thermal_trajectories_batch(nat(0.25, 1.0), [(ramsey(1.0), 0.1)],
                                           OracleConfig(seed=seed, n_trajectories=n))
-        assert len(rows) == n
+        assert sorted(i for i, _ in rows) == list(range(n))  # every stream, once
+        by_stream = dict(rows)
         for i in {0, 255, 256, n - 1} & set(range(n)):
             fresh = np.random.Generator(np.random.Philox(key=seed, counter=(i << 64)))
-            assert rows[i].tobytes() == fresh.standard_normal(4096).tobytes(), i
+            assert by_stream[i].tobytes() == fresh.standard_normal(4096).tobytes(), i
 
-    def test_one_philox_per_call(self, monkeypatch):
+    def test_one_philox_per_drawing_thread(self, monkeypatch):
         built = []
         philox = np.random.Philox
 
@@ -861,11 +866,12 @@ class TestStreamReseek:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting)
-        cfg = OracleConfig(seed=3, n_trajectories=700)
-        oracle.thermal_trajectories_batch(nat(0.25, 1.0), BATCH_CASES, cfg)
-        assert built == [{"key": 3}]
-        thermal_trajectories(nat(0.25, 1.0), ramsey(1.0), cfg, 0.1)
-        assert len(built) == 2
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
+        threads = 3 if oracle._openblas_threads_local() is not None else 1
+        for n in (100, 700):
+            built.clear()
+            oracle.thermal_trajectories_batch(nat(0.25, 1.0), BATCH_CASES, OracleConfig(seed=3, n_trajectories=n))
+            assert built == [{"key": 3}] * threads, n
 
     def test_draw_and_product_times_logged_at_debug(self, caplog):
         natural, cfg = nat(0.25, 1.0), OracleConfig(seed=3, n_trajectories=300)
@@ -877,7 +883,107 @@ class TestStreamReseek:
         assert record.levelno == logging.DEBUG
         assert (record.n_trajectories, record.n_cases) == (300, len(BATCH_CASES))
         assert record.draw_s > 0.0 and record.product_s > 0.0
+        scoped = oracle._openblas_threads_local() is not None
+        assert record.blas_scoped is scoped
+        assert record.draw_threads == (min(oracle._usable_cpus(), 32) if scoped else 1)
         assert loud == quiet
+
+
+class TestDrawingThreads:
+    """The force rows are drawn on every usable CPU, with the calling thread's
+    OpenBLAS held to one thread for the call; the statistics do not depend on
+    the thread count."""
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        """Statistics of one drawing thread, per trajectory count."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_usable_cpus", lambda: 1)
+            return {n: oracle.thermal_trajectories_batch(nat(0.25, 1.0), BATCH_CASES,
+                                                         OracleConfig(seed=11, n_trajectories=n))
+                    for n in (100, 257, 700)}
+
+    @staticmethod
+    def _logged_call(caplog, n):
+        with caplog.at_level(logging.DEBUG, logger="spinlev.oracle"):
+            stats = oracle.thermal_trajectories_batch(nat(0.25, 1.0), BATCH_CASES,
+                                                      OracleConfig(seed=11, n_trajectories=n))
+        (record,) = [r for r in caplog.records if r.name == "spinlev.oracle"]
+        return stats, record
+
+    @pytest.mark.parametrize("n", [100, 257, 700])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_statistics_do_not_depend_on_thread_count(self, serial, monkeypatch, caplog, threads, n):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: threads)
+        stats, record = self._logged_call(caplog, n)
+        assert stats == serial[n]
+        assert record.draw_threads == (threads if record.blas_scoped else 1)
+
+    def test_unresolvable_blas_symbol_draws_on_one_thread(self, serial, monkeypatch, caplog):
+        import ctypes
+
+        class NoSymbols:
+            def __init__(self, path):
+                pass
+
+        oracle._openblas_threads_local.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", NoSymbols)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
+        try:
+            stats, record = self._logged_call(caplog, 257)
+        finally:
+            oracle._openblas_threads_local.cache_clear()
+        assert (record.draw_threads, record.blas_scoped) == (1, False)
+        assert stats == serial[257]
+
+    def test_more_threads_than_cpus_under_a_short_switch_interval(self, serial, monkeypatch):
+        # five threads on the shared block, switching every microsecond: a row
+        # drawn into another thread's slice or a product before the last
+        # slice is filled would move the statistics
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 5)
+        got = []
+        call = threading.Thread(target=lambda: got.append(oracle.thermal_trajectories_batch(
+            nat(0.25, 1.0), BATCH_CASES, OracleConfig(seed=11, n_trajectories=700))))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            call.start()
+            call.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not call.is_alive()
+        assert got == [serial[700]]
+
+    @pytest.fixture
+    def set_local(self):
+        fn = oracle._openblas_threads_local()
+        if fn is None:
+            pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+        return fn
+
+    @pytest.mark.parametrize("failing_stream", [None, 32, 63])  # none; a calling thread's row; a worker's
+    def test_blas_thread_count_restored(self, set_local, monkeypatch, failing_stream):
+        class Failing(np.random.Generator):
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                if self.bit_generator.state["state"]["counter"][1] == failing_stream:
+                    raise FloatingPointError("draw failed")
+                return super().standard_normal(size, dtype, out)
+
+        monkeypatch.setattr(np.random, "Generator", Failing)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        threads_before = threading.active_count()
+        outer = set_local(2)
+        try:
+            if failing_stream is None:
+                oracle.thermal_trajectories_batch(nat(0.25, 1.0), BATCH_CASES, OracleConfig(n_trajectories=100))
+            else:
+                with pytest.raises(FloatingPointError, match="draw failed"):
+                    oracle.thermal_trajectories_batch(nat(0.25, 1.0), BATCH_CASES,
+                                                      OracleConfig(n_trajectories=100))
+        finally:
+            inside = set_local(outer)
+        assert inside == 2
+        assert threading.active_count() == threads_before  # every drawing thread joined
 
 
 class TestBathCovariance:
@@ -1046,3 +1152,18 @@ def test_import_leaves_scipy_unloaded(tmp_path, child_env):
                           env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_and_bath_draws_leave_concurrent_futures_unloaded(child_env):
+    # the drawing threads are plain threading.Threads; concurrent.futures would
+    # add about 4 ms to every cold start
+    code = ("import sys, spinlev, spinlev.cli\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "from spinlev import oracle, pulses\n"
+            "from spinlev.units import NaturalParams\n"
+            "natural = NaturalParams(g=0.25, omega=1.0, lam=0.5, nbar=0.0, gamma=1e-6, x0=1.0, larmor=0.0)\n"
+            "oracle.thermal_trajectories(natural, pulses.ramsey(1.0), oracle.OracleConfig(n_trajectories=100), 0.1)\n"
+            "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

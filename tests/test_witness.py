@@ -507,6 +507,16 @@ class TestGridKernels:
         got = witness.max_nbar_for_violation(omega, omega)
         assert got == pytest.approx(ref_max_nbar(omega, omega), rel=GRID_TOL)
 
+    @pytest.mark.parametrize("n_grid", [1, 0, -5, 2.5, 2000.0, True, None])
+    def test_max_nbar_bad_grid_size_raises(self, n_grid):
+        # a one-point grid once blamed the threshold, the others raised numpy's errors
+        with pytest.raises(ValueError, match=rf"^n_grid must be an integer >= 2, got {re.escape(repr(n_grid))}$"):
+            witness.max_nbar_for_violation(1.0, 1.0, n_grid=n_grid)
+
+    def test_max_nbar_smallest_grid_runs(self):
+        # the two grid ends, tau^2 omega g / 4 = 1e-3 and 4, peak at a ratio of 6.0e-6
+        assert witness.max_nbar_for_violation(1.0, 1.0, threshold=1e-6, n_grid=np.int64(2)) > 0.0
+
     def test_max_nbar_unbounded_violation_raises(self):
         with pytest.raises(ValueError, match="unphysically large"):
             witness.max_nbar_for_violation(1.0, 1.0, threshold=-1.0)
