@@ -9,7 +9,7 @@ Three independent checks back the closed forms elsewhere in the package:
   are bit-identical for a fixed seed regardless of scheduling: trajectory i
   reads the Philox stream at counter i << 64 of the seed's key, reached by
   re-seeking one generator per drawing thread, not by building one per
-  trajectory, and the rows of each block are drawn on every usable CPU;
+  trajectory, and whole blocks of rows are dealt out to the usable CPUs;
   the bath estimators are linear in the force path, so a batch of sequences
   and bath strengths shares one draw of each path
   (thermal_trajectories_batch), and their exact expectations need no
@@ -555,10 +555,15 @@ def _force_weights(seq: PulseSequence, g: float, omega: float, n_steps: int) -> 
 
 _N_STEPS = 4096  # force grid of the bath Monte Carlo and of bath_covariance
 _FORCE_ROWS = 32  # force paths drawn per block: 32 x 4096 float64 bounds the block at 1 MB
+_DRAW_THREADS = 2  # the most drawing threads timed so far, on a 2-CPU machine
+# held while a call keeps OpenBLAS's process-wide thread count at 1, so
+# concurrent calls take turns and each restores the count it found
+_BLAS_SCOPE = threading.Lock()
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one. A CPU quota (a cgroup's cpu.max) is not counted."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this OS
@@ -567,11 +572,12 @@ def _usable_cpus() -> int:
 
 @cache
 def _openblas_threads_local():
-    """OpenBLAS's openblas_set_num_threads_local, which sets the calling
-    thread's BLAS thread count and returns the previous one, looked up in
-    numpy's extension module (dlsym also searches its dependencies, numpy's
-    bundled OpenBLAS among them); None where it does not resolve, as for
-    another BLAS."""
+    """OpenBLAS's openblas_set_num_threads_local, which sets the BLAS thread
+    count and returns the previous one, looked up in numpy's extension
+    module (dlsym also searches its dependencies, numpy's bundled OpenBLAS
+    among them); None where it does not resolve, as for another BLAS.
+    Despite its name, numpy's bundled pthreads OpenBLAS sets the count of
+    the whole process with it, not only of the calling thread."""
     import ctypes
 
     try:
@@ -665,18 +671,21 @@ def thermal_trajectories_batch(
     validated before any generator is built, and its statistics equal those
     of a batch of one up to the rounding of the matrix product.
 
-    The paths are drawn in blocks of _FORCE_ROWS rows. Each block is split
-    into contiguous slices, one per drawing thread (one per usable CPU, at
-    most _FORCE_ROWS), and the calling thread fills the first slice; once
-    every slice is filled, the calling thread alone multiplies the block by
-    the weights. The draws release the interpreter lock, so the threads run
-    in parallel. For the whole call the calling thread's OpenBLAS is held to
-    one thread (openblas_set_num_threads_local(1), restored on return):
-    otherwise each product wakes an OpenBLAS worker that spins on a CPU after
-    the product returns, and a second drawing thread finds no free CPU.
-    Where that function does not resolve, one thread draws every row. The
-    statistics do not depend on the thread count: the rows are the same
-    bytes and every product is the same call on the same block.
+    The paths are drawn and multiplied in blocks of _FORCE_ROWS rows. The
+    blocks are dealt out whole to the drawing threads (one per usable CPU,
+    at most _DRAW_THREADS and at most one per block), the calling thread
+    among them: thread k takes blocks k, k + threads, ... and draws each
+    into a buffer of its own, then multiplies it by the weights. The draws
+    and the products release the interpreter lock, so the threads run in
+    parallel. For the whole call OpenBLAS is held to one thread
+    (openblas_set_num_threads_local(1), restored on return): otherwise each
+    product wakes an OpenBLAS worker that spins on a CPU after the product
+    returns, and a second drawing thread finds no free CPU. That count is
+    process-wide, so during the call numpy products on other threads also
+    run on one BLAS thread, and concurrent calls take turns. Where the
+    function does not resolve, one thread draws every row. The statistics
+    do not depend on the thread count: the rows are the same bytes and
+    every product is the same call on the same block.
 
     At a fixed seed the draws are fixed, but the statistics are bit-stable
     only for one BLAS build, thread count and block size (_FORCE_ROWS = 32
@@ -687,7 +696,8 @@ def thermal_trajectories_batch(
 
     The seconds spent drawing and in the products are logged at DEBUG on the
     "spinlev.oracle" logger (record attributes n_trajectories, n_cases,
-    draw_threads, blas_scoped, draw_s and product_s), never returned.
+    draw_threads, blas_scoped, draw_s and product_s; the seconds are summed
+    over the drawing threads), never returned.
     """
     if cfg.n_trajectories < 100:
         raise ValueError("n_trajectories must be >= 100")
@@ -698,61 +708,46 @@ def thermal_trajectories_batch(
     n = cfg.n_trajectories
     set_local = _openblas_threads_local()
     scoped = set_local is not None
-    n_threads = min(_usable_cpus(), _FORCE_ROWS) if scoped else 1
-    fills = [_stream_filler(cfg.seed) for _ in range(n_threads)]
-    samples = np.empty((n, weights.shape[1]))  # (Phi, Q, P) per trajectory and case
-    forces = np.empty((min(_FORCE_ROWS, n), _N_STEPS))
     blocks = range(0, n, _FORCE_ROWS)
-
-    def fill_slice(k: int, start: int) -> None:
-        """Thread k's contiguous share of the block of rows from start."""
-        m = min(_FORCE_ROWS, n - start)
-        lo, hi = m * k // n_threads, m * (k + 1) // n_threads
-        fills[k](forces[lo:hi], start + lo)
-
-    # the block is free to fill at the first wait of a round and filled at
-    # the second; the calling thread multiplies it between rounds
-    barrier = threading.Barrier(n_threads)
-    failures = []
+    n_threads = min(_usable_cpus(), _DRAW_THREADS, len(blocks)) if scoped else 1
+    samples = np.empty((n, weights.shape[1]))  # (Phi, Q, P) per trajectory and case
+    draw_s, product_s = [0.0] * n_threads, [0.0] * n_threads
+    failures = []  # re-raised by the calling thread after the join
 
     def work(k: int) -> None:
+        """Draw and multiply thread k's blocks."""
         try:
-            for start in blocks:
-                barrier.wait()
-                fill_slice(k, start)
-                barrier.wait()
-        except threading.BrokenBarrierError:  # the call is ending early
-            pass
-        except BaseException as exc:  # re-raised by the calling thread
+            fill = _stream_filler(cfg.seed)
+            forces = np.empty((min(_FORCE_ROWS, n), _N_STEPS))
+            for start in blocks[k::n_threads]:
+                stop = min(start + _FORCE_ROWS, n)
+                z = forces[:stop - start]
+                t0 = time.perf_counter()
+                fill(z, start)
+                t1 = time.perf_counter()
+                samples[start:stop] = z @ weights
+                draw_s[k] += t1 - t0
+                product_s[k] += time.perf_counter() - t1
+        except BaseException as exc:
             failures.append(exc)
-            barrier.abort()
 
     workers = []
-    previous = set_local(1) if scoped else None
-    draw_s = product_s = 0.0
-    try:
-        for k in range(1, n_threads):
-            worker = threading.Thread(target=work, args=(k,))
-            worker.start()
-            workers.append(worker)
-        for start in blocks:
-            t0 = time.perf_counter()
-            barrier.wait()
-            fill_slice(0, start)
-            barrier.wait()
-            t1 = time.perf_counter()
-            stop = min(start + _FORCE_ROWS, n)
-            samples[start:stop] = forces[:stop - start] @ weights
-            draw_s += t1 - t0
-            product_s += time.perf_counter() - t1
-    except threading.BrokenBarrierError:
-        raise failures[0] from None
-    finally:
-        barrier.abort()
-        for worker in workers:
-            worker.join()
-        if scoped:
-            set_local(previous)
+    with _BLAS_SCOPE:
+        previous = set_local(1) if scoped else None
+        try:
+            for k in range(1, n_threads):
+                worker = threading.Thread(target=work, args=(k,))
+                worker.start()
+                workers.append(worker)
+            work(0)
+        finally:
+            for worker in workers:
+                worker.join()
+            if scoped:
+                set_local(previous)
+    if failures:
+        raise failures[0]
+    draw_s, product_s = sum(draw_s), sum(product_s)
     _log.debug("%d trajectories x %d cases on %d drawing threads (BLAS scoped: %s): "
                "draws %.6f s, products %.6f s",
                n, len(cases), n_threads, scoped, draw_s, product_s,

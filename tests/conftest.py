@@ -9,12 +9,11 @@ import spinlev
 from spinlev import pulses
 
 # Tier-1 draws the same examples on every run, so a failure repeats on the next
-# run; HYPOTHESIS_PROFILE=search draws new examples each run and replays saved
-# failures from the example database. Each test's @settings keeps its own
-# max_examples under both.
+# run; `pytest --hypothesis-profile=default` draws new examples each run and
+# replays saved failures from the example database. Each test's @settings
+# keeps its own max_examples under both.
 settings.register_profile("tier1", derandomize=True)
-settings.register_profile("search", derandomize=False)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+settings.load_profile("tier1")
 
 
 def kernel_at(seq, g, omega, s):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-import os
 import re
 import warnings
 from typing import Callable, NamedTuple, Optional
@@ -292,10 +291,3 @@ def test_each_argument_base_point_is_inside_its_domain():
         for arg, (base, domain) in row.args.items():
             assert domain.contains(base), f"{key}: base {arg} = {base!r} is not {domain.text}"
         check(key, next(iter(row.args)), row.args[next(iter(row.args))][0])
-
-
-def test_hypothesis_profile_derandomized_unless_searching():
-    # tests/conftest.py loads the "tier1" profile unless HYPOTHESIS_PROFILE names another
-    profile = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
-    assert settings.default.derandomize is (profile == "tier1")
-    assert settings.default.max_examples == settings.get_profile("default").max_examples

@@ -824,6 +824,13 @@ class TestThermalTrajectoriesBatch:
                                               OracleConfig(n_trajectories=99))
 
 
+def draw_on_threads(monkeypatch, k):
+    """Let thermal_trajectories_batch draw on k threads, where the blocks and
+    the BLAS scope allow."""
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: k)
+    monkeypatch.setattr(oracle, "_DRAW_THREADS", k)
+
+
 class TestStreamReseek:
     """thermal_trajectories_batch builds one Philox per drawing thread and
     re-seeks it to each trajectory's stream instead of building a generator
@@ -866,7 +873,7 @@ class TestStreamReseek:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting)
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
+        draw_on_threads(monkeypatch, 3)
         threads = 3 if oracle._openblas_threads_local() is not None else 1
         for n in (100, 700):
             built.clear()
@@ -885,12 +892,12 @@ class TestStreamReseek:
         assert record.draw_s > 0.0 and record.product_s > 0.0
         scoped = oracle._openblas_threads_local() is not None
         assert record.blas_scoped is scoped
-        assert record.draw_threads == (min(oracle._usable_cpus(), 32) if scoped else 1)
+        assert record.draw_threads == (min(oracle._usable_cpus(), oracle._DRAW_THREADS) if scoped else 1)
         assert loud == quiet
 
 
 class TestDrawingThreads:
-    """The force rows are drawn on every usable CPU, with the calling thread's
+    """The blocks of force rows are dealt out to the drawing threads, with
     OpenBLAS held to one thread for the call; the statistics do not depend on
     the thread count."""
 
@@ -898,7 +905,7 @@ class TestDrawingThreads:
     def serial(self):
         """Statistics of one drawing thread, per trajectory count."""
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_usable_cpus", lambda: 1)
+            draw_on_threads(mp, 1)
             return {n: oracle.thermal_trajectories_batch(nat(0.25, 1.0), BATCH_CASES,
                                                          OracleConfig(seed=11, n_trajectories=n))
                     for n in (100, 257, 700)}
@@ -914,10 +921,20 @@ class TestDrawingThreads:
     @pytest.mark.parametrize("n", [100, 257, 700])
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_statistics_do_not_depend_on_thread_count(self, serial, monkeypatch, caplog, threads, n):
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: threads)
+        draw_on_threads(monkeypatch, threads)
         stats, record = self._logged_call(caplog, n)
         assert stats == serial[n]
         assert record.draw_threads == (threads if record.blas_scoped else 1)
+
+    def test_at_most_one_thread_per_block(self, monkeypatch, caplog):
+        draw_on_threads(monkeypatch, 8)
+        _, record = self._logged_call(caplog, 100)  # four blocks of at most 32 rows
+        assert record.draw_threads == (4 if record.blas_scoped else 1)
+
+    def test_draw_threads_capped_at_the_timed_count(self, monkeypatch, caplog):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 64)
+        _, record = self._logged_call(caplog, 700)
+        assert record.draw_threads == (2 if record.blas_scoped else 1)
 
     def test_unresolvable_blas_symbol_draws_on_one_thread(self, serial, monkeypatch, caplog):
         import ctypes
@@ -928,7 +945,7 @@ class TestDrawingThreads:
 
         oracle._openblas_threads_local.cache_clear()
         monkeypatch.setattr(ctypes, "CDLL", NoSymbols)
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
+        draw_on_threads(monkeypatch, 3)
         try:
             stats, record = self._logged_call(caplog, 257)
         finally:
@@ -937,10 +954,10 @@ class TestDrawingThreads:
         assert stats == serial[257]
 
     def test_more_threads_than_cpus_under_a_short_switch_interval(self, serial, monkeypatch):
-        # five threads on the shared block, switching every microsecond: a row
-        # drawn into another thread's slice or a product before the last
-        # slice is filled would move the statistics
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 5)
+        # five threads, switching every microsecond: a block drawn from the
+        # wrong streams or written to the wrong rows of the samples would
+        # move the statistics
+        draw_on_threads(monkeypatch, 5)
         got = []
         call = threading.Thread(target=lambda: got.append(oracle.thermal_trajectories_batch(
             nat(0.25, 1.0), BATCH_CASES, OracleConfig(seed=11, n_trajectories=700))))
@@ -961,7 +978,7 @@ class TestDrawingThreads:
             pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
         return fn
 
-    @pytest.mark.parametrize("failing_stream", [None, 32, 63])  # none; a calling thread's row; a worker's
+    @pytest.mark.parametrize("failing_stream", [None, 0, 32])  # none; the calling thread's block; a worker's
     def test_blas_thread_count_restored(self, set_local, monkeypatch, failing_stream):
         class Failing(np.random.Generator):
             def standard_normal(self, size=None, dtype=np.float64, out=None):
@@ -970,7 +987,7 @@ class TestDrawingThreads:
                 return super().standard_normal(size, dtype, out)
 
         monkeypatch.setattr(np.random, "Generator", Failing)
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        draw_on_threads(monkeypatch, 2)
         threads_before = threading.active_count()
         outer = set_local(2)
         try:
@@ -984,6 +1001,51 @@ class TestDrawingThreads:
             inside = set_local(outer)
         assert inside == 2
         assert threading.active_count() == threads_before  # every drawing thread joined
+
+    def test_blas_thread_count_is_held_for_the_whole_process(self, set_local, monkeypatch):
+        # numpy's bundled OpenBLAS keeps one count for every thread: a thread
+        # started during the call, which is not a drawing thread, sees 1 too
+        seen = []
+
+        def read_count():
+            count = set_local(1)
+            set_local(count)
+            seen.append(count)
+
+        class Probing(np.random.Generator):
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                if not seen:
+                    other = threading.Thread(target=read_count)
+                    other.start()
+                    other.join()
+                return super().standard_normal(size, dtype, out)
+
+        monkeypatch.setattr(np.random, "Generator", Probing)
+        draw_on_threads(monkeypatch, 1)
+        outer = set_local(2)
+        try:
+            oracle.thermal_trajectories_batch(nat(0.25, 1.0), BATCH_CASES, OracleConfig(n_trajectories=100))
+        finally:
+            after = set_local(outer)
+        assert (seen, after) == ([1], 2)
+
+    def test_concurrent_calls_restore_blas_thread_count(self, set_local, monkeypatch):
+        # each call restores the count it found, so overlapping calls must
+        # not find the count another call set
+        draw_on_threads(monkeypatch, 2)
+        done = []
+        calls = [threading.Thread(target=lambda s=s: done.append(oracle.thermal_trajectories_batch(
+            nat(0.25, 1.0), BATCH_CASES, OracleConfig(seed=s, n_trajectories=300)))) for s in range(4)]
+        outer = set_local(2)
+        try:
+            for call in calls:
+                call.start()
+            for call in calls:
+                call.join(timeout=120)
+        finally:
+            after = set_local(outer)
+        assert not any(call.is_alive() for call in calls)
+        assert (len(done), after) == (4, 2)
 
 
 class TestBathCovariance:
