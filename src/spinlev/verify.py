@@ -242,7 +242,7 @@ def check_squeezing_oracle(seed):
             th, f = sensing.squeezed_rotation(n, zeta)
             fo = oracle.gaussian_noise_factor(n, zeta, th)
             worst = max(worst, abs(f - fo) / f)
-            if f > 1 + 1e-15:
+            if f > 1:
                 worst = math.inf
     return _check("squeezing_oracle", "factor matches Gaussian oracle within 5%; factor <= 1",
                   worst, 0.05, worst <= 0.05)

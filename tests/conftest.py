@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 import spinlev
-from spinlev import pulses
+from spinlev import pulses, verify
 
 # Tier-1 draws the same examples on every run, so a failure repeats on the next
 # run; `pytest --hypothesis-profile=default` draws new examples each run and
@@ -31,3 +31,10 @@ def child_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(spinlev.__file__)))
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+@pytest.fixture(scope="session")
+def verify_report():
+    """verify's report at its default seed, run once for every test that reads
+    it; a test must not change it."""
+    return verify.run_checks(verify.DEFAULT_SEED)

@@ -1,143 +1,71 @@
-"""Acceptance criteria, one test (or pair) per numbered criterion.
+"""Acceptance criteria, one test per numbered criterion.
 
-Two criteria are checked against an independent route at their original
-parameters rather than against a fixed number:
-  * criterion 7a: the pulsed witness violation at tau = 0.1 pi/omega ceases
-    at an order-one nbar, and the closed-form crossing (half-period formulas
-    at lam_eff = omega g tau^2 / 4) agrees within 1% with the crossing of the
-    thermally averaged exact echo state. For g/omega = 0.5, 1, 2 the closed
-    form gives 10.235, 6.278, 3.792 and the exact echo 10.250, 6.287, 3.798.
-    The crossing follows (2 nbar + 1)^3 ~ 3 / (2 lam_eff^2), so it grows as
-    (g/omega)^(-2/3) and the g/omega = 0.5 value correctly lies above 10;
-    the [0.1, 10] band once asserted here has no source in the paper.
-  * criterion 8 (band): the thermal force noise bounds every sequence at
-    every frequency from below, at eta_floor = 2.24e-21 N/rtHz for the
-    reference parameters. The CarrPurcell2 minimum in [3e3, 3e4] Hz is
-    3.02e-21 (1.35x the floor), Hahn echo 2.40e-20 and Ramsey 1.13e-18.
-    The 1e-22 bound once asserted here lies below that floor; the paper's
-    1e-23 level belongs to parameters the repository does not hold.
+`spinlev verify` owns each check, its route and its bound. Eleven criteria
+read their check's record from one `verify.run_checks` report, the session
+fixture `verify_report`, and assert its pass flag and its observed values
+against the tolerance it states. Criterion 12 runs `verify` through the CLI.
+
+Criteria 7a and 8 (band) keep independent routes until `verify`'s
+`witness_truncation_band` and `sensitivity_min_band` are rebuilt on them
+(ROADMAP.md); those two checks still apply bounds with no source in the paper
+and fail:
+  * 7a: at tau = 0.1 pi/omega the pulsed witness violation ceases at an
+    order-one nbar, and the closed-form crossing (half-period formulas at
+    lam_eff = omega g tau^2 / 4) agrees within 1% with that of the thermally
+    averaged exact echo: 10.235, 6.278, 3.792 against 10.250, 6.287, 3.798
+    for g/omega = 0.5, 1, 2. The 0.15% gap is lam_eff against the exact
+    |beta| = 4 (g/omega) sin^2(omega tau / 4). (2 nbar + 1)^3 ~ 3/(2 lam_eff^2)
+    puts g/omega = 0.5 above 10, so no upper edge such as 10 is asserted.
+  * 8 (band): thermal force noise bounds every sequence at every nu from
+    below, at 2.24e-21 N/rtHz for the reference parameters. The CP2 minimum
+    in [3e3, 3e4] Hz is 3.02e-21 (1.35x the floor), the echo's 2.40e-20 and
+    Ramsey's 1.13e-18. The 1e-22 bound of `sensitivity_min_band` lies below
+    that floor; the paper's 1e-23 belongs to parameters not held here.
 """
 
 import json
 import math
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spinlev import dynamics, oracle, pulses, sensing, witness
-from spinlev.constants import GAMMA_E_DEFAULT, HBAR, KB
-from spinlev.pulses import SequenceKind
-from spinlev.units import NaturalParams, PhysicalParams, to_natural
+from spinlev import oracle, pulses, sensing, verify, witness
+from spinlev.constants import HBAR, KB
+from spinlev.units import PhysicalParams
 
-SEED = 20250826
-KINDS = (SequenceKind.RAMSEY, SequenceKind.HAHN_ECHO, SequenceKind.CARR_PURCELL2)
-
-
-def nat(g, omega, nbar=0.0, q=1e6):
-    return NaturalParams(g=g, omega=omega, lam=2 * g / omega, nbar=nbar,
-                         gamma=omega / q, x0=1.0, larmor=0.0)
-
-
-def test_criterion_01_oracle_closed_form_equivalence():
-    start = time.monotonic()
-    for kind in KINDS:
-        for g_over_omega in (0.1, 1.0, 2.0):
-            for omega_tau in (0.1, math.pi, 2 * math.pi):
-                seq = pulses.make_sequence(kind, omega_tau)
-                closed = dynamics.evolve_state(seq, g_over_omega, 1.0)
-                n_max = oracle.suggested_n_max((4 * g_over_omega) ** 2 + 1)
-                st = oracle.evolve(oracle.initial_state(0j, n_max),
-                                   nat(g_over_omega, 1.0), seq)
-                fid = oracle.branch_fidelity(closed, st)
-                assert fid > 1 - 1e-8, (kind, g_over_omega, omega_tau, fid)
-    assert time.monotonic() - start < 300.0
+# criterion -> (verify check it reads, the observed values its tolerance bounds)
+READS = {
+    "01": ("oracle_branch_fidelity", lambda o: [1 - o["worst_fidelity"]]),
+    "02": ("squeezing_closed_forms", lambda o: [o]),
+    "03": ("backaction_zeros", lambda o: [o["cp_rel_dev"]]),
+    "04": ("witness_identity", lambda o: [o]),
+    "05": ("witness_oracle_agreement", lambda o: [o["worst_z"]]),
+    "06": ("bath_monte_carlo", lambda o: [o["worst_z"]]),
+    "07b": ("witness_max_nbar_g_independence", lambda o: [o["spread"]]),
+    "08-shape": ("sensitivity_shape", lambda o: o["low_nu_flatness"].values()),
+    "09": ("si_anchors", lambda o: [o["eta_factor"], o["gradient_factor"], o["g_factor"]]),
+    "10": ("sql_structure", lambda o: [o["balance_rel"], o["g_sweep_rel"]]),
+    "11": ("squeezing_oracle", lambda o: [o]),
+}
+# checks that apply bounds criteria 07a and 08-band replace, and so fail
+KNOWN_FAILING = {"witness_truncation_band", "sensitivity_min_band"}
 
 
-def test_criterion_02_squeezing_closed_forms():
-    g, omega = 0.7, 1.0
-    for kind in KINDS:
-        for omega_tau in np.linspace(2 * math.pi / 100, 2 * math.pi, 100):
-            seq = pulses.make_sequence(kind, float(omega_tau))
-            exact = pulses.squeezing_parameter(seq, g, omega)
-            closed = pulses.zeta_closed_form(kind, g, omega, float(omega_tau))
-            if closed != 0:
-                assert abs(exact - closed) / abs(closed) <= 1e-10
-
-
-def test_criterion_03_backaction_zeros():
-    g, omega = 1.0, 1.0
-    for n in (1, 2, 3):
-        _, dn = pulses.residual_displacement(pulses.ramsey(2 * math.pi * n), g, omega)
-        assert dn < 1e-12 * g**2 / omega**2
-    for omega_tau in np.linspace(0.05, 2 * math.pi, 60):
-        seq = pulses.carr_purcell2(float(omega_tau))
-        _, dn = pulses.residual_displacement(seq, g, omega)
-        closed = (g**2 / omega**2) * 64 * math.sin(omega_tau / 8) ** 4 \
-            * math.sin(omega_tau / 4) ** 2
-        if closed > 1e-20:
-            assert abs(dn - closed) / closed <= 1e-10
-
-
-def test_criterion_04_witness_identities():
-    omega = 1.0
-    for lam in np.linspace(0.0, 2.0, 21):
-        for nbar in np.linspace(0.0, 10.0, 11):
-            lhs = witness.separable_bound(
-                witness.halfperiod_coefficients(float(lam), float(nbar)))
-            rhs = witness.thermal_wb(float(lam), float(nbar), omega, 0.0,
-                                     math.pi / omega)
-            assert abs(lhs - rhs) <= 1e-12
-    assert witness.thermal_wb(0.0, 3.0, omega, 0.0, 1.7) == 0.5
-    assert witness.thermal_wen(0.0, 3.0, omega, 1.7) == 0.5
-
-
-def test_criterion_05_witness_oracle_agreement():
-    lam, omega = 0.5, 1.0
-    g = lam * omega / 2
-    t = math.pi / omega
-    seq = pulses.ramsey(t)
-    est = oracle.witness_moments(nat(g, omega), seq)
-    assert abs(est.w_en - witness.thermal_wen(lam, 0.0, omega, t)) <= 1e-8
-    for nbar in (0.5, 1.0, 2.0):
-        cfg = oracle.OracleConfig(n_trajectories=10000, seed=SEED)
-        mc = oracle.witness_moments(
-            nat(g, omega, nbar), seq, cfg, nbar=nbar,
-            coefficients=witness.halfperiod_coefficients(lam, nbar))
-        closed = witness.thermal_wen(lam, nbar, omega, t)
-        assert abs(mc.w_en - closed) <= 3 * mc.w_en_se, nbar
-
-
-def test_criterion_06_bath_monte_carlo():
-    start = time.monotonic()
-    lam, omega = 0.5, 1.0
-    g = lam * omega / 2
-    for nbar_over_q in (1e-3, 1.0):
-        for omega_t in (math.pi / 2, math.pi, 2 * math.pi):
-            seq = pulses.ramsey(omega_t / omega)
-            cfg = oracle.OracleConfig(n_trajectories=1500, seed=SEED)
-            stats = oracle.thermal_trajectories(nat(g, omega), seq, cfg,
-                                                nbar_over_q)
-            d = witness.bath_deltas(lam, nbar_over_q, omega, omega_t / omega)
-            closed = dict(dvar_sx=d.dvar_sx, dq2=d.dq2, dp2=d.dp2, dqp=d.dqp,
-                          dsyq=d.dsyq, dsyp=d.dsyp)
-            for name, value, se in stats.as_pairs():
-                assert abs(value - closed[name]) <= 3 * se, \
-                    (name, nbar_over_q, omega_t)
-    assert time.monotonic() - start < 600.0
+@pytest.mark.parametrize("criterion", READS)
+def test_criterion_reads_verify_record(criterion, verify_report):
+    name, bounded = READS[criterion]
+    record = next(c for c in verify_report["checks"] if c["check_name"] == name)
+    assert record["pass"], record
+    assert all(v <= record["tolerance"] for v in bounded(record["observed"])), record
 
 
 def exact_echo_violation(g, omega, tau, nbar, n_nodes=40):
-    """W_b - W_en at the end of the exact one-pulse echo, thermal start.
-
-    The thermal state is the Glauber-P mixture of coherent starts
-    alpha ~ CN(0, nbar). oracle._branch_raw_moments steps all the nodes of
-    an n_nodes x n_nodes Gauss-Hermite rule through the echo exactly in one
-    call, and the rule's weights average their raw moments.
-    """
+    """W_b - W_en after the exact one-pulse echo from the thermal state, the
+    Glauber-P mixture of coherent starts alpha ~ CN(0, nbar): the raw moments
+    of an n_nodes^2 Gauss-Hermite rule, stepped exactly in one call, averaged."""
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     alphas = math.sqrt(nbar) * (nodes[:, None] + 1j * nodes[None, :])
     raw = oracle._branch_raw_moments(alphas.ravel(), g, omega, pulses.hahn_echo(tau))
@@ -147,11 +75,6 @@ def exact_echo_violation(g, omega, tau, nbar, n_nodes=40):
 
 
 def test_criterion_07a_pulsed_truncation_band():
-    # The violation ceases at an order-one nbar, where the exact echo puts
-    # it: closed form 10.235, 6.278, 3.792 against exact 10.250, 6.287,
-    # 3.798. The 0.15% gap is lam_eff = omega g tau^2 / 4 against the exact
-    # |beta| = 4 (g/omega) sin^2(omega tau / 4). No upper edge is asserted:
-    # (2 nbar + 1)^3 ~ 3 / (2 lam_eff^2) puts g/omega = 0.5 above 10.
     omega = 2 * math.pi * 100
     tau = 0.1 * math.pi / omega
     for g_over_omega in (0.5, 1.0, 2.0):
@@ -163,120 +86,44 @@ def test_criterion_07a_pulsed_truncation_band():
                     - witness.thermal_wen(lam, nbar, omega, math.pi / omega))
 
         cease = brentq(violation, 0.05, 100.0)
-        exact = brentq(lambda nbar: exact_echo_violation(g, omega, tau, nbar),
-                       0.05, 100.0)
+        exact = brentq(lambda nbar: exact_echo_violation(g, omega, tau, nbar), 0.05, 100.0)
         assert cease >= 0.1, (g_over_omega, cease)
         assert abs(cease - exact) / exact <= 0.01, (g_over_omega, cease, exact)
-
-
-def test_criterion_07b_max_nbar_g_independent():
-    omega = 2 * math.pi * 100
-    vals = [witness.max_nbar_for_violation(r * omega, omega)
-            for r in (0.5, 1.0, 2.0)]
-    assert (max(vals) - min(vals)) / min(vals) <= 0.05
-
-
-def reference_params():
-    # 1 um diamond at 3.5 g/cm^3 (m = 1.5e-14 kg), 100 Hz trap, Q = 1e6,
-    # nbar/Q = 1, cooling 1 kHz for 100 us, optimal coupling, tau = 100 us
-    return PhysicalParams(mass=1.5e-14, trap_frequency=2 * math.pi * 100,
-                          gradient=1.0, nbar=1e6, quality_factor=1e6,
-                          cooling_rate=1e3, cooling_time=1e-4)
-
-
-def test_criterion_08_sensitivity_shape():
-    p = reference_params()
-    tau = 1e-4
-    omega = p.trap_frequency
-    for kind in KINDS:
-        seq = pulses.make_sequence(kind, tau)
-        e1 = sensing.force_sensitivity(p, seq, 2 * math.pi * 1.0).eta
-        e10 = sensing.force_sensitivity(p, seq, 2 * math.pi * 10.0).eta
-        assert abs(e1 / e10 - 1) < 0.01, kind  # flat at low nu
-    dc = {k: abs(pulses.dc_phase(pulses.make_sequence(k, tau), 1.0, omega))
-          for k in KINDS}
-    assert (dc[SequenceKind.CARR_PURCELL2] < dc[SequenceKind.HAHN_ECHO]
-            < dc[SequenceKind.RAMSEY])
 
 
 def test_criterion_08_sensitivity_band_minimum():
     # Carr-Purcell evades backaction down to the thermal-force floor.
     # V_th = 2 omega (nbar/Q) int K^2 and, by Cauchy-Schwarz,
     # |int K e^{-i nu s} ds|^2 <= tau int K^2, so no sequence beats
-    # sqrt(4 m (omega/Q) nbar hbar omega (tau + t_c) / tau) = 2.24e-21 N/rtHz
-    # at any nu: the fluctuation-dissipation floor times the duty factor.
-    # Band minima: CP2 3.02e-21, echo 2.40e-20, Ramsey 1.13e-18.
-    p = reference_params()
-    tau = 1e-4
-    omega = p.trap_frequency
-    nus = np.geomspace(3e3, 3e4, 120)
-    best = {kind: min(sensing.force_sensitivity(p, pulses.make_sequence(kind, tau),
-                                                2 * math.pi * float(nu)).eta
-                      for nu in nus)
-            for kind in KINDS}
-    floor = sensing.thermal_limit_eta(p.mass, omega, p.quality_factor,
-                                      p.nbar * HBAR * omega / KB) \
+    # sqrt(4 m (omega/Q) nbar hbar omega (tau + t_c) / tau) at any nu: the
+    # fluctuation-dissipation floor times the duty factor. A 1 um diamond
+    # (1.5e-14 kg) in a 100 Hz trap, Q = 1e6, nbar/Q = 1, cooled at 1 kHz for 100 us.
+    p = PhysicalParams(mass=1.5e-14, trap_frequency=2 * math.pi * 100, gradient=1.0, nbar=1e6,
+                       quality_factor=1e6, cooling_rate=1e3, cooling_time=1e-4)
+    tau, omega = 1e-4, p.trap_frequency
+    nus = 2 * math.pi * np.geomspace(3e3, 3e4, 120)
+    best = {kind: sensing.sensitivity_spectrum(p, pulses.make_sequence(kind, tau), nus).eta.min()
+            for kind in pulses.NAMED_KINDS}
+    floor = sensing.thermal_limit_eta(p.mass, omega, p.quality_factor, p.nbar * HBAR * omega / KB) \
         * math.sqrt((tau + p.cooling_time) / tau)
-    cp = best[SequenceKind.CARR_PURCELL2]
+    cp = best["carr_purcell2"]
     assert floor <= cp <= 2 * floor, (cp, floor)
-    assert cp < best[SequenceKind.HAHN_ECHO] < best[SequenceKind.RAMSEY], best
+    assert cp < best["hahn_echo"] < best["ramsey"], best
 
 
-def test_criterion_09_si_anchors_within_factor_3():
-    def factor(a, b):
-        return max(a / b, b / a)
-
-    eta = sensing.projection_limit_eta(1e-12, 2 * math.pi * 1e6, 1e4, 1e-6,
-                                       GAMMA_E_DEFAULT)
-    assert factor(eta, 5e-11) <= 3.0
-
-    grad = sensing.sql_gradient(1.8e-15, 300e-6, 300e-6, 1.0, GAMMA_E_DEFAULT)
-    assert factor(grad, 7500.0) <= 3.0
-
-    n = to_natural(PhysicalParams(mass=3e-15, trap_frequency=2 * math.pi * 100,
-                                  gradient=1e4, nbar=0.0))
-    ratio_rad = n.g / n.omega
-    ratio_hz = ratio_rad / (2 * math.pi)  # gyromagnetic ratio quoted in Hz/T
-    assert min(factor(ratio_rad, 2.0), factor(ratio_hz, 2.0)) <= 3.0
-
-
-def test_criterion_10_sql_structure():
-    omega, tau, xi = 2 * math.pi * 100, 1e-4, 0.25
-    for kind in KINDS:
-        seq = pulses.make_sequence(kind, tau)
-        gstar = sensing.optimal_coupling(kind, omega, tau, xi)
-        dn = pulses.residual_displacement(seq, gstar, omega)[1]
-        assert abs(0.25 - dn * dn * xi) / 0.25 <= 1e-9
-        vals = []
-        for g in np.geomspace(gstar / 10, gstar * 10, 9):
-            a = pulses.residual_displacement(seq, g, omega)[1] / g**2
-            phi = abs(pulses.dc_phase(seq, g, omega)) / g
-            vals.append(math.sqrt(math.sqrt(xi) * a) / phi)
-        assert (max(vals) - min(vals)) / min(vals) <= 1e-9
-
-
-def test_criterion_11_squeezed_readout():
-    for n_spins in (100, 10000):
-        for kappa in np.linspace(0.1, 3.0, 30):
-            zeta = kappa / n_spins
-            theta, factor = sensing.squeezed_rotation(n_spins, zeta)
-            assert factor <= 1.0
-            oracle_factor = oracle.gaussian_noise_factor(n_spins, zeta, theta)
-            assert abs(factor - oracle_factor) / factor <= 0.05, kappa
-
-
-def test_criterion_12_verify_determinism(tmp_path, child_env):
+def test_criterion_12_verify_determinism(tmp_path, child_env, verify_report):
     outputs = []
     for run in range(3):
         out = tmp_path / f"report-{run}.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "spinlev.cli", "verify",
-             "--seed", str(SEED), "--out", str(out)],
-            capture_output=True, text=True, env=child_env)
-        # exit code 1 is expected: the suite includes the two documented
-        # failing figure-anchor checks
-        assert proc.returncode in (0, 1), proc.stderr
+        proc = subprocess.run([sys.executable, "-m", "spinlev.cli", "verify", "--seed", str(verify.DEFAULT_SEED),
+                               "--out", str(out)], capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 1, proc.stderr  # the two known failing checks
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
     report = json.loads(outputs[0])
-    assert report["n_checks"] >= 12
+    assert report["n_checks"] == len(verify.ALL_CHECKS)
+    assert {c["check_name"] for c in report["checks"] if not c["pass"]} == KNOWN_FAILING
+    assert report == json.loads(json.dumps(verify_report))  # the report the criteria read
+    # a new check lands with a criterion that reads it; this one reads mc_determinism
+    assert {c["check_name"] for c in report["checks"]} == \
+        {name for name, _ in READS.values()} | KNOWN_FAILING | {"mc_determinism"}

@@ -165,6 +165,13 @@ class TestResidualDisplacement:
         _, dn = residual_displacement(seq, g, omega)
         assert dn == pytest.approx(delta_n_closed_form(kind, g, omega, seq.total_time), rel=1e-10)
 
+    @pytest.mark.parametrize("omega_tau", [0.05, 0.7, math.pi, 5.0, 2 * math.pi])
+    @pytest.mark.parametrize("g,omega", [(1.0, 1.0), (0.7, 2 * math.pi * 100)])
+    def test_carr_purcell2_closed_form_as_printed(self, g, omega, omega_tau):
+        # 64 (g/omega)^2 sin^4(omega tau/8) sin^2(omega tau/4), written out apart from pulses._NAMED
+        printed = 64 * (g / omega) ** 2 * math.sin(omega_tau / 8) ** 4 * math.sin(omega_tau / 4) ** 2
+        assert delta_n_closed_form("carr_purcell2", g, omega, omega_tau / omega) == pytest.approx(printed, rel=1e-12)
+
     def test_ramsey_zeros_at_full_periods(self):
         g, omega = 1.3, 1.0
         for n in (1, 2, 3):

@@ -91,8 +91,9 @@ class TestCoefficientValidation:
 
 class TestClosedForms:
     def test_limits_at_zero_lambda(self):
-        assert thermal_wb(0.0, 1.3, 1.0, 0.0, 2.0) == 0.5
-        assert thermal_wen(0.0, 1.3, 1.0, 2.0) == 0.5
+        for nbar, t in ((1.3, 2.0), (3.0, 1.7)):
+            assert thermal_wb(0.0, nbar, 1.0, 0.0, t) == 0.5
+            assert thermal_wen(0.0, nbar, 1.0, t) == 0.5
         c = halfperiod_coefficients(0.0, 2.0)
         assert (c.a_y, c.b_y, c.a_z, c.b_z) == (0, 0, 0, 0)
 
