@@ -672,15 +672,17 @@ def thermal_trajectories_batch(
     of a batch of one up to the rounding of the matrix product.
 
     The paths are drawn and multiplied in blocks of _FORCE_ROWS rows. The
-    blocks are dealt out whole to the drawing threads (one per usable CPU,
-    at most _DRAW_THREADS and at most one per block), the calling thread
-    among them: thread k takes blocks k, k + threads, ... and draws each
-    into a buffer of its own, then multiplies it by the weights. The draws
-    and the products release the interpreter lock, so the threads run in
-    parallel. For the whole call OpenBLAS is held to one thread
-    (openblas_set_num_threads_local(1), restored on return): otherwise each
-    product wakes an OpenBLAS worker that spins on a CPU after the product
-    returns, and a second drawing thread finds no free CPU. That count is
+    blocks are dealt out whole, on demand, to the drawing threads (one per
+    usable CPU, at most _DRAW_THREADS and at most one per block), the
+    calling thread among them: each thread takes the next undrawn block from
+    one shared iterator, draws it into a buffer of its own and multiplies
+    it by the weights, so a thread that lags draws fewer blocks instead of
+    holding up the others at the join. The draws and the products release
+    the interpreter lock, so the threads run in parallel. For the whole call
+    OpenBLAS is held to one thread (openblas_set_num_threads_local(1),
+    restored on return): otherwise each product wakes an OpenBLAS worker
+    that spins on a CPU after the product returns, and a second drawing
+    thread finds no free CPU. That count is
     process-wide, so during the call numpy products on other threads also
     run on one BLAS thread, and concurrent calls take turns. Where the
     function does not resolve, one thread draws every row. The statistics
@@ -696,8 +698,9 @@ def thermal_trajectories_batch(
 
     The seconds spent drawing and in the products are logged at DEBUG on the
     "spinlev.oracle" logger (record attributes n_trajectories, n_cases,
-    draw_threads, blas_scoped, draw_s and product_s; the seconds are summed
-    over the drawing threads), never returned.
+    draw_threads, blocks_per_thread, blas_scoped, draw_s and product_s;
+    blocks_per_thread lists the blocks each thread drew, the calling thread
+    first, and the seconds are summed over the drawing threads), never returned.
     """
     if cfg.n_trajectories < 100:
         raise ValueError("n_trajectories must be >= 100")
@@ -711,15 +714,16 @@ def thermal_trajectories_batch(
     blocks = range(0, n, _FORCE_ROWS)
     n_threads = min(_usable_cpus(), _DRAW_THREADS, len(blocks)) if scoped else 1
     samples = np.empty((n, weights.shape[1]))  # (Phi, Q, P) per trajectory and case
-    draw_s, product_s = [0.0] * n_threads, [0.0] * n_threads
+    draw_s, product_s, drawn = [0.0] * n_threads, [0.0] * n_threads, [0] * n_threads
+    undrawn = iter(blocks)  # next() on a range iterator is atomic under the interpreter lock
     failures = []  # re-raised by the calling thread after the join
 
     def work(k: int) -> None:
-        """Draw and multiply thread k's blocks."""
+        """Draw and multiply blocks in thread k until none is left."""
         try:
             fill = _stream_filler(cfg.seed)
             forces = np.empty((min(_FORCE_ROWS, n), _N_STEPS))
-            for start in blocks[k::n_threads]:
+            for start in undrawn:
                 stop = min(start + _FORCE_ROWS, n)
                 z = forces[:stop - start]
                 t0 = time.perf_counter()
@@ -728,6 +732,7 @@ def thermal_trajectories_batch(
                 samples[start:stop] = z @ weights
                 draw_s[k] += t1 - t0
                 product_s[k] += time.perf_counter() - t1
+                drawn[k] += 1
         except BaseException as exc:
             failures.append(exc)
 
@@ -748,11 +753,12 @@ def thermal_trajectories_batch(
     if failures:
         raise failures[0]
     draw_s, product_s = sum(draw_s), sum(product_s)
-    _log.debug("%d trajectories x %d cases on %d drawing threads (BLAS scoped: %s): "
+    _log.debug("%d trajectories x %d cases on %d drawing threads (blocks %s, BLAS scoped: %s): "
                "draws %.6f s, products %.6f s",
-               n, len(cases), n_threads, scoped, draw_s, product_s,
+               n, len(cases), n_threads, drawn, scoped, draw_s, product_s,
                extra={"n_trajectories": n, "n_cases": len(cases), "draw_threads": n_threads,
-                      "blas_scoped": scoped, "draw_s": draw_s, "product_s": product_s})
+                      "blocks_per_thread": drawn, "blas_scoped": scoped,
+                      "draw_s": draw_s, "product_s": product_s})
 
     out = []
     for phi, qq, pp in samples.reshape(n, -1, 3).transpose(1, 2, 0):

@@ -1,4 +1,4 @@
-r"""Pulse sequences and their per-sequence scalar functionals.
+r"""Pulse sequences and their functionals, per sequence or over a stack of them.
 
 A sequence of instantaneous pi pulses modulates the spin-motion coupling as
 G(t) = g * s(t), where the sign profile s(t) starts at +1 and flips at each
@@ -19,6 +19,13 @@ The three functionals:
 
 All but T(nu), force_response's force functionals included, take K from one
 backward recursion, _kernel_ends; every one checks (g, omega, tau) by check_coupling.
+
+Delta n (with beta), zeta and int K^2 also take a stack: a list of sequences
+that share one pulse count, such as one kind over a grid of tau. The
+recursion then steps every sequence at once, one column each, by the same
+float operations as the scalar call, so each element of the returned arrays
+equals the scalar call on its sequence bit for bit, and a stack gets the
+scalar call's checks and error messages for its first failing sequence.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .units import _finite, _finite_positive, _finite_result, _in_range
+from .units import _finite, _finite_positive, _finite_result, _in_range, _not_finite
 
 
 @dataclass(frozen=True)
@@ -197,22 +204,62 @@ def check_coupling(g: float, omega: float, tau: float) -> None:
     _finite(g=g, omega_tau=omega * tau)
 
 
-def _kernel_ends(seq: PulseSequence, g: float, omega: float):
+def _stacked_edges(seqs, g: float, omega: float) -> np.ndarray:
+    """The edges 0, t_1, ..., t_n, tau of a stack, a non-empty list of
+    sequences with one pulse count, as an (m, n + 2) array, once the
+    (g, omega, tau) of each sequence pass check_coupling, in order."""
+    if not seqs:
+        raise ValueError("a stack of pulse sequences must not be empty")
+    rows = [(0.0, *seq.pulse_times, seq.total_time) for seq in seqs]
+    for row in rows:
+        if len(row) != len(rows[0]):
+            raise ValueError(f"a stack of pulse sequences must share one pulse count, "
+                             f"got {len(rows[0]) - 2} and {len(row) - 2}")
+    t = np.array(rows)
+    # every tau is finite and > 0, so past the first sequence only omega tau can fail
+    check_coupling(g, omega, seqs[0].total_time)
+    with np.errstate(over="ignore"):
+        omega_tau_finite = np.isfinite(omega * t[:, -1]).all()
+    if not omega_tau_finite:
+        for seq in seqs:
+            check_coupling(g, omega, seq.total_time)
+    return t
+
+
+def _backward(t, omega: float, xp):
+    """K and p at the edges t, stepped back from tau (_kernel_ends): t is a
+    tuple of floats (xp = math) or an array with one row per edge and one
+    column per sequence (xp = numpy)."""
+    k, p = [t[0]] * len(t), [t[0]] * len(t)  # 0 at tau: the first edge is 0 (a row of zeros)
+    for j in range(len(t) - 2, -1, -1):
+        s, theta = (-1.0) ** j, omega * (t[j + 1] - t[j])
+        c, sn, h = xp.cos(theta), xp.sin(theta), xp.sin(0.5 * theta)
+        v, w = 2.0 * h * h / omega, sn / omega
+        k[j], p[j] = k[j + 1] * c - p[j + 1] * sn + s * v, k[j + 1] * sn + p[j + 1] * c - s * w
+    return k, p
+
+
+def _kernel_ends(seq, g: float, omega: float):
     """(t, k, p): the edges 0, t_1, ..., t_n, tau and, at unit coupling, K and
     p = K'/omega there. K'' + omega^2 K = omega G is stepped back from
     K(tau) = K'(tau) = 0 over each segment (sign s, end b, th = omega (b - x)):
     K = K_b cos th - p_b sin th + s (1 - cos th)/omega, p = K_b sin th
     + p_b cos th - s sin th/omega, with no term that cancels at small omega tau.
-    Scaling by g afterwards keeps Delta n, zeta and int K^2 exactly homogeneous in g."""
-    check_coupling(g, omega, seq.total_time)
-    t = (0.0, *seq.pulse_times, seq.total_time)
-    k, p = [0.0] * len(t), [0.0] * len(t)
-    for j in range(len(t) - 2, -1, -1):
-        s, theta = (-1.0) ** j, omega * (t[j + 1] - t[j])
-        c, sn, h = math.cos(theta), math.sin(theta), math.sin(0.5 * theta)
-        v, w = 2.0 * h * h / omega, sn / omega
-        k[j], p[j] = k[j + 1] * c - p[j + 1] * sn + s * v, k[j + 1] * sn + p[j + 1] * c - s * w
-    return np.array(t), np.array(k), np.array(p)
+    Scaling by g afterwards keeps Delta n, zeta and int K^2 exactly homogeneous in g.
+
+    A stack (_stacked_edges) gives (m, n + 2) arrays, one row per sequence:
+    the recursion runs the numpy operations on every column of edges that
+    the scalar call runs on floats, and numpy's cos and sin round as math's do."""
+    if isinstance(seq, PulseSequence):
+        check_coupling(g, omega, seq.total_time)
+        t = (0.0, *seq.pulse_times, seq.total_time)
+        k, p = _backward(t, omega, math)
+        return np.array(t), np.array(k), np.array(p)
+    t = _stacked_edges(seq, g, omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k, p = _backward(t.T, omega, np)
+    # C order, so each row's sum and product over segments runs along contiguous memory, as a scalar call's does
+    return t, np.stack(k, axis=1), np.stack(p, axis=1)
 
 
 def _kernel_at(ends, omega: float, seg, x):
@@ -232,18 +279,25 @@ _TAYLOR = np.array([[(-1) ** j / math.factorial(n), (-1) ** j * (2 - 2 ** (n - 2
                     for j, n in enumerate(_ODD.tolist())])
 
 
+def _taylor(x):
+    """The series of _sine_integrals, stacked on the first axis. An (m, n)
+    x takes one (n, 12) @ (12, 2) product per row, which rounds as the
+    product of that row alone; one (m n, 12) product would not."""
+    return ((x[..., None] ** _ODD) @ _TAYLOR).transpose(-1, *range(x.ndim))
+
+
 def _sine_integrals(x):
-    """(S(x), J(x)) for an array x >= 0; their closed forms x - sin x and
+    """(S(x), J(x)) for an array x >= 0 of one or two axes; their closed forms x - sin x and
     (3 S(x) - sin x (1 - cos x))/2 cancel below x = 1, where the series is used."""
     small = x < 1.0
     if small.all():
-        return ((x[:, None] ** _ODD) @ _TAYLOR).T
+        return _taylor(x)
     sin = np.sin(x)
     x_sin = x - sin
     closed = np.array((x_sin, 1.5 * x_sin - sin * np.sin(0.5 * x) ** 2))
     if not small.any():
         return closed
-    return np.where(small, ((np.minimum(x, 1.0)[:, None] ** _ODD) @ _TAYLOR).T, closed)
+    return np.where(small, _taylor(np.minimum(x, 1.0)), closed)
 
 
 def _segment_terms(s, omega: float, phi):
@@ -270,13 +324,46 @@ def _kernel_square_integral(k, p, s, omega: float, phi):
     return square / omega
 
 
-def residual_displacement(seq: PulseSequence, g: float, omega: float) -> tuple[complex, float]:
+def _checked(what: str, formula, seq, g: float, omega: float):
+    """formula(), a functional's value, with numpy's overflow warnings
+    silenced, once every entry is finite: of one sequence a number, checked
+    by _in_range and returned as a float; of a stack an array per entry,
+    checked per sequence, with the ParameterError of the scalar call on the
+    first sequence that has an entry that is not finite."""
+    if isinstance(seq, PulseSequence):
+        return float(_in_range(what, formula, g=g, omega=omega, tau=seq.total_time))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = formula()
+    finite = np.logical_and.reduce([np.isfinite(v) for v in (values if isinstance(values, tuple) else (values,))])
+    if not finite.all():
+        raise _not_finite(what, g=g, omega=omega, tau=seq[int(finite.argmin())].total_time)
+    return values
+
+
+def _displacement(tau, k0, p0, g: float, omega: float, xp):
+    """(beta, delta_n) of residual_displacement from K(0) and p(0), as floats
+    (xp = math) or arrays (xp = numpy). beta = g e^{-i omega tau} (k0 + i p0)
+    is formed by the float operations of Python's complex product
+    g * cmath.exp(-1j * omega * tau) * complex(k0, p0), so both agree bit for
+    bit, and numpy's complex product, which may fuse them, is not used."""
+    c, sn = xp.cos(-(omega * tau)), xp.sin(-(omega * tau))
+    er, ei = g * c - 0.0 * sn, g * sn + 0.0 * c
+    re, im = er * k0 - ei * p0, er * p0 + ei * k0
+    beta = complex(re, im) if xp is math else np.stack((re, im), axis=-1).view(complex)[..., 0]
+    return beta, g * g * (k0 * k0 + p0 * p0)
+
+
+def residual_displacement(seq: PulseSequence | list[PulseSequence], g: float, omega: float):
     """(beta, delta_n): residual coherent displacement per sigma_z unit and
-    |beta|^2, with beta = g e^{-i omega tau} (K(0) + i K'(0)/omega)."""
-    k0, p0 = (float(x[0]) for x in _kernel_ends(seq, g, omega)[1:])
-    beta = g * cmath.exp(-1j * omega * seq.total_time) * complex(k0, p0)
-    return _finite_result("residual_displacement is not finite", (beta, g * g * (k0 * k0 + p0 * p0)),
-                          g=g, omega=omega, tau=seq.total_time)
+    |beta|^2, with beta = g e^{-i omega tau} (K(0) + i K'(0)/omega); for a
+    stack of sequences, an array of each."""
+    t, k, p = _kernel_ends(seq, g, omega)
+    what = "residual_displacement is not finite"
+    if isinstance(seq, PulseSequence):
+        tau = seq.total_time
+        return _finite_result(what, _displacement(tau, float(k[0]), float(p[0]), g, omega, math),
+                              g=g, omega=omega, tau=tau)
+    return _checked(what, lambda: _displacement(t[:, -1], k[:, 0], p[:, 0], g, omega, np), seq, g, omega)
 
 
 def delta_n_closed_form(kind: str, g: float, omega: float, tau: float) -> float:
@@ -471,21 +558,35 @@ def dc_phase(seq: PulseSequence, g: float, omega: float) -> float:
     return spectral_response(seq, g, omega, 0.0).real
 
 
-def kernel_l2(seq: PulseSequence, g: float, omega: float) -> float:
-    """int_0^tau K(s)^2 ds, closed form per segment."""
-    t, k, p = _kernel_ends(seq, g, omega)
-    s = 1.0 - 2.0 * (np.arange(t.size - 1) % 2)
-    return _in_range("kernel_l2 is not finite", lambda: g * g * float(
-        _kernel_square_integral(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1])).sum()),
-        g=g, omega=omega, tau=seq.total_time)
+@functools.lru_cache(maxsize=None)
+def _signs(n_segments: int) -> np.ndarray:
+    """The sign +1, -1, +1, ... of s(t) on each segment."""
+    s = 1.0 - 2.0 * (np.arange(n_segments) % 2)
+    s.flags.writeable = False
+    return s
 
 
-def squeezing_parameter(seq: PulseSequence, g: float, omega: float) -> float:
-    """zeta = int_0^tau int_0^t sin(omega(t-t')) G(t) G(t') dt' dt = int_0^tau G K ds."""
+def _segment_kernel(seq, g: float, omega: float):
+    """(k, p, s, phi) of each segment of a sequence (or of a stack, one row
+    per sequence): K and p at its end, its sign and its phase length."""
     t, k, p = _kernel_ends(seq, g, omega)
-    s = 1.0 - 2.0 * (np.arange(t.size - 1) % 2)
-    return _in_range("squeezing_parameter is not finite", lambda: g * g * float(
-        s @ _kernel_integral(k[1:], p[1:], s, omega, omega * (t[1:] - t[:-1]))), g=g, omega=omega, tau=seq.total_time)
+    return k[..., 1:], p[..., 1:], _signs(t.shape[-1] - 1), omega * (t[..., 1:] - t[..., :-1])
+
+
+def kernel_l2(seq: PulseSequence | list[PulseSequence], g: float, omega: float):
+    """int_0^tau K(s)^2 ds, closed form per segment; for a stack of sequences, an array."""
+    k, p, s, phi = _segment_kernel(seq, g, omega)
+    return _checked("kernel_l2 is not finite",
+                    lambda: g * g * _kernel_square_integral(k, p, s, omega, phi).sum(axis=-1), seq, g, omega)
+
+
+def squeezing_parameter(seq: PulseSequence | list[PulseSequence], g: float, omega: float):
+    """zeta = int_0^tau int_0^t sin(omega(t-t')) G(t) G(t') dt' dt = int_0^tau G K ds;
+    for a stack of sequences, an array. The sum over segments is a
+    (1, n) @ (n, 1) product per sequence, which rounds as s @ x does."""
+    k, p, s, phi = _segment_kernel(seq, g, omega)
+    return _checked("squeezing_parameter is not finite", lambda: g * g * (
+        _kernel_integral(k, p, s, omega, phi)[..., None, :] @ s[:, None])[..., 0, 0], seq, g, omega)
 
 
 def zeta_closed_form(kind: str, g: float, omega: float, tau: float) -> float:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -893,6 +894,8 @@ class TestStreamReseek:
         scoped = oracle._openblas_threads_local() is not None
         assert record.blas_scoped is scoped
         assert record.draw_threads == (min(oracle._usable_cpus(), oracle._DRAW_THREADS) if scoped else 1)
+        assert len(record.blocks_per_thread) == record.draw_threads
+        assert sum(record.blocks_per_thread) == 10  # 300 rows in blocks of 32
         assert loud == quiet
 
 
@@ -978,7 +981,36 @@ class TestDrawingThreads:
             pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
         return fn
 
-    @pytest.mark.parametrize("failing_stream", [None, 0, 32])  # none; the calling thread's block; a worker's
+    def test_lagging_thread_draws_fewer_blocks(self, serial, set_local, monkeypatch, caplog):
+        # the worker thread's filler sleeps before each block, so the calling
+        # thread takes every block the worker has not: the blocks are dealt
+        # on demand, not by a fixed stride, and the statistics keep their bytes
+        caller, streams_of = threading.get_ident(), {}
+        stream_filler = oracle._stream_filler
+
+        def lagging_filler(seed):
+            fill = stream_filler(seed)
+
+            def lagging_fill(rows, start):
+                if threading.get_ident() != caller:
+                    time.sleep(0.05)
+                streams_of.setdefault(threading.get_ident(), []).append(start)
+                fill(rows, start)
+            return lagging_fill
+
+        monkeypatch.setattr(oracle, "_stream_filler", lagging_filler)
+        draw_on_threads(monkeypatch, 2)
+        stats, record = self._logged_call(caplog, 700)
+        assert stats == serial[700]
+        mine = streams_of.pop(caller)
+        (lagging,) = streams_of.values()
+        blocks = list(range(0, 700, 32))
+        assert sorted(mine) == sorted(set(blocks) - set(lagging))
+        assert sorted(mine + lagging) == blocks
+        assert len(lagging) < len(blocks) // 2  # a stride of two would give it 11 of 22
+        assert record.blocks_per_thread == [len(mine), len(lagging)]
+
+    @pytest.mark.parametrize("failing_stream", [None, 0, 32])  # none; the first block; the second
     def test_blas_thread_count_restored(self, set_local, monkeypatch, failing_stream):
         class Failing(np.random.Generator):
             def standard_normal(self, size=None, dtype=np.float64, out=None):

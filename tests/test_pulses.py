@@ -28,6 +28,7 @@ from spinlev.pulses import (
     squeezing_parameter,
     zeta_closed_form,
 )
+from spinlev.units import ParameterError
 
 from conftest import kernel_at
 
@@ -643,6 +644,71 @@ class TestSpectralResponseArrays:
             pulses.spectral_response(hahn_echo(1e10), 1.0, 1.0, 1e300)
         with pytest.raises(ValueError, match="finite"):
             pulses.spectral_response(hahn_echo(1e10), 1.0, 1.0, np.array([0.5, -1e300]))
+
+
+@st.composite
+def stacks(draw):
+    """A stack of 2-8 pulse lists with one count of 0-64 pulses, and omega.
+    One list has every segment below omega dt = 1 (omega tau < 1), another
+    one at least above (omega tau > n + 1), and the rest are free, so the
+    stack mixes the series and the closed forms of the sine integrals."""
+    n_pulses = draw(st.integers(0, 64))
+    omega = draw(st.floats(1e-2, 1e2))
+    omega_taus = [draw(st.floats(1e-3, 0.99)), draw(st.floats(1.01, 4.0)) * (n_pulses + 1)]
+    omega_taus += draw(st.lists(st.floats(1e-3, 1e2 * (n_pulses + 1)), max_size=6))
+    gaps = st.lists(st.floats(1e-3, 1.0), min_size=n_pulses + 1, max_size=n_pulses + 1)
+    seqs = []
+    for i in draw(st.permutations(range(len(omega_taus)))):
+        tau = omega_taus[i] / omega
+        edges = np.cumsum(draw(gaps))  # segment lengths that differ by up to 1000 times
+        seqs.append(custom(tau, (tau * edges[:-1] / edges[-1]).tolist()))
+    return seqs, omega
+
+
+class TestStackedFunctionals:
+    """residual_displacement, squeezing_parameter and kernel_l2 over a list of
+    sequences with one pulse count, against one scalar call per sequence."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacks(), g=st.floats(0.1, 3.0))
+    def test_stack_elements_equal_scalar_calls(self, case, g):
+        seqs, omega = case
+        beta, dn = residual_displacement(seqs, g, omega)
+        zeta, l2 = squeezing_parameter(seqs, g, omega), kernel_l2(seqs, g, omega)
+        assert all(a.shape == (len(seqs),) for a in (beta, dn, zeta, l2))
+        for i, seq in enumerate(seqs):
+            b, d = residual_displacement(seq, g, omega)
+            scalar = (b.real, b.imag, d, squeezing_parameter(seq, g, omega), kernel_l2(seq, g, omega))
+            assert all(type(v) is float for v in scalar)
+            # bit for bit, signed zeros included
+            stacked = (beta[i].real, beta[i].imag, dn[i], zeta[i], l2[i])
+            assert np.array(stacked).tobytes() == np.array(scalar).tobytes(), (i, seq)
+
+    @pytest.mark.parametrize("fn", [residual_displacement, squeezing_parameter, kernel_l2])
+    def test_empty_stack_or_mixed_pulse_counts_raise(self, fn):
+        with pytest.raises(ValueError, match="must not be empty"):
+            fn([], 1.0, 1.0)
+        with pytest.raises(ValueError, match="share one pulse count, got 1 and 2"):
+            fn([hahn_echo(1.0), hahn_echo(2.0), carr_purcell2(1.0)], 1.0, 1.0)
+
+    @pytest.mark.parametrize("fn", [residual_displacement, squeezing_parameter, kernel_l2])
+    @pytest.mark.parametrize("seqs, g, omega", [
+        ([ramsey(1.0), ramsey(2.0)], math.nan, 1.0),
+        ([ramsey(1.0), ramsey(2.0)], 1.0, 0.0),
+        ([hahn_echo(1.0), hahn_echo(1e300)], 1.0, 1e10),
+        ([ramsey(2 * math.pi), ramsey(math.pi)], 1e154, 1.0),  # delta n overflows on the second only
+        ([ramsey(1e-3), ramsey(1e3)], 1e200, 1.0),
+    ], ids=["g", "omega", "second_omega_tau", "second_overflows", "both_overflow"])
+    def test_stack_raises_the_scalar_error_of_its_first_failing_sequence(self, fn, seqs, g, omega):
+        messages = []
+        for seq in seqs:
+            try:
+                fn(seq, g, omega)
+            except ParameterError as exc:
+                messages.append(str(exc))
+        with pytest.raises(ParameterError) as info:
+            fn(seqs, g, omega)
+        assert str(info.value) == messages[0]
 
 
 class TestKernelContinuity:

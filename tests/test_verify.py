@@ -1,6 +1,7 @@
 """Self-verification suite: per-check timings stay out of the report, the
-Monte Carlo checks report their worst comparisons, and the suite needs no
-scipy.optimize."""
+closed-form checks on stacks of sequences report what the per-tau scalar
+calls give, the Monte Carlo checks report their worst comparisons, and the
+suite needs no scipy.optimize."""
 
 import json
 import logging
@@ -8,7 +9,9 @@ import math
 import subprocess
 import sys
 
-from spinlev import cli, verify, witness
+import numpy as np
+
+from spinlev import cli, pulses, verify, witness
 
 
 def test_check_timings_logged_at_debug_not_reported(caplog, verify_report):
@@ -24,11 +27,12 @@ def test_check_timings_logged_at_debug_not_reported(caplog, verify_report):
     assert "elapsed" not in quiet
 
 
-def test_report_bytes_unchanged_with_debug_on(tmp_path, caplog):
+def test_report_bytes_unchanged_with_debug_on(tmp_path, caplog, verify_report):
+    # the quiet bytes are the session report, written as cmd_verify writes it
     quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
-    code = cli.main(["verify", "--out", str(quiet)])
+    cli._write(str(quiet), json.dumps(verify_report, indent=2, sort_keys=True) + "\n")
     with caplog.at_level(logging.DEBUG, logger="spinlev"):
-        assert cli.main(["verify", "--out", str(loud)]) == code
+        assert cli.main(["verify", "--out", str(loud)]) == (0 if verify_report["all_pass"] else 1)
     assert loud.read_bytes() == quiet.read_bytes()
     # the bath check's batch, then mc_determinism's two runs; every other
     # oracle record is one oracle.evolve call
@@ -37,6 +41,30 @@ def test_report_bytes_unchanged_with_debug_on(tmp_path, caplog):
     assert [r.n_trajectories for r in bath] == [1500, 200, 200]
     assert all(hasattr(r, "n_pieces") for r in oracle_records if r not in bath)
     assert b"draw_s" not in loud.read_bytes() and b"product_s" not in loud.read_bytes()
+
+
+def test_closed_form_checks_match_the_scalar_loops(verify_report):
+    # the two checks take their functionals over stacks of sequences; the
+    # per-tau scalar calls they replaced give the same observed values
+    zeta_worst = 0.0
+    for kind in pulses.NAMED_KINDS:
+        for wt in np.linspace(2 * math.pi / 100, 2 * math.pi, 100):
+            seq = pulses.make_sequence(kind, float(wt))
+            exact = pulses.squeezing_parameter(seq, 0.7, 1.0)
+            closed = pulses.zeta_closed_form(kind, 0.7, 1.0, float(wt))
+            if closed != 0:
+                zeta_worst = max(zeta_worst, abs(exact - closed) / abs(closed))
+    zero_worst = max(pulses.residual_displacement(pulses.ramsey(wt), 1.0, 1.0)[1]
+                     for wt in (2 * math.pi, 4 * math.pi, 6 * math.pi))
+    cp_worst = 0.0
+    for wt in np.linspace(0.05, 2 * math.pi, 60):
+        dn = pulses.residual_displacement(pulses.carr_purcell2(float(wt)), 1.0, 1.0)[1]
+        closed = pulses.delta_n_closed_form("carr_purcell2", 1.0, 1.0, float(wt))
+        if closed > 1e-20:
+            cp_worst = max(cp_worst, abs(dn - closed) / closed)
+    checks = {c["check_name"]: c["observed"] for c in verify_report["checks"]}
+    assert checks["squeezing_closed_forms"] == zeta_worst
+    assert checks["backaction_zeros"] == {"ramsey_zero_max": zero_worst, "cp_rel_dev": cp_worst}
 
 
 def test_oracle_branch_fidelity_reports_fock_margins():
